@@ -15,10 +15,11 @@ state is updated once per simulated access.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.uarch.lru import SetAssocLRU, WeightedCounters
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -29,8 +30,10 @@ def _is_power_of_two(value: int) -> bool:
 class CacheConfig:
     """Geometry of one cache level.
 
-    ``size_bytes`` must be ``ways * line_size * num_sets`` with a
-    power-of-two number of sets, mirroring real hardware indexing.
+    ``size_bytes`` must be a multiple of ``ways * line_size``; the
+    quotient is the number of sets.  It need not be a power of two (the
+    E5645's 12 MB L3 has 12 288 sets, 1 536 contracted): a line maps to
+    set ``line_number % num_sets``.
     """
 
     name: str
@@ -77,25 +80,17 @@ class CacheConfig:
         )
 
 
-class Cache:
-    """One level of set-associative cache with true-LRU replacement."""
+class Cache(WeightedCounters):
+    """One level of set-associative cache with true-LRU replacement.
+
+    The replacement state is a :class:`~repro.uarch.lru.SetAssocLRU`
+    keyed by line number; the statistics are the weighted counters.
+    """
 
     def __init__(self, config: CacheConfig):
+        super().__init__()
         self.config = config
-        self._num_sets = config.num_sets
-        self._sets = [OrderedDict() for _ in range(config.num_sets)]
-        self.accesses = 0.0
-        self.misses = 0.0
-
-    @property
-    def hits(self) -> float:
-        return self.accesses - self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        if self.accesses <= 0:
-            return 0.0
-        return self.misses / self.accesses
+        self._lru = SetAssocLRU(config.num_sets, config.ways)
 
     def access(self, line_addr: int, weight: float = 1.0) -> bool:
         """Touch one cache line; return True on hit, False on miss.
@@ -103,96 +98,42 @@ class Cache:
         ``line_addr`` is the address already shifted down by the line
         size (a line number, not a byte address).
         """
-        index = line_addr % self._num_sets
-        cache_set = self._sets[index]
-        self.accesses += weight
-        entry_key = line_addr
-        if entry_key in cache_set:
-            cache_set.move_to_end(entry_key)
-            return True
-        self.misses += weight
-        cache_set[entry_key] = True
-        if len(cache_set) > self.config.ways:
-            cache_set.popitem(last=False)
-        return False
+        return bool(self.access_many([line_addr], weight)[0])
 
     def access_many(self, line_addrs, weights=1.0) -> np.ndarray:
-        """Touch a batch of cache lines; return a boolean hit array.
+        """Touch a batch of cache lines in order; return a boolean hit
+        array.
 
-        Equivalent to calling :meth:`access` once per element of
-        ``line_addrs`` in order, but with the per-access method dispatch
-        and statistics updates hoisted out of the loop -- the simulator's
-        hottest path runs through here.  ``weights`` is either one scalar
-        applied to every access or an array of per-access weights.
+        ``weights`` is either one scalar applied to every access or an
+        array of per-access weights; it moves the statistics only.
         """
-        line_addrs = np.asarray(line_addrs, dtype=np.int64)
-        n = int(line_addrs.size)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        sets = self._sets
-        ways = self.config.ways
-        indices = (line_addrs % self._num_sets).tolist()
-        lines = line_addrs.tolist()
-        miss_idx = []
-        append_miss = miss_idx.append
-        for i, (line, index) in enumerate(zip(lines, indices)):
-            cache_set = sets[index]
-            if line in cache_set:
-                cache_set.move_to_end(line)
-            else:
-                append_miss(i)
-                cache_set[line] = True
-                if len(cache_set) > ways:
-                    cache_set.popitem(last=False)
-        hits = np.ones(n, dtype=bool)
-        if miss_idx:
-            hits[miss_idx] = False
-        if np.ndim(weights) == 0:
-            self.accesses += float(weights) * n
-            self.misses += float(weights) * len(miss_idx)
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            self.accesses += float(weights.sum())
-            if miss_idx:
-                self.misses += float(weights[~hits].sum())
+        hits = self._lru.touch(np.asarray(line_addrs, dtype=np.int64))
+        self._count(hits, weights)
         return hits
 
     def prime_many(self, line_addrs) -> None:
-        """Install a batch of lines without counting statistics.
+        """Install a batch of lines without counting statistics (warm-up
+        priming, mirroring the paper's post-ramp-up measurement window).
+        A line already resident keeps its place in the LRU order."""
+        self._lru.install(np.asarray(line_addrs, dtype=np.int64))
 
-        Equivalent to calling :meth:`prime` once per element in order.
-        """
-        sets = self._sets
-        num_sets = self._num_sets
-        ways = self.config.ways
-        for line in np.asarray(line_addrs, dtype=np.int64).tolist():
-            cache_set = sets[line % num_sets]
-            cache_set[line] = True
-            if len(cache_set) > ways:
-                cache_set.popitem(last=False)
+    def prime(self, line_addr: int) -> None:
+        """Install one line without counting statistics."""
+        self.prime_many([line_addr])
 
     def contains(self, line_addr: int) -> bool:
         """True if the line is currently resident (no state change)."""
-        return line_addr in self._sets[line_addr % self._num_sets]
+        return self._lru.contains(line_addr)
 
-    def prime(self, line_addr: int) -> None:
-        """Install a line without counting statistics (warm-up priming,
-        mirroring the paper's post-ramp-up measurement window)."""
-        cache_set = self._sets[line_addr % self._num_sets]
-        cache_set[line_addr] = True
-        if len(cache_set) > self.config.ways:
-            cache_set.popitem(last=False)
-
-    def reset_stats(self) -> None:
-        self.accesses = 0.0
-        self.misses = 0.0
+    def lru_order(self, set_index: int) -> list:
+        """Resident lines of one set, least recently used first."""
+        return self._lru.order(set_index)
 
     def flush(self) -> None:
         """Invalidate all lines and clear statistics."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._lru.clear()
         self.reset_stats()
 
     @property
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return self._lru.resident()
