@@ -235,11 +235,13 @@ class Harness:
             with ctx.span(f"run:{spec.workload}", category="harness"):
                 result = workload.run(prepared, ctx=ctx, cluster=spec.cluster,
                                       stack=spec.stack)
-        report = ctx.finalize(
-            cores_used=spec.cluster.total_cores,
-            metadata={"workload": spec.workload, "scale": spec.scale,
-                      "stack": spec.stack},
-        )
+            # Inside the root span: its event delta is then the report's
+            # events, the last instruction-fetch flush included.
+            report = ctx.finalize(
+                cores_used=spec.cluster.total_cores,
+                metadata={"workload": spec.workload, "scale": spec.scale,
+                          "stack": spec.stack},
+            )
         trace = tracer.finish() if tracer is not None else None
         outcome = CharacterizationResult(
             workload=spec.workload, scale=spec.scale, stack=spec.stack,

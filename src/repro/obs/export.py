@@ -101,7 +101,8 @@ def dump_json(payload: dict) -> str:
 
 
 def render_trace(root: Span, metadata: dict = None) -> str:
-    """Indented text tree: per-span instruction share and wall time."""
+    """Indented text tree: per-span instruction share, wall time, and
+    -- for spans that missed -- cache/TLB misses and memory traffic."""
     total = root.instructions
     lines = []
     title = metadata.get("workload") if metadata else None
@@ -117,9 +118,24 @@ def render_trace(root: Span, metadata: dict = None) -> str:
             "  " * depth
             + f"- {span.name}: {span.instructions:.4g} instr ({share:.1f}%)"
             + f", {span.wall_seconds * 1e3:.2f} ms"
+            + _misses(span)
             + (f"  [{extras}]" if extras else "")
         )
     return "\n".join(lines)
+
+
+def _misses(span: Span) -> str:
+    """``, misses L1I .. DTLB .., N MB`` of a span that has any."""
+    events = span.events
+    if events is None:
+        return ""
+    misses = {"L1I": events.l1i_misses, "L2": events.l2_misses,
+              "L3": events.l3_misses, "ITLB": events.itlb_misses,
+              "DTLB": events.dtlb_misses}
+    if not (any(misses.values()) or events.mem_bytes):
+        return ""
+    return (", misses " + " ".join(f"{k} {v:.3g}" for k, v in misses.items())
+            + f", {events.mem_bytes / 1e6:.4g} MB")
 
 
 def _walk_depth(span: Span, depth: int):

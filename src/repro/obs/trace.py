@@ -156,6 +156,11 @@ class Tracer(NullTracer):
     The first span opened becomes the root; spans opened while another
     is active become its children.  ``finish()`` returns the root and
     detaches it, leaving the tracer reusable.
+
+    A profiling context simulates its recorded memory accesses in large
+    batches; the tracer has it ``settle()`` where a span opens and where
+    it closes, so that the span's delta carries the cache/TLB misses and
+    memory bytes of exactly the accesses declared inside it.
     """
 
     enabled = True
@@ -173,6 +178,7 @@ class Tracer(NullTracer):
             attrs=dict(attrs),
         )
         if ctx is not None and getattr(ctx, "profiling", False):
+            ctx.settle()    # accesses recorded before now belong outside
             span.events = ctx.events.copy()   # entry snapshot; delta on exit
         span.attrs["__tracer__"] = self
         if self._stack:
@@ -192,6 +198,7 @@ class Tracer(NullTracer):
             top, ctx = self._stack.pop()
             top.end_wall = time.perf_counter()
             if top.events is not None and ctx is not None:
+                ctx.settle()
                 top.events = ctx.events.delta(top.events)
             if top is span:
                 break

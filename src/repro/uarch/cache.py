@@ -10,7 +10,8 @@ working-set effects), not cycle accuracy.
 Accesses carry a ``weight``: bulk access patterns are expanded with stride
 sampling (:mod:`repro.uarch.sampling`), so one simulated access may stand
 for many real ones.  Weights affect the statistics only; the replacement
-state is updated once per simulated access.
+state is updated once per simulated access.  A batch may concatenate
+several patterns' *runs*, each with its own weight.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.uarch.lru import SetAssocLRU, WeightedCounters
+from repro.uarch.lru import SetAssocLRU, WeightedCounters, as_runs
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -100,15 +101,18 @@ class Cache(WeightedCounters):
         """
         return bool(self.access_many([line_addr], weight)[0])
 
-    def access_many(self, line_addrs, weights=1.0) -> np.ndarray:
+    def access_many(self, line_addrs, weights=1.0, ends=None) -> np.ndarray:
         """Touch a batch of cache lines in order; return a boolean hit
         array.
 
-        ``weights`` is either one scalar applied to every access or an
-        array of per-access weights; it moves the statistics only.
+        ``weights`` is one scalar applied to every access, or -- with
+        ``ends`` -- one weight per run of the batch
+        (:func:`~repro.uarch.lru.as_runs`); it moves the statistics only.
         """
-        hits = self._lru.touch(np.asarray(line_addrs, dtype=np.int64))
-        self._count(hits, weights)
+        lines = np.asarray(line_addrs, dtype=np.int64)
+        weights, ends = as_runs(lines.size, weights, ends)
+        hits = self._lru.touch(lines)
+        self._count(hits, weights, ends)
         return hits
 
     def prime_many(self, line_addrs) -> None:

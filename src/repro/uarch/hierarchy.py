@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.uarch.cache import Cache, CacheConfig
 from repro.uarch.events import PerfEvents
+from repro.uarch.lru import as_runs, miss_ends
 from repro.uarch.tlb import Tlb, TlbConfig
 
 KB = 1024
@@ -138,9 +139,11 @@ class MemorySystem:
 
     Data accesses walk DTLB -> L1D -> L2 -> (L3) -> memory; instruction
     fetches walk ITLB -> L1I -> L2 -> (L3) -> memory.  Bytes fetched from
-    memory (last-level misses times the real line size) accumulate into
+    memory (last-level misses times the real line size) are
     ``events.mem_bytes`` -- the operation-intensity denominator, which is
     why intensity differs between the E5310 and the E5645 in Figure 5.
+    Both entry points return them per run and
+    :class:`~repro.uarch.perfctx.PerfContext` adds them up.
     """
 
     REAL_LINE_SIZE = 64
@@ -173,50 +176,54 @@ class MemorySystem:
         self._code_l3_accesses = 0.0
         self._code_l3_misses = 0.0
 
-    def data_access(self, addresses, weight: float, is_write: bool = False) -> None:
+    def data_access(self, addresses, weights, ends=None) -> list:
         """Route a batch of simulated data accesses through the hierarchy.
 
+        The batch is a concatenation of runs (``weights`` and ``ends`` as
+        in :func:`~repro.uarch.lru.as_runs`; a scalar weight is one run).
         Levels are processed batch-at-a-time: the DTLB translates every
         address, L1D filters the batch, and only the L1 misses (in their
-        original order) proceed to L2, then L3.  Because each level's
-        state depends only on the sequence of accesses *it* sees, this is
-        bit-identical to walking the levels one address at a time.
+        original order, with the run ends of that subsequence) proceed
+        to L2, then L3.  Because each level's state depends only on the
+        sequence of accesses *it* sees, this is bit-identical to walking
+        the levels one address at a time.
+
+        Returns the memory bytes of every run, for the caller to add to
+        ``events.mem_bytes``: data and code runs interleave in program
+        order, and a float sum depends on its order.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
-        if addresses.size == 0:
-            return
-        self.dtlb.access_many(addresses, weight)
+        weights, ends = as_runs(addresses.size, weights, ends)
+        self.dtlb.access_many(addresses, weights, ends)
         lines = addresses >> self._line_bits
-        l1_hits = self.l1d.access_many(lines, weight)
-        to_l2 = lines[~l1_hits]
-        if to_l2.size == 0:
-            return
-        l2_hits = self.l2.access_many(to_l2, weight)
-        llc_misses = to_l2[~l2_hits]
-        if self.l3 is not None and llc_misses.size:
-            l3_hits = self.l3.access_many(llc_misses, weight)
-            llc_misses = llc_misses[~l3_hits]
-        if llc_misses.size:
-            self.events.mem_bytes += (
-                int(llc_misses.size) * weight * self.REAL_LINE_SIZE
-                * self.MEM_TRAFFIC_AMPLIFICATION
-            )
+        for cache in (self.l1d, self.l2, self.l3):
+            if cache is None or not lines.size:
+                break
+            hits = cache.access_many(lines, weights, ends)
+            lines, ends = lines[~hits], miss_ends(hits, ends)
+        llc_misses = np.diff(ends, prepend=0).tolist()
+        return [(misses * weight * self.REAL_LINE_SIZE
+                 * self.MEM_TRAFFIC_AMPLIFICATION) if misses else 0.0
+                for misses, weight in zip(llc_misses, weights)]
 
-    def inst_fetch(self, addresses, weight: float) -> None:
-        """Route a batch of simulated instruction fetches.
+    def inst_fetch(self, addresses, weights, ends=None) -> list:
+        """Route a batch of simulated instruction fetches, in the run
+        form of :meth:`data_access`; returns every run's memory bytes.
 
         ITLB and L1I are simulated statefully; below L1I the statistical
         code-residency model applies (see CODE_L2_MISS_RATE).
         """
         addresses = np.asarray(addresses, dtype=np.int64)
-        if addresses.size == 0:
-            return
-        self.itlb.access_many(addresses, weight)
-        l1_hits = self.l1i.access_many(addresses >> self._line_bits, weight)
-        l1_miss_count = int(addresses.size) - int(l1_hits.sum())
-        if not l1_miss_count:
-            return
-        l2_in = l1_miss_count * weight
+        weights, ends = as_runs(addresses.size, weights, ends)
+        self.itlb.access_many(addresses, weights, ends)
+        l1_hits = self.l1i.access_many(
+            addresses >> self._line_bits, weights, ends)
+        l1_misses = np.diff(miss_ends(l1_hits, ends), prepend=0).tolist()
+        return [self._code_fill(misses * weight) if misses else 0.0
+                for misses, weight in zip(l1_misses, weights)]
+
+    def _code_fill(self, l2_in: float) -> float:
+        """Memory bytes of ``l2_in`` weighted L1I misses."""
         l2_miss = l2_in * self.CODE_L2_MISS_RATE
         self._code_l2_accesses += l2_in
         self._code_l2_misses += l2_miss
@@ -226,9 +233,7 @@ class MemorySystem:
             self._code_l3_misses += l3_miss
         else:
             l3_miss = l2_miss
-        self.events.mem_bytes += (
-            l3_miss * self.REAL_LINE_SIZE * self.MEM_TRAFFIC_AMPLIFICATION
-        )
+        return l3_miss * self.REAL_LINE_SIZE * self.MEM_TRAFFIC_AMPLIFICATION
 
     def harvest(self) -> None:
         """Copy cache/TLB statistics into the shared event record."""

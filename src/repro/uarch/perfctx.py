@@ -12,6 +12,13 @@ Two implementations share the interface:
 * :class:`NullPerfContext` -- every method is a no-op, for running the
   engines functionally at full speed (unit tests, data preparation).
 
+Record, then simulate: a pattern's simulated addresses are generated
+where it is declared, but they walk the cache/TLB hierarchy later, tens
+of thousands at a time (see ``PerfContext._record`` / ``_drain`` and
+docs/MODEL.md, "Recording and draining"); instruction counts are
+immediate, cache/TLB events and ``mem_bytes`` are current after
+``settle()`` or ``finalize()``.
+
 Sampling strategy (see :mod:`repro.uarch.sampling`): data-side patterns
 are contracted by a small factor (default 8) together with the machine's
 capacities, preserving working-set/capacity ratios; instruction fetches
@@ -26,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.uarch import cpu
+from repro.uarch import cpu, lru
 from repro.uarch.codemodel import (
     CodeProfile,
     SPEC_CODE,
@@ -40,6 +47,10 @@ from repro.uarch.sampling import plan_samples
 
 #: Default code profile when a kernel never pushes one.
 DEFAULT_PROFILE = SPEC_CODE
+
+#: The two streams of recorded runs, named after the
+#: :class:`MemorySystem` method that simulates them.
+DATA, FETCH = "data_access", "inst_fetch"
 
 
 class NullPerfContext:
@@ -163,6 +174,10 @@ class PerfContext(NullPerfContext):
         self._code_cursors: dict = {}
         self._warmed_profiles: set = set()
         self._pending_instructions = 0.0
+        #: Recorded and not yet simulated: ``(stream, addresses, weight)``
+        #: runs in program order, and how many addresses they hold.
+        self._queue: list = []
+        self._queued = 0
 
     # -- code profile scoping ------------------------------------------------
 
@@ -244,7 +259,7 @@ class PerfContext(NullPerfContext):
             region.cursor + np.arange(plan.count, dtype=np.int64) * int(stride)
         ) % region.size
         region.cursor = int(offsets[-1]) if plan.count else region.cursor
-        self.memsys.data_access(region.base + offsets, plan.weight, is_write=False)
+        self._record(DATA, region.base + offsets, plan.weight)
 
     def skewed_read(
         self, name: str, count: float, elem: int = 8,
@@ -263,8 +278,8 @@ class PerfContext(NullPerfContext):
     def finalize(self, cores_used: int = 1, metadata: dict = None) -> ProfileReport:
         """Flush pending instruction fetches and produce the run report."""
         self._flush_ifetch()
+        self.settle()
         if self.memsys is not None:
-            self.memsys.harvest()
             machine = self.machine
         else:
             # Event counting without a machine: report raw counts only.
@@ -273,7 +288,49 @@ class PerfContext(NullPerfContext):
             machine = XEON_E5645
         return cpu.finalize(self.events, machine, cores_used=cores_used, metadata=metadata)
 
+    def settle(self) -> None:
+        """Bring ``events`` up to date with everything recorded so far:
+        simulate the queued runs and copy the cache/TLB statistics in.
+        ``finalize`` does, and a recording tracer at every span boundary
+        (instructions not yet flushed into a fetch run stay pending)."""
+        if self.memsys is not None:
+            self._drain()
+            self.memsys.harvest()
+
     # -- internals -------------------------------------------------------------
+
+    def _record(self, stream: str, addresses: np.ndarray, weight: float) -> None:
+        """Queue one run of data accesses or instruction fetches;
+        ``stream`` names the :class:`MemorySystem` entry point it takes.
+
+        The addresses are final -- cursors moved, random numbers drawn --
+        when a pattern is declared; only their walk through the
+        hierarchy waits, so that it is made :data:`~repro.uarch.lru.DRAIN_AT`
+        addresses at a time instead of one pattern at a time.
+        """
+        self._queue.append((stream, addresses, weight))
+        self._queued += addresses.size
+        if self._queued >= lru.DRAIN_AT:
+            self._drain()
+
+    def _drain(self) -> None:
+        """Simulate the queued runs: the data runs as one ``data_access``
+        batch, the fetch runs as one ``inst_fetch`` batch (the two sides
+        share no cache or TLB, and each structure sees its accesses in
+        the order they were recorded), then every run's memory bytes in
+        program order, data and code interleaved."""
+        queue, self._queue, self._queued = self._queue, [], 0
+        mem_bytes = {}
+        for stream in (DATA, FETCH):
+            runs = [run for run in queue if run[0] == stream]
+            if runs:
+                mem_bytes[stream] = iter(getattr(self.memsys, stream)(
+                    np.concatenate([addresses for _, addresses, _ in runs]),
+                    [weight for _, _, weight in runs],
+                    np.cumsum([addresses.size for _, addresses, _ in runs]),
+                ))
+        for stream, _, _ in queue:
+            self.events.mem_bytes += next(mem_bytes[stream])
 
     def _region(self, name: str, default_size: int) -> Region:
         if name in self.space:
@@ -316,7 +373,7 @@ class PerfContext(NullPerfContext):
             step=max(1, int(plan.weight * profile.bytes_per_instr / self.contraction)),
         )
         self._code_cursors[profile.name] = cursor
-        self.memsys.inst_fetch(addresses, plan.weight)
+        self._record(FETCH, addresses, plan.weight)
 
     def _warm_code(self, profile: CodeProfile, region) -> None:
         """Prime L1I/ITLB with the profile's hot loop and warm set.
@@ -328,6 +385,7 @@ class PerfContext(NullPerfContext):
         memsys = self.memsys
         if memsys is None:
             return
+        self._drain()       # fetches recorded before now see the caches unprimed
         line = memsys.machine.l1i.line_size
         hot_size = max(line, profile.hot_bytes // self.contraction)
         hot_offsets = np.arange(0, hot_size, line, dtype=np.int64)
@@ -360,7 +418,7 @@ class PerfContext(NullPerfContext):
         ) % region.size
         region.cursor = (region.cursor + contracted) % region.size
         weight = (nbytes / line) / plan.count
-        self.memsys.data_access(region.base + offsets, weight, is_write)
+        self._record(DATA, region.base + offsets, weight)
 
     def _random(self, name: str, count: float, elem: int, is_write: bool) -> None:
         if count <= 0:
@@ -372,7 +430,7 @@ class PerfContext(NullPerfContext):
             return
         offsets = self.rng.integers(0, region.size, size=plan.count, dtype=np.int64)
         offsets -= offsets % max(1, min(elem, 64))
-        self.memsys.data_access(region.base + offsets, plan.weight, is_write)
+        self._record(DATA, region.base + offsets, plan.weight)
 
     def _skewed(
         self, name: str, count: float, elem: int,
@@ -399,4 +457,4 @@ class PerfContext(NullPerfContext):
         if n_cold:
             offsets[~is_hot] = self.rng.integers(0, region.size, size=n_cold, dtype=np.int64)
         offsets -= offsets % max(1, min(elem, 64))
-        self.memsys.data_access(region.base + offsets, plan.weight, is_write)
+        self._record(DATA, region.base + offsets, plan.weight)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.uarch.lru import SetAssocLRU, WeightedCounters
+from repro.uarch.lru import SetAssocLRU, WeightedCounters, as_runs
 
 
 @dataclass(frozen=True)
@@ -53,23 +53,27 @@ class Tlb(WeightedCounters):
         """Translate one byte address; return True on TLB hit."""
         return bool(self.access_many([addr], weight)[0])
 
-    def access_many(self, addrs, weights=1.0) -> np.ndarray:
+    def access_many(self, addrs, weights=1.0, ends=None) -> np.ndarray:
         """Translate a batch of byte addresses in order; return a boolean
         hit array.
 
         An access to the page of the access just before it hits and
         leaves that page most recently used, so such repeats (nine in ten
         data accesses: patterns step a line at a time through 4 KB pages)
-        are answered here and only the rest reach the LRU.  ``weights``
-        is one scalar for every access or an array of per-access weights.
+        are answered here and only the rest reach the LRU -- across run
+        boundaries too: the page a run ends on is the most recently used
+        one when the next run starts.  ``weights`` is one scalar for
+        every access or, with ``ends``, one weight per run
+        (:func:`~repro.uarch.lru.as_runs`).
         """
         pages = np.asarray(addrs, dtype=np.int64) >> self._page_bits
+        weights, ends = as_runs(pages.size, weights, ends)
         moved = np.ones(pages.size, dtype=bool)
         np.not_equal(pages[1:], pages[:-1], out=moved[1:])
         moved = np.flatnonzero(moved)
         hits = np.ones(pages.size, dtype=bool)
         hits[moved] = self._lru.touch(pages[moved])
-        self._count(hits, weights)
+        self._count(hits, weights, ends)
         return hits
 
     def prime_many(self, addrs) -> None:

@@ -17,6 +17,11 @@ from repro.core.harness import Harness
 from repro.core.runspec import RunSpec
 from repro.obs.export import dump_json, trace_to_chrome
 
+#: What only the cache/TLB simulation produces: a span has them because
+#: a recording tracer drains and harvests the hierarchy at its boundaries.
+SIMULATED = ("l1i_misses", "l1d_misses", "l2_misses", "l3_misses",
+             "itlb_misses", "dtlb_misses", "mem_bytes")
+
 
 @pytest.fixture(scope="module")
 def traced_suite():
@@ -33,6 +38,31 @@ def test_trace_attributes_all_instructions(traced_suite, name):
     assert root.instructions == pytest.approx(total, rel=1e-12), name
     attributed = sum(span.self_instructions for span in root.walk())
     assert attributed == pytest.approx(total, rel=1e-9), name
+
+
+@pytest.mark.parametrize("name", registry.workload_names())
+def test_spans_attribute_the_simulated_misses(traced_suite, name):
+    """The root's delta *is* the report (the last fetch flush lands
+    inside it), the ``run:`` span below it missed, and no span's
+    children account for more than the span itself."""
+    outcome = traced_suite[name]
+    root = outcome.trace
+    assert root.events == outcome.report.events
+    run = root.find(f"run:{name}")
+    assert run.events.l2_misses > 0 and run.events.mem_bytes > 0
+    for span in root.walk():
+        children = [c.events for c in span.children if c.events is not None]
+        for field in SIMULATED:
+            own = getattr(span.events, field)
+            below = sum(getattr(events, field) for events in children)
+            assert below <= own * (1 + 1e-9) + 1e-6, (span.name, field)
+    for field in SIMULATED:
+        attributed = sum(
+            getattr(span.events, field)
+            - sum(getattr(c.events, field) for c in span.children)
+            for span in root.walk())
+        assert attributed == pytest.approx(
+            getattr(outcome.report.events, field), rel=1e-9), field
 
 
 @pytest.mark.parametrize("name", registry.workload_names())
@@ -82,9 +112,9 @@ def test_traces_cover_every_engine(traced_suite):
 
 
 def _structure(root):
-    """Trace structure without wall-clock: (name, category, instructions)."""
-    return [(span.name, span.category, span.instructions)
-            for span in root.walk()]
+    """Trace structure without wall-clock: name, category and the event
+    delta (instructions and simulated misses alike)."""
+    return [(span.name, span.category, span.events) for span in root.walk()]
 
 
 class TestDeterminism:
@@ -113,11 +143,17 @@ class TestDeterminism:
         assert second is not first
         assert _structure(second.trace) == _structure(first.trace)
 
-    def test_traced_and_untraced_results_agree(self):
-        harness = Harness()
-        traced = harness.run(RunSpec(workload="Grep", trace=True))
-        plain = harness.run(RunSpec(workload="Grep"))
-        assert plain.trace is None
-        assert (traced.report.events.instructions
-                == plain.report.events.instructions)
-        assert traced.result.metric_value == plain.result.metric_value
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_traced_and_untraced_results_agree(self, jobs):
+        """A traced pass drains the recorded accesses at every span
+        boundary, an untraced one 65 536 at a time: same events, and
+        the root span's delta is exactly the untraced run's events."""
+        traced = Harness(jobs=jobs).run_many(
+            [RunSpec(workload=name, trace=True) for name in self.WORKLOADS])
+        plain = Harness().run_many(
+            [RunSpec(workload=name) for name in self.WORKLOADS])
+        for ours, theirs in zip(traced, plain):
+            assert theirs.trace is None
+            assert ours.report.events == theirs.report.events
+            assert ours.trace.events == theirs.report.events
+            assert ours.result.metric_value == theirs.result.metric_value

@@ -133,6 +133,51 @@ class TestEventDeltas:
         total = sum(s.self_instructions for s in root.walk())
         assert total == pytest.approx(root.instructions)
 
+    def test_span_delta_has_the_misses_of_the_accesses_made_inside_it(self):
+        """The context queues accesses and simulates them 65 536 at a
+        time; a recording tracer settles it where a span opens and
+        closes, so each span's delta is what a context simulating every
+        pattern as it is declared shows between the same two points."""
+        from unittest import mock
+
+        from repro.uarch import lru
+
+        def phases(ctx, boundary):
+            ctx.seq_read("input", 1 << 20)             # before any span
+            boundary("open outer")
+            ctx.rand_read("table", 3e4)
+            boundary("open inner")
+            ctx.int_ops(3e7)                           # flushes a fetch run
+            ctx.skewed_write("cache", 2e4)
+            boundary("close inner")
+            ctx.rand_read("table", 3e4)
+            boundary("close outer")
+
+        immediate, marks = PerfContext(XEON_E5645, seed=4), {}
+
+        def snapshot(mark):
+            immediate.memsys.harvest()
+            marks[mark] = immediate.events.copy()
+
+        with mock.patch.object(lru, "DRAIN_AT", 1):
+            phases(immediate, snapshot)
+
+        ctx, tracer, scopes = PerfContext(XEON_E5645, seed=4), Tracer("t"), []
+
+        def boundary(mark):
+            if mark.startswith("open"):
+                scopes.append(tracer.span(mark[5:], ctx=ctx))
+            else:
+                scopes.pop().__exit__(None, None, None)
+
+        phases(ctx, boundary)
+        outer = tracer.finish()
+        (inner,) = outer.children
+        assert outer.events == marks["close outer"].delta(marks["open outer"])
+        assert inner.events == marks["close inner"].delta(marks["open inner"])
+        assert inner.events.l1i_misses > 0 and inner.events.dtlb_misses > 0
+        assert 0 < inner.events.mem_bytes < outer.events.mem_bytes
+
     def test_span_without_ctx_has_no_events(self):
         tracer = Tracer("t")
         with tracer.span("plain"):

@@ -12,22 +12,27 @@ from collections import OrderedDict
 import numpy as np
 
 
+def _runs(size: int, weights, ends) -> list:
+    """``(weight, start, end)`` of every run of a batch: one scalar
+    weight is one run, else ``weights[i]`` covers ``ends[i-1]:ends[i]``."""
+    if ends is None:
+        return [(float(weights), 0, size)]
+    ends = [int(end) for end in ends]
+    assert len(weights) == len(ends) and (ends[-1] if ends else 0) == size
+    return list(zip(weights, [0] + ends[:-1], ends))
+
+
 class _Counted:
-    """Weighted access / miss counters, accumulated as the models did."""
+    """Weighted access / miss counters, accumulated as the models did:
+    one multiplication per run and counter."""
 
     def __init__(self):
         self.accesses = 0.0
         self.misses = 0.0
 
-    def _count(self, hits: np.ndarray, weights) -> None:
-        if np.ndim(weights) == 0:
-            self.accesses += float(weights) * hits.size
-            self.misses += float(weights) * int((~hits).sum())
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            self.accesses += float(weights.sum())
-            if not hits.all():
-                self.misses += float(weights[~hits].sum())
+    def _count(self, hits: np.ndarray, weight: float) -> None:
+        self.accesses += float(weight) * hits.size
+        self.misses += float(weight) * int((~hits).sum())
 
 
 class ReferenceCache(_Counted):
@@ -48,17 +53,20 @@ class ReferenceCache(_Counted):
         self._install(cache_set, line_addr)
         return False
 
-    def access_many(self, line_addrs, weights=1.0) -> np.ndarray:
-        hits = np.zeros(np.size(line_addrs), dtype=bool)
+    def access_many(self, line_addrs, weights=1.0, ends=None) -> np.ndarray:
+        lines = np.asarray(line_addrs).tolist()
+        hits = np.zeros(len(lines), dtype=bool)
         num_sets = self.config.num_sets
-        for i, line in enumerate(np.asarray(line_addrs).tolist()):
-            cache_set = self._sets[line % num_sets]
-            if line in cache_set:
-                cache_set.move_to_end(line)
-                hits[i] = True
-            else:
-                self._install(cache_set, line)
-        self._count(hits, weights)
+        for weight, start, end in _runs(len(lines), weights, ends):
+            for i in range(start, end):
+                line = lines[i]
+                cache_set = self._sets[line % num_sets]
+                if line in cache_set:
+                    cache_set.move_to_end(line)
+                    hits[i] = True
+                else:
+                    self._install(cache_set, line)
+            self._count(hits[start:end], weight)
         return hits
 
     def prime(self, line_addr: int) -> None:
@@ -105,16 +113,18 @@ class ReferenceTlb(_Counted):
         self._install(page)
         return False
 
-    def access_many(self, addrs, weights=1.0) -> np.ndarray:
-        hits = np.zeros(np.size(addrs), dtype=bool)
-        for i, addr in enumerate(np.asarray(addrs).tolist()):
-            page = addr >> self._page_bits
-            if page in self._entries:
-                self._entries.move_to_end(page)
-                hits[i] = True
-            else:
-                self._install(page)
-        self._count(hits, weights)
+    def access_many(self, addrs, weights=1.0, ends=None) -> np.ndarray:
+        addrs = np.asarray(addrs).tolist()
+        hits = np.zeros(len(addrs), dtype=bool)
+        for weight, start, end in _runs(len(addrs), weights, ends):
+            for i in range(start, end):
+                page = addrs[i] >> self._page_bits
+                if page in self._entries:
+                    self._entries.move_to_end(page)
+                    hits[i] = True
+                else:
+                    self._install(page)
+            self._count(hits[start:end], weight)
         return hits
 
     def prime(self, addr: int) -> None:

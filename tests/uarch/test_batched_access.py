@@ -57,15 +57,32 @@ class TestCacheAccessMany:
         assert single.accesses == oracle.accesses      # 2.0 sums exactly
         assert single.misses == oracle.misses
 
-    def test_weights_array(self):
+    def test_per_run_weights(self):
+        """A batch of runs counts like one call per run (empty runs
+        included), in one pass over the replacement state."""
         addrs = _addresses(n=500)
-        weights = np.random.default_rng(7).random(addrs.size) * 10
-        oracle, batched = ReferenceCache(CONFIG), Cache(CONFIG)
-        oracle.access_many(addrs, weights)
-        batched.access_many(addrs, weights)
-        assert _lru_state(oracle) == _lru_state(batched)
-        assert batched.accesses == oracle.accesses
-        assert batched.misses == oracle.misses
+        ends = [0, 1, 1, 130, 131, 400, 500, 500]
+        weights = (np.random.default_rng(7).random(len(ends)) * 10).tolist()
+        oracle, batched, by_call = (
+            ReferenceCache(CONFIG), Cache(CONFIG), Cache(CONFIG))
+        assert np.array_equal(oracle.access_many(addrs, weights, ends),
+                              batched.access_many(addrs, weights, ends))
+        for weight, start, end in zip(weights, [0] + ends[:-1], ends):
+            by_call.access_many(addrs[start:end], weight)
+        assert _lru_state(oracle) == _lru_state(batched) == _lru_state(by_call)
+        assert batched.accesses == oracle.accesses == by_call.accesses
+        assert batched.misses == oracle.misses == by_call.misses
+
+    @pytest.mark.parametrize("weights, ends", [
+        (np.ones(500), None),               # the per-access form is gone
+        ([1.0, 2.0], [100]),
+        ([1.0, 2.0], [100, 499]),
+    ])
+    def test_malformed_runs_rejected_and_state_kept(self, weights, ends):
+        cache = Cache(CONFIG)
+        with pytest.raises(ValueError):
+            cache.access_many(_addresses(n=500), weights, ends)
+        assert cache.resident_lines == 0 and cache.accesses == 0.0
 
     def test_consecutive_batches_continue_the_state(self):
         addrs = _addresses()
@@ -121,6 +138,24 @@ class TestTlbAccessMany:
         assert batched.accesses == oracle.accesses
         assert batched.misses == oracle.misses
         assert batched.hits == batched.accesses - batched.misses
+
+    def test_same_page_filter_spans_run_boundaries(self):
+        """A run that starts on the page the previous run ended on hits
+        without reaching the LRU, as it did as a call of its own."""
+        addrs = np.array([0, 64, 4096, 4160, 4224, 8192, 0, 128],
+                         dtype=np.int64)
+        weights, ends = [2.0, 0.5, 8.0], [3, 4, 8]      # cuts inside page 1
+        oracle, batched, by_call = (ReferenceTlb(self.CONFIG),
+                                    Tlb(self.CONFIG), Tlb(self.CONFIG))
+        hits = batched.access_many(addrs, weights, ends)
+        assert np.array_equal(hits, oracle.access_many(addrs, weights, ends))
+        assert hits.tolist() == [False, True, False, True, True, False,
+                                 True, True]
+        for weight, start, end in zip(weights, [0] + ends[:-1], ends):
+            by_call.access_many(addrs[start:end], weight)
+        assert oracle.lru_order() == batched.lru_order() == by_call.lru_order()
+        assert batched.accesses == oracle.accesses == by_call.accesses == 38.5
+        assert batched.misses == oracle.misses == by_call.misses == 12.0
 
     def test_runs_inside_one_page_hit_without_reordering(self):
         """Stepping a line at a time through pages: all but the first
@@ -201,12 +236,21 @@ def _batches(stream, rng):
     return np.split(stream, cuts[:-1])
 
 
+def _run_ends(size, rng):
+    """Cut a batch into runs: all of length 1 (a weight per access),
+    or random lengths, empty runs among them."""
+    if rng.random() < 0.3:
+        return np.arange(1, size + 1)
+    cuts = np.sort(rng.integers(0, size + 1, size=int(rng.integers(0, 12))))
+    return np.append(cuts, size)
+
+
 @given(geometry=GEOMETRY, kind=st.sampled_from(STREAM_KINDS),
        length=st.integers(1, 2500), seed=st.integers(0, 2 ** 32 - 1),
-       array_weights=st.booleans())
+       run_weights=st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_any_geometry_stream_and_split_matches_oracle(
-        geometry, kind, length, seed, array_weights):
+        geometry, kind, length, seed, run_weights):
     num_sets, ways = geometry
     rng = np.random.default_rng(seed)
     stream = _stream(kind, num_sets, ways, length, rng).astype(np.int64)
@@ -231,10 +275,12 @@ def test_any_geometry_stream_and_split_matches_oracle(
     batched.prime_many(primed)
     assert orders(oracle) == orders(batched)
     for batch in _batches(stream, rng):
-        weights = rng.random(batch.size) * 16 if array_weights \
-            else float(rng.random() * 16)
-        assert np.array_equal(oracle.access_many(batch, weights),
-                              batched.access_many(batch, weights))
+        weights, ends = float(rng.random() * 16), None
+        if run_weights:
+            ends = _run_ends(batch.size, rng)
+            weights = (rng.random(ends.size) * 16).tolist()
+        assert np.array_equal(oracle.access_many(batch, weights, ends),
+                              batched.access_many(batch, weights, ends))
         assert orders(oracle) == orders(batched)
         assert batched.accesses == oracle.accesses
         assert batched.misses == oracle.misses
@@ -268,9 +314,10 @@ class TestMemorySystemBatched:
     @staticmethod
     def _reference_data_access(memsys, addresses, weight):
         """One address at a time through DTLB -> L1D -> L2 -> (L3),
-        counting LLC misses.  ``weight`` must be a power of two: the
-        oracle's single-access path adds it once per access, which then
-        sums exactly like the batch path's one multiplication."""
+        counting LLC misses; returns the run's memory bytes.  ``weight``
+        must be a power of two: the oracle's single-access path adds it
+        once per access, which then sums exactly like the batch path's
+        one multiplication."""
         llc_misses = 0
         line_bits = memsys._line_bits
         for addr in addresses.tolist():
@@ -283,25 +330,33 @@ class TestMemorySystemBatched:
             if memsys.l3 is not None and memsys.l3.access(line, weight):
                 continue
             llc_misses += 1
-        memsys.events.mem_bytes += (
-            llc_misses * weight * memsys.REAL_LINE_SIZE
-            * memsys.MEM_TRAFFIC_AMPLIFICATION
-        )
+        return (llc_misses * weight * memsys.REAL_LINE_SIZE
+                * memsys.MEM_TRAFFIC_AMPLIFICATION)
 
     @pytest.mark.parametrize("machine", [XEON_E5645, XEON_E5310],
                              ids=["E5645", "E5310-no-L3"])
-    def test_data_access_equivalence(self, machine):
+    @pytest.mark.parametrize("as_one_batch", [False, True],
+                             ids=["call-per-run", "one-batch-of-runs"])
+    def test_data_access_equivalence(self, machine, as_one_batch):
         machine = machine.contracted(8)
         rng = np.random.default_rng(99)
-        batches = [rng.integers(0, 1 << 22, size=size, dtype=np.int64)
-                   for size in (3000, 1, 60, 3000)]
-        batches.append(np.arange(0, 1 << 18, 64, dtype=np.int64))
+        runs = [rng.integers(0, 1 << 22, size=size, dtype=np.int64)
+                for size in (3000, 1, 60, 3000)]
+        runs.append(np.arange(0, 1 << 18, 64, dtype=np.int64))
+        runs.append(runs[-1][:40])         # all hits: nothing reaches L2
+        weights = [8.0, 4.0, 8.0, 16.0, 2.0, 8.0]
 
         reference = _oracle_backed(MemorySystem(machine, PerfEvents()))
         batched = MemorySystem(machine, PerfEvents())
-        for batch in batches:
-            self._reference_data_access(reference, batch, weight=8.0)
-            batched.data_access(batch, weight=8.0)
+        want = [self._reference_data_access(reference, run, weight)
+                for run, weight in zip(runs, weights)]
+        if as_one_batch:
+            got = batched.data_access(np.concatenate(runs), weights,
+                                      np.cumsum([run.size for run in runs]))
+        else:
+            got = [batched.data_access(run, weight)[0]
+                   for run, weight in zip(runs, weights)]
+        assert got == want and want[0] > 0 and want[-1] == 0
         reference.harvest()
         batched.harvest()
 
@@ -342,9 +397,10 @@ class TestMemorySystemBatched:
         memsys = MemorySystem(machine, PerfEvents())
         addrs = np.random.default_rng(5).integers(
             0, 1 << 20, size=2000, dtype=np.int64)
-        memsys.inst_fetch(addrs, weight=16.0)
+        (mem_bytes,) = memsys.inst_fetch(addrs, 16.0)
         memsys.harvest()
         ev = memsys.events
+        assert mem_bytes == pytest.approx(ev.l3_misses * 64 * 3.0)
         assert ev.l1i_accesses == pytest.approx(2000 * 16.0)
         l1_miss_weight = ev.l1i_misses
         assert ev.l2_misses == pytest.approx(

@@ -60,7 +60,7 @@ class TestMemorySystem:
     def test_data_access_populates_all_levels(self):
         system, events = self._system()
         addrs = np.arange(0, 1 << 22, 64, dtype=np.int64)
-        system.data_access(addrs, weight=1.0)
+        system.data_access(addrs, 1.0)
         system.harvest()
         assert events.l1d_accesses == len(addrs)
         assert events.l1d_misses > 0
@@ -71,7 +71,7 @@ class TestMemorySystem:
     def test_inst_fetch_goes_to_icache(self):
         system, events = self._system()
         addrs = np.arange(0, 1 << 18, 64, dtype=np.int64)
-        system.inst_fetch(addrs, weight=2.0)
+        system.inst_fetch(addrs, 2.0)
         system.harvest()
         assert events.l1i_accesses == 2.0 * len(addrs)
         assert events.itlb_accesses == 2.0 * len(addrs)
@@ -80,24 +80,25 @@ class TestMemorySystem:
     def test_mem_bytes_accumulates_on_llc_miss(self):
         system, events = self._system()
         addrs = np.arange(0, 1 << 24, 64, dtype=np.int64)  # >> contracted L3
-        system.data_access(addrs, weight=1.0)
-        assert events.mem_bytes > 0
+        (mem_bytes,) = system.data_access(addrs, 1.0)
+        assert mem_bytes > 0
         # Every DRAM fill transfers one real 64-byte line per weighted miss.
-        assert events.mem_bytes % 64 == 0
+        assert mem_bytes % 64 == 0
 
     def test_no_l3_machine_spills_l2_misses_to_memory(self):
         system, events = self._system(XEON_E5310)
         addrs = np.arange(0, 1 << 22, 64, dtype=np.int64)
-        system.data_access(addrs, weight=1.0)
+        (mem_bytes,) = system.data_access(addrs, 1.0)
         system.harvest()
         assert system.l3 is None
         assert events.l3_accesses == 0
-        assert events.mem_bytes > 0
+        assert mem_bytes > 0
 
     def test_empty_batch_is_noop(self):
         system, events = self._system()
-        system.data_access(np.empty(0, dtype=np.int64), weight=1.0)
-        assert events.mem_bytes == 0
+        assert system.data_access(np.empty(0, dtype=np.int64), 1.0) == [0.0]
+        system.harvest()
+        assert events.l1d_accesses == 0 and events.dtlb_accesses == 0
 
 
 class TestCpiModel:
