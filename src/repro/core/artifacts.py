@@ -85,7 +85,8 @@ def datagen_fingerprint(refresh: bool = False) -> str:
     Unlike :func:`repro.core.diskcache.code_fingerprint` (which covers
     the whole package, because any source edit can change a simulated
     *result*), artifacts only depend on the generators: the
-    ``repro.datagen`` modules, the BDGS wiring in
+    ``repro.datagen`` modules, the keyed kernels they draw and group
+    with (``repro.keyed``), the BDGS wiring in
     ``repro.workloads.inputs``, and this module (whose codec/key layout
     is part of the on-disk format).  Editing the simulator therefore
     keeps generated inputs warm; editing a generator invalidates them.
@@ -97,7 +98,8 @@ def datagen_fingerprint(refresh: bool = False) -> str:
 
     package_dir = os.path.dirname(os.path.abspath(repro.__file__))
     sources = [os.path.join(package_dir, "workloads", "inputs.py"),
-               os.path.join(package_dir, "core", "artifacts.py")]
+               os.path.join(package_dir, "core", "artifacts.py"),
+               os.path.join(package_dir, "keyed.py")]
     datagen_dir = os.path.join(package_dir, "datagen")
     for name in sorted(os.listdir(datagen_dir)):
         if name.endswith(".py"):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datagen.models import fit_degree_powerlaw
+from repro.keyed import group_starts, sort_group, stable_order
 
 
 @dataclass
@@ -50,8 +51,7 @@ class Graph:
     def adjacency(self) -> "tuple[np.ndarray, np.ndarray]":
         """CSR over outgoing edges: (indptr, indices)."""
         if self._csr is None:
-            order = np.argsort(self.edges[:, 0], kind="stable")
-            indices = self.edges[order, 1]
+            indices = self.edges[stable_order(self.edges[:, 0]), 1]
             counts = np.bincount(self.edges[:, 0], minlength=self.num_nodes)
             indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
@@ -67,9 +67,12 @@ class Graph:
         """Remove self-loops and parallel edges."""
         edges = self.edges[self.edges[:, 0] != self.edges[:, 1]]
         keys = edges[:, 0].astype(np.int64) * self.num_nodes + edges[:, 1]
-        _, unique_idx = np.unique(keys, return_index=True)
+        # The first occurrence of every distinct edge, in input order.
+        sorted_keys, order = sort_group(keys)
+        keep = np.zeros(len(edges), dtype=bool)
+        keep[order[group_starts(sorted_keys)[1]]] = True
         return Graph(
-            edges=edges[np.sort(unique_idx)],
+            edges=edges[keep],
             num_nodes=self.num_nodes,
             directed=self.directed,
         )

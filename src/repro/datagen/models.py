@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.keyed import inverse_cdf
+
 
 # ---------------------------------------------------------------------------
 # Zipf / power-law fitting
@@ -52,7 +54,7 @@ class ZipfModel:
             raise ValueError("count must be non-negative")
         cdf = np.cumsum(self.probabilities())
         u = rng.random(count)
-        return np.searchsorted(cdf, u, side="left").astype(np.int64)
+        return inverse_cdf(cdf, u)
 
 
 def fit_zipf(frequencies: np.ndarray) -> ZipfModel:

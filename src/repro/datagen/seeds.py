@@ -23,6 +23,7 @@ import numpy as np
 from repro.datagen.graph import Graph, preferential_attachment
 from repro.datagen.table import ECommerceData, ResumeSet, ReviewSet, Table
 from repro.datagen.text import TextCorpus
+from repro.keyed import inverse_cdf
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ def wikipedia_entries(num_docs: int = 4300, vocab_size: int = 40000) -> TextCorp
     doc_lengths = np.maximum(30, rng.lognormal(5.6, 0.9, num_docs).astype(np.int64))
     topic_choice = rng.integers(0, num_topics, size=num_docs)
     # One uniform draw for all documents (identical stream to per-doc
-    # draws in document order), one searchsorted per topic.
+    # draws in document order), one inversion per topic.
     offsets = np.zeros(num_docs + 1, dtype=np.int64)
     np.cumsum(doc_lengths, out=offsets[1:])
     u = rng.random(int(offsets[-1]))
@@ -86,7 +87,7 @@ def wikipedia_entries(num_docs: int = 4300, vocab_size: int = 40000) -> TextCorp
     for topic in range(num_topics):
         mask = token_topics == topic
         if mask.any():
-            tokens[mask] = np.searchsorted(topic_cdfs[topic], u[mask])
+            tokens[mask] = inverse_cdf(topic_cdfs[topic], u[mask])
     return TextCorpus(tokens=tokens, doc_offsets=offsets, vocab_size=vocab_size)
 
 
@@ -110,8 +111,8 @@ def amazon_movie_reviews(
     movie_pop = (np.arange(1, num_movies + 1, dtype=np.float64)) ** -1.1
     user_cdf = np.cumsum(user_pop / user_pop.sum())
     movie_cdf = np.cumsum(movie_pop / movie_pop.sum())
-    user_ids = np.searchsorted(user_cdf, rng.random(num_reviews)).astype(np.int64)
-    movie_ids = np.searchsorted(movie_cdf, rng.random(num_reviews)).astype(np.int64)
+    user_ids = inverse_cdf(user_cdf, rng.random(num_reviews))
+    movie_ids = inverse_cdf(movie_cdf, rng.random(num_reviews))
 
     ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
     shared = ranks ** -1.0
@@ -139,7 +140,7 @@ def amazon_movie_reviews(
     for label, cdf in cdfs.items():
         mask = token_labels == label
         if mask.any():
-            tokens[mask] = np.searchsorted(cdf, u[mask])
+            tokens[mask] = inverse_cdf(cdf, u[mask])
     return ReviewSet(
         user_ids=user_ids,
         movie_ids=movie_ids,
@@ -174,7 +175,7 @@ def ecommerce_transactions(num_orders: int = 3867) -> ECommerceData:
     buyer_cdf = np.cumsum(buyer_pop / buyer_pop.sum())
     orders = Table("ORDER", {
         "ORDER_ID": np.arange(num_orders, dtype=np.int64),
-        "BUYER_ID": np.searchsorted(buyer_cdf, rng.random(num_orders)).astype(np.int64),
+        "BUYER_ID": inverse_cdf(buyer_cdf, rng.random(num_orders)),
         "CREATE_DATE": rng.integers(15000, 15700, size=num_orders).astype(np.int64),
     })
     # Items per order: mostly small baskets with a heavy tail.
@@ -188,7 +189,7 @@ def ecommerce_transactions(num_orders: int = 3867) -> ECommerceData:
     items = Table("ITEM", {
         "ITEM_ID": np.arange(total_items, dtype=np.int64),
         "ORDER_ID": np.repeat(orders.column("ORDER_ID"), basket),
-        "GOODS_ID": np.searchsorted(goods_cdf, rng.random(total_items)).astype(np.int64),
+        "GOODS_ID": inverse_cdf(goods_cdf, rng.random(total_items)),
         "GOODS_NUMBER": quantities,
         "GOODS_PRICE": prices,
         "GOODS_AMOUNT": prices * quantities,
@@ -208,7 +209,7 @@ def profsearch_resumes(num_resumes: int = 2790) -> ResumeSet:
         256, rng.normal(1024, 300, num_resumes) + 12 * pubs
     ).astype(np.int64)
     return ResumeSet(
-        institution_ids=np.searchsorted(inst_cdf, rng.random(num_resumes)).astype(np.int64),
+        institution_ids=inverse_cdf(inst_cdf, rng.random(num_resumes)),
         field_ids=rng.integers(0, 30, size=num_resumes).astype(np.int64),
         degree_ids=rng.choice(3, size=num_resumes, p=[0.2, 0.3, 0.5]).astype(np.int64),
         publication_counts=pubs,

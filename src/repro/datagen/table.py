@@ -29,6 +29,7 @@ from repro.datagen.models import (
     fit_zipf,
 )
 from repro.datagen.text import TextCorpus
+from repro.keyed import inverse_cdf
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +347,8 @@ class ReviewModel:
         cdfs = {label: np.cumsum(p) for label, p in self.class_word_probs.items()}
         # Draw every document's uniforms in one call (sequential
         # ``rng.random(length)`` calls consume the identical stream),
-        # then invert each class CDF over its tokens in one
-        # searchsorted per class instead of one per review.
+        # then invert each class CDF over its tokens in one call per
+        # class instead of one per review.
         offsets = np.zeros(num_reviews + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         u = rng.random(int(offsets[-1]))
@@ -356,7 +357,7 @@ class ReviewModel:
         for label, cdf in cdfs.items():
             mask = token_labels == label
             if mask.any():
-                tokens[mask] = np.searchsorted(cdf, u[mask], side="left")
+                tokens[mask] = inverse_cdf(cdf, u[mask])
         corpus = TextCorpus(tokens=tokens, doc_offsets=offsets,
                             vocab_size=self.vocab_size)
         return ReviewSet(

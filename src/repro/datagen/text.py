@@ -17,6 +17,7 @@ the fitted model, preserving the seed's characteristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,9 +119,10 @@ class TextCorpus:
     def word_frequencies(self) -> np.ndarray:
         return np.bincount(self.tokens, minlength=self.vocab_size)
 
-    @property
+    @cached_property
     def nbytes(self) -> int:
-        """Serialized size: each token's word plus one separator byte."""
+        """Serialized size: each token's word plus one separator byte.
+        A pass over every token, so taken once per corpus."""
         lengths = self.vocabulary.word_lengths()
         return int(lengths[self.tokens].sum() + self.num_tokens)
 

@@ -20,6 +20,7 @@ import numpy as np
 from repro.cluster.ledger import CostLedger
 from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
 from repro.cluster.timemodel import JobCost
+from repro.keyed import group_starts, sort_group
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import DfsFile
 from repro.mapreduce.job import MapReduceJob
@@ -325,6 +326,9 @@ class MapReduceRuntime:
                                  split.nbytes * work_units)
             job.map_cost.charge(ctx, records * work_units, working_region)
 
+            # Map output may alias the split (token jobs hand back their
+            # int64 input with ``astype(copy=False)``): nothing from here
+            # to the reduce writes to keys or values in place.
             keys, values = job.map_batch(split, ctx)
             if keys is None or len(keys) == 0:
                 continue
@@ -346,9 +350,8 @@ class MapReduceRuntime:
                 part_ids = np.searchsorted(boundaries, keys, side="right")
             else:
                 part_ids = job.partition_key(keys).astype(np.int64) % self.num_reducers
-            order = np.argsort(part_ids, kind="stable")
+            part_sorted, order = sort_group(part_ids)
             keys_sorted = keys[order]
-            part_sorted = part_ids[order]
             values_sorted = values[order] if values is not None else None
             cuts = np.searchsorted(part_sorted, np.arange(1, self.num_reducers))
             key_chunks = np.split(keys_sorted, cuts)
@@ -421,14 +424,13 @@ class MapReduceRuntime:
                           records=int(len(keys))):
                 charge_sort(ctx, len(keys), "mr:sortbuf",
                             job.intermediate_record_bytes)
-                order = np.argsort(keys, kind="stable")
-                keys = keys[order]
+                keys, order = sort_group(keys)
                 if values is not None:
                     values = values[order]
             self.overhead.charge(ctx, len(keys), len(keys) * job.intermediate_record_bytes)
             job.reduce_cost.charge(ctx, len(keys), working_region)
             if job.group_by_key:
-                unique_keys, starts = np.unique(keys, return_index=True)
+                unique_keys, starts = group_starts(keys)
                 counters.add("reduce_input_groups", len(unique_keys))
                 out_keys, out_values = job.reduce_batch(unique_keys, values, starts, ctx)
             else:
@@ -460,10 +462,9 @@ class MapReduceRuntime:
     def _combine(self, job, keys, values, working_region):
         ctx = self.ctx
         charge_sort(ctx, len(keys), "mr:combine", job.intermediate_record_bytes)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        keys, order = sort_group(keys)
         values = values[order] if values is not None else None
-        unique_keys, starts = np.unique(keys, return_index=True)
+        unique_keys, starts = group_starts(keys)
         return job.reduce_batch(unique_keys, values, starts, ctx)
 
     def _range_boundaries(self, sample_keys: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datagen.text import TextCorpus
+from repro.keyed import sort_group
 from repro.serving.simulation import Server
 
 
@@ -22,9 +23,8 @@ class InvertedIndex:
         doc_ids = np.repeat(
             np.arange(corpus.num_docs, dtype=np.int64), corpus.doc_lengths()
         )
-        order = np.argsort(corpus.tokens, kind="stable")
-        self._sorted_tokens = corpus.tokens[order]
-        self._sorted_docs = doc_ids[order]
+        self._sorted_tokens, self._sorted_docs = sort_group(
+            corpus.tokens, doc_ids)
         self._starts = np.searchsorted(self._sorted_tokens, np.arange(corpus.vocab_size))
         self._ends = np.searchsorted(
             self._sorted_tokens, np.arange(corpus.vocab_size), side="right"

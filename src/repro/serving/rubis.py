@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datagen.table import ECommerceData
+from repro.keyed import sort_group
 from repro.serving.simulation import Server
 
 
@@ -47,10 +48,9 @@ class RubisServer(Server):
         self._item_cdf = np.cumsum(pop / pop.sum())
         self._ops = [op for op, _ in self.MIX]
         self._probs = np.array([p for _, p in self.MIX])
-        self._category_index = np.argsort(self.item_category, kind="stable")
+        sorted_category, self._category_index = sort_group(self.item_category)
         self._category_starts = np.searchsorted(
-            self.item_category[self._category_index], np.arange(self.NUM_CATEGORIES)
-        )
+            sorted_category, np.arange(self.NUM_CATEGORIES))
         self._db_hot = 1e-4  # refreshed per request in handle()
 
     def dataset_bytes(self) -> int:

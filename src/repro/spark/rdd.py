@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from repro.cluster.timemodel import PhaseCost
+from repro.keyed import group_starts, sort_group
 from repro.mapreduce.job import OpCost
 
 
@@ -172,10 +173,8 @@ class _ShuffleRDD(RDD):
                 if self.reducer is not None and len(part_keys) > 1:
                     # Map-side combining (as Spark's reduceByKey does):
                     # shrink each partition before it hits the wire.
-                    order = np.argsort(part_keys, kind="stable")
-                    part_keys = part_keys[order]
-                    part_values = part_values[order]
-                    unique_keys, starts = np.unique(part_keys, return_index=True)
+                    part_keys, part_values = sort_group(part_keys, part_values)
+                    unique_keys, starts = group_starts(part_keys)
                     ctx.int_ops(6 * len(part_keys))
                     ctx.branch_ops(2 * len(part_keys))
                     part_values = self.reducer(part_values, starts)
@@ -209,13 +208,12 @@ class _ShuffleRDD(RDD):
             ctx.touch("spark:sortbuf", int(shuffle_bytes))
             ctx.rand_read("spark:sortbuf", records * passes)
 
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        keys, order = sort_group(keys)
         if values is not None:
             values = values[order]
 
         if self.reducer is not None:
-            unique_keys, starts = np.unique(keys, return_index=True)
+            unique_keys, starts = group_starts(keys)
             reduced = self.reducer(values, starts)
             keys, values = unique_keys, reduced
 

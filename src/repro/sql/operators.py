@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datagen.table import Table
+from repro.keyed import sort_group
 
 _COMPARATORS = {
     "=": operator.eq,
@@ -172,8 +173,7 @@ def hash_join(left: Table, right: Table, left_key: str, right_key: str, ctx,
 
     build_keys = build.column(build_key)
     probe_keys = probe.column(probe_key)
-    order = np.argsort(build_keys, kind="stable")
-    sorted_build = build_keys[order]
+    sorted_build, order = sort_group(build_keys)
     left_idx = np.searchsorted(sorted_build, probe_keys, side="left")
     right_idx = np.searchsorted(sorted_build, probe_keys, side="right")
     match_counts = right_idx - left_idx

@@ -23,6 +23,7 @@ import numpy as np
 from repro.cluster.ledger import CostLedger
 from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
 from repro.datagen.table import Table
+from repro.keyed import sort_group
 from repro.mapreduce.job import OpCost
 from repro.spark import SparkContext
 from repro.sql.engine import PAPER_TABLE_RATIO, QueryResult, QueryStats
@@ -192,8 +193,7 @@ class SharkExecutor:
             values_list.append(part_values)
         keys = np.concatenate(keys_list)
         folded = np.concatenate(values_list)
-        order = np.argsort(keys, kind="stable")
-        return keys[order], folded[order]
+        return sort_group(keys, folded)
 
     def _join_aggregate(self, query: Query, stats: QueryStats) -> Table:
         if not query.is_aggregate or len(query.group_by) != 1 \
@@ -260,11 +260,11 @@ class SharkExecutor:
             values_list.append(part_values)
         keys = np.concatenate(keys_list)
         sums = np.concatenate(values_list)
-        order = np.argsort(keys, kind="stable")
+        keys, sums = sort_group(keys, sums)
         column_name = query.group_by[0].replace(".", "_", 1)
         return Table("result", {
-            column_name: keys[order],
-            query.aggregates[0].alias: sums[order],
+            column_name: keys,
+            query.aggregates[0].alias: sums,
         })
 
     def _pair_tagged(self, dim_pairs, fact_pairs):

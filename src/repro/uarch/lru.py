@@ -41,6 +41,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from repro.keyed import sort_group, stable_order
+
 #: Batches shorter than this take :meth:`SetAssocLRU._walk`.  The vector
 #: kernel has a fixed cost (two sorts, ~60 numpy calls, W virtual
 #: accesses per touched set); the list walk costs 0.3 us a key on the
@@ -233,7 +235,7 @@ class SetAssocLRU:
             per_set = np.bincount(sets, minlength=self.num_sets)
             touched = np.flatnonzero(per_set)
             virtual = touched.size * ways
-            order = _stable_order(
+            order = stable_order(
                 np.concatenate((np.repeat(touched, ways), sets)))
             seq = np.concatenate((tags[touched].ravel(), keys))[order]
         window, gap = _link(seq)
@@ -251,29 +253,12 @@ class SetAssocLRU:
         return in_time[virtual:]
 
 
-def _stable_order(values: np.ndarray) -> np.ndarray:
-    """Stable argsort of non-negative int64 ``values``.
-
-    Sorting ``value << bits | index`` in place is ten times faster than
-    ``argsort(kind="stable")``; the latter is the fallback when the
-    values leave no room for the index.
-    """
-    bits = int(values.size).bit_length()
-    if int(values.max()).bit_length() + bits > 62:
-        return np.argsort(values, kind="stable")
-    packed = (values << bits) | np.arange(values.size)
-    packed.sort()
-    packed &= (1 << bits) - 1
-    return packed
-
-
 def _link(seq: np.ndarray) -> tuple:
     """Distance to the previous (``window``) and to the next (``gap``)
     access of the same key, for every position; ``_NEVER`` where there
     is none.  Empty ways are all distinct, so they link to nothing.
     """
-    order = _stable_order(seq - min(int(seq.min()), 0))
-    keys = seq[order]
+    keys, order = sort_group(seq)
     pair = np.flatnonzero(keys[1:] == keys[:-1])
     earlier, later = order[pair], order[pair + 1]
     window = np.full(seq.size, _NEVER, dtype=np.int32)

@@ -21,9 +21,17 @@ from repro.core.workload import (
     WorkloadInput,
     WorkloadResult,
 )
+from repro.keyed import group_starts
 from repro.mpi import BspProgram, BspRuntime
 from repro.uarch.perfctx import context_or_null
 from repro.workloads import inputs
+
+
+def _distinct(vertices: np.ndarray) -> np.ndarray:
+    """Sorted distinct vertex ids: what ``np.unique`` returns, without
+    the hash table numpy >= 2.3 builds before it sorts (8.5 M ids: 0.67 s
+    against 0.08 s)."""
+    return group_starts(np.sort(vertices))[0]
 
 
 class _BspBfs(BspProgram):
@@ -66,7 +74,7 @@ class _BspBfs(BspProgram):
     def superstep(self, step, rank, state, inbox, comm, ctx):
         # Absorb newly discovered vertices owned by this rank.
         if inbox:
-            incoming = np.unique(np.concatenate(inbox))
+            incoming = _distinct(np.concatenate(inbox))
             local = incoming - self.lo[rank]
             fresh = local[state["level"][local] < 0]
             state["level"][fresh] = step
@@ -98,7 +106,7 @@ class _BspBfs(BspProgram):
         neighbor_chunks = [
             self.indices[a:b] for a, b in zip(starts.tolist(), stops.tolist())
         ]
-        neighbors = np.unique(np.concatenate(neighbor_chunks))
+        neighbors = _distinct(np.concatenate(neighbor_chunks))
         owners = self.owner_of(neighbors)
         for dst in range(self.num_ranks):
             chunk = neighbors[owners == dst]

@@ -81,7 +81,7 @@ class _SortJob(MapReduceJob):
         return len(split.payload)
 
     def map_batch(self, split, ctx):
-        return split.payload.astype(np.int64), None
+        return split.payload.astype(np.int64, copy=False), None
 
     def working_bytes(self, input_nbytes):
         return input_nbytes * self.PAPER_RATIO
@@ -197,7 +197,7 @@ class _GrepJob(MapReduceJob):
     def map_batch(self, split, ctx):
         tokens = split.payload
         matches = tokens[grep_mask(tokens)]
-        return matches.astype(np.int64), None
+        return matches.astype(np.int64, copy=False), None
 
 
 class _BspGrep(BspProgram):
@@ -287,7 +287,8 @@ class _WordCountJob(MapReduceJob):
 
     def map_batch(self, split, ctx):
         tokens = split.payload
-        return tokens.astype(np.int64), np.ones(len(tokens), dtype=np.int64)
+        return (tokens.astype(np.int64, copy=False),
+                np.ones(len(tokens), dtype=np.int64))
 
     def reduce_batch(self, keys, values, starts, ctx):
         return keys, np.add.reduceat(values, starts)

@@ -22,6 +22,7 @@ from repro.core.workload import (
     WorkloadInput,
     WorkloadResult,
 )
+from repro.keyed import sort_group
 from repro.mapreduce import Dfs, MapReduceJob, MapReduceRuntime, OpCost
 from repro.mpi import BspProgram, BspRuntime
 from repro.serving import OlioServer, run_serving
@@ -401,8 +402,8 @@ class _BspConnectedComponents(BspProgram):
         neighbors = np.concatenate(neighbor_chunks)
         labels = np.repeat(state["labels"][dirty - lo], counts)
         owners = np.searchsorted(self.hi, neighbors, side="right")
-        order = np.argsort(owners, kind="stable")
-        neighbors, labels, owners = neighbors[order], labels[order], owners[order]
+        owners, order = sort_group(owners)
+        neighbors, labels = neighbors[order], labels[order]
         cuts = np.searchsorted(owners, np.arange(1, comm.num_ranks))
         for dst_rank, (n_chunk, l_chunk) in enumerate(
             zip(np.split(neighbors, cuts), np.split(labels, cuts))

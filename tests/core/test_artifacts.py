@@ -2,6 +2,7 @@
 
 import logging
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -183,6 +184,26 @@ class TestStore:
 class TestKeying:
     def test_fingerprint_is_stable(self):
         assert datagen_fingerprint() == datagen_fingerprint(refresh=True)
+
+    @pytest.mark.parametrize("edited", [
+        "keyed.py", os.path.join("datagen", "models.py")])
+    def test_editing_a_generator_source_changes_the_fingerprint(
+            self, tmp_path, monkeypatch, edited):
+        """The generators draw and group through ``repro.keyed``: an edit
+        there must not serve inputs spilled by the old code."""
+        import repro
+
+        package = os.path.dirname(repro.__file__)
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(repro, "__file__", str(copy / "__init__.py"))
+        monkeypatch.setattr(artifacts, "_FINGERPRINT", None)
+        assert datagen_fingerprint() == datagen_fingerprint(refresh=True)
+        before = datagen_fingerprint()
+        with open(copy / edited, "a") as handle:
+            handle.write("# edited\n")
+        assert datagen_fingerprint(refresh=True) != before
 
     def test_new_fingerprint_invalidates_old_entries(self, tmp_path):
         root = str(tmp_path)

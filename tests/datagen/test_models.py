@@ -37,6 +37,20 @@ class TestZipf:
         counts = np.bincount(sample, minlength=500)
         assert counts[0] > counts[100] > 0
 
+    def test_the_largest_draw_stays_inside_the_vocabulary(self):
+        """A cumulative sum of the probabilities may end below one (it
+        does for this model); the draw above it is the last word, not
+        an id one past the vocabulary."""
+        class TopOfRange:
+            def random(self, count):
+                return np.full(count, np.nextafter(1.0, 0.0))
+
+        model = ZipfModel(alpha=1.1292830167218264, vocab_size=40_000)
+        assert np.cumsum(model.probabilities())[-1] < np.nextafter(1.0, 0.0)
+        ids = model.sample(5, TopOfRange())
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [model.vocab_size - 1] * 5
+
     def test_sample_zero(self):
         model = ZipfModel(alpha=1.0, vocab_size=10)
         assert model.sample(0, np.random.default_rng(0)).size == 0
