@@ -65,6 +65,7 @@ from repro.cluster.sim import (
     USABLE_MEMORY_FRACTION,
     node_usage,
 )
+from repro.keyed import stable_order
 
 _TWO64 = 2.0 ** 64
 
@@ -155,10 +156,10 @@ class FlowPlan:
         self.src = src
         self.dst = dst
         flows = src.size
-        self.out_order = np.argsort(src, kind="stable")
+        self.out_order = stable_order(src)
         out_counts = np.bincount(src, minlength=total_nodes)
         self.out_bounds = np.concatenate(([0], np.cumsum(out_counts)))
-        self.in_order = np.argsort(dst, kind="stable")
+        self.in_order = stable_order(dst)
         in_counts = np.bincount(dst, minlength=total_nodes)
         self.in_bounds = np.concatenate(([0], np.cumsum(in_counts)))
         # busy_net fold grouping: each flow charges src then dst in flow
@@ -167,7 +168,7 @@ class FlowPlan:
         endpoints[0::2] = src
         endpoints[1::2] = dst
         self.net_counts = np.bincount(endpoints, minlength=total_nodes)
-        self.net_grouped = np.argsort(endpoints, kind="stable")
+        self.net_grouped = stable_order(endpoints)
         starts = np.concatenate(([0], np.cumsum(self.net_counts)))[:-1]
         self.net_ranks = (np.arange(2 * flows)
                           - starts[endpoints[self.net_grouped]])
@@ -179,7 +180,9 @@ def flow_order(seed: int, phase_name: str, alive: tuple,
     """The all-to-all shuffle's :class:`FlowPlan`, hash-sorted.
 
     The scalar path sorts pairwise flows by ``(unit, src, dst)``; this
-    reproduces that order with one batched hash pass plus a lexsort.
+    reproduces that order with one batched hash pass plus one stable
+    sort on the units.  ``alive`` must be ascending (the engine's node
+    walk is).
     """
     key = (seed, phase_name, alive)
     hit = _FLOW_CACHE.get(key)
@@ -200,7 +203,10 @@ def flow_order(seed: int, phase_name: str, alive: tuple,
     dst = np.tile(idx, n)
     keep = src != dst
     src, dst, keys = src[keep], dst[keep], grid[keep]
-    perm = np.lexsort((dst, src, keys))
+    # The grid is laid out row-major over ascending ``alive``, i.e.
+    # already in (src, dst) order, which a stable sort keeps among equal
+    # keys: the permutation a lexsort by (keys, src, dst) would give.
+    perm = np.argsort(keys, kind="stable")
     plan = FlowPlan(src[perm], dst[perm], total_nodes)
     _FLOW_CACHE.put(key, plan, plan.elements)
     return plan
@@ -439,7 +445,7 @@ class VectorEngine:
         # Per-node task grouping (stable: rows keep task order).
         counts = np.bincount(node_arr, minlength=n)
         max_k = int(counts.max())
-        order = np.argsort(node_arr, kind="stable")
+        order = stable_order(node_arr)
         starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
         grouped_nodes = node_arr[order]
         ranks = np.arange(num_tasks) - starts[grouped_nodes]

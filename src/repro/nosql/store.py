@@ -4,7 +4,10 @@ Write path: WAL append -> memtable insert -> flush to an SSTable when the
 memtable exceeds its budget -> size-tiered compaction when runs pile up.
 Read path: memtable, then SSTables newest-first, each gated by its Bloom
 filter; a positive probe costs one index search plus one block read.
-Scans merge the memtable with all runs.
+Scans merge the memtable with all runs, each entered by bisection (the
+memtable keeps its keys sorted beside the dict), so a scan costs
+O(log N + rows examined) and returns ``limit`` *live* rows: tombstones
+mask older versions but never consume a slot.
 
 Every operation charges the profiler (under the NoSQL code profile, one
 of the deepest stacks in the suite -- the paper finds online-service/
@@ -14,6 +17,7 @@ operation statistics the serving layer converts into OPS and latency.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass
@@ -119,6 +123,9 @@ class LsmStore:
         self.config = config or StoreConfig()
         self.stats = StoreStats()
         self._memtable: dict = {}
+        #: The memtable's keys in sorted order: the dict answers point
+        #: lookups, this list lets a scan bisect to its start key.
+        self._memtable_keys: list = []
         self._memtable_bytes = 0
         self._sstables: list = []   # newest last
         #: Replay log of every write since the last flush, in order --
@@ -234,21 +241,19 @@ class LsmStore:
             return None
 
     def scan(self, start_key: bytes, limit: int) -> list:
-        """Ordered scan of up to ``limit`` live records from ``start_key``."""
+        """Ordered scan of up to ``limit`` live records from ``start_key``.
+
+        Returns ``limit`` records whenever that many live ones exist:
+        buried tombstones are examined (and charged) on the way but do
+        not count against the limit.
+        """
         if limit <= 0:
             return []
         ctx = self.ctx
         self.stats.scans += 1
         with ctx.code(NOSQL_STACK):
             self._charge_op(ctx)
-            candidates: dict = {}
-            for sstable in self._sstables:           # oldest first
-                for key, value in sstable.range_from(start_key, limit):
-                    candidates[key] = value
-            for key, value in self._memtable.items():  # memtable wins
-                if key >= start_key:
-                    candidates[key] = value
-            rows = sorted(candidates.items())[:limit]
+            rows = self._merged_rows(start_key, limit)
             live = [(k, v) for k, v in rows if not v.is_tombstone]
             self.stats.tombstones_masked += len(rows) - len(live)
             scanned_bytes = sum(len(k) + v.size for k, v in live)
@@ -272,7 +277,7 @@ class LsmStore:
         ctx = self.ctx
         with ctx.span("nosql:flush", category="nosql",
                       records=len(self._memtable)) as sp:
-            items = sorted(self._memtable.items())
+            items = [(k, self._memtable[k]) for k in self._memtable_keys]
             run_bytes = sum(len(k) + v.size for k, v in items)
             sp.set("run_bytes", run_bytes)
             ctx.seq_write(self._region("data"), run_bytes)
@@ -280,6 +285,7 @@ class LsmStore:
             self._generation += 1
             self._sstables.append(SSTable(items, generation=self._generation))
             self._memtable = {}
+            self._memtable_keys = []
             self._memtable_bytes = 0
             self._wal = []   # log roll: flushed records need no replay
         self.stats.flushes += 1
@@ -322,12 +328,50 @@ class LsmStore:
             if self._memtable_bytes >= self.config.memtable_budget:
                 self.flush()
 
+    def _merged_rows(self, start_key: bytes, limit: int) -> list:
+        """What a scan examines: the merged ``(key, newest value)`` rows
+        from ``start_key`` in key order, up to and including the
+        ``limit``-th live one (all of them when fewer are live).
+
+        Every source gives its first ``fetch`` keys by bisection.  A key
+        of merged rank < ``fetch`` has rank < ``fetch`` in every source
+        that holds it, so the first ``fetch`` merged rows are exact --
+        and all of them are when no source was cut short.  If tombstones
+        leave an exact prefix short of ``limit`` live rows, ``fetch``
+        doubles.
+        """
+        first = bisect.bisect_left(self._memtable_keys, start_key)
+        fetch = limit
+        while True:
+            memtable_keys = self._memtable_keys[first:first + fetch]
+            cut = len(memtable_keys) == fetch
+            merged: dict = {}
+            for sstable in self._sstables:           # oldest first
+                chunk = sstable.range_from(start_key, fetch)
+                cut = cut or len(chunk) == fetch
+                merged.update(chunk)
+            for key in memtable_keys:                # memtable wins
+                merged[key] = self._memtable[key]
+            rows = sorted(merged.items())
+            if cut:
+                del rows[fetch:]
+            live = 0
+            for end, (_, value) in enumerate(rows, 1):
+                live += not value.is_tombstone
+                if live == limit:
+                    return rows[:end]
+            if not cut:
+                return rows
+            fetch *= 2
+
     def _insert_memtable(self, key: bytes, value: Value,
                          charge: bool) -> None:
         if charge:
             self.ctx.rand_write(self._region("memtable"), 3)
         old = self._memtable.get(key)
-        if old is not None:
+        if old is None:
+            bisect.insort(self._memtable_keys, key)
+        else:
             self._memtable_bytes -= len(key) + max(old.size, 1)
         self._memtable[key] = value
         self._memtable_bytes += len(key) + max(value.size, 1)
@@ -345,6 +389,7 @@ class LsmStore:
         self.stats.crashes += 1
         lost = len(self._memtable)
         self._memtable = {}
+        self._memtable_keys = []
         self._memtable_bytes = 0
         self._pending_churn_ops = 0
         if not self.faults.recovery or not self.config.wal:
@@ -424,21 +469,28 @@ class LsmStore:
 
     def _region(self, part: str) -> str:
         name = f"nosql:{self.name}:{part}"
-        scale = self.config.region_scale
-        sizes = {
-            "memtable": self.config.memtable_budget,
-            "bloom": max(1024, sum(t.bloom.nbytes for t in self._sstables) * scale),
-            "index": max(1024, sum(len(t) * 24 for t in self._sstables) * scale),
-            "data": max(BLOCK_SIZE, self.total_bytes * scale),
-            "wal": 64 * MB,
-        }
-        self.ctx.touch(name, sizes[part])
+        self.ctx.touch(name, self._region_bytes(part))
         return name
+
+    def _region_bytes(self, part: str) -> int:
+        """Declared (paper-scale) size of one store component."""
+        scale = self.config.region_scale
+        if part == "memtable":
+            return self.config.memtable_budget
+        if part == "bloom":
+            return max(1024,
+                       sum(t.bloom.nbytes for t in self._sstables) * scale)
+        if part == "index":
+            return max(1024, sum(len(t) * 24 for t in self._sstables) * scale)
+        if part == "data":
+            return max(BLOCK_SIZE, self.total_bytes * scale)
+        if part == "wal":
+            return 64 * MB
+        raise KeyError(part)
 
     def _block_cache_fraction(self) -> float:
         """Block cache (~256 MB) as a fraction of the paper-scale data."""
-        data_bytes = max(BLOCK_SIZE, self.total_bytes * self.config.region_scale)
-        return max(1e-7, min(1.0, (256 * MB) / data_bytes))
+        return max(1e-7, min(1.0, (256 * MB) / self._region_bytes("data")))
 
     def _stamp(self, key: bytes, value_size: int) -> int:
         return record_stamp(key, value_size)

@@ -10,6 +10,8 @@ the heavier backends to.
 
 from __future__ import annotations
 
+import bisect
+
 from repro.scenarios.backend import StorageBackend, key_bytes, value_stamp
 from repro.uarch.codemodel import FRAMEWORK_STACK
 
@@ -20,7 +22,12 @@ PER_OP_BRANCH = 160.0
 
 
 class DictBackend(StorageBackend):
-    """Sorted-on-demand in-memory map of key -> value size."""
+    """In-memory map of key -> value size.
+
+    The *modelled* hash map has no ordered index and bills a scan per
+    row returned; the host keeps the live keys sorted beside the map so
+    that answering one is a bisect and a slice, not a sort of the map.
+    """
 
     name = "dict"
     CPI = 0.7
@@ -28,6 +35,7 @@ class DictBackend(StorageBackend):
     def __init__(self, knobs=None, ctx=None):
         super().__init__(knobs, ctx)
         self._data: dict = {}          # key -> size
+        self._keys: list = []          # the keys of _data, sorted
         self._data_bytes = 0
         self._touched_bytes = 0.0      # logical bytes moved since charge_phase
 
@@ -39,9 +47,13 @@ class DictBackend(StorageBackend):
         if old is not None:
             self._data_bytes -= len(key_bytes(key)) + old
         if size is not None:
+            if old is None:
+                bisect.insort(self._keys, key)
             self._data[key] = size
             self._data_bytes += len(key_bytes(key)) + size
             self._touched_bytes += size
+        elif old is not None:
+            del self._keys[bisect.bisect_left(self._keys, key)]
 
     def _get(self, key: int):
         self._charge(1)
@@ -52,8 +64,8 @@ class DictBackend(StorageBackend):
         return value_stamp(key_bytes(key), size)
 
     def _scan(self, start_key: int, limit: int) -> list:
-        # No ordered index: a scan sorts the qualifying keys each time.
-        hits = sorted(k for k in self._data if k >= start_key)[:limit]
+        first = bisect.bisect_left(self._keys, start_key)
+        hits = self._keys[first:first + limit]
         self._charge(max(1, len(hits)))
         self._touched_bytes += sum(self._data[k] for k in hits)
         return [(k, value_stamp(key_bytes(k), self._data[k])) for k in hits]

@@ -27,6 +27,7 @@ Operations are plain tuples::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -266,8 +267,14 @@ _BUILDERS.update({"orders": _orders, "feed": _feed, "iot": _iot})
 SCENARIO_NAMES = tuple(_BUILDERS)
 
 
+# Room for the six YCSB mixes one characterization prepares and then runs.
+@functools.lru_cache(maxsize=8)
 def build(name: str, scale: int = 1, seed: int = 0) -> Scenario:
-    """Construct the deterministic scenario ``(name, scale, seed)``."""
+    """The deterministic scenario ``(name, scale, seed)``.
+
+    Memoized: a scenario is an immutable value (a frozen dataclass of
+    tuples), so every backend of a comparison runs the same object.
+    """
     if name not in _BUILDERS:
         raise ValueError(f"unknown scenario {name!r}; known: "
                          f"{', '.join(SCENARIO_NAMES)}")

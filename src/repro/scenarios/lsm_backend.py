@@ -65,13 +65,8 @@ class LsmBackend(StorageBackend):
         return None if value is None else value.stamp
 
     def _scan(self, start_key: int, limit: int) -> list:
-        # The store's scan lets buried tombstones consume limit slots
-        # (it truncates candidates *before* dropping dead rows), so a
-        # protocol scan over-fetches by the store's tombstone count --
-        # an upper bound on the slots the dead rows can eat.
-        fetch = limit + self._store.num_tombstones
-        rows = self._store.scan(key_bytes(start_key), fetch)
-        return [(_decode(k), v.stamp) for k, v in rows[:limit]]
+        rows = self._store.scan(key_bytes(start_key), limit)
+        return [(_decode(k), v.stamp) for k, v in rows]
 
     def record_count(self) -> int:
         # Tracked adapter-side: deriving it from the store would need a

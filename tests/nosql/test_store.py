@@ -241,6 +241,160 @@ class TestTombstoneStats:
         assert [k for k, _ in store.scan(key(0), 10)] == [key(1)]
 
 
+class TestOrderedScan:
+    """A scan returns ``limit`` *live* rows and examines O(limit) entries:
+    tombstones mask, but never consume a slot."""
+
+    LIMIT = 5
+    DEAD = (1, 3, 4)         # buried in front of the LIMIT-th live key
+
+    def _expected(self, n=12):
+        return [key(i) for i in range(n) if i not in self.DEAD][:self.LIMIT]
+
+    def _load(self, store, n=12):
+        for i in range(n):
+            store.put(key(i), 40)
+
+    def test_tombstones_in_the_memtable_do_not_consume_slots(self):
+        store = LsmStore()
+        self._load(store)
+        for i in self.DEAD:
+            store.delete(key(i))
+        rows = store.scan(key(0), self.LIMIT)
+        assert [k for k, _ in rows] == self._expected()
+
+    def test_tombstones_in_an_older_run_do_not_consume_slots(self):
+        store = LsmStore(config=StoreConfig(compaction=False))
+        self._load(store)
+        store.flush()
+        for i in self.DEAD:
+            store.delete(key(i))
+        store.flush()                      # dead rows now in run 2
+        store.put(key(20), 40)             # a newer run and a memtable on top
+        store.flush()
+        store.put(key(21), 40)
+        rows = store.scan(key(0), self.LIMIT)
+        assert [k for k, _ in rows] == self._expected()
+
+    def test_tombstones_across_the_flush_boundary(self):
+        store = LsmStore()
+        self._load(store)
+        store.flush()                      # live versions in the run
+        for i in self.DEAD:
+            store.delete(key(i))           # tombstones in the memtable
+        rows = store.scan(key(0), self.LIMIT)
+        assert [k for k, _ in rows] == self._expected()
+        # ... and from a start key that is itself buried.
+        assert [k for k, _ in store.scan(key(3), 2)] == [key(5), key(6)]
+
+    def test_more_tombstones_than_any_fixed_over_fetch(self):
+        """Dead rows outnumber ``limit`` many times over, split between
+        a run and the memtable: the fetch window has to widen."""
+        store = LsmStore()
+        self._load(store, n=200)
+        for i in range(0, 90):
+            store.delete(key(i))
+        store.flush()
+        for i in range(90, 180):
+            store.delete(key(i))
+        rows = store.scan(key(0), 3)
+        assert [k for k, _ in rows] == [key(180), key(181), key(182)]
+        assert store.scan(key(0), 50) == store.scan(key(180), 50)
+        assert len(store.scan(key(0), 50)) == 20
+
+    def test_masked_counts_only_dead_rows_before_the_last_returned(self):
+        store = LsmStore()
+        self._load(store)
+        for i in self.DEAD + (9, 11):      # 9 and 11 lie past the answer
+            store.delete(key(i))
+        rows = store.scan(key(0), self.LIMIT)
+        assert [k for k, _ in rows][-1] == key(7)
+        assert store.stats.tombstones_masked == len(self.DEAD)
+        # An exhausted range examines, and counts, every dead row in it.
+        store.scan(key(8), self.LIMIT)
+        assert store.stats.tombstones_masked == len(self.DEAD) + 2
+
+    def test_charges_follow_the_rows_examined(self):
+        """int ops are billed on the merged prefix (dead rows included),
+        block bytes on the live rows -- not on a wider fetch window."""
+        def charges(dead):
+            ctx = PerfContext(XEON_E5645, seed=0)
+            store = LsmStore()
+            self._load(store)
+            for i in dead:
+                store.delete(key(i))
+            store.ctx = ctx
+            before = ctx.events.int_ops
+            store.scan(key(0), self.LIMIT)
+            return ctx.events.int_ops - before, store.stats.block_read_bytes
+
+        clean_ops, clean_bytes = charges(())
+        dead_ops, dead_bytes = charges(self.DEAD)
+        assert dead_ops - clean_ops == 4200 * len(self.DEAD)
+        assert dead_bytes == clean_bytes
+
+    def test_scan_does_not_walk_the_memtable(self):
+        """Structural, not timed: a scan over a 5 000-key memtable never
+        iterates the dict, it bisects the sorted key view."""
+        class Counting(dict):
+            walks = 0
+
+            def items(self):
+                Counting.walks += 1
+                return super().items()
+
+            def __iter__(self):
+                Counting.walks += 1
+                return super().__iter__()
+
+        store = LsmStore(config=StoreConfig(memtable_budget=1 << 30))
+        for i in range(5000):
+            store.put(key(i * 7919 % 5000), 10)
+        store.delete(key(2501))
+        store._memtable = Counting(store._memtable)
+        assert list(store._memtable) and Counting.walks == 1   # it counts
+        rows = store.scan(key(2500), 20)
+        assert [k for k, _ in rows] == [key(2500)] + [
+            key(i) for i in range(2502, 2521)]
+        assert Counting.walks == 1
+        assert store.stats.flushes == 0
+
+    def test_sorted_view_tracks_the_memtable(self):
+        """Overwrites and deletes of missing keys keep one entry per key;
+        flush hands the view to the run and starts an empty one."""
+        store = LsmStore()
+        for i in (5, 2, 8, 2, 5):
+            store.put(key(i), 10)
+        store.delete(key(6))               # missing: still a new entry
+        store.delete(key(6))
+        store.put(key(8), 99)
+        assert store._memtable_keys == sorted(store._memtable)
+        assert store._memtable_keys == [key(2), key(5), key(6), key(8)]
+        store.flush()
+        assert store._memtable_keys == [] and not store._memtable
+        store.put(key(1), 10)
+        assert store._memtable_keys == [key(1)]
+        assert [k for k, _ in store.scan(key(0), 10)] == [
+            key(1), key(2), key(5), key(8)]
+
+    @pytest.mark.parametrize("wal", [True, False])
+    def test_sorted_view_survives_a_crash(self, wal):
+        from repro.faults import FaultPlan
+        from repro.faults.inject import FaultInjector
+
+        store = LsmStore(config=StoreConfig(wal=wal),
+                         faults=FaultInjector(FaultPlan.parse("crash:at=6"),
+                                              seed=0))
+        for i in (9, 4, 7, 1, 8, 3, 6, 2):
+            store.put(key(i), 10)
+        assert store.stats.crashes == 1
+        assert store.stats.wal_replays == (1 if wal else 0)
+        assert store._memtable_keys == sorted(store._memtable)
+        survivors = [1, 2, 3, 4, 6, 7, 8, 9] if wal else [2, 3, 6]
+        assert [k for k, _ in store.scan(key(0), 10)] == [
+            key(i) for i in survivors]
+
+
 class TestStoreKnobs:
     """WAL / bloom / compaction are knob-controlled, not hard-wired."""
 

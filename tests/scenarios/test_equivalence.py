@@ -7,6 +7,8 @@ run is executed (serial, ``jobs=2`` worker processes, or replayed from
 the disk cache).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.harness import Harness
@@ -30,10 +32,35 @@ class TestLibraryDeterminism:
         assert a.ops != b.ops
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(ValueError):
-            library.build("ycsb-z")
-        with pytest.raises(ValueError):
-            library.build("ycsb-a", scale=0)
+        for _ in range(2):      # on every call: the memo keeps no errors
+            with pytest.raises(ValueError, match="unknown scenario"):
+                library.build("ycsb-z")
+            with pytest.raises(ValueError, match="scale"):
+                library.build("ycsb-a", scale=0)
+
+    def test_build_is_memoized_and_the_memo_is_safe(self):
+        """``build`` hands every caller the same object, so it must be
+        keyed on all three arguments and immutable all the way down."""
+        first = library.build("iot", scale=2, seed=5)
+        assert library.build("iot", scale=2, seed=5) is first
+        for other in (library.build("iot", scale=2, seed=6),
+                      library.build("iot", scale=3, seed=5),
+                      library.build("feed", scale=2, seed=5)):
+            assert other != first
+        # Evicting it and building again gives an equal value.
+        library.build.cache_clear()
+        again = library.build("iot", scale=2, seed=5)
+        assert again is not first and again == first
+
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.ops = ()
+        assert type(first.preload) is tuple and type(first.ops) is tuple
+        assert all(type(row) is tuple for row in first.preload + first.ops)
+        assert all(type(field) in (str, int)
+                   for row in first.preload + first.ops for field in row)
+        # A derived view is built per call, not shared.
+        first.op_counts().clear()
+        assert first.op_counts()
 
     def test_mixes_match_ycsb_definitions(self):
         counts = library.build("ycsb-c").op_counts()
