@@ -31,6 +31,11 @@ Layout::
     <root>/<datagen-fingerprint>/<sha256(key)>/meta.json
     <root>/<datagen-fingerprint>/<sha256(key)>/<array>.npy
 
+Within one harness the plane is in memory first: every
+:func:`activated` scope carries a dataset memo under the same keys, asked
+before the store, so workloads that read the same data set share one
+read-only object whether or not anything is spilled (:func:`frozen`).
+
 The root defaults to ``$REPRO_ARTIFACT_DIR``, else
 ``<result-cache-root>/artifacts``.  ``REPRO_NO_ARTIFACTS=1`` disables
 the default store entirely (the per-harness ``artifacts=False`` and the
@@ -170,6 +175,18 @@ def encode(obj) -> "tuple[str, dict, dict]":
         raise TypeError(f"no artifact codec for {name!r}")
     meta, arrays = obj.to_arrays()
     return name, meta, arrays
+
+
+def frozen(obj):
+    """``obj`` with every array its codec names set read-only.
+
+    A data set shared in memory is made what a data set shared through
+    the store already is -- ``get`` hands out read-only memmaps -- so an
+    in-place write fails the same way wherever the input came from.
+    """
+    for array in encode(obj)[2].values():
+        array.setflags(write=False)
+    return obj
 
 
 def decode(codec_name: str, meta: dict, arrays: dict):
@@ -436,7 +453,7 @@ _ACTIVE = threading.local()
 
 
 @contextmanager
-def activated(store: Optional[ArtifactStore], ctx=None):
+def activated(store: Optional[ArtifactStore], ctx=None, memo: dict = None):
     """Scope in which :func:`current_store` resolves to ``store``.
 
     The harness wraps each ``workload.prepare`` call in this, so the
@@ -444,9 +461,15 @@ def activated(store: Optional[ArtifactStore], ctx=None):
     and the profiling context, for ``artifact:*`` spans -- without
     threading either through every ``prepare`` signature.  Thread-local,
     so concurrent harnesses cannot observe each other's stores.
+
+    ``memo`` maps dataset keys to the objects already served: within a
+    scope each distinct data set is generated (or opened) once, with or
+    without a store.  The harness passes a dict of its own so that the
+    sharing spans all its ``prepare`` calls; the default lasts for this
+    scope only.
     """
     previous = getattr(_ACTIVE, "scope", None)
-    _ACTIVE.scope = (store, ctx)
+    _ACTIVE.scope = (store, ctx, {} if memo is None else memo)
     try:
         yield store
     finally:
@@ -458,6 +481,13 @@ def current_store() -> Optional[ArtifactStore]:
     scope is active: bare ``prepare()`` calls never touch the disk)."""
     scope = getattr(_ACTIVE, "scope", None)
     return scope[0] if scope is not None else None
+
+
+def current_memo() -> Optional[dict]:
+    """The dataset memo of the innermost :func:`activated` scope (None
+    when no scope is active: bare ``prepare()`` calls share nothing)."""
+    scope = getattr(_ACTIVE, "scope", None)
+    return scope[2] if scope is not None else None
 
 
 def current_or_default_store() -> Optional[ArtifactStore]:

@@ -99,7 +99,10 @@ class Harness:
     ``False`` disables it, and a path / store instance pins a specific
     root.  Prepared inputs then spill once to memory-mapped ``.npy``
     artifacts and every later preparation -- in this process or any
-    worker -- re-opens the same pages zero-copy.
+    worker -- re-opens the same pages zero-copy.  Either way the harness
+    generates each distinct data set once: workloads reading the same
+    one share a read-only object, so ``False`` means "no spill", not
+    "regenerate" (a store bounds what stays open: see ``_prepared``).
     """
 
     #: In-memory prepared-input cache bound when an artifact store is
@@ -129,6 +132,12 @@ class Harness:
         self.serving = serving
         self._cache: dict = {}
         self._inputs: dict = {}
+        #: Generated data sets by content key ``(kind, scale, seed, ...)``:
+        #: workloads that read the same one share it.  The prepared
+        #: inputs above reference these objects, so without a store the
+        #: memo adds no memory; with one they are memory-mapped, and
+        #: ``_prepared`` evicts them along with the inputs.
+        self._datasets: dict = {}
 
     # -- the RunSpec API -------------------------------------------------------
 
@@ -281,7 +290,7 @@ class Harness:
             return prepared
         if workload is None:
             workload = registry.create(name)
-        with artifacts.activated(self.artifacts, ctx):
+        with artifacts.activated(self.artifacts, ctx, self._datasets):
             prepared = workload.prepare(scale, seed=seed)
         self._inputs[key] = prepared
         # With a store attached the memo is just a hot-set accelerator --
@@ -290,4 +299,11 @@ class Harness:
         if self.artifacts is not None:
             while len(self._inputs) > self.INPUT_CACHE_SIZE:
                 self._inputs.pop(next(iter(self._inputs)))
+            # The data sets go with the last input of their (scale, seed)
+            # point: every memory-mapped array holds a mapping and a file
+            # descriptor, and keeps a collected artifact on disk.
+            points = {point[1:] for point in self._inputs}
+            for dataset in [dataset for dataset in self._datasets
+                            if dataset[1:3] not in points]:
+                del self._datasets[dataset]
         return prepared

@@ -251,13 +251,25 @@ class KroneckerModel:
              self.initiator[1][0], self.initiator[1][1]],
             dtype=np.float64,
         )
-        probs = flat / flat.sum()
+        # Each round draws a quadrant 0..3 exactly as ``Generator.choice``
+        # over the four normalized initiator entries does -- the number
+        # of CDF entries <= a uniform draw -- but reads its two bits off
+        # three comparisons instead of materializing it: the row bit is
+        # ``quadrant >= 2``, the column bit ``quadrant in (1, 3)``.
+        cdf = (flat / flat.sum()).cumsum()
+        cdf /= cdf[-1]
         rows = np.zeros(num_edges, dtype=np.int64)
         cols = np.zeros(num_edges, dtype=np.int64)
+        u = np.empty(num_edges, dtype=np.float64)
         for _ in range(self.iterations):
-            quadrant = rng.choice(4, size=num_edges, p=probs)
-            rows = (rows << 1) | (quadrant >> 1)
-            cols = (cols << 1) | (quadrant & 1)
+            rng.random(out=u)
+            bit = u >= cdf[1]
+            rows <<= 1
+            rows |= bit
+            bit ^= u >= cdf[0]
+            bit ^= u >= cdf[2]
+            cols <<= 1
+            cols |= bit
         graph = Graph(
             edges=np.column_stack([rows, cols]),
             num_nodes=self.num_nodes,

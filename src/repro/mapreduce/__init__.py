@@ -9,7 +9,7 @@ the high L1I-cache MPKI of big data workloads.
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import DEFAULT_BLOCK_SIZE, Dfs, DfsFile, Split
-from repro.mapreduce.job import MapReduceJob, OpCost
+from repro.mapreduce.job import MapReduceJob, OpCost, SumByKeyJob
 from repro.mapreduce.runtime import (
     FrameworkOverhead,
     HADOOP_OVERHEAD,
@@ -34,5 +34,6 @@ __all__ = [
     "OpCost",
     "SPARK_OVERHEAD",
     "Split",
+    "SumByKeyJob",
     "charge_sort",
 ]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.keyed import group_starts, group_sum, sort_group
 from repro.uarch.codemodel import CodeProfile, FRAMEWORK_STACK
 
 
@@ -111,6 +112,19 @@ class MapReduceJob:
         counts = np.diff(np.append(starts, len(values) if values is not None else 0))
         return keys, counts.astype(np.int64)
 
+    def reduce_by_key(self, keys, values, ctx):
+        """Group unordered ``(keys, values)`` records by key and reduce
+        them: ``(groups, out_keys, out_values)``, ``groups`` being the
+        number of distinct keys.  The combiner and the reduce side both
+        call this; what the profiler is charged for the sort they model
+        is the runtime's business, not this method's.
+        """
+        keys, order = sort_group(keys)
+        values = values[order] if values is not None else None
+        unique_keys, starts = group_starts(keys)
+        out_keys, out_values = self.reduce_batch(unique_keys, values, starts, ctx)
+        return len(unique_keys), out_keys, out_values
+
     # -- geometry ------------------------------------------------------------
 
     def working_bytes(self, input_nbytes: int) -> int:
@@ -130,3 +144,27 @@ class MapReduceJob:
         """Key used by the hash partitioner (secondary-sort/tagged-join
         jobs partition on a prefix of the sort key)."""
         return keys
+
+
+class SumByKeyJob(MapReduceJob):
+    """A job that reduces each key to the integer sum of its values,
+    with a ``None`` value column standing for one per record.
+
+    Records that stand for one each need no order to be counted, so the
+    host does not sort them (:func:`repro.keyed.group_sum`, exactly the
+    sorted ``reduceat``), and a sum may be taken early: every such job
+    combines.
+    """
+
+    use_combiner = True
+
+    def reduce_batch(self, keys, values, starts, ctx):
+        """The sums over a value column already in key order.  A ``None``
+        column has no length to count from: that is ``reduce_by_key``'s."""
+        if values is None:
+            raise TypeError(f"{self.name}: reduce_batch needs a value column")
+        return keys, np.add.reduceat(values, starts)
+
+    def reduce_by_key(self, keys, values, ctx):
+        out_keys, sums = group_sum(keys, values)
+        return len(out_keys), out_keys, sums

@@ -20,7 +20,7 @@ import numpy as np
 from repro.cluster.ledger import CostLedger
 from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
 from repro.cluster.timemodel import JobCost
-from repro.keyed import group_starts, sort_group
+from repro.keyed import sort_group
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import DfsFile
 from repro.mapreduce.job import MapReduceJob
@@ -424,15 +424,16 @@ class MapReduceRuntime:
                           records=int(len(keys))):
                 charge_sort(ctx, len(keys), "mr:sortbuf",
                             job.intermediate_record_bytes)
-                keys, order = sort_group(keys)
-                if values is not None:
-                    values = values[order]
+                if not job.group_by_key:
+                    keys, order = sort_group(keys)
+                    if values is not None:
+                        values = values[order]
             self.overhead.charge(ctx, len(keys), len(keys) * job.intermediate_record_bytes)
             job.reduce_cost.charge(ctx, len(keys), working_region)
             if job.group_by_key:
-                unique_keys, starts = group_starts(keys)
-                counters.add("reduce_input_groups", len(unique_keys))
-                out_keys, out_values = job.reduce_batch(unique_keys, values, starts, ctx)
+                groups, out_keys, out_values = job.reduce_by_key(
+                    keys, values, ctx)
+                counters.add("reduce_input_groups", groups)
             else:
                 counters.add("reduce_input_groups", len(keys))
                 out_keys, out_values = keys, values
@@ -462,10 +463,8 @@ class MapReduceRuntime:
     def _combine(self, job, keys, values, working_region):
         ctx = self.ctx
         charge_sort(ctx, len(keys), "mr:combine", job.intermediate_record_bytes)
-        keys, order = sort_group(keys)
-        values = values[order] if values is not None else None
-        unique_keys, starts = group_starts(keys)
-        return job.reduce_batch(unique_keys, values, starts, ctx)
+        _, keys, values = job.reduce_by_key(keys, values, ctx)
+        return keys, values
 
     def _range_boundaries(self, sample_keys: np.ndarray) -> np.ndarray:
         """TeraSort-style total-order partitioner from a key sample."""

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.keyed import group_sum
 from repro.streaming.channel import DataBatch
 
 #: Bookkeeping floor mirroring ``mpi/bsp.py``: even an empty snapshot
@@ -135,13 +136,8 @@ class KeyedWindowAggregate(StreamOperator):
         self.ctx.int_ops(12 * batch.size)
         self.ctx.branch_ops(3 * batch.size)
         self.ctx.rand_write(f"stream:{self.name}", batch.size)
-        uniq, inverse, counts = np.unique(
-            batch.keys, return_inverse=True, return_counts=True)
-        if self.metric == "sum":
-            amounts = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(amounts, inverse, batch.values)
-        else:
-            amounts = counts.astype(np.int64)
+        uniq, amounts = group_sum(
+            batch.keys, batch.values if self.metric == "sum" else None)
         for start in self.window.assign(batch.event_time):
             bucket = self.windows.setdefault(start, {})
             for key, amount in zip(uniq.tolist(), amounts.tolist()):
@@ -209,7 +205,7 @@ class SessionAggregate(StreamOperator):
         self.ctx.branch_ops(5 * batch.size)
         self.ctx.rand_write(f"stream:{self.name}", batch.size)
         t = batch.event_time
-        uniq, counts = np.unique(batch.keys, return_counts=True)
+        uniq, counts = group_sum(batch.keys)
         for key, count in zip(uniq.tolist(), counts.tolist()):
             session = self.active.get(key)
             if session is None:

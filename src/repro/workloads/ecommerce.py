@@ -24,7 +24,13 @@ from repro.core.workload import (
     WorkloadInput,
     WorkloadResult,
 )
-from repro.mapreduce import Dfs, MapReduceJob, MapReduceRuntime, OpCost
+from repro.mapreduce import (
+    Dfs,
+    MapReduceJob,
+    MapReduceRuntime,
+    OpCost,
+    SumByKeyJob,
+)
 from repro.serving import RubisServer, run_serving
 from repro.uarch.perfctx import context_or_null
 from repro.workloads import inputs
@@ -135,11 +141,10 @@ class _CfGroupJob(MapReduceJob):
         return max(256 << 20, input_nbytes * 4096)
 
 
-class _CfCountJob(MapReduceJob):
+class _CfCountJob(SumByKeyJob):
     """Job 2: sum pair co-occurrence counts (the similarity matrix)."""
 
     name = "cf-count"
-    use_combiner = True
     map_cost = OpCost(int_ops=10, branch_ops=3, rand_writes=1)
     reduce_cost = OpCost(int_ops=8, fp_ops=2, branch_ops=2)
     intermediate_record_bytes = 16
@@ -150,9 +155,6 @@ class _CfCountJob(MapReduceJob):
     def map_batch(self, split, ctx):
         keys, values = split.payload
         return keys.astype(np.int64), values.astype(np.int64)
-
-    def reduce_batch(self, keys, values, starts, ctx):
-        return keys, np.add.reduceat(values, starts)
 
 
 class CollaborativeFilteringWorkload(Workload):
@@ -216,11 +218,10 @@ class CollaborativeFilteringWorkload(Workload):
 # Naive Bayes (workload 19)
 # ---------------------------------------------------------------------------
 
-class _NaiveBayesTrainJob(MapReduceJob):
+class _NaiveBayesTrainJob(SumByKeyJob):
     """Count (class, word) occurrences across the training reviews."""
 
     name = "bayes-train"
-    use_combiner = True
     # Tokenization is integer work, but probability bookkeeping brings the
     # int/fp ratio down to ~10, the suite minimum (Figure 4).
     map_cost = OpCost(int_ops=26, fp_ops=45, branch_ops=7, rand_writes=1)
@@ -236,10 +237,7 @@ class _NaiveBayesTrainJob(MapReduceJob):
     def map_batch(self, split, ctx):
         pairs = split.payload  # (n, 2): label, word
         keys = pairs[:, 0] * self.vocab_size + pairs[:, 1]
-        return keys.astype(np.int64), np.ones(len(pairs), dtype=np.int64)
-
-    def reduce_batch(self, keys, values, starts, ctx):
-        return keys, np.add.reduceat(values, starts)
+        return keys.astype(np.int64), None
 
 
 class NaiveBayesWorkload(Workload):

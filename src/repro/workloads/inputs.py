@@ -46,33 +46,58 @@ def _note_generated(kind: str, nbytes: float = 0.0, records: float = 0.0) -> Non
 
 
 def _artifact(kind: str, scale: int, seed: int, build, extra: tuple = ()):
-    """Serve one BDGS input through the shared artifact plane.
+    """Serve one BDGS input through the shared input plane.
 
-    With a store active (the harness activates one around ``prepare``,
-    see :mod:`repro.core.artifacts`), the input is generated exactly
-    once machine-wide: a hit re-opens the spilled ``.npy`` arrays
-    memory-mapped read-only; a miss runs ``build()`` and spills the
-    result.  Without a store (bare ``prepare()`` calls, ``--no-artifacts``)
-    this is exactly ``build()``.
+    Inside a harness scope (the harness activates one around ``prepare``,
+    see :mod:`repro.core.artifacts`) every distinct input -- ``(kind,
+    scale, seed) + extra`` -- exists once.  The scope's memo is asked
+    first: the paper's 19 workloads read six data sets, and those that
+    read the same one share one read-only object.  Then the store, if
+    one is attached, which makes it once machine-wide: a hit re-opens
+    the spilled ``.npy`` arrays memory-mapped read-only; a miss runs
+    ``build()`` and spills the result.  Outside any scope (bare
+    ``prepare()`` calls) this is exactly ``build()``.
     """
     from repro.core import artifacts
 
-    store = artifacts.current_store()
-    if store is None:
+    memo = artifacts.current_memo()
+    if memo is None:
         return build()
     key = (kind, int(scale), int(seed)) + tuple(extra)
-    ctx = artifacts.current_ctx()
-    with ctx.span(f"artifact:{kind}", category="artifact",
-                  scale=scale, seed=seed) as span:
-        obj = store.get(key)
-        if obj is not None:
-            METRICS.counter("datagen.artifact_hit").inc()
-            METRICS.counter(f"datagen.{kind}.artifact_hit").inc()
-            span.set("hit", True)
-            return obj
-        METRICS.counter("datagen.artifact_miss").inc()
-        span.set("hit", False)
-        return store.put(key, build())
+    store = artifacts.current_store()
+    if store is None:
+        return _once(memo, key, build)
+    # The span is opened around the memo too: a traced run has the same
+    # shape whoever had the data set already -- an earlier workload of
+    # this harness (serial), another process (``jobs=N``) or nobody.
+    with artifacts.current_ctx().span(f"artifact:{kind}", category="artifact",
+                                      scale=scale, seed=seed) as span:
+        span.set("hit", True)
+
+        def open_or_spill():
+            obj = store.get(key)
+            if obj is not None:
+                METRICS.counter("datagen.artifact_hit").inc()
+                METRICS.counter(f"datagen.{kind}.artifact_hit").inc()
+                return obj
+            METRICS.counter("datagen.artifact_miss").inc()
+            span.set("hit", False)
+            return store.put(key, build())
+
+        return _once(memo, key, open_or_spill)
+
+
+def _once(memo: dict, key: tuple, make):
+    """``memo[key]``, made (and its arrays set read-only) on first use."""
+    from repro.core import artifacts
+
+    obj = memo.get(key)
+    if obj is None:
+        obj = memo[key] = artifacts.frozen(make())
+    else:
+        METRICS.counter("datagen.memo_hit").inc()
+    return obj
+
 
 #: Baseline text volume: stands for the paper's 32 GB (shrunk 8192x).
 BASE_TEXT_BYTES = 4 * MB

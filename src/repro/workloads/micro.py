@@ -18,6 +18,7 @@ from repro.mapreduce import (
     MapReduceJob,
     MapReduceRuntime,
     OpCost,
+    SumByKeyJob,
     charge_sort,
 )
 from repro.core.workload import (
@@ -271,9 +272,8 @@ class GrepWorkload(_TextWorkload):
 # WordCount
 # ---------------------------------------------------------------------------
 
-class _WordCountJob(MapReduceJob):
+class _WordCountJob(SumByKeyJob):
     name = "wordcount"
-    use_combiner = True
     map_cost = OpCost(int_ops=32, branch_ops=9, rand_writes=1)
     reduce_cost = OpCost(int_ops=10, branch_ops=3)
     intermediate_record_bytes = 16
@@ -286,12 +286,7 @@ class _WordCountJob(MapReduceJob):
         return len(split.payload)
 
     def map_batch(self, split, ctx):
-        tokens = split.payload
-        return (tokens.astype(np.int64, copy=False),
-                np.ones(len(tokens), dtype=np.int64))
-
-    def reduce_batch(self, keys, values, starts, ctx):
-        return keys, np.add.reduceat(values, starts)
+        return split.payload.astype(np.int64, copy=False), None
 
 
 class _BspWordCount(BspProgram):

@@ -82,10 +82,21 @@ KMEANS_DIM = inputs.KMEANS_DIM
 KMEANS_K = inputs.KMEANS_K
 
 
+#: Points :func:`kmeans_assign` takes at a time: the three
+#: ``(block, K, D)`` temporaries then stay cache-sized instead of 74 MB
+#: each at 8x (192 000 x 6 x 8: 98 ms in one piece, 47-57 ms in blocks of
+#: 512 to 16 384).
+KMEANS_ASSIGN_BLOCK = 2048
+
+
 def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid assignment (squared Euclidean)."""
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    assign = np.empty(len(points), dtype=np.int64)
+    for start in range(0, len(points), KMEANS_ASSIGN_BLOCK):
+        block = points[start:start + KMEANS_ASSIGN_BLOCK]
+        d2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        np.argmin(d2, axis=1, out=assign[start:start + KMEANS_ASSIGN_BLOCK])
+    return assign
 
 
 class _KmeansIterationJob(MapReduceJob):

@@ -2,7 +2,8 @@
 
 The oracles live here: ``np.argsort(kind="stable")``, the
 argsort-gather-``np.unique(return_index=True)`` group idiom every engine
-used to spell out, and ``np.searchsorted(side="left")``.  Each property
+used to spell out, the ``np.add.reduceat`` the summing combiners put
+behind it, and ``np.searchsorted(side="left")``.  Each property
 is a plain function of the implementation under test, so that the
 mutation checks at the bottom can hand it a deliberately wrong one and
 require the property to notice.
@@ -33,6 +34,15 @@ def reference_sort_group(keys, values):
     return sorted_keys, values[order], unique_keys, starts
 
 
+def reference_group_sum(keys, values):
+    """Sort, group, ``reduceat``: what the summing jobs' ``reduce_batch``
+    computed behind the engine's sort.  No values: one per record."""
+    if values is None:
+        values = np.ones(keys.size, dtype=np.int64)
+    _, sorted_values, unique_keys, starts = reference_sort_group(keys, values)
+    return unique_keys, np.add.reduceat(sorted_values, starts)
+
+
 def reference_inverse_cdf(cdf, u):
     return np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
 
@@ -58,6 +68,54 @@ def integer_keys(draw):
         elements = st.integers(base, base + (0 if shape == "equal" else 8))
     return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
                     dtype=dtype)
+
+
+@st.composite
+def spanned_keys(draw):
+    """Keys whose span is drawn against their number, so that both sides
+    of ``COUNT_SPAN`` and the boundary itself come up: the extremes are
+    always present, the rest falls anywhere between them."""
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    info = np.iinfo(dtype)
+    size = draw(st.integers(2, 40))
+    span = min(info.max - info.min, draw(st.one_of(
+        st.integers(0, 4 * keyed.COUNT_SPAN * size),
+        st.sampled_from([keyed.COUNT_SPAN * size - 1, keyed.COUNT_SPAN * size,
+                         keyed.COUNT_SPAN * size + 1]))))
+    low = draw(st.integers(info.min, info.max - span)
+               | st.sampled_from([info.min, info.max - span]))
+    offsets = [0, span] + draw(st.lists(
+        st.integers(0, span), min_size=size - 2, max_size=size - 2))
+    order = draw(st.permutations(range(size)))
+    return np.array([low + offsets[i] for i in order], dtype=dtype)
+
+
+@st.composite
+def summed_values(draw, size):
+    """A value column for ``size`` records: absent, small integers of any
+    dtype, the dtype's whole range (sums that wrap, integers no float64
+    holds), or floats."""
+    kind = draw(st.sampled_from(["none", "small", "full", "float"]))
+    if kind == "none":
+        return None
+    if kind == "float":
+        return np.array(draw(st.lists(
+            st.floats(-1e6, 1e6, width=64) | st.sampled_from([0.1, 1e16, -1e16]),
+            min_size=size, max_size=size)), dtype=np.float64)
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    info = np.iinfo(dtype)
+    if kind == "small":
+        elements = st.integers(max(info.min, -100), min(info.max, 100))
+    else:
+        elements = st.integers(info.min, info.max)
+    return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
+                    dtype=dtype)
+
+
+@st.composite
+def keys_and_values(draw):
+    keys = draw(integer_keys() | spanned_keys())
+    return keys, draw(summed_values(keys.size))
 
 
 FLOAT_KEYS = st.lists(
@@ -114,6 +172,16 @@ def check_sort_group(sort_group, group_starts, keys):
     assert np.array_equal(starts, want_starts)
 
 
+def check_group_sum(group_sum, keys, values):
+    want_keys, want_sums = reference_group_sum(keys, values)
+    unique_keys, sums = group_sum(keys, values)
+    assert unique_keys.dtype == want_keys.dtype
+    assert np.array_equal(unique_keys, want_keys)
+    assert sums.dtype == want_sums.dtype
+    # Float sums must match to the bit, not to a tolerance.
+    assert sums.tobytes() == want_sums.tobytes()
+
+
 def check_inverse_cdf(inverse_cdf, cdf, u):
     index = inverse_cdf(cdf, u)
     assert index.dtype == np.int64
@@ -150,6 +218,19 @@ def test_sort_group_is_the_argsort_gather_unique_idiom(keys):
     check_sort_group(keyed.sort_group, keyed.group_starts, keys)
 
 
+@given(case=keys_and_values())
+@settings(max_examples=600, deadline=None)
+def test_group_sum_is_the_sorted_reduceat(case):
+    check_group_sum(keyed.group_sum, *case)
+
+
+@given(keys=FLOAT_KEYS)
+@settings(max_examples=60, deadline=None)
+def test_group_sum_of_float_keys_takes_the_sort(keys):
+    check_group_sum(keyed.group_sum, keys, None)
+    check_group_sum(keyed.group_sum, keys, np.arange(keys.size))
+
+
 @given(case=cdf_and_draws())
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -182,6 +263,41 @@ class TestDeterministicCases:
         keyed.stable_order(keys)
         keyed.sort_group(keys)
         assert keys.tolist() == [5, -2, 5, 0]
+
+    def test_group_sum_counts_a_narrow_span_and_sorts_a_wide_one(
+            self, monkeypatch):
+        """Which path ran is not visible in the result, so watch the
+        sort: the table path never packs."""
+        packs = []
+        packed = keyed._packed
+        monkeypatch.setattr(
+            keyed, "_packed", lambda keys: packs.append(1) or packed(keys))
+        tokens = np.array([7, 3, 7, 7, 4, 3, 9, 7], dtype=np.int64)
+        check_group_sum(keyed.group_sum, tokens, None)
+        check_group_sum(keyed.group_sum, tokens - 2**40, None)
+        unique_keys, counts = keyed.group_sum(tokens)
+        assert unique_keys.tolist() == [3, 4, 7, 9]
+        assert counts.tolist() == [2, 1, 4, 1]
+        assert not packs
+        wide = tokens * (keyed.COUNT_SPAN * tokens.size)
+        check_group_sum(keyed.group_sum, wide, None)
+        assert len(packs) == 1
+        # A value column sorts, however narrow the span.
+        weights = np.array([1, -2, 3, 4, 0, 2, 5, -6], dtype=np.int64)
+        check_group_sum(keyed.group_sum, tokens, weights)
+        assert len(packs) == 2
+        unique_keys, sums = keyed.group_sum(tokens, weights)
+        assert unique_keys.tolist() == [3, 4, 7, 9]   # 4 sums to 0: still there
+        assert sums.tolist() == [0, 0, 2, 5]
+
+    def test_group_sum_leaves_its_input_alone(self):
+        keys = np.array([5, 3, 5, 4], dtype=np.int64)
+        keys.setflags(write=False)
+        values = np.array([1, 2, 3, 4], dtype=np.int64)
+        values.setflags(write=False)
+        keyed.group_sum(keys, values)
+        keyed.group_sum(keys * 1000, values)
+        assert keys.tolist() == [5, 3, 5, 4] and values.tolist() == [1, 2, 3, 4]
 
     def test_real_batch_on_the_guide_path(self):
         rng = np.random.default_rng(7)
@@ -251,6 +367,37 @@ def test_properties_catch_group_ends_for_starts():
         given(integer_keys())(MUTANT(
             lambda keys: check_sort_group(
                 keyed.sort_group, group_ends, keys)))()
+
+
+def test_properties_catch_table_offsets_returned_as_keys():
+    """The table path without its ``+ low``."""
+    def without_low(keys, values=None):
+        unique_keys, sums = keyed.group_sum(keys, values)
+        if values is None and keys.size and (
+                int(keys.max()) - int(keys.min())
+                <= keyed.COUNT_SPAN * keys.size):
+            unique_keys = unique_keys - keys.min()
+        return unique_keys, sums
+
+    with pytest.raises(AssertionError):
+        given(keys_and_values())(MUTANT(
+            lambda case: check_group_sum(without_low, *case)))()
+
+
+def test_properties_catch_float_values_summed_in_input_order():
+    """Why a value column is not summed into a table as the counts are:
+    ``bincount`` adds sequentially, ``reduceat`` pairwise."""
+    def sequential(keys, values=None):
+        if values is None or values.dtype.kind != "f" or keys.size == 0:
+            return keyed.group_sum(keys, values)
+        unique_keys, inverse = np.unique(keys, return_inverse=True)
+        return unique_keys, np.bincount(inverse, weights=values)
+
+    keys = np.zeros(64, dtype=np.int64)
+    values = np.full(64, 0.1)
+    values[0] = 1e16
+    with pytest.raises(AssertionError):
+        check_group_sum(sequential, keys, values)
 
 
 @pytest.mark.parametrize("mutant", [

@@ -82,6 +82,38 @@ class TestKronecker:
         # Dedup can only lose edges.
         assert graph.num_edges <= round(model.expected_edges)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_generate_is_the_rng_choice_descent(self, seed, directed):
+        """``generate`` reads the quadrant's two bits off three comparisons
+        of the uniform draw ``rng.choice`` would have made; the loop it
+        replaced is the oracle."""
+        model = KroneckerModel(initiator=((0.9, 0.6), (0.5, 0.3)), iterations=11)
+
+        def choice_descent(rng):
+            num_edges = max(1, int(round(model.expected_edges)))
+            flat = np.array(model.initiator, dtype=np.float64).ravel()
+            probs = flat / flat.sum()
+            rows = np.zeros(num_edges, dtype=np.int64)
+            cols = np.zeros(num_edges, dtype=np.int64)
+            for _ in range(model.iterations):
+                quadrant = rng.choice(4, size=num_edges, p=probs)
+                rows = (rows << 1) | (quadrant >> 1)
+                cols = (cols << 1) | (quadrant & 1)
+            return Graph(edges=np.column_stack([rows, cols]),
+                         num_nodes=model.num_nodes,
+                         directed=directed).deduplicated()
+
+        rng = np.random.default_rng(seed)
+        graph = model.generate(rng, directed=directed)
+        want_rng = np.random.default_rng(seed)
+        want = choice_descent(want_rng)
+        assert graph.edges.dtype == want.edges.dtype
+        assert np.array_equal(graph.edges, want.edges)
+        assert (graph.num_nodes, graph.directed) == (want.num_nodes, directed)
+        # The generator is left where the old loop left it.
+        assert rng.random() == want_rng.random()
+
     def test_estimate_matches_edge_count(self):
         seed = preferential_attachment(4096, 8, np.random.default_rng(4))
         model = KroneckerModel.estimate(seed)

@@ -1,4 +1,5 @@
-"""Functional tests for BFS, PageRank, and Connected Components."""
+"""Functional tests for BFS, PageRank, Connected Components, and the
+K-means assignment kernel."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from repro.cluster import ClusterSpec
 from repro.workloads.bfs import BfsWorkload
 from repro.workloads.search import PageRankWorkload, pagerank_reference
 from repro.workloads.social import (
+    KMEANS_ASSIGN_BLOCK,
     ConnectedComponentsWorkload,
     connected_components_reference,
+    kmeans_assign,
 )
 
 SMALL_CLUSTER = ClusterSpec(num_nodes=4)
@@ -94,3 +97,26 @@ class TestConnectedComponents:
         assert labels[2] == labels[3] == labels[4]
         assert labels[0] != labels[2]
         assert labels[5] not in (labels[0], labels[2])
+
+
+class TestKmeansAssign:
+    """``kmeans_assign`` takes the points in row blocks; distances never
+    cross rows, so it is the one-piece broadcast to the bit."""
+
+    @pytest.mark.parametrize("count", [
+        0, 1, KMEANS_ASSIGN_BLOCK - 1, KMEANS_ASSIGN_BLOCK,
+        KMEANS_ASSIGN_BLOCK + 1, 3 * KMEANS_ASSIGN_BLOCK + 17])
+    def test_blocks_equal_the_whole(self, count):
+        rng = np.random.default_rng(count)
+        points = rng.normal(0, 6.0, size=(count, 8))
+        centroids = rng.normal(0, 6.0, size=(6, 8))
+        points[::5] = centroids[2]      # exact ties with a centroid
+        whole = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assign = kmeans_assign(points, centroids)
+        assert assign.dtype == np.int64
+        assert np.array_equal(assign, np.argmin(whole, axis=1))
+
+    def test_read_only_points_are_fine(self):
+        points = np.random.default_rng(0).normal(size=(100, 8))
+        points.setflags(write=False)
+        assert kmeans_assign(points, points[:6]).tolist()[:6] == list(range(6))
