@@ -60,6 +60,8 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cluster.node import ClusterSpec, NodeSpec, PAPER_CLUSTER
 from repro.cluster.timemodel import JobCost, PhaseCost, SPILL_PASSES
 
@@ -101,6 +103,17 @@ def unit_hash(seed: int, site: str) -> float:
 
 #: Backwards-compatible private alias (pre-serving-plane name).
 _unit = unit_hash
+
+
+def _eighth_power(units) -> np.ndarray:
+    """The straggler shaping ``u ** 8`` of an array of unit variates.
+
+    ``np.float_power`` is libm ``pow`` -- bit for bit the Python
+    ``u ** 8`` of the scalar loops (``np.power`` and ``units ** 8`` are
+    repeated squaring and are not); pinned over 10^5 hashed units in
+    ``tests/cluster/test_sim_vectorized.py``.
+    """
+    return np.float_power(np.asarray(units), 8)
 
 
 class _SimNode:

@@ -21,9 +21,9 @@ order*, just batched across nodes:
   the killed set carry across phases);
 * straggler variates are blake2b hashes of ``seed|site`` exactly as the
   scalar ``_unit`` computes them, batched over a prebuilt site array
-  (the eighth-power shaping stays per-element Python ``**`` -- numpy's
-  integer-power kernel is repeated squaring, which is *not* bit-equal
-  to libm ``pow``);
+  (the eighth-power shaping is ``np.float_power``, libm ``pow`` like
+  the scalar's Python ``**`` -- ``np.power`` is repeated squaring,
+  which is *not* bit-equal);
 * placement is an inherently sequential argmin scan (each decision
   feeds the next task's load), kept as a tight loop over flat arrays
   and per-node slot heaps; everything the scan does not need --
@@ -32,15 +32,14 @@ order*, just batched across nodes:
 * order-sensitive float accumulations (busy seconds, working bytes)
   are reproduced as exact left folds: ``np.add.accumulate`` over
   per-node task-ordered rows (accumulate is sequential, unlike the
-  pairwise ``np.add.reduce``), masked constant-increment sweeps, or
-  count-indexed fold tables;
-* the O(n^2) shuffle is evaluated as *frontier rounds* over the two
-  NIC FIFO queues: a flow is ready when it is the next pending flow of
-  both its source's out-queue and its destination's in-queue, and all
-  ready flows touch disjoint queues, so each round is one vectorized
-  max-plus advance.  The hash-sorted flow order (and the per-phase
-  straggler factors) are memoized process-wide, keyed by
-  ``(seed, phase, nodes)``, so sweep replays skip rehashing.
+  pairwise ``np.add.reduce``) or count-indexed fold tables;
+* the O(n^2) shuffle is evaluated as a *level schedule* over the two
+  NIC FIFO queues (:class:`FlowPlan`): the flows of one level touch
+  disjoint queues and wait only for earlier levels, so each level is
+  one vectorized max-plus advance.  Levels depend on the hash order
+  alone: they are found with it, once, and memoized process-wide (as
+  are the per-phase straggler factors), keyed by
+  ``(seed, phase, nodes)``, so sweep replays skip both.
 
 Per task the engine also records one event-arena row (node, slot,
 read/compute/write windows, straggle factor) -- the structured-array
@@ -63,6 +62,7 @@ from repro.cluster.sim import (
     STRAGGLER_TAIL,
     TASK_WAVES,
     USABLE_MEMORY_FRACTION,
+    _eighth_power,
     node_usage,
 )
 from repro.keyed import stable_order
@@ -108,9 +108,9 @@ class _LRUCache:
 #: Straggler factors per (seed, phase name, task count).
 _FACTOR_CACHE = _LRUCache(max_elements=2_000_000)
 
-#: Hash-sorted shuffle flow plans per (seed, phase name, alive nodes).
-#: A 1000-node plan is ~8M elements (~64 MB), so the budget holds a
-#: couple of huge entries or hundreds of sweep-scale ones.
+#: Shuffle level schedules per (seed, phase name, alive nodes).
+#: A 1000-node plan is ~4M elements (~32 MB), so the budget holds a
+#: few huge entries or hundreds of sweep-scale ones.
 _FLOW_CACHE = _LRUCache(max_elements=24_000_000)
 
 
@@ -129,9 +129,7 @@ def straggler_factors(seed: int, phase_name: str, count: int):
     digest = b"".join(
         blake(prefix + b"%d" % t, digest_size=8).digest()
         for t in range(count))
-    units = np.frombuffer(digest, dtype="<u8") / _TWO64
-    # Per-element Python pow: libm-identical to the scalar ``u ** 8``.
-    tails = np.array([u ** 8 for u in units.tolist()])
+    tails = _eighth_power(np.frombuffer(digest, dtype="<u8") / _TWO64)
     factors = 1.0 + STRAGGLER_TAIL * tails
     straggled = tails > 0.5
     value = (factors, straggled)
@@ -140,39 +138,72 @@ def straggler_factors(seed: int, phase_name: str, count: int):
 
 
 class FlowPlan:
-    """Precomputed shuffle schedule skeleton for one (seed, phase, alive).
+    """The shuffle of one (seed, phase, alive) as a level schedule.
 
-    Everything here is a pure function of the flow *order* -- the
-    hash-sorted (src, dst) pairs plus the FIFO queue orderings and the
-    busy-net fold grouping -- and none of it depends on bandwidths or
-    prior phases, so sweep replays reuse it wholesale from the cache.
+    A flow's *level* is one more than the later of its predecessors in
+    its source's out-queue and its destination's in-queue (both in hash
+    order): the flows of one level touch disjoint queues and wait only
+    for earlier levels.  ``src``/``dst`` hold the flows level by level,
+    level ``k`` in ``bounds[k]:bounds[k + 1]`` (a list: the replay walks
+    it in Python).  ``cell_src``/``cell_dst`` are each flow's two cells
+    in the ``(nodes, width)`` busy-net fold block: ``node * width + rank
+    + 1`` for the ``rank``-th charge the node takes when every flow
+    charges its source, then its destination, in hash order (two
+    arrays: one scatter each beats one over ``(flows, 2)`` by a third).
+
+    All of it is a pure function of the flow *order* -- none of it
+    depends on bandwidths or prior phases -- so sweep replays reuse it
+    wholesale from the cache.
     """
 
-    __slots__ = ("src", "dst", "out_order", "out_bounds", "in_order",
-                 "in_bounds", "net_grouped", "net_ranks", "net_counts",
+    __slots__ = ("src", "dst", "bounds", "cell_src", "cell_dst", "width",
                  "elements")
 
     def __init__(self, src, dst, total_nodes: int):
-        self.src = src
-        self.dst = dst
         flows = src.size
-        self.out_order = stable_order(src)
-        out_counts = np.bincount(src, minlength=total_nodes)
-        self.out_bounds = np.concatenate(([0], np.cumsum(out_counts)))
-        self.in_order = stable_order(dst)
-        in_counts = np.bincount(dst, minlength=total_nodes)
-        self.in_bounds = np.concatenate(([0], np.cumsum(in_counts)))
-        # busy_net fold grouping: each flow charges src then dst in flow
-        # order, so group the interleaved endpoint stream per node.
+        # Both FIFO queues of every node, as positions in hash order.
+        out_order = stable_order(src)
+        out_bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(src, minlength=total_nodes))))
+        out_ptr, out_end = out_bounds[:-1].copy(), out_bounds[1:]
+        in_order = stable_order(dst)
+        in_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(dst, minlength=total_nodes))))[:-1]
+        # Frontier rounds.  A flow that heads both its queues has both
+        # predecessors in earlier rounds, and is taken in the round it
+        # becomes ready: round k finds exactly level k.  The earliest
+        # pending flow always heads both, so rounds make progress.
+        levels = []
+        pending = np.nonzero(out_end > out_ptr)[0]
+        while True:
+            pending = pending[out_ptr[pending] < out_end[pending]]
+            if not pending.size:
+                break
+            heads = out_order[out_ptr[pending]]
+            ready = heads[in_order[in_ptr[dst[heads]]] == heads]
+            levels.append(ready)
+            out_ptr[src[ready]] += 1
+            in_ptr[dst[ready]] += 1
+        schedule = np.concatenate(levels)
+        self.bounds = np.cumsum(
+            [0] + [level.size for level in levels]).tolist()
+        self.src = src[schedule]
+        self.dst = dst[schedule]
+        # busy_net fold cells: group the interleaved endpoint stream per
+        # node (stable: a node's charges keep hash order).
         endpoints = np.empty(2 * flows, dtype=np.int64)
         endpoints[0::2] = src
         endpoints[1::2] = dst
-        self.net_counts = np.bincount(endpoints, minlength=total_nodes)
-        self.net_grouped = stable_order(endpoints)
-        starts = np.concatenate(([0], np.cumsum(self.net_counts)))[:-1]
-        self.net_ranks = (np.arange(2 * flows)
-                          - starts[endpoints[self.net_grouped]])
-        self.elements = 8 * flows
+        counts = np.bincount(endpoints, minlength=total_nodes)
+        self.width = int(counts.max()) + 1
+        starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
+        first_cell = np.arange(total_nodes) * self.width + 1 - starts
+        grouped = stable_order(endpoints)
+        cells = np.empty(2 * flows, dtype=np.int64)
+        cells[grouped] = np.arange(2 * flows) + first_cell[endpoints[grouped]]
+        self.cell_src = cells[2 * schedule]
+        self.cell_dst = cells[2 * schedule + 1]
+        self.elements = 4 * flows
 
 
 def flow_order(seed: int, phase_name: str, alive: tuple,
@@ -191,23 +222,25 @@ def flow_order(seed: int, phase_name: str, alive: tuple,
     idx = np.array(alive, dtype=np.int64)
     n = idx.size
     # Hash the full n x n site grid (diagonal discarded below: +1/n
-    # hashes buys 2n instead of n^2 byte-formatting operations).
+    # hashes buys 2n instead of n^2 byte-formatting operations), joined
+    # one source row at a time: a list of all n^2 digests is 40 MB and
+    # 0.1 s at 1000 nodes.
     blake = hashlib.blake2b
     prefix = f"{seed}|{phase_name}:flow:".encode()
     heads = [prefix + b"%d->" % i for i in alive]
     tails = [b"%d" % j for j in alive]
-    digest = b"".join(
-        [blake(h + t, digest_size=8).digest() for h in heads for t in tails])
+    digest = b"".join([
+        b"".join([blake(h + t, digest_size=8).digest() for t in tails])
+        for h in heads])
     grid = np.frombuffer(digest, dtype="<u8") / _TWO64
-    src = np.repeat(idx, n)
-    dst = np.tile(idx, n)
-    keep = src != dst
-    src, dst, keys = src[keep], dst[keep], grid[keep]
-    # The grid is laid out row-major over ascending ``alive``, i.e.
-    # already in (src, dst) order, which a stable sort keeps among equal
-    # keys: the permutation a lexsort by (keys, src, dst) would give.
-    perm = np.argsort(keys, kind="stable")
-    plan = FlowPlan(src[perm], dst[perm], total_nodes)
+    # Cell ``c`` of the grid is the flow alive[c // n] -> alive[c % n];
+    # the diagonal is every (n + 1)-th cell.
+    cells = np.flatnonzero(np.arange(n * n) % (n + 1))
+    # The cells are row-major over ascending ``alive``, i.e. already in
+    # (src, dst) order, which a stable sort keeps among equal keys: the
+    # permutation a lexsort by (keys, src, dst) would give.
+    cells = cells[stable_order(grid[cells])]
+    plan = FlowPlan(idx[cells // n], idx[cells % n], total_nodes)
     _FLOW_CACHE.put(key, plan, plan.elements)
     return plan
 
@@ -457,16 +490,19 @@ class VectorEngine:
         cpu_rows[grouped_nodes, ranks + 1] = ct_arr[order]
         self.busy_cpu = np.add.accumulate(cpu_rows, axis=1)[:, -1]
 
-        # busy_disk: the scalar adds read_time then write_time per task;
-        # both are per-node constants, so sweep the task ordinals with
-        # masked adds -- same additions in the same per-node order.
+        # busy_disk: the scalar adds read_time then write_time per task,
+        # both per-node constants -- the same fold over rows that
+        # alternate them for the node's task count (the zeros elsewhere
+        # are exact: the sums are non-negative).
         if has_read or has_write:
-            for k in range(max_k):
-                mask = counts > k
-                if has_read:
-                    self.busy_disk[mask] += read_time[mask]
-                if has_write:
-                    self.busy_disk[mask] += write_time[mask]
+            ran = np.arange(max_k) < counts[:, None]
+            disk_rows = np.zeros((n, 2 * max_k + 1))
+            disk_rows[:, 0] = self.busy_disk
+            if has_read:
+                disk_rows[:, 1::2] = np.where(ran, read_time[:, None], 0.0)
+            if has_write:
+                disk_rows[:, 2::2] = np.where(ran, write_time[:, None], 0.0)
+            self.busy_disk = np.add.accumulate(disk_rows, axis=1)[:, -1]
 
         np.maximum.at(self.compute_end, node_arr, ce_arr)
 
@@ -535,62 +571,41 @@ class VectorEngine:
     # -- shuffle -------------------------------------------------------------
 
     def _shuffle(self, phase, now: float) -> float:
-        """Hash-ordered pairwise flows as vectorized frontier rounds.
-
-        A flow is ready when it heads both its source's NIC-out queue
-        and its destination's NIC-in queue; ready flows touch disjoint
-        queues, so each round advances them all with one batched
-        max-plus update.  The globally earliest pending flow is always
-        ready, so rounds make progress; FIFO order per queue -- and
-        therefore every float -- matches the scalar walk exactly.
+        """Hash-ordered pairwise flows, one :class:`FlowPlan` level --
+        one batched max-plus update -- at a time; levels in order serve
+        every queue in FIFO order, so every float matches the scalar
+        walk.  The scalar starts a flow at ``max(compute_end[src],
+        nic_out[src], nic_in[dst], now)``; a queue only moves forward,
+        and max is exact and order-free, so the two operands that never
+        change are folded into the opening times.
         """
         alive = self.alive
         m = len(alive)
         per_flow = phase.shuffle_bytes / (m * (m - 1))
         plan = flow_order(self.sim.seed, phase.name, tuple(alive), self.n)
-        src, dst = plan.src, plan.dst
-        flows = src.size
+        src, dst, bounds = plan.src, plan.dst, plan.bounds
         rate = np.minimum(self.nic_bw[src], self.nic_bw[dst])
         duration = per_flow / rate
 
-        out_ptr = plan.out_bounds[:-1].copy()
-        out_end = plan.out_bounds[1:]
-        in_ptr = plan.in_bounds[:-1].copy()
-        out_order, in_order = plan.out_order, plan.in_order
-
-        nic_out = np.full(self.n, now)
+        nic_out = np.maximum(self.compute_end, now)
         nic_in = np.full(self.n, now)
-        horizon = self.compute_end
-        end = now
-        pending = np.nonzero(out_end > out_ptr)[0]
-        while True:
-            pending = pending[out_ptr[pending] < out_end[pending]]
-            if not pending.size:
-                break
-            heads = out_order[out_ptr[pending]]
-            ready = heads[in_order[in_ptr[dst[heads]]] == heads]
-            s = src[ready]
-            d = dst[ready]
-            start = np.maximum(np.maximum(horizon[s], nic_out[s]),
-                               np.maximum(nic_in[d], now))
-            finish = start + duration[ready]
+        for lo, hi in zip(bounds, bounds[1:]):
+            s = src[lo:hi]
+            d = dst[lo:hi]
+            finish = nic_out[s]
+            np.maximum(finish, nic_in[d], out=finish)
+            finish += duration[lo:hi]
             nic_out[s] = finish
             nic_in[d] = finish
-            out_ptr[s] += 1
-            in_ptr[d] += 1
-            end = max(end, float(finish.max()))
 
-        # busy_net: each flow charges src then dst in flow order --
-        # interleaved endpoints, grouped per node, exact left fold.
-        charges = np.empty(2 * flows)
-        charges[0::2] = duration
-        charges[1::2] = duration
-        rows = np.zeros((self.n, int(plan.net_counts.max()) + 1))
+        # busy_net: each flow charges src then dst in hash order -- an
+        # exact left fold along each node's row of the plan's cells.
+        rows = np.zeros((self.n, plan.width))
         rows[:, 0] = self.busy_net
-        endpoints_grouped = np.empty(2 * flows, dtype=np.int64)
-        endpoints_grouped[0::2] = src
-        endpoints_grouped[1::2] = dst
-        rows[endpoints_grouped[plan.net_grouped], plan.net_ranks + 1] = (
-            charges[plan.net_grouped])
+        flat = rows.reshape(-1)
+        flat[plan.cell_src] = duration
+        flat[plan.cell_dst] = duration
         self.busy_net = np.add.accumulate(rows, axis=1)[:, -1]
-        return end
+        # Every alive node sends, and its out-queue ends on its last
+        # finish: the latest of them is the latest finish of all.
+        return max(now, float(nic_out[alive].max()))

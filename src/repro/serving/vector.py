@@ -16,7 +16,7 @@ The scalar engine interleaves two event kinds on one time-ordered heap:
 DISPATCH (a request reaches the front door, pops the earliest-free
 service slot, serializes through the node's inbound NIC) and COMPLETE
 (its service finishes, serializes through the outbound NIC, then the
-recovery policies run).  Two observations unlock batching:
+recovery policies run).  Three observations unlock batching:
 
 1. **Feedback-free configurations split into two phases.**  With an
    open-loop stream and no hedge/retry policy and no armed
@@ -34,19 +34,28 @@ recovery policies run).  Two observations unlock batching:
    so the next batch of arrivals pairs elementwise with the sorted
    slots; the pairing stays valid while the running minimum of batch
    *end* times beats the next slot's free time (a freed slot re-entering
-   the heap would otherwise win the pop).  Per-node NIC FIFO chains
-   within a batch advance as masked ordinal sweeps -- round *k* touches
-   each node's *k*-th request, exactly the PR 6 shuffle-frontier trick.
+   the heap would otherwise win the pop).  The per-node NIC FIFO
+   chains of a batch -- inbound for a dispatch round, outbound for the
+   completions -- are settled as fixpoints by full-vector passes
+   (:func:`_fifo_chains`): chains that do not interact cost one pass.
    Near saturation the valid prefix collapses, so the engine adaptively
    falls back to a tight flat-array scan (identical arithmetic, no
-   numpy round overhead); completions use the same sweep across nodes.
+   numpy round overhead).
 
-Every other configuration (closed loop, hedging, retries, armed
-``timeout``/``straggler`` rules) couples the two event streams through
-policy feedback and fault-clock ticks; those run through an optimized
-transcription of the scalar event loop -- same heap keys, same fault
+3. **A policy that never fires is the fast path -- verified, not
+   assumed.**  Hedge and retry each fire on a latency crossing a bound,
+   so an open-loop replay with no armed ``timeout``/``straggler`` rule
+   runs the fast path first and keeps its outcome iff no latency
+   exceeds the smallest armed bound; otherwise that pass is discarded
+   and the event loop runs.
+
+Every other configuration (closed loop, armed ``timeout``/``straggler``
+rules, a policy that did fire) couples the two event streams through
+feedback and fault-clock ticks; those run through an optimized
+transcription of the scalar event loop -- same event order, same fault
 tick order, same accumulation order -- so chaos runs stay bit-identical
-too.
+too.  Its heap holds the feedback only; open-loop arrivals are merged
+in from a list.
 
 The scalar engine remains the reference behind
 ``ServingRun(engine="scalar")`` / ``REPRO_SCALAR_SERVE=1`` (mirroring
@@ -63,12 +72,14 @@ from __future__ import annotations
 
 import heapq
 import os
+from math import inf
 
 import numpy as np
 
 from repro.cluster.node import ClusterSpec
-from repro.cluster.sim import STRAGGLER_TAIL, unit_hash
+from repro.cluster.sim import STRAGGLER_TAIL, _eighth_power, unit_hash
 from repro.faults.inject import NULL_FAULTS
+from repro.keyed import group_starts, sort_group, stable_order
 from repro.serving.load import (
     ArrivalStream,
     BACKOFF_SECONDS,
@@ -89,11 +100,12 @@ ENV_SCALAR_SERVE = "REPRO_SCALAR_SERVE"
 #: Valid engine selectors.
 ENGINES = ("vector", "scalar")
 
-#: Completion-chain Jacobi limits: skip straight to the scalar scan
-#: when the first-order NIC busy-run estimate exceeds ``_JACOBI_RUN_MAX``
-#: (each full-vector pass resolves ~one run element, so long runs never
-#: amortize), and bail to the scan if the fixpoint has not landed after
-#: ``_JACOBI_ITER_MAX`` passes (cascades can outgrow the estimate).
+#: NIC-chain Jacobi limits (:func:`_fifo_chains`): skip straight to the
+#: scalar scan when the first-order NIC busy-run estimate exceeds
+#: ``_JACOBI_RUN_MAX`` (each full-vector pass resolves ~one run element,
+#: so long runs never amortize), and bail to the scan if the fixpoint
+#: has not landed after ``_JACOBI_ITER_MAX`` passes (cascades can outgrow
+#: the estimate).
 _JACOBI_RUN_MAX = 24
 _JACOBI_ITER_MAX = 64
 
@@ -111,6 +123,72 @@ def resolve_engine(engine=None) -> str:
         raise ValueError(
             f"unknown serving engine {engine!r}; valid: {', '.join(ENGINES)}")
     return engine
+
+
+def _fifo_chains(ready, nodes, cost, free):
+    """One batch of messages through each node's link, a FIFO held for
+    the wire time only: row ``k`` on node ``v = nodes[k]`` is sent at
+    ``s_k = max(ready[k], s_prev) + cost[v]``, where ``s_prev`` is the
+    send time of ``v``'s previous row in the batch, or ``free[v]`` (when
+    the link was last busy) for its first.  Returns the send times in
+    row order and the full-vector passes made.
+
+    Grouped per node, that recurrence is triangular: the map ``s ->
+    max(ready, shift(s)) + cost`` has exactly one fixpoint, the chain
+    itself, and every application is the scalar's own max-then-add on
+    the same operands.  Full-vector Jacobi passes from ``ready + cost``
+    (exact wherever the link sat idle) therefore reach the
+    *bit-identical* chain, in about one pass per element of the longest
+    busy run -- short whenever messages on one node rarely bunch within
+    the wire time.  A first-order busy estimate routes long-run
+    (saturated) batches straight to a scalar scan of the grouped rows,
+    as does a fixpoint that has not landed in time.
+    """
+    size = ready.size
+    grouped_nodes, perm = sort_group(nodes)     # stable: FIFO order kept
+    present, heads = group_starts(grouped_nodes)
+    ready = ready[perm]
+    cost = cost[grouped_nodes]
+    free = free[present]
+    chain = ready + cost
+    # How many consecutive rows would each land on a still-busy link?
+    # (A lower bound on the passes -- cascades can only lengthen runs.)
+    busy = np.empty(size, dtype=bool)
+    np.less(ready[1:], chain[:-1], out=busy[1:])
+    busy[heads] = False                # row 0 heads the first chain
+    hot = np.flatnonzero(busy)
+    longest = 0
+    if hot.size:
+        breaks = np.flatnonzero(np.diff(hot) > 1)
+        longest = int(np.diff(
+            np.concatenate(([-1], breaks, [hot.size - 1]))).max())
+    passes = 0
+    settled = False
+    if longest <= _JACOBI_RUN_MAX:
+        prev = np.empty(size)
+        trial = np.empty(size)
+        while passes < _JACOBI_ITER_MAX and not settled:
+            prev[1:] = chain[:-1]
+            prev[heads] = free
+            np.maximum(ready, prev, out=trial)
+            trial += cost              # s = max(ready, prev); s += cost
+            passes += 1
+            settled = np.array_equal(trial, chain)
+            chain, trial = trial, chain
+    if not settled:
+        scanned = []
+        bounds = heads.tolist() + [size]
+        ready_l, cost_l = ready.tolist(), cost.tolist()
+        for lo, hi, s in zip(bounds, bounds[1:], free.tolist()):
+            for k in range(lo, hi):
+                if s < ready_l[k]:
+                    s = ready_l[k]
+                s += cost_l[k]
+                scanned.append(s)
+        chain = np.asarray(scanned)
+    sent = np.empty(size)
+    sent[perm] = chain
+    return sent, passes
 
 
 #: Per-request history record: one row per issued request.  ``finish``
@@ -272,13 +350,18 @@ class _VectorReplay:
         self.shed_bound = min(shed_bounds) if shed_bounds else None
         self.hedge_on = "hedge" in self.tokens
         self.retry_on = "retry" in self.tokens
+        self.hedge_delay = HEDGE_DELAY_SERVICES * service_seconds
+        # Both policies fire on a latency (``completion - ready``) past
+        # a bound; below the smaller armed one neither ever does.
+        fire_bounds = []
+        if self.hedge_on:
+            fire_bounds.append(self.hedge_delay)
+        if self.retry_on:
+            fire_bounds.append(TIMEOUT_SECONDS)
+        self.fire_bound = min(fire_bounds, default=None)
         self.closed = stream.users > 0
 
-        # ``np.float_power(u, 8)`` is libm pow -- bitwise equal to the
-        # scalar engine's Python ``u ** 8`` (``np.power``/``u**8`` on
-        # arrays use repeated squaring and are NOT).
-        self.factors = 1.0 + STRAGGLER_TAIL * np.float_power(
-            np.asarray(stream.tail_u), 8)
+        self.factors = 1.0 + STRAGGLER_TAIL * _eighth_power(stream.tail_u)
         # Left-assoc product prefix: scalar computes
         # ``((service_seconds * mult) * factor) * slot_scale``.
         self.sm2 = service_seconds * np.asarray(stream.service_mult)
@@ -289,14 +372,24 @@ class _VectorReplay:
     def run(self) -> ReplayOutcome:
         from repro.obs.metrics import METRICS
 
-        stream = self.stream
-        fast = (not self.closed and not self.hedge_on and not self.retry_on
-                and not self.timeout_armed and not self.straggler_armed)
-        self.arena = RequestArena(stream.size, stream.ops,
-                                  np.asarray(stream.kinds), eager=not fast)
-        if fast:
+        outcome = None
+        if not (self.closed or self.timeout_armed or self.straggler_armed):
+            # Hedge and retry are the only feedback left, and the fast
+            # path models everything else (a shed admission is not
+            # feedback): run it first.  If no latency crosses the
+            # smallest armed bound, no policy fires and the event loop
+            # would have taken the very same steps; otherwise the pass
+            # is discarded -- a trial, ~6 % of the loop it precedes.
             outcome = self._run_fast()
-        else:
+            if self.fire_bound is not None:
+                latencies = outcome.latencies
+                if latencies.size and latencies.max() > self.fire_bound:
+                    METRICS.counter("serving.vector.trials_rejected").inc()
+                    outcome = None
+                else:
+                    self.dispatch_span.set("speculated", True)
+        fast = outcome is not None
+        if not fast:
             outcome = self._run_events()
 
         if self.overload_rule is not None:
@@ -319,6 +412,13 @@ class _VectorReplay:
         stream = self.stream
         duration = stream.duration
         self.arena.used = issued
+        if not self.closed and (self.fire_bound is not None
+                                or self.timeout_armed or self.straggler_armed):
+            # ``bench/digests.json`` hashes ``repr(makespan)``, and these
+            # replays used to read their clock off the stream's float64
+            # array: a last completion past the window stays np.float64
+            # (``duration`` is a float) until the digests are re-recorded.
+            last_completion = np.float64(last_completion)
         return ReplayOutcome(
             latencies=latencies, requests=issued, completed=completed,
             shed=shed, failed=failed, hedged=hedged, retries=retries,
@@ -336,6 +436,8 @@ class _VectorReplay:
 
         stream = self.stream
         n = stream.size
+        self.arena = RequestArena(n, stream.ops, np.asarray(stream.kinds),
+                                  eager=False)
         times = np.asarray(stream.times) if n else np.zeros(0)
         # Every row is written by dispatch except rounds-path shed rows'
         # starts/ends (scan sheds write NaN inline) -- those are NaN'd
@@ -351,6 +453,7 @@ class _VectorReplay:
             rounds = self._dispatch_fast(times, starts, ends, enode, svc,
                                          shed_mask)
             sp.set("rounds", rounds)
+        self.dispatch_span = sp        # run() marks an accepted trial
         shed = int(shed_mask.sum())
         live = np.flatnonzero(~shed_mask) if shed else None
         if shed:
@@ -408,12 +511,12 @@ class _VectorReplay:
                 C = min(S, n - i)
                 # Stable sort breaks free-time ties by slot id == the
                 # scalar heap's (t_free, slot) pop order.
-                order = np.argsort(slot_free, kind="stable")
+                order = stable_order(slot_free)
                 slots = order[:C]
                 tf = slot_free[slots]
                 nds = sn_np[slots]
                 ready = times[i:i + C]
-                sent = self._nic_sweep(ready, nds, nic_in, req_c)
+                sent, _ = _fifo_chains(ready, nds, req_c, nic_in)
                 start = np.maximum(sent + lat_np[nds], tf)
                 b3 = self.base3[i:i + C]
                 round_svc = b3 if self.homogeneous else b3 * sc_np[slots]
@@ -465,30 +568,6 @@ class _VectorReplay:
             self._dispatch_scan(i, times, starts, ends, enode, svc,
                                 shed_mask, slot_free, nic_in)
         return rounds
-
-    def _nic_sweep(self, ready, nds, nic_in, req_c) -> np.ndarray:
-        """Within-batch inbound-NIC FIFO chains as masked ordinal
-        sweeps: round ``k`` advances each node's ``k``-th request."""
-        C = len(nds)
-        sent = np.empty(C)
-        if C == 0:
-            return sent
-        perm = np.argsort(nds, kind="stable")
-        snd = nds[perm]
-        head = np.empty(C, dtype=bool)
-        head[0] = True
-        np.not_equal(snd[1:], snd[:-1], out=head[1:])
-        grp = np.flatnonzero(head)
-        counts = np.diff(grp, append=C)
-        chain = nic_in.copy()
-        for k in range(int(counts.max())):
-            g = counts > k
-            rows = perm[grp[g] + k]
-            nd_k = nds[rows]
-            s = np.maximum(ready[rows], chain[nd_k]) + req_c[nd_k]
-            chain[nd_k] = s
-            sent[rows] = s
-        return sent
 
     def _dispatch_scan(self, i0, times, starts, ends, enode, svc,
                        shed_mask, slot_free, nic_in) -> None:
@@ -549,19 +628,10 @@ class _VectorReplay:
 
     def _complete_fast(self, times, ends, enode, live):
         """Phase 2: responses in ``(end, dispatch-seq)`` order through
-        each node's outbound NIC chain.  Returns (rounds, latencies,
-        last_completion); latencies keep completion-processing order (the
-        scalar engine's list order -- the pairwise mean depends on it).
-
-        Grouped per node, the chain is ``f_k = max(e_k, f_{k-1}) + c``
-        over ascending ends -- the least fixpoint of a monotone map whose
-        every application is the scalar's own max-then-add on the same
-        operands.  Full-vector Jacobi iteration therefore reaches the
-        *bit-identical* chain: it converges in about one pass per element
-        of the longest NIC busy run, which is short whenever responses on
-        one node rarely bunch within the wire time.  A first-order busy
-        estimate routes long-run (saturated) streams straight to the
-        scalar scan instead of iterating."""
+        each node's outbound NIC chain (:func:`_fifo_chains`).  Returns
+        (rounds, latencies, last_completion); latencies keep
+        completion-processing order (the scalar engine's list order --
+        the pairwise mean depends on it)."""
         if live is None:               # nothing shed: skip the compaction
             e_live, nd_live, t_live = ends, enode, times
         else:
@@ -571,82 +641,17 @@ class _VectorReplay:
         m = e_live.size
         if m == 0:
             return 0, np.empty(0), 0.0
-        order = np.argsort(e_live, kind="stable")
-        rounds = 0
-        homo = self.homogeneous
-        resp_c = np.asarray(self.resp_c)
-        lat_np = np.asarray(self.lat)
-        fin = None                     # completion time, end-sorted order
-        if m >= 4096:
-            # Group by node; stability keeps each group end-ascending.
-            nd_s = nd_live[order]
-            perm = np.argsort(nd_s, kind="stable")
-            snd = nd_s[perm]
-            del nd_s
-            head = np.empty(m, dtype=bool)
-            head[0] = True
-            head[1:] = snd[1:] != snd[:-1]
-            op = order.take(perm)      # grouped row -> e_live row
-            e_g = e_live.take(op)
-            c_g = float(resp_c[0]) if homo else resp_c[snd]
-            f = e_g + c_g              # exact wherever the NIC sat idle
-            # First-order run-length estimate: how many consecutive
-            # responses would each land on a still-busy NIC?  (A lower
-            # bound on Jacobi passes -- cascades can only lengthen runs.)
-            busy = np.empty(m, dtype=bool)
-            busy[0] = False
-            np.less(e_g[1:], f[:-1], out=busy[1:])
-            busy[head] = False
-            hot = np.flatnonzero(busy)
-            del busy
-            if hot.size:
-                brk = np.flatnonzero(np.diff(hot) > 1)
-                seg = np.diff(np.concatenate(([-1], brk, [hot.size - 1])))
-                maxrun = int(seg.max())
-            else:
-                maxrun = 0
-            del hot
-            if maxrun <= _JACOBI_RUN_MAX:
-                prev = np.empty(m)
-                g = np.empty(m)
-                for _ in range(_JACOBI_ITER_MAX):
-                    prev[0] = 0.0
-                    prev[1:] = f[:-1]
-                    prev[head] = 0.0
-                    np.maximum(e_g, prev, out=g)
-                    g += c_g           # f = max(e, prev); f += c
-                    rounds += 1
-                    if np.array_equal(g, f):
-                        break
-                    f, g = g, f
-                else:
-                    f = None           # cascades outgrew the estimate
-                if f is not None:
-                    del prev, g, e_g
-                    if homo:
-                        f += float(lat_np[0])
-                    else:
-                        f += lat_np[snd]
-                    fin = np.empty(m)
-                    fin[perm] = f      # back to end-sorted order
-                    del f
-        if fin is None:
-            e_s = e_live.take(order)
-            nd_s = nd_live.take(order)
-            nic = [0.0] * self.num_nodes
-            rc = self.resp_c
-            lt = self.lat
-            cl = []
-            for e, nd in zip(e_s.tolist(), nd_s.tolist()):
-                f = nic[nd]
-                if f < e:
-                    f = e                  # max(end, nic_out[node])
-                f += rc[nd]
-                nic[nd] = f
-                cl.append(f + lt[nd])
-            fin = np.asarray(cl)
-        t_s = t_live.take(order)
-        latencies = fin - t_s
+        # Stable: equal ends keep dispatch order, the heap's seq tiebreak.
+        order = stable_order(e_live)
+        nd_s = nd_live.take(order)
+        fin, rounds = _fifo_chains(
+            e_live.take(order), nd_s, np.asarray(self.resp_c),
+            np.zeros(self.num_nodes))
+        if self.homogeneous:
+            fin += self.lat[0]
+        else:
+            fin += np.asarray(self.lat)[nd_s]
+        latencies = fin - t_live.take(order)
         if live is None:
             finish = np.empty(m)
             finish[order] = fin        # arrival order: the arena column
@@ -660,14 +665,23 @@ class _VectorReplay:
     def _run_events(self) -> ReplayOutcome:
         """Faithful transcription of the scalar event loop for the
         feedback-coupled configurations (closed loop, hedge, retry,
-        armed timeout/straggler rules): identical heap keys, fault-clock
-        tick order, and accumulation order, with the per-event
-        arithmetic precomputed into flat arrays."""
+        armed timeout/straggler rules): identical event order,
+        fault-clock tick order, and accumulation order, with the
+        per-event arithmetic precomputed into flat lists and every
+        clock a Python float.
+
+        The heap holds feedback only -- COMPLETE events and the
+        DISPATCHes that completions, sheds and timeouts schedule.
+        Open-loop arrivals are sorted and carry the lowest sequence
+        numbers of the scalar heap, so they are merged in from a list:
+        an arrival goes first unless a heap event is strictly earlier,
+        exactly the ``(t, seq)`` order."""
         stream = self.stream
         faults = self.faults
         site = self.site
-        arena = self.arena
         n = stream.size
+        arena = self.arena = RequestArena(n, stream.ops,
+                                          np.asarray(stream.kinds))
         closed = self.closed
         duration = stream.duration
         sn = self.slot_node
@@ -684,7 +698,7 @@ class _VectorReplay:
         retry_on = self.retry_on
         timeout_armed = self.timeout_armed
         straggler_armed = self.straggler_armed
-        hedge_delay = HEDGE_DELAY_SERVICES * self.service_seconds
+        hedge_delay = self.hedge_delay
         heappush, heappop = heapq.heappush, heapq.heappop
 
         free = [(0.0, s) for s in range(len(sn))]
@@ -695,6 +709,7 @@ class _VectorReplay:
         events = []
         seq = 0
         issued = 0
+        arrivals = [inf]               # sentinel: no arrival left
         if closed:
             for user in range(min(stream.users, n)):
                 t0 = think[issued]
@@ -704,11 +719,11 @@ class _VectorReplay:
                 issued += 1
             heapq.heapify(events)
         else:
-            times = stream.times
-            events = [(times[i], i, DISPATCH, i, 1, times[i], -1, -1,
-                       0.0, False) for i in range(n)]
+            arrivals = np.asarray(stream.times).tolist() + arrivals
             seq = n
             issued = n
+        arrived = 0
+        next_arrival = arrivals[0]
 
         latencies = []
         shed = failed = hedged = retries = completed = 0
@@ -723,9 +738,17 @@ class _VectorReplay:
 
         with self.ctx.span("serve:round:events", category="serving",
                            requests=n):
-            while events:
-                t, _, kind, idx, attempt, first, user, node, ready, \
-                    straggled = heappop(events)
+            while True:
+                if events and events[0][0] < next_arrival:
+                    t, _, kind, idx, attempt, first, user, node, ready, \
+                        straggled = heappop(events)
+                elif next_arrival < inf:
+                    t = first = next_arrival
+                    kind, idx, attempt, user = DISPATCH, arrived, 1, -1
+                    arrived += 1
+                    next_arrival = arrivals[arrived]
+                else:
+                    break
 
                 if kind == DISPATCH:
                     ready = t

@@ -8,12 +8,19 @@ grid here is property-style: every job shape the simulator models
 (cpu/io/shuffle/spill/fixed/mixed) crossed with the cluster and fault
 axes, fingerprinted down to the float.
 
-Also covered: the event arena (one structured record per task) agreeing
-with the ``SimPhase`` aggregates, and the ``REPRO_SCALAR_SIM`` escape
-hatch selecting the reference engine.
+Also covered: the invariants of the shuffle's level schedule
+(:class:`~repro.cluster.vector.FlowPlan`) over drawn clusters, the
+eighth-power straggler shaping against Python's ``**``, the event arena
+(one structured record per task) agreeing with the ``SimPhase``
+aggregates, and the ``REPRO_SCALAR_SIM`` escape hatch selecting the
+reference engine.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
     ClusterSim,
@@ -23,6 +30,8 @@ from repro.cluster import (
     PAPER_CLUSTER,
     PhaseCost,
 )
+from repro.cluster.sim import _eighth_power, unit_hash
+from repro.cluster.vector import flow_order
 from repro.faults import FaultInjector, FaultPlan
 from tests.cluster.test_sim import fingerprint, mr_like_job
 
@@ -51,8 +60,20 @@ def fixed_job():
     return JobCost().add(PhaseCost(name="setup", fixed_seconds=32.0))
 
 
+def two_shuffle_job():
+    """Busy seconds carried from one phase's folds into the next's: two
+    shuffles and two disk phases in one job."""
+    return JobCost().add(PhaseCost(
+        name="map", cpu_seconds=3000.0, disk_read_bytes=80 * GB,
+        shuffle_bytes=40 * GB,
+    )).add(PhaseCost(
+        name="join", cpu_seconds=500.0, disk_read_bytes=50 * GB,
+        disk_write_bytes=20 * GB, shuffle_bytes=25 * GB))
+
+
 JOBS = {
     "mr": mr_like_job,
+    "two_shuffles": two_shuffle_job,
     "cpu": cpu_job,
     "io": io_job,
     "shuffle": shuffle_job,
@@ -137,6 +158,85 @@ class TestEquivalenceGrid:
             return tuple((e.kind, e.site, e.phase) for e in faults.events)
 
         assert events("scalar") == events("vector")
+
+
+@st.composite
+def shuffles(draw):
+    """``(seed, alive, total_nodes)``: up to 12 nodes, any killed set
+    that leaves two alive."""
+    total = draw(st.integers(2, 12))
+    killed = draw(st.sets(st.integers(0, total - 1), max_size=total - 2))
+    alive = tuple(i for i in range(total) if i not in killed)
+    return draw(st.integers(0, 10_000)), alive, total
+
+
+class TestFlowPlan:
+    """The level schedule against the scalar walk's own flow order."""
+
+    @given(case=shuffles())
+    @settings(max_examples=150, deadline=None)
+    def test_level_schedule_invariants(self, case):
+        seed, alive, total = case
+        plan = flow_order(seed, "exchange", alive, total)
+        flows = len(alive) * (len(alive) - 1)
+        # The scalar engine's order: by (unit, src, dst).
+        hashed = sorted(
+            (unit_hash(seed, f"exchange:flow:{s}->{d}"), s, d)
+            for s in alive for d in alive if s != d)
+        position = {(s, d): k for k, (_, s, d) in enumerate(hashed)}
+
+        # Levels partition the flows.
+        assert plan.bounds[0] == 0 and plan.bounds[-1] == flows
+        assert all(lo < hi for lo, hi in zip(plan.bounds, plan.bounds[1:]))
+        pairs = list(zip(plan.src.tolist(), plan.dst.tolist()))
+        assert sorted(pairs) == sorted(position)
+        level = {}
+        for k, (lo, hi) in enumerate(zip(plan.bounds, plan.bounds[1:])):
+            # Within a level no queue is touched twice.
+            assert len(set(plan.src[lo:hi].tolist())) == hi - lo
+            assert len(set(plan.dst[lo:hi].tolist())) == hi - lo
+            level.update((pair, k) for pair in pairs[lo:hi])
+
+        # A flow's level is one more than the later of its predecessors
+        # in its source's out-queue and its destination's in-queue.
+        last_out, last_in = {}, {}
+        for _, s, d in hashed:
+            assert level[s, d] == 1 + max(last_out.get(s, -1),
+                                          last_in.get(d, -1))
+            last_out[s] = last_in[d] = level[s, d]
+
+        # Fold cells: distinct, never the carry column, in the node's own
+        # row, and along it in the order the scalar charges the node.
+        cells = np.concatenate((plan.cell_src, plan.cell_dst))
+        assert len(set(cells.tolist())) == 2 * flows
+        assert (cells % plan.width != 0).all()
+        assert np.array_equal(plan.cell_src // plan.width, plan.src)
+        assert np.array_equal(plan.cell_dst // plan.width, plan.dst)
+        cell_of = dict(zip(pairs, zip(plan.cell_src.tolist(),
+                                      plan.cell_dst.tolist())))
+        charged = dict.fromkeys(range(total), 0)
+        for _, s, d in hashed:
+            for node, cell in zip((s, d), cell_of[s, d]):
+                charged[node] += 1
+                assert cell == node * plan.width + charged[node]
+        assert plan.width == max(charged.values()) + 1
+        assert plan.elements == sum(
+            a.size for a in (plan.src, plan.dst, plan.cell_src,
+                             plan.cell_dst))
+
+
+def test_eighth_power_is_the_scalar_pow():
+    """``_eighth_power`` (both vector engines) against the scalar
+    loops' Python ``u ** 8``, over 10^5 hashed units."""
+    digest = b"".join(
+        hashlib.blake2b(b"3|map:task%d" % t, digest_size=8).digest()
+        for t in range(100_000))
+    units = np.frombuffer(digest, dtype="<u8") / 2.0 ** 64
+    assert _eighth_power(units).tolist() == [u ** 8 for u in units.tolist()]
+    for size in (0, 1, 7, 8, 9, 33):     # SIMD body and tail alike
+        assert _eighth_power(units[:size]).tolist() == [
+            u ** 8 for u in units[:size].tolist()]
+    assert _eighth_power([0.0, 1.0, 0.5]).tolist() == [0.0, 1.0, 0.5 ** 8]
 
 
 class TestEventArena:

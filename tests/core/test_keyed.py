@@ -123,6 +123,14 @@ FLOAT_KEYS = st.lists(
     max_size=60).map(lambda xs: np.array(xs, dtype=np.float64))
 
 
+#: Float keys as the fallback must take them: ties, both zeros, the
+#: infinities and NaNs (several: only a stable sort keeps their order).
+AWKWARD_FLOAT_KEYS = st.lists(
+    st.floats(allow_nan=True, width=64)
+    | st.sampled_from([0.0, -0.0, 1.5, np.inf, -np.inf, np.nan]),
+    max_size=200).map(lambda xs: np.array(xs, dtype=np.float64))
+
+
 @st.composite
 def cdf_and_draws(draw):
     """A CDF with flat stretches (zero-probability items), sometimes
@@ -212,6 +220,13 @@ def test_float_keys_take_the_fallback(keys):
     check_sort_group(keyed.sort_group, keyed.group_starts, keys)
 
 
+@given(keys=AWKWARD_FLOAT_KEYS | st.integers(0, 2000).map(
+    lambda n: np.random.default_rng(n).random(n)))
+@settings(max_examples=200, deadline=None)
+def test_float_keys_with_ties_zeros_infinities_and_nans(keys):
+    check_stable_order(keyed.stable_order, keys)
+
+
 @given(keys=integer_keys())
 @settings(max_examples=300, deadline=None)
 def test_sort_group_is_the_argsort_gather_unique_idiom(keys):
@@ -249,6 +264,38 @@ class TestDeterministicCases:
         assert keyed._packed(huge) is not None   # large values, small span
         check_sort_group(keyed.sort_group, keyed.group_starts, huge)
         assert keyed._packed(np.array([0, 2**64 - 1], dtype=np.uint64)) is None
+
+    @pytest.mark.parametrize("keys,kinds", [
+        ([0.5, 0.25, 0.75, -1.0, np.inf, -np.inf], [None]),
+        ([0.5, 0.25, 0.5, 0.75], [None, "stable"]),
+        ([0.0, 1.0, -0.0], [None, "stable"]),
+        ([np.nan, 0.5, np.nan, 0.25], [None, "stable"]),
+        ([0.5, np.nan, 0.25], [None, "stable"]),
+        ([np.iinfo(np.int64).max, np.iinfo(np.int64).min, 0], [None]),
+        ([0.5], ["stable"]),
+        (["b", "a", "c"], ["stable"]),
+        ([[0.5, 0.25], [0.75, 0.1]], ["stable"]),
+    ], ids=["distinct", "tie", "both-zeros", "two-nans", "one-nan",
+            "wide-integers", "single", "strings", "two-dimensional"])
+    def test_the_fallback_keeps_an_ordinary_sort_of_distinct_keys_only(
+            self, monkeypatch, keys, kinds):
+        """Which sorts the fallback runs: an ordinary one alone when it
+        proves the keys distinct, a stable one after it when it does
+        not, only the stable one for keys it must not try (strings, one
+        key, two dimensions)."""
+        keys = np.array(keys)
+        want = np.argsort(keys, kind="stable")
+        argsort, seen = np.argsort, []
+
+        def spy(a, *args, **kwargs):
+            seen.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        order = keyed.stable_order(keys)
+        monkeypatch.undo()
+        assert seen == kinds
+        assert np.array_equal(order, want)
 
     def test_values_may_be_rows(self):
         keys = np.array([3, 1, 3, 1, 2])

@@ -7,14 +7,23 @@ same per-accumulator order.  The grid below crosses stream shapes,
 recovery policies, fault plans, seeds, and cluster layouts (including
 the heterogeneous ``MIXED_CLUSTER``) and asserts float equality of
 every outcome field -- so every batched transformation in the vector
-engine (frontier rounds, NIC ordinal sweeps, the Jacobi completion
-chains, the event-path transcription) is pinned to the reference.
+engine (frontier rounds, the NIC chains settled as fixpoints, the
+merged event loop, the verified speculation of policies that never
+fire) is pinned to the reference.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cluster.node import MIXED_CLUSTER, PAPER_CLUSTER, SINGLE_NODE
+from repro.cluster.node import (
+    ClusterSpec,
+    MIXED_CLUSTER,
+    PAPER_CLUSTER,
+    SINGLE_NODE,
+)
 from repro.core.harness import Harness
 from repro.core.runspec import RunSpec
 from repro.faults.inject import FaultInjector, NULL_FAULTS
@@ -22,12 +31,14 @@ from repro.faults.plan import FaultPlan
 from repro.obs.metrics import METRICS
 from repro.serving import REQUEST_DTYPE
 from repro.serving.load import (
+    ArrivalStream,
     LoadProfile,
     ServingOptions,
     generate_stream,
     replay_stream,
 )
 from repro.serving.slo import ServingRun, _percentiles, run_serving
+from repro.serving import vector as vector_engine
 from repro.serving.vector import ENGINES, replay, resolve_engine
 
 MIX = (("read", 0.6), ("write", 0.4))
@@ -128,6 +139,243 @@ class TestEquivalenceGrid:
         assert_bit_identical(*run_both(
             "diurnal:rps=579:peak=4:duration=86400:cap=100000",
             PAPER_CLUSTER.scaled(100), 0.01, policy="shed"))
+
+
+def scalar_chains(ready, nodes, cost, free):
+    """The scalar engines' NIC step, one message at a time."""
+    link = list(free)
+    sent = []
+    for r, v in zip(ready, nodes):
+        link[v] = max(r, link[v]) + cost[v]
+        sent.append(link[v])
+    return sent
+
+
+@st.composite
+def nic_batches(draw):
+    """Messages on a few links whose gaps are drawn against the wire
+    time: idle links (gaps of many wire times), interacting ones (about
+    one) and saturated ones (a small fraction: long busy runs)."""
+    num_nodes = draw(st.integers(1, 5))
+    cost = draw(st.lists(st.floats(1e-6, 1e-3), min_size=num_nodes,
+                         max_size=num_nodes))
+    regime = draw(st.sampled_from([50.0, 1.0, 0.02]))
+    rows = draw(st.integers(0, 120))
+    gaps = draw(st.lists(st.floats(0.0, 2.0), min_size=rows, max_size=rows))
+    nodes = draw(st.lists(st.integers(0, num_nodes - 1), min_size=rows,
+                          max_size=rows))
+    ready, now = [], draw(st.floats(0.0, 10.0))
+    for gap, node in zip(gaps, nodes):
+        now += gap * regime * cost[node] / num_nodes
+        ready.append(now)
+    # Links still busy from an earlier batch, or long idle.
+    free = draw(st.lists(st.floats(0.0, 10.0), min_size=num_nodes,
+                         max_size=num_nodes))
+    return ready, nodes, cost, free
+
+
+class TestFifoChains:
+    """``_fifo_chains`` is the scalar NIC loop, to the bit."""
+
+    @staticmethod
+    def solve(ready, nodes, cost, free):
+        sent, passes = vector_engine._fifo_chains(
+            np.array(ready, dtype=np.float64),
+            np.array(nodes, dtype=np.int64), np.array(cost), np.array(free))
+        assert sent.tolist() == scalar_chains(ready, nodes, cost, free)
+        return passes
+
+    @given(batch=nic_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_scalar_loop(self, batch):
+        self.solve(*batch)
+
+    def test_idle_links_settle_in_one_pass(self):
+        ready = [0.1 * k for k in range(40)]
+        assert self.solve(ready, [k % 4 for k in range(40)],
+                          [1e-3] * 4, [0.0, 0.05, 0.0, 0.0]) == 1
+
+    def test_a_busy_link_at_the_opening_delays_its_chain(self):
+        # Node 1 is busy until 5.0: its whole chain queues behind that.
+        passes = self.solve([1.0, 1.0, 1.1, 1.1, 1.2, 1.2], [0, 1] * 3,
+                            [1e-3, 0.25], [0.0, 5.0])
+        assert 1 < passes <= 4
+
+    def test_a_saturated_link_takes_the_scan(self):
+        # 60 messages inside one wire time: the busy-run estimate (59)
+        # is past _JACOBI_RUN_MAX, so no full-vector pass is made.
+        ready = [1.0 + 1e-6 * k for k in range(60)]
+        assert self.solve(ready, [0] * 60, [1e-3], [0.0]) == 0
+
+    def test_a_cascade_past_the_estimate_is_scanned_in_the_end(self):
+        # A burst of 20 (estimate: a run of 19), then messages spaced one
+        # wire time apart that each still find the link busy: the run is
+        # 120 long, the fixpoint does not land, the scan finishes it.
+        ready = [0.0] * 20 + [float(k) for k in range(1, 101)]
+        assert self.solve(ready, [0] * 120, [1.0], [0.0]) \
+            == vector_engine._JACOBI_ITER_MAX
+
+
+def counter(name):
+    return METRICS.counter(f"serving.vector.{name}").value
+
+
+def assert_same_arena(a, b):
+    assert len(a) == len(b)
+    assert a.dtype == b.dtype
+    for name in a.dtype.names:
+        assert np.array_equal(a[name], b[name], equal_nan=True), name
+
+
+class TestVerifiedSpeculation:
+    """Open loop, no armed fault rule: the fast path goes first and its
+    outcome stands iff no latency crossed a policy's bound -- either way
+    the result is the scalar engine's, arena and types included."""
+
+    CLUSTER = PAPER_CLUSTER.scaled(4)
+
+    def both(self, policy, profile, svc, window=0.0, longest=np.inf):
+        """Scalar outcome, vector outcome, and the counter deltas of the
+        vector replay -- checked against the event loop's own outcome
+        and arena on the way.  ``window`` lengthens the offered window
+        past the last arrival; ``longest`` caps the exponential service
+        variates (4 % of them exceed the hedge delay of 4 services)."""
+        stream = generate_stream(LoadProfile.parse(profile), MIX, seed=6,
+                                 store=False)
+        stream = dataclasses.replace(
+            stream, duration=stream.duration + window,
+            service_mult=np.minimum(stream.service_mult, longest))
+        scalar = replay_stream(stream, self.CLUSTER, svc, policy=policy)
+        looped = vector_engine._VectorReplay(
+            stream, self.CLUSTER, svc, policy, NULL_FAULTS, "serving", 0.5,
+            None)._run_events()
+        names = ("fastpath", "eventpath", "trials_rejected")
+        before = [counter(name) for name in names]
+        vector = replay(stream, self.CLUSTER, svc, policy=policy,
+                        engine="vector")
+        delta = dict(zip(names, (counter(name) - was
+                                 for name, was in zip(names, before))))
+        assert_bit_identical(scalar, vector)
+        assert type(vector.makespan) is type(scalar.makespan)
+        assert_bit_identical(scalar, looped)
+        assert type(looped.makespan) is type(scalar.makespan)
+        assert_same_arena(vector.events, looped.events)
+        return scalar, vector, delta
+
+    @pytest.mark.parametrize("policy", [
+        "retry", "hedge", "hedge+retry", "shed+retry"])
+    def test_nothing_fires_and_the_fast_path_stands(self, policy):
+        # Light load, services of at most 1.5 x 2 ms: no latency near
+        # 4 services or 0.5 s.  The last completion falls past the
+        # window, so makespan is the event clock's np.float64, as the
+        # scalar engine's is ...
+        scalar, vector, delta = self.both(
+            policy, "constant:rps=1500:duration=2", 0.002, longest=1.5)
+        assert delta == {"fastpath": 1, "eventpath": 0, "trials_rejected": 0}
+        assert vector.hedged == vector.retries == 0
+        assert type(vector.makespan) is np.float64
+        # ... and the window's own float when that outlasts them all.
+        scalar, vector, delta = self.both(
+            policy, "constant:rps=1500:duration=2", 0.002, window=1.0,
+            longest=1.5)
+        assert delta["fastpath"] == 1
+        assert type(vector.makespan) is float
+
+    @pytest.mark.parametrize("policy,fired", [
+        ("retry", "retries"), ("hedge", "hedged"),
+        ("hedge+retry", "hedged"), ("shed+retry", "retries")])
+    def test_a_policy_fires_and_the_trial_is_rejected(self, policy, fired):
+        # Saturated: 48 slots x 40 ms services against 3000 rps.
+        scalar, vector, delta = self.both(
+            policy, "flash:rps=1500:peak=6:duration=3", 0.04)
+        assert delta == {"fastpath": 0, "eventpath": 1, "trials_rejected": 1}
+        assert getattr(vector, fired) > 0
+
+    def test_a_latency_on_the_bound_does_not_fire(self, monkeypatch):
+        """Both policies fire on ``>``: a replay whose worst latency *is*
+        the bound is accepted, one ulp lower a bound rejects it."""
+        stream = generate_stream(
+            LoadProfile.parse("constant:rps=800:duration=2"), MIX, seed=2,
+            store=False)
+        plain = replay(stream, self.CLUSTER, 0.001, engine="vector")
+        worst = float(plain.latencies.max())
+        for bound, rejected in ((worst, 0), (np.nextafter(worst, 0.0), 1)):
+            monkeypatch.setattr(vector_engine, "TIMEOUT_SECONDS", bound)
+            monkeypatch.setattr("repro.serving.load.TIMEOUT_SECONDS", bound)
+            was = counter("trials_rejected")
+            vector = replay(stream, self.CLUSTER, 0.001, policy="retry",
+                            engine="vector")
+            assert counter("trials_rejected") - was == rejected
+            assert bool(vector.retries) == bool(rejected)
+            assert_bit_identical(
+                replay_stream(stream, self.CLUSTER, 0.001, policy="retry"),
+                vector)
+
+    def test_the_accepted_trial_is_marked_in_the_trace(self):
+        from repro.obs.trace import Tracer
+        from repro.uarch.perfctx import PerfContext
+
+        def dispatch_spans(policy, svc):
+            stream = generate_stream(
+                LoadProfile.parse("constant:rps=1500:duration=2"), MIX,
+                seed=6, store=False)
+            ctx = PerfContext()
+            ctx.tracer = Tracer("serve")
+            with ctx.span("replay"):
+                replay(stream, self.CLUSTER, svc, policy=policy,
+                       engine="vector", ctx=ctx)
+            spans = list(ctx.tracer.finish().walk())
+            return ([s for s in spans if s.name == "serve:round:dispatch"],
+                    [s for s in spans if s.name == "serve:round:events"])
+
+        fast, loop = dispatch_spans("retry", 0.0002)
+        assert fast[0].attrs["speculated"] is True and not loop
+        fast, loop = dispatch_spans("none", 0.0002)
+        assert "speculated" not in fast[0].attrs and not loop
+        fast, loop = dispatch_spans("retry", 0.2)       # rejected trial
+        assert "speculated" not in fast[0].attrs and len(loop) == 1
+
+
+class TestArrivalMerge:
+    """The event loop merges sorted arrivals with a heap of feedback
+    events: at equal times the arrival goes first (it holds the lower
+    sequence number in the scalar heap)."""
+
+    def test_an_arrival_that_ties_a_completion_goes_first(self):
+        # Two nodes, slots core-major: 0 on node 0, 1 on node 1, 2 on
+        # node 0.  Request 0 (slot 0) serves for 6 services, so its
+        # COMPLETE hedges; request 1 arrives exactly then.  Arrival
+        # first: it takes slot 1, the duplicate slot 2 on node 0, whose
+        # response queues behind the original's and loses.  Completion
+        # first: the duplicate takes slot 1 on the idle node 1 and wins,
+        # 15 ms sooner -- what an arrival one ulp later sees.
+        cluster = ClusterSpec(num_nodes=2)
+        svc = 0.01
+
+        def stream_of(times):
+            n = len(times)
+            return ArrivalStream(
+                profile=LoadProfile.parse("constant:rps=100:duration=1"),
+                seed=1, ops=("read",), times=np.array(times),
+                kinds=np.zeros(n, dtype=np.int64),
+                service_mult=np.full(n, 6.0), dup_mult=np.full(n, 0.5),
+                tail_u=np.zeros(n), think=np.zeros(n), duration=1.0,
+                users=0)
+
+        lone = replay(stream_of([0.125]), cluster, svc, engine="vector")
+        end = float(lone.events["start"][0]) + svc * 6.0
+        first_latency = {}
+        for tie in (np.nextafter(end, 0.0), end, np.nextafter(end, 1.0)):
+            stream = stream_of([0.125, tie])
+            scalar = replay_stream(stream, cluster, svc, policy="hedge")
+            vector = replay(stream, cluster, svc, policy="hedge",
+                            engine="vector")
+            assert_bit_identical(scalar, vector)
+            assert vector.hedged == 2
+            first_latency[tie] = float(vector.latencies[0])
+        before, tied, after = first_latency.values()
+        assert tied == before
+        assert after < tied - 0.01
 
 
 class TestRunServingEquivalence:
