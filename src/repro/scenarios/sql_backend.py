@@ -1,10 +1,11 @@
 """SqlBackend: the protocol adapter over the SQL engine (Hive stand-in).
 
 Every protocol read becomes a real statement against a registered
-columnar ``kv`` table -- ``SELECT K, S FROM kv WHERE K = <key>`` for
-point lookups, ``WHERE K >= <start>`` for scans -- parsed, planned, and
-executed by :class:`repro.sql.engine.SqlEngine` with its scan-fragment
-semantics (per-query fixed planning seconds, proportional scan IO, the
+columnar ``kv`` table -- ``SELECT K, S FROM kv WHERE K = ?`` for point
+lookups, ``WHERE K >= ?`` for scans -- prepared once per backend, then
+bound to the op's key and executed by
+:class:`repro.sql.engine.SqlEngine` with its scan-fragment semantics
+(per-query fixed planning seconds, proportional scan IO, the
 ``sql:scan:kv`` fragment-crash retry site).  The engine is SELECT-only,
 so DML propagates as direct column-array maintenance, charged through a
 ledger of the adapter's own at the engine's CPI.
@@ -55,6 +56,13 @@ class SqlBackend(StorageBackend):
         self._dml_rows = 0                         # DML rows since drain_costs
         self._queries = 0
         self._rows_scanned = 0
+        self._point = self._engine.prepare("SELECT K, S FROM kv WHERE K = ?")
+        self._range = self._engine.prepare("SELECT K, S FROM kv WHERE K >= ?")
+        #: ``kv`` is registered as views of the arrays' live prefix: an
+        #: overwrite shows through them, a changed row count (the only
+        #: time the arrays are reallocated) does not -- the next query
+        #: registers again.
+        self._stale = True
 
     def _on_attach(self) -> None:
         from repro.faults.inject import resolve_faults
@@ -76,6 +84,7 @@ class SqlBackend(StorageBackend):
                     col[row] = col[last]
                 self._index[int(self._k[row])] = row
             self._rows = last
+            self._stale = True
             del self._index[key]
         else:
             if row is None:
@@ -83,6 +92,7 @@ class SqlBackend(StorageBackend):
                 if row == len(self._k):
                     self._grow()
                 self._rows += 1
+                self._stale = True
                 self._index[key] = row
             self._k[row] = key
             self._s[row] = value_stamp(key_bytes(key), size)
@@ -90,13 +100,13 @@ class SqlBackend(StorageBackend):
         self._dml_rows += 1
 
     def _get(self, key: int):
-        result = self._query(f"SELECT K, S FROM kv WHERE K = {key}")
+        result = self._query(self._point, key)
         if result.num_rows == 0:
             return None
         return int(result.table.column("S")[0])
 
     def _scan(self, start_key: int, limit: int) -> list:
-        result = self._query(f"SELECT K, S FROM kv WHERE K >= {start_key}")
+        result = self._query(self._range, start_key)
         keys = result.table.column("K")
         stamps = result.table.column("S")
         # The engine has no ORDER BY/LIMIT; the adapter supplies both.
@@ -137,9 +147,10 @@ class SqlBackend(StorageBackend):
 
     # -- internals -------------------------------------------------------------
 
-    def _query(self, sql: str):
-        self._register()
-        result = self._engine.execute(sql)
+    def _query(self, statement, key: int):
+        if self._stale:
+            self._register()
+        result = self._engine.run_plan(statement, (key,))
         self._costs.append(result.cost)
         self._queries += 1
         self._rows_scanned += result.stats.rows_scanned
@@ -151,6 +162,7 @@ class SqlBackend(StorageBackend):
         table = Table("kv", {"K": self._k[:n], "S": self._s[:n],
                              "V": self._v[:n]})
         self._engine.register("kv", table, nbytes=3 * CELL_BYTES * n)
+        self._stale = False
 
     def _grow(self) -> None:
         cap = max(1024, 2 * len(self._k))

@@ -4,6 +4,13 @@ Registered tables carry their *real* serialized byte size so scans charge
 proportionate IO.  Execution is scan -> join -> filter -> aggregate/
 project, all under the database code profile.  Per-query statistics feed
 the realtime-analytics metrics.
+
+A statement is parsed once (:meth:`SqlEngine.prepare`) and *bound* once:
+:meth:`SqlEngine.run_plan` resolves its column references against the
+registered schemas, keeps the result on the statement, and binds again
+only after a table it scans was registered with other columns.
+``execute(sql)`` is ``run_plan(prepare(sql))``, so a statement with its
+literals inline and one run with ``?`` parameters execute the same code.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from dataclasses import dataclass, field
 from repro.cluster.ledger import CostLedger
 from repro.cluster.timemodel import JobCost
 from repro.datagen.table import Table
+from repro.obs.metrics import METRICS
 from repro.sql import operators
 from repro.sql.parser import Query, SqlError, parse
 from repro.uarch.codemodel import DATABASE_STACK
@@ -52,6 +60,34 @@ PAPER_TABLE_RATIO = 8192
 class _Registered:
     table: Table
     nbytes: int
+    #: The column names, in order: what statements bind against.
+    schema: tuple
+
+
+@dataclass(frozen=True)
+class _Side:
+    """One scanned table of a bound statement."""
+
+    name: str        # the registration name
+    schema: tuple    # the registered schema this side was bound against
+    needed: list     # the columns the statement touches
+    region: str      # "sql:table:<name>"
+    site: str        # "sql:scan:<name>": the scan's span and fault site
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A statement bound to registered schemas: everything about its
+    execution that does not depend on the rows or the parameters.  It
+    stands for as long as every side's table is registered with the
+    schema it was bound against."""
+
+    sides: tuple            # the FROM table, then the JOIN table if any
+    join_keys: tuple        # (FROM side's key, JOIN side's key) or None
+    predicates: list        # resolved Predicate items
+    aggregates: list        # resolved Aggregate items
+    group_by: list
+    projection: list        # the columns of a non-aggregate statement
 
 
 class SqlEngine:
@@ -75,15 +111,26 @@ class SqlEngine:
         """Register ``table`` under ``name`` with its real serialized size."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        self._tables[name] = _Registered(table=table, nbytes=nbytes)
+        self._tables[name] = _Registered(
+            table=table, nbytes=nbytes, schema=tuple(table.columns))
+
+    def prepare(self, sql: str) -> Query:
+        """Parse one statement; ``?`` stands for a predicate literal that
+        each :meth:`run_plan` call supplies."""
+        METRICS.counter("sql.statements_parsed").inc()
+        return parse(sql)
 
     def execute(self, sql: str) -> QueryResult:
         """Parse and run one query."""
-        return self.run_plan(parse(sql))
+        return self.run_plan(self.prepare(sql))
 
-    def run_plan(self, query: Query) -> QueryResult:
-        from repro.obs.metrics import METRICS
-
+    def run_plan(self, query: Query, params=()) -> QueryResult:
+        """Run a parsed statement with ``params`` for its ``?``s, binding
+        it to the registered schemas first unless its plan still stands."""
+        if len(params) != query.params:
+            raise SqlError(f"statement takes {query.params} parameter(s), "
+                           f"got {len(params)}")
+        plan = self._bound(query)
         ctx = self.ctx
         stats = QueryStats()
         ledger = CostLedger(self.cluster, ctx=ctx, cpi=self.EFFECTIVE_CPI)
@@ -91,42 +138,47 @@ class SqlEngine:
                 "query", fixed_seconds=self.QUERY_FIXED_SECONDS) as pending:
             with ctx.span("sql:query", category="sql") as sp:
                 with ctx.code(DATABASE_STACK):
-                    result = self._execute(query, stats)
+                    result = self._execute(plan, params, stats)
+                rows_out = result.num_rows
                 sp.set("rows_scanned", stats.rows_scanned)
-                sp.set("rows_out", result.num_rows)
+                sp.set("rows_out", rows_out)
             pending.disk_read_bytes = stats.input_bytes
             pending.working_bytes = stats.input_bytes
         METRICS.counter("sql.queries").inc()
         METRICS.counter("sql.rows_scanned").inc(stats.rows_scanned)
         METRICS.counter("sql.input_bytes").inc(stats.input_bytes)
-        stats.rows_out = result.num_rows
+        stats.rows_out = rows_out
         return QueryResult(table=result, stats=stats, cost=ledger.job)
 
-    # -- internals ---------------------------------------------------------------
+    # -- binding -----------------------------------------------------------------
 
-    def _execute(self, query: Query, stats: QueryStats) -> Table:
-        ctx = self.ctx
-        base = self._scan_side(query, query.table, joined=query.join is not None,
-                               stats=stats)
-        if query.join is not None:
-            other = self._scan_side(query, query.join.table, joined=True, stats=stats)
-            left_key = self._resolve(query, query.join.left_column, joined=True)
-            right_key = self._resolve(query, query.join.right_column, joined=True)
-            # Keys are qualified "<table>.<col>"; split per side.
-            base_key = left_key if left_key.split(".")[0] == base.name else right_key
-            other_key = right_key if base_key is left_key else left_key
-            with ctx.span("sql:join", category="sql") as sp:
-                current = operators.hash_join(
-                    base, other,
-                    base_key.split(".", 1)[1], other_key.split(".", 1)[1],
-                    self.ctx, region="sql:join",
-                )
-                sp.set("rows", current.num_rows)
-            stats.rows_joined = current.num_rows
-        else:
-            current = base
+    def _bound(self, query: Query) -> _Plan:
+        """The statement's plan: the one it carries if that still stands,
+        a fresh binding (kept on the statement) otherwise."""
+        plan = query.plan
+        if plan is not None:
+            for side in plan.sides:
+                registered = self._tables.get(side.name)
+                if registered is None or registered.schema != side.schema:
+                    break
+            else:
+                return plan
+        plan = query.plan = self._bind(query)
+        return plan
 
+    def _bind(self, query: Query) -> _Plan:
         joined = query.join is not None
+        sides = [self._bind_side(query, query.table, joined)]
+        join_keys = None
+        if joined:
+            sides.append(self._bind_side(query, query.join.table, joined))
+            left_key = self._resolve(query, query.join.left_column, joined)
+            right_key = self._resolve(query, query.join.right_column, joined)
+            # Keys are qualified "<table>.<col>"; split per side.
+            base_key = (left_key if left_key.split(".")[0] == sides[0].name
+                        else right_key)
+            other_key = right_key if base_key is left_key else left_key
+            join_keys = (base_key.split(".", 1)[1], other_key.split(".", 1)[1])
         predicates = [
             operators.Predicate(
                 column=self._resolve(query, p.column, joined),
@@ -134,13 +186,7 @@ class SqlEngine:
             )
             for p in query.where
         ]
-        if predicates:
-            with ctx.span("sql:filter", category="sql",
-                          predicates=len(predicates)) as sp:
-                current = operators.filter_rows(current, predicates, self.ctx)
-                sp.set("rows", current.num_rows)
-            stats.rows_filtered = current.num_rows
-
+        aggregates, group_by, projection = [], [], []
         if query.is_aggregate:
             aggregates = [
                 operators.Aggregate(
@@ -152,58 +198,93 @@ class SqlEngine:
                 for a in query.aggregates
             ]
             group_by = [self._resolve(query, g, joined) for g in query.group_by]
-            with ctx.span("sql:aggregate", category="sql",
-                          groups=len(group_by)):
-                return operators.hash_aggregate(
-                    current, group_by, aggregates, self.ctx, region="sql:agg"
-                )
-        columns = [self._resolve(query, c, joined) for c in query.select_columns]
-        if not columns:
-            return current
-        with ctx.span("sql:project", category="sql", columns=len(columns)):
-            return operators.project(current, columns, self.ctx)
+        else:
+            projection = [self._resolve(query, c, joined)
+                          for c in query.select_columns]
+        METRICS.counter("sql.plans_bound").inc()
+        return _Plan(sides=tuple(sides), join_keys=join_keys,
+                     predicates=predicates, aggregates=aggregates,
+                     group_by=group_by, projection=projection)
 
-    def _scan_side(self, query: Query, ref, joined: bool, stats: QueryStats) -> Table:
+    def _bind_side(self, query: Query, ref, joined: bool) -> _Side:
         registered = self._lookup(ref.name)
-        needed = self._columns_for(query, ref, registered.table, joined)
-        self.ctx.touch(f"sql:table:{ref.name}",
-                       registered.nbytes * PAPER_TABLE_RATIO)
-        with self.ctx.span(f"sql:scan:{ref.name}", category="sql",
-                           columns=len(needed)) as sp:
-            scanned = operators.scan(
-                registered.table, needed, registered.nbytes, self.ctx,
-                region=f"sql:table:{ref.name}",
-            )
-            sp.set("rows", registered.table.num_rows)
+        return _Side(
+            name=ref.name, schema=registered.schema,
+            needed=self._columns_for(query, ref, registered.table, joined),
+            region=f"sql:table:{ref.name}", site=f"sql:scan:{ref.name}")
+
+    # -- execution ---------------------------------------------------------------
+
+    def _execute(self, plan: _Plan, params, stats: QueryStats) -> Table:
+        ctx = self.ctx
+        current = self._scan_side(plan.sides[0], stats)
+        if plan.join_keys is not None:
+            other = self._scan_side(plan.sides[1], stats)
+            base_key, other_key = plan.join_keys
+            with ctx.span("sql:join", category="sql") as sp:
+                current = operators.hash_join(
+                    current, other, base_key, other_key, ctx,
+                    region="sql:join",
+                )
+                stats.rows_joined = current.num_rows
+                sp.set("rows", stats.rows_joined)
+
+        if plan.predicates:
+            with ctx.span("sql:filter", category="sql",
+                          predicates=len(plan.predicates)) as sp:
+                current = operators.filter_rows(
+                    current, plan.predicates, ctx, params)
+                stats.rows_filtered = current.num_rows
+                sp.set("rows", stats.rows_filtered)
+
+        if plan.aggregates:
+            with ctx.span("sql:aggregate", category="sql",
+                          groups=len(plan.group_by)):
+                return operators.hash_aggregate(
+                    current, plan.group_by, plan.aggregates, ctx,
+                    region="sql:agg"
+                )
+        if not plan.projection:
+            return current
+        with ctx.span("sql:project", category="sql",
+                      columns=len(plan.projection)):
+            return operators.project(current, plan.projection, ctx)
+
+    def _scan_side(self, side: _Side, stats: QueryStats) -> Table:
+        ctx = self.ctx
+        registered = self._tables[side.name]
+        table, nbytes, needed = registered.table, registered.nbytes, side.needed
+        rows = table.num_rows
+        ctx.touch(side.region, nbytes * PAPER_TABLE_RATIO)
+        # Joined sides keep qualified names so both sides can coexist:
+        # the scanned table is called by the registration name.
+        with ctx.span(side.site, category="sql", columns=len(needed)) as sp:
+            scanned = operators.scan(side.name, table, needed, nbytes, ctx,
+                                     region=side.region)
+            sp.set("rows", rows)
         # Chaos: an executor running this scan fragment may crash; the
         # coordinator re-dispatches the fragment (the scan work and IO
         # are charged again) and the result is recomputed identically.
         faults = self.faults
         if faults.enabled:
-            site = f"sql:scan:{ref.name}"
-            if faults.fires("task_crash", site) is not None:
+            if faults.fires("task_crash", side.site) is not None:
                 if faults.recovery:
-                    with self.ctx.span("recovery:fragment_retry",
-                                       category="faults"):
+                    with ctx.span("recovery:fragment_retry",
+                                  category="faults"):
                         scanned = operators.scan(
-                            registered.table, needed, registered.nbytes,
-                            self.ctx, region=f"sql:table:{ref.name}",
-                        )
+                            side.name, table, needed, nbytes, ctx,
+                            region=side.region)
                     stats.fragments_retried += 1
-                    faults.recovered("fragment_retry", site,
-                                     rows=registered.table.num_rows)
+                    faults.recovered("fragment_retry", side.site, rows=rows)
                 else:
                     # The in-process engine cannot actually destroy its
                     # tables; an unrecovered fragment crash fails the
                     # query in a real engine, recorded here as loss.
-                    faults.lost("scan_fragment", site)
-        stats.rows_scanned += registered.table.num_rows
-        stats.input_bytes += registered.nbytes * (
-            len(needed) / max(1, len(registered.table.columns))
-        )
-        stats.tables.append(ref.name)
-        # Joined sides keep qualified names so both sides can coexist.
-        return Table(ref.name, dict(scanned.columns))
+                    faults.lost("scan_fragment", side.site)
+        stats.rows_scanned += rows
+        stats.input_bytes += nbytes * (len(needed) / max(1, len(side.schema)))
+        stats.tables.append(side.name)
+        return scanned
 
     def _columns_for(self, query: Query, ref, table: Table, joined: bool) -> list:
         """Columns of ``ref``'s table the query touches."""

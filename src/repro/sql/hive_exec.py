@@ -185,13 +185,16 @@ class HiveExecutor:
         # The chained MapReduce jobs each charge their own ledger; this
         # one just concatenates their phases into the query's JobCost.
         ledger = CostLedger(self.cluster, ctx=self.ctx)
-        if query.join is not None:
-            result = self._join_aggregate(query, stats, ledger)
-        elif query.is_aggregate:
-            result = self._aggregate(query, stats, ledger)
-        else:
-            result = self._select(query, stats, ledger)
-        stats.rows_out = result.num_rows
+        with self.ctx.span("sql:query", category="sql") as sp:
+            if query.join is not None:
+                result = self._join_aggregate(query, stats, ledger)
+            elif query.is_aggregate:
+                result = self._aggregate(query, stats, ledger)
+            else:
+                result = self._select(query, stats, ledger)
+            stats.rows_out = result.num_rows
+            sp.set("rows_scanned", stats.rows_scanned)
+            sp.set("rows_out", stats.rows_out)
         return QueryResult(table=result, stats=stats, cost=ledger.job)
 
     # -- plans -------------------------------------------------------------------

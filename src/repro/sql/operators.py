@@ -27,54 +27,73 @@ _COMPARATORS = {
 
 
 @dataclass(frozen=True)
+class Param:
+    """The ``index``-th ``?`` of a statement, counted from 0."""
+
+    index: int
+
+
+@dataclass(frozen=True)
 class Predicate:
-    """``column <op> literal`` filter condition."""
+    """``column <op> literal`` filter condition; the literal of a
+    prepared statement is a :class:`Param` until an execution binds it."""
 
     column: str
     op: str
-    literal: float
+    literal: object
 
     def __post_init__(self) -> None:
         if self.op not in _COMPARATORS:
             raise ValueError(f"unsupported comparator {self.op!r}")
 
-    def mask(self, table: Table) -> np.ndarray:
-        return _COMPARATORS[self.op](table.column(self.column), self.literal)
+    def mask(self, table: Table, params=()) -> np.ndarray:
+        literal = self.literal
+        if type(literal) is Param:
+            try:
+                literal = params[literal.index]
+            except IndexError:
+                raise ValueError(
+                    f"parameter {literal.index} is not bound") from None
+        return _COMPARATORS[self.op](table.columns[self.column], literal)
 
 
-def scan(table: Table, columns: list, nbytes: int, ctx, region: str) -> Table:
-    """Columnar scan: read only the touched columns."""
-    missing = [c for c in columns if c not in table.columns]
-    if missing:
-        raise KeyError(f"unknown column(s) {missing} in table {table.name!r}")
-    touched_fraction = len(columns) / max(1, len(table.columns))
+def scan(name: str, table: Table, columns: list, nbytes: int, ctx,
+         region: str) -> Table:
+    """Columnar scan: read only the touched columns, into a table
+    called ``name`` (the name the source is registered under)."""
+    source = table.columns
+    rows = table.num_rows
+    touched_fraction = len(columns) / max(1, len(source))
     ctx.seq_read(region, nbytes * touched_fraction, elem=8)
     # Hive-style per-row executor overhead: object inspectors, SerDe,
     # plus one row-object allocation swept through the young generation.
-    ctx.int_ops(420 * table.num_rows * len(columns))
-    ctx.branch_ops(140 * table.num_rows)
-    ctx.fp_ops(7 * table.num_rows)
+    ctx.int_ops(420 * rows * len(columns))
+    ctx.branch_ops(140 * rows)
+    ctx.fp_ops(7 * rows)
     ctx.touch("sql:young", 4 * 1024 * 1024)
-    ctx.seq_write("sql:young", 420 * table.num_rows, elem=16)
-    return Table(table.name, {c: table.column(c) for c in columns})
+    ctx.seq_write("sql:young", 420 * rows, elem=16)
+    return Table(name, {c: source[c] for c in columns})
 
 
-def filter_rows(table: Table, predicates: list, ctx) -> Table:
+def filter_rows(table: Table, predicates: list, ctx, params=()) -> Table:
     """Apply conjunctive predicates."""
     if not predicates:
         return table
-    mask = np.ones(table.num_rows, dtype=bool)
+    rows = table.num_rows
+    mask = None
     for predicate in predicates:
-        mask &= predicate.mask(table)
-        ctx.int_ops(340 * table.num_rows)
-        ctx.branch_ops(110 * table.num_rows)
-        ctx.fp_ops(3 * table.num_rows)
+        matched = predicate.mask(table, params)
+        mask = matched if mask is None else mask & matched
+        ctx.int_ops(340 * rows)
+        ctx.branch_ops(110 * rows)
+        ctx.fp_ops(3 * rows)
     return Table(table.name, {n: c[mask] for n, c in table.columns.items()})
 
 
 def project(table: Table, columns: list, ctx) -> Table:
     ctx.int_ops(len(columns) * table.num_rows * 30)
-    return Table(table.name, {c: table.column(c) for c in columns})
+    source = table.columns
+    return Table(table.name, {c: source[c] for c in columns})
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ workloads need (Table 4):
     SELECT o.C, SUM(i.X) FROM orders o JOIN items i ON o.K = i.K
         WHERE i.X > 5 GROUP BY o.C
 
+A predicate's right-hand side is a numeric literal or ``?``.  An inline
+literal is read with ``float()``, so it compares as a float64 whatever
+the column's type (``K = 9007199254740993`` also matches ``2**53``); a
+``?`` becomes a :class:`~repro.sql.operators.Param`, numbered left to
+right, whose value is supplied per execution and compared as given.
+
 Parsing produces a :class:`Query` logical plan consumed by
 :class:`repro.sql.engine.SqlEngine`.
 """
@@ -17,12 +23,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.sql.operators import Aggregate, Predicate
+from repro.sql.operators import Aggregate, Param, Predicate
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>-?\d+(?:\.\d+)?)"
     r"|(?P<id>[A-Za-z_][\w.]*|\*)"
-    r"|(?P<sym><=|>=|!=|=|<|>|\(|\)|,))"
+    r"|(?P<sym><=|>=|!=|=|<|>|\(|\)|,|\?))"
 )
 
 _AGG_FUNCS = {"count", "sum", "avg", "min", "max"}
@@ -70,6 +76,11 @@ class Query:
     join: JoinClause = None
     where: list = field(default_factory=list)            # Predicate items
     group_by: list = field(default_factory=list)
+    #: Number of ``?`` placeholders; an execution supplies that many values.
+    params: int = 0
+    #: The statement bound to registered schemas -- owned by the engine
+    #: that runs it (:meth:`repro.sql.engine.SqlEngine.run_plan`).
+    plan: object = field(default=None, repr=False, compare=False)
 
     @property
     def is_aggregate(self) -> bool:
@@ -80,6 +91,7 @@ class _Parser:
     def __init__(self, tokens: list):
         self.tokens = tokens
         self.pos = 0
+        self.params = 0
 
     def peek(self) -> str:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else ""
@@ -130,6 +142,7 @@ class _Parser:
             raise SqlError(f"trailing tokens starting at {self.peek()!r}")
         if query.aggregates and query.select_columns and not query.group_by:
             raise SqlError("mixing columns and aggregates requires GROUP BY")
+        query.params = self.params
         return query
 
     def _select_list(self, query: Query) -> None:
@@ -165,10 +178,15 @@ class _Parser:
         column = self.next()
         op = self.next()
         literal = self.next()
-        try:
-            value = float(literal)
-        except ValueError:
-            raise SqlError(f"expected numeric literal, got {literal!r}") from None
+        if literal == "?":
+            value = Param(self.params)
+            self.params += 1
+        else:
+            try:
+                value = float(literal)
+            except ValueError:
+                raise SqlError(
+                    f"expected numeric literal or ?, got {literal!r}") from None
         return Predicate(column=column, op=op, literal=value)
 
 

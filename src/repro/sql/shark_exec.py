@@ -77,13 +77,16 @@ class SharkExecutor:
     def run_plan(self, query: Query) -> QueryResult:
         stats = QueryStats()
         cost_start = len(self.sc.cost.phases)
-        if query.join is not None:
-            result = self._join_aggregate(query, stats)
-        elif query.is_aggregate:
-            result = self._aggregate(query, stats)
-        else:
-            result = self._select(query, stats)
-        stats.rows_out = result.num_rows
+        with self.ctx.span("sql:query", category="sql") as sp:
+            if query.join is not None:
+                result = self._join_aggregate(query, stats)
+            elif query.is_aggregate:
+                result = self._aggregate(query, stats)
+            else:
+                result = self._select(query, stats)
+            stats.rows_out = result.num_rows
+            sp.set("rows_scanned", stats.rows_scanned)
+            sp.set("rows_out", stats.rows_out)
         # The driver's ledger charged every action; slice off the phases
         # belonging to this query.
         ledger = CostLedger(self.cluster, ctx=self.ctx)

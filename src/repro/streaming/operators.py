@@ -116,9 +116,15 @@ class FilterOperator(StreamOperator):
 class KeyedWindowAggregate(StreamOperator):
     """Per-key aggregation (count or sum) in event-time windows.
 
-    State is ``{window_start: {key: aggregate}}``; a window fires when
-    the watermark passes its end, emitting one :class:`Emission` with
-    keys sorted ascending, then drops its state.
+    State is ``{window_start: [(keys, amounts), ...]}``: each batch
+    appends its distinct keys and their amounts as one part, and the
+    parts of a window are merged into one (distinct keys ascending) when
+    the window fires or a checkpoint barrier needs its contents.  A
+    window fires when the watermark passes its end, emitting one
+    :class:`Emission` of the merged arrays, then drops its state.  Part
+    arrays are never written to, so windows, snapshots and emissions
+    may share them.  Sums come in the dtype ``group_sum`` gives the
+    batch values (int64 for counts); float sums add up in its order.
     """
 
     def __init__(self, name: str, window, metric: str = "count"):
@@ -136,12 +142,10 @@ class KeyedWindowAggregate(StreamOperator):
         self.ctx.int_ops(12 * batch.size)
         self.ctx.branch_ops(3 * batch.size)
         self.ctx.rand_write(f"stream:{self.name}", batch.size)
-        uniq, amounts = group_sum(
+        part = group_sum(
             batch.keys, batch.values if self.metric == "sum" else None)
         for start in self.window.assign(batch.event_time):
-            bucket = self.windows.setdefault(start, {})
-            for key, amount in zip(uniq.tolist(), amounts.tolist()):
-                bucket[key] = bucket.get(key, 0) + amount
+            self.windows.setdefault(start, []).append(part)
         return []
 
     def on_watermark(self, time: float) -> list:
@@ -151,30 +155,36 @@ class KeyedWindowAggregate(StreamOperator):
             if self.window.end(start) <= self.watermark)
         out = []
         for start in ripe:
-            bucket = self.windows.pop(start)
-            keys = np.array(sorted(bucket), dtype=np.int64)
-            values = np.array([bucket[k] for k in keys.tolist()],
-                              dtype=np.int64)
+            keys, values = self._merged(start)
+            del self.windows[start]
             self.ctx.int_ops(4 * len(keys))
             out.append(Emission(
                 operator=self.name, window_start=float(start),
                 window_end=float(self.window.end(start)),
-                keys=keys, values=values))
+                keys=keys.astype(np.int64, copy=False), values=values))
         return out
 
     def snapshot(self) -> dict:
         return {"watermark": self.watermark,
-                "windows": {start: dict(bucket)
-                            for start, bucket in self.windows.items()}}
+                "windows": {start: self._merged(start)
+                            for start in self.windows}}
 
     def restore(self, state: dict) -> None:
         self.watermark = state["watermark"]
-        self.windows = {start: dict(bucket)
-                        for start, bucket in state["windows"].items()}
+        self.windows = {start: [part]
+                        for start, part in state["windows"].items()}
 
     def state_bytes(self) -> int:
-        entries = sum(len(b) for b in self.windows.values())
+        entries = sum(len(self._merged(start)[0]) for start in self.windows)
         return max(MIN_SNAPSHOT_BYTES, 16 * entries)
+
+    def _merged(self, start) -> tuple:
+        """Window ``start`` as one ``(keys, amounts)`` part."""
+        parts = self.windows[start]
+        if len(parts) > 1:
+            parts[:] = [group_sum(np.concatenate([k for k, _ in parts]),
+                                  np.concatenate([a for _, a in parts]))]
+        return parts[0]
 
 
 class SessionAggregate(StreamOperator):

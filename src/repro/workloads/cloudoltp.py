@@ -153,9 +153,10 @@ class ReadWorkload(_CloudOltpWorkload):
         )
         instr_before = ctx.events.instructions
         found = 0
-        for index in indices.tolist():
-            if store.get(_record_key(int(index))) is not None:
-                found += 1
+        with ctx.span("nosql:ops", category="nosql", ops=OPS_PER_RUN):
+            for index in indices.tolist():
+                if store.get(_record_key(int(index))) is not None:
+                    found += 1
         return self._finish(
             prepared, stack, store, ctx, cluster, OPS_PER_RUN,
             {"found": found, "hit_rate": found / OPS_PER_RUN,
@@ -184,9 +185,11 @@ class WriteWorkload(_CloudOltpWorkload):
         n = resumes.num_resumes
         sizes = resumes.value_sizes
         instr_before = ctx.events.instructions
-        for op in range(OPS_PER_RUN):
-            index = int(rng.integers(0, 2 * n))   # half updates, half inserts
-            store.put(_record_key(index), int(sizes[op % n]))
+        with ctx.span("nosql:ops", category="nosql", ops=OPS_PER_RUN):
+            for op in range(OPS_PER_RUN):
+                # Half updates, half inserts.
+                index = int(rng.integers(0, 2 * n))
+                store.put(_record_key(index), int(sizes[op % n]))
         return self._finish(
             prepared, stack, store, ctx, cluster, OPS_PER_RUN,
             {"flushes": store.stats.flushes,
@@ -219,9 +222,10 @@ class ScanWorkload(_CloudOltpWorkload):
         n = resumes.num_resumes
         instr_before = ctx.events.instructions
         rows = 0
-        for _ in range(self.SCANS_PER_RUN):
-            start = int(rng.integers(0, n))
-            rows += len(store.scan(_record_key(start), self.SCAN_LIMIT))
+        with ctx.span("nosql:ops", category="nosql", ops=self.SCANS_PER_RUN):
+            for _ in range(self.SCANS_PER_RUN):
+                start = int(rng.integers(0, n))
+                rows += len(store.scan(_record_key(start), self.SCAN_LIMIT))
         return self._finish(
             prepared, stack, store, ctx, cluster, self.SCANS_PER_RUN,
             {"rows_returned": rows,

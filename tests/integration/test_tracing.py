@@ -111,6 +111,22 @@ def test_traces_cover_every_engine(traced_suite):
         assert any(name.startswith(marker) for name in spans), marker
 
 
+@pytest.mark.parametrize("name, span, category", [
+    ("Select Query", "sql:query", "sql"),      # Hive: SQL as MapReduce jobs
+    ("Read", "nosql:ops", "nosql"),
+])
+def test_engine_spans_at_the_default_stacks(traced_suite, name, span,
+                                            category):
+    """One span per statement / op loop, and opening it (a traced pass
+    drains the recorded accesses at its boundaries) moves no event."""
+    traced = traced_suite[name]
+    found = [s for s in traced.trace.walk() if s.name == span]
+    assert found and len(found) <= 8 and found[0].category == category
+    assert found[0].instructions > 0
+    untraced = Harness(cache=None).run(RunSpec(workload=name))
+    assert repr(untraced.report.events) == repr(traced.report.events)
+
+
 def _structure(root):
     """Trace structure without wall-clock: name, category and the event
     delta (instructions and simulated misses alike)."""

@@ -3,12 +3,20 @@
 import pytest
 
 from repro.nosql.store import record_stamp
-from repro.scenarios import BackendError, Knobs, key_bytes, value_stamp
+from repro.obs.metrics import METRICS
+from repro.scenarios import (
+    BackendError,
+    Knobs,
+    key_bytes,
+    run_scenario,
+    value_stamp,
+)
 from repro.scenarios.backend import WRITE_BEHIND_BATCH
 from repro.scenarios.dict_backend import DictBackend
 from repro.scenarios.driver import make_backend
 from repro.scenarios.lsm_backend import LsmBackend
 from repro.scenarios.sql_backend import SqlBackend
+from repro.sql.engine import SqlEngine
 
 
 class TestKnobs:
@@ -240,6 +248,40 @@ class TestAdapters:
         assert be.read(2099) == value_stamp(key_bytes(2099), 10)
         rows = be.scan(2090, 100)
         assert [k for k, _ in rows] == list(range(2090, 2100))
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_sql_backend_parses_and_binds_once(self, scale, monkeypatch):
+        registrations = []
+        register = SqlEngine.register
+
+        def counting_register(engine, name, table, nbytes):
+            registrations.append(name)
+            register(engine, name, table, nbytes)
+
+        monkeypatch.setattr(SqlEngine, "register", counting_register)
+
+        def counted(name):
+            counters = [METRICS.counter("sql.statements_parsed"),
+                        METRICS.counter("sql.plans_bound")]
+            before = [c.value for c in counters]
+            del registrations[:]
+            result = run_scenario(name, backend="sql", scale=scale, seed=0)
+            return (result, [c.value - b for c, b in zip(counters, before)],
+                    len(registrations))
+
+        # Read-only: both statements parsed when the backend is built,
+        # the point lookup bound by the first read (the range statement
+        # never runs), the preloaded table registered for that read --
+        # and nothing more, however many reads follow.
+        result, (parsed, bound), registered = counted("ycsb-c")
+        assert result.work["queries"] == 400 * scale
+        assert (parsed, bound, registered) == (2, 1, 1)
+        # Scans between inserts: a registration per burst of inserts
+        # that a scan follows, never one per scan.
+        result, (parsed, bound), registered = counted("ycsb-e")
+        assert (parsed, bound) == (2, 1)
+        assert registered <= result.op_mix["write"] + 1
+        assert registered < result.work["queries"] / 10
 
     def test_dict_backend_charges_nothing_to_disk(self):
         be = DictBackend()

@@ -13,9 +13,9 @@ from repro.streaming.operators import MIN_SNAPSHOT_BYTES
 from repro.uarch.perfctx import context_or_null
 
 
-def batch(seq=0, t=0.0, keys=(1,), values=None):
+def batch(seq=0, t=0.0, keys=(1,), values=None, dtype=np.int64):
     k = np.asarray(keys, dtype=np.int64)
-    v = (np.asarray(values, dtype=np.int64) if values is not None
+    v = (np.asarray(values, dtype=dtype) if values is not None
          else np.ones(len(k), dtype=np.int64))
     return DataBatch(sequence=seq, event_time=t, keys=k, values=v)
 
@@ -65,6 +65,17 @@ class TestKeyedWindowAggregate:
         assert e.keys.tolist() == [1, 2]
         assert e.values.tolist() == [15, 7]
 
+    def test_sum_metric_keeps_fractions(self):
+        op = opened(KeyedWindowAggregate("s", TumblingWindow(1.0),
+                                         metric="sum"))
+        op.process(batch(t=0.2, keys=(1, 1), values=(0.5, 0.25),
+                         dtype=np.float64))
+        op.process(batch(seq=1, t=0.4, keys=(1, 2), values=(0.5, 0.25),
+                         dtype=np.float64))
+        (e,) = op.on_watermark(1.0)
+        assert e.values.dtype == np.float64
+        assert e.values.tolist() == [1.25, 0.25]
+
     def test_multiple_ripe_windows_fire_in_start_order(self):
         op = opened(KeyedWindowAggregate("wc", TumblingWindow(1.0)))
         op.process(batch(seq=1, t=2.5, keys=(1,)))
@@ -85,9 +96,18 @@ class TestKeyedWindowAggregate:
         op = opened(KeyedWindowAggregate("wc", TumblingWindow(1.0)))
         op.process(batch(t=0.5, keys=(1,)))
         snap = op.snapshot()
-        op.process(batch(seq=1, t=0.5, keys=(1,)))
-        # Mutating live state must not leak into the snapshot.
-        assert snap["windows"][0.0] == {1: 1}
+        # Neither a later batch, nor the merge of the window's parts, nor
+        # an operator restored from the snapshot may reach into it.
+        op.process(batch(seq=1, t=0.5, keys=(1, 2)))
+        assert op.state_bytes() == MIN_SNAPSHOT_BYTES      # merges
+        op.restore(snap)
+        op.process(batch(seq=2, t=0.5, keys=(1, 3)))
+        op.on_watermark(1.0)
+        (keys, amounts), = snap["windows"].values()
+        assert (keys.tolist(), amounts.tolist()) == ([1], [1])
+        op.restore(snap)
+        (e,) = op.on_watermark(1.0)
+        assert (e.keys.tolist(), e.values.tolist()) == ([1], [1])
 
     def test_state_bytes_scale_with_entries(self):
         op = opened(KeyedWindowAggregate("wc", TumblingWindow(1.0)))
