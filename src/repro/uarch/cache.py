@@ -133,6 +133,16 @@ class Cache(WeightedCounters):
         """Resident lines of one set, least recently used first."""
         return self._lru.order(set_index)
 
+    def state(self) -> tuple:
+        """``(accesses, misses, tags)``: everything the level's later
+        accesses and statistics depend on (the tags by reference)."""
+        return self.accesses, self.misses, self._lru.tags
+
+    def restore(self, state: tuple) -> None:
+        """Take over a :meth:`state` of a cache of the same geometry."""
+        self.accesses, self.misses, tags = state
+        self._lru.tags[...] = tags
+
     def flush(self) -> None:
         """Invalidate all lines and clear statistics."""
         self._lru.clear()

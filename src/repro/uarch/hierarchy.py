@@ -191,20 +191,29 @@ class MemorySystem:
         Returns the memory bytes of every run, for the caller to add to
         ``events.mem_bytes``: data and code runs interleave in program
         order, and a float sum depends on its order.
+
+        The two parts are :meth:`translate` (the DTLB) and
+        :func:`cache_chain` over :attr:`data_caches`; an untraced
+        :class:`~repro.uarch.perfctx.PerfContext` runs the second in
+        :mod:`repro.uarch.sidecar`.
         """
+        addresses, weights, ends = self.translate(addresses, weights, ends)
+        return cache_chain(self.data_caches, addresses >> self._line_bits,
+                           weights, ends)
+
+    @property
+    def data_caches(self) -> list:
+        """L1D, L2 and the L3 if there is one: what data misses walk."""
+        return [cache for cache in (self.l1d, self.l2, self.l3)
+                if cache is not None]
+
+    def translate(self, addresses, weights, ends=None) -> tuple:
+        """The DTLB part of :meth:`data_access`: translate the batch and
+        return it in run form, ``(addresses, weights, ends)``."""
         addresses = np.asarray(addresses, dtype=np.int64)
         weights, ends = as_runs(addresses.size, weights, ends)
         self.dtlb.access_many(addresses, weights, ends)
-        lines = addresses >> self._line_bits
-        for cache in (self.l1d, self.l2, self.l3):
-            if cache is None or not lines.size:
-                break
-            hits = cache.access_many(lines, weights, ends)
-            lines, ends = lines[~hits], miss_ends(hits, ends)
-        llc_misses = np.diff(ends, prepend=0).tolist()
-        return [(misses * weight * self.REAL_LINE_SIZE
-                 * self.MEM_TRAFFIC_AMPLIFICATION) if misses else 0.0
-                for misses, weight in zip(llc_misses, weights)]
+        return addresses, weights, ends
 
     def inst_fetch(self, addresses, weights, ends=None) -> list:
         """Route a batch of simulated instruction fetches, in the run
@@ -251,3 +260,25 @@ class MemorySystem:
         ev.itlb_misses = self.itlb.misses
         ev.dtlb_accesses = self.dtlb.accesses
         ev.dtlb_misses = self.dtlb.misses
+
+
+def cache_chain(caches, lines, weights, ends) -> list:
+    """Walk a batch of runs of line numbers down the data caches
+    (L1D, L2 and L3 when there is one, in that order; ``weights`` and
+    ``ends`` as in :func:`~repro.uarch.lru.as_runs`) and return the
+    memory bytes of every run.
+
+    Each level sees only the misses of the level above, in their
+    original order, with the run ends of that subsequence.  The one
+    implementation of the data-side chain: :meth:`MemorySystem.data_access`
+    calls it in process and :mod:`repro.uarch.sidecar` beside it.
+    """
+    for cache in caches:
+        if not lines.size:
+            break
+        hits = cache.access_many(lines, weights, ends)
+        lines, ends = lines[~hits], miss_ends(hits, ends)
+    llc_misses = np.diff(ends, prepend=0).tolist()
+    return [(misses * weight * MemorySystem.REAL_LINE_SIZE
+             * MemorySystem.MEM_TRAFFIC_AMPLIFICATION) if misses else 0.0
+            for misses, weight in zip(llc_misses, weights)]

@@ -61,6 +61,10 @@ LOOP_BELOW = 128
 #: 12.4, 65 536 -> 10.9 / 11.1 / 11.4, 131 072 -> 9.8 / 11.8 / 11.1,
 #: 262 144 -> 12.3 / 12.3 / 12.4 (no queue: 14.8-16.7 s).  65 536 is also
 #: the sample cap of one pattern, so the queue never doubles peak memory.
+#: Measured again with the data caches in the sidecar (2 vCPUs, seeds 0 /
+#: 1): 32 768 -> 2.93 / 2.87 / 2.92 and 2.93 / 2.93 / 3.06 s, 65 536 ->
+#: 2.87 / 2.96 / 2.89 and 2.97 / 3.00 / 2.96, 131 072 -> 2.79 / 2.85 /
+#: 2.90 and 2.83 / 2.93 / 2.91: 1-2 % apart, inside the spread of runs.
 DRAIN_AT = 65_536
 
 #: Cap on the elements of one gathered look-back block, so that peak

@@ -17,7 +17,9 @@ where it is declared, but they walk the cache/TLB hierarchy later, tens
 of thousands at a time (see ``PerfContext._record`` / ``_drain`` and
 docs/MODEL.md, "Recording and draining"); instruction counts are
 immediate, cache/TLB events and ``mem_bytes`` are current after
-``settle()`` or ``finalize()``.
+``settle()`` or ``finalize()``.  An untraced context walks its L1D ->
+L2 -> L3 chain in a second process (:mod:`repro.uarch.sidecar`) while
+the engines go on recording.
 
 Sampling strategy (see :mod:`repro.uarch.sampling`): data-side patterns
 are contracted by a small factor (default 8) together with the machine's
@@ -28,12 +30,13 @@ locality structure is generated, not replayed.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
 
-from repro.uarch import cpu, lru
+from repro.uarch import cpu, lru, sidecar
 from repro.uarch.codemodel import (
     CodeProfile,
     SPEC_CODE,
@@ -159,6 +162,8 @@ class PerfContext(NullPerfContext):
     ):
         if contraction <= 0 or ifetch_contraction <= 0:
             raise ValueError("contraction factors must be positive")
+        if cap <= 0:
+            raise ValueError("the sample cap must be positive")
         self.machine = machine
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.contraction = contraction
@@ -178,6 +183,17 @@ class PerfContext(NullPerfContext):
         #: runs in program order, and how many addresses they hold.
         self._queue: list = []
         self._queued = 0
+        #: Whether the data caches run beside, in :mod:`repro.uarch.sidecar`:
+        #: where the platform forks and no recording tracer settles at
+        #: every span (a traced pass would have nothing to overlap).
+        self._beside = sidecar.AVAILABLE and self.tracer is NULL_TRACER
+        #: The sidecar's chain of this context, from its first data drain
+        #: to ``finalize``.
+        self._chain: Optional[sidecar.Chain] = None
+        #: Drained beside and not settled: the memory bytes of every run
+        #: in program order -- None for a data run, whose bytes the
+        #: sidecar holds until ``settle``.
+        self._mem_runs: list = []
 
     # -- code profile scoping ------------------------------------------------
 
@@ -279,6 +295,9 @@ class PerfContext(NullPerfContext):
         """Flush pending instruction fetches and produce the run report."""
         self._flush_ifetch()
         self.settle()
+        if self._chain is not None:
+            self._chain.close()
+            self._chain = None
         if self.memsys is not None:
             machine = self.machine
         else:
@@ -292,10 +311,20 @@ class PerfContext(NullPerfContext):
         """Bring ``events`` up to date with everything recorded so far:
         simulate the queued runs and copy the cache/TLB statistics in.
         ``finalize`` does, and a recording tracer at every span boundary
-        (instructions not yet flushed into a fetch run stay pending)."""
-        if self.memsys is not None:
-            self._drain()
-            self.memsys.harvest()
+        (instructions not yet flushed into a fetch run stay pending).
+        Beside, it waits for the sidecar's chain, installs its state into
+        ``memsys`` and adds the memory bytes of the runs drained since
+        the last settle, in program order."""
+        if self.memsys is None:
+            return
+        self._drain()
+        if self._beside:
+            data = iter(self._chain.settle() if self._chain is not None
+                        else ())
+            runs, self._mem_runs = self._mem_runs, []
+            for value in runs:
+                self.events.mem_bytes += next(data) if value is None else value
+        self.memsys.harvest()
 
     # -- internals -------------------------------------------------------------
 
@@ -318,19 +347,33 @@ class PerfContext(NullPerfContext):
         batch, the fetch runs as one ``inst_fetch`` batch (the two sides
         share no cache or TLB, and each structure sees its accesses in
         the order they were recorded), then every run's memory bytes in
-        program order, data and code interleaved."""
+        program order, data and code interleaved.
+
+        Beside, the data batch is translated here and its cache chain
+        handed to the sidecar, and the bytes wait for ``settle``."""
         queue, self._queue, self._queued = self._queue, [], 0
         mem_bytes = {}
         for stream in (DATA, FETCH):
             runs = [run for run in queue if run[0] == stream]
-            if runs:
-                mem_bytes[stream] = iter(getattr(self.memsys, stream)(
-                    np.concatenate([addresses for _, addresses, _ in runs]),
-                    [weight for _, _, weight in runs],
-                    np.cumsum([addresses.size for _, addresses, _ in runs]),
-                ))
-        for stream, _, _ in queue:
-            self.events.mem_bytes += next(mem_bytes[stream])
+            if not runs:
+                continue
+            batch = (np.concatenate([addresses for _, addresses, _ in runs]),
+                     [weight for _, _, weight in runs],
+                     np.cumsum([addresses.size for _, addresses, _ in runs]))
+            if stream == DATA and self._beside:
+                batch = self.memsys.translate(*batch)
+                if self._chain is None:
+                    self._chain = sidecar.Chain(self, self.memsys.data_caches)
+                self._chain.drain(*batch)
+                mem_bytes[stream] = itertools.repeat(None)
+            else:
+                mem_bytes[stream] = iter(getattr(self.memsys, stream)(*batch))
+        runs = (next(mem_bytes[stream]) for stream, _, _ in queue)
+        if self._beside:
+            self._mem_runs.extend(runs)
+            return
+        for value in runs:
+            self.events.mem_bytes += value
 
     def _region(self, name: str, default_size: int) -> Region:
         if name in self.space:

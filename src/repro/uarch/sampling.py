@@ -43,6 +43,8 @@ def plan_samples(total: float, contraction: int, cap: int = 65536) -> SamplePlan
         return SamplePlan(count=0, weight=0.0)
     if contraction <= 0:
         raise ValueError("contraction must be positive")
+    if cap <= 0:
+        raise ValueError("the sample cap must be positive")
     target = total / contraction
     count = int(min(max(1.0, target), cap))
     return SamplePlan(count=count, weight=total / count)

@@ -156,7 +156,7 @@ class TestEventDeltas:
         immediate, marks = PerfContext(XEON_E5645, seed=4), {}
 
         def snapshot(mark):
-            immediate.memsys.harvest()
+            immediate.settle()
             marks[mark] = immediate.events.copy()
 
         with mock.patch.object(lru, "DRAIN_AT", 1):

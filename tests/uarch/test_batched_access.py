@@ -8,6 +8,7 @@ and the LRU *order* of every set, which decides every later hit.
 """
 
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_lru import ReferenceCache, ReferenceTlb
-from repro.uarch import lru
+from repro.uarch import lru, sidecar
 from repro.uarch.cache import Cache, CacheConfig
 from repro.uarch.codemodel import FRAMEWORK_STACK, SERVER_STACK
 from repro.uarch.events import PerfEvents
@@ -371,8 +372,10 @@ class TestMemorySystemBatched:
                              ids=["E5645", "E5310-no-L3"])
     def test_inst_fetch_after_code_warmup_equivalence(self, machine):
         """Whole contexts side by side: ``_warm_code`` primes L1I/ITLB,
-        then instruction fetches and data patterns interleave."""
-        reference = PerfContext(machine=machine, seed=5)
+        then instruction fetches and data patterns interleave.  The
+        oracle-backed one keeps its data caches in process."""
+        with mock.patch.object(sidecar, "AVAILABLE", False):
+            reference = PerfContext(machine=machine, seed=5)
         _oracle_backed(reference.memsys)
         batched = PerfContext(machine=machine, seed=5)
         for ctx in (reference, batched):

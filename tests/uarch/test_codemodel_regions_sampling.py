@@ -129,3 +129,8 @@ class TestSamplePlans:
     def test_validation(self):
         with pytest.raises(ValueError):
             plan_samples(10, contraction=0)
+
+    @pytest.mark.parametrize("cap", [0, -4])
+    def test_rejects_a_cap_below_one(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            plan_samples(10, contraction=8, cap=cap)

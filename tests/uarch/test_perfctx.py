@@ -70,6 +70,11 @@ class TestCounting:
         with pytest.raises(ValueError):
             ctx.skewed_read("r", 100, hot_prob=1.5)
 
+    @pytest.mark.parametrize("cap", [0, -4])
+    def test_rejects_a_sample_cap_below_one(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            PerfContext(XEON_E5645, cap=cap)
+
 
 class TestMemorySimulation:
     def test_streaming_misses_scale_with_bytes(self):

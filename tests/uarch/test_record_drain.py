@@ -9,6 +9,10 @@ one more that also drains at the span boundaries of a recording tracer)
 must agree on everything a run can observe: every ``PerfEvents`` field,
 its ``repr`` (the benchmark hashes it, so a ``numpy.float64`` where a
 ``float`` was is a change), the LRU order of every set, and the report.
+
+Those contexts keep their data caches in process (``sidecar.AVAILABLE``
+patched off, the test-only seam); an untraced context left alone runs
+its L1D -> L2 -> L3 chain in the sidecar, and must agree as well.
 """
 
 from unittest import mock
@@ -19,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.trace import Tracer
-from repro.uarch import lru
+from repro.uarch import lru, sidecar
 from repro.uarch.codemodel import FRAMEWORK_STACK, HPC_KERNEL, SERVER_STACK
 from repro.uarch.hierarchy import MemorySystem, XEON_E5310, XEON_E5645
 from repro.uarch.perfctx import DATA, FETCH, PerfContext
@@ -77,9 +81,17 @@ def _play(ctx, program):
             getattr(ctx, step[0])(*step[1:])
 
 
-def _observe(machine, seed, program, drain_at, tracer=None):
+def in_process(*args, **kwargs) -> PerfContext:
+    """A context that keeps its data caches in this process."""
+    with mock.patch.object(sidecar, "AVAILABLE", False):
+        return PerfContext(*args, **kwargs)
+
+
+def _observe(machine, seed, program, drain_at, tracer=None, beside=False):
     """Everything observable of one run draining at ``drain_at``."""
-    ctx = PerfContext(machine, seed=seed, tracer=tracer)
+    make = PerfContext if beside else in_process
+    ctx = make(machine, seed=seed, tracer=tracer)
+    assert ctx._beside == beside
     with mock.patch.object(lru, "DRAIN_AT", drain_at):
         _play(ctx, program)
         report = ctx.finalize(cores_used=2, metadata={"seed": seed})
@@ -103,6 +115,8 @@ def test_any_drain_threshold_observes_the_same_run(machine, seed, program):
         assert _observe(machine, seed, program, drain_at) == immediate, drain_at
     traced = _observe(machine, seed, program, 65536, tracer=Tracer())
     assert traced == immediate
+    beside = _observe(machine, seed, program, 65536, beside=True)
+    assert beside == immediate
     assert (machine.l3 is None) == ("l3" not in immediate[2])
 
 
@@ -151,7 +165,7 @@ def test_drain_adds_memory_bytes_in_program_order():
             batches.append((addresses.tolist(), weights, ends.tolist()))
             return self.mem_bytes
 
-    ctx = PerfContext(XEON_E5645)
+    ctx = in_process(XEON_E5645)
     ctx.memsys.data_access = Memory([1e16, 0.0, -1e16])
     ctx.memsys.inst_fetch = Memory([1.0, 1.0])
     ctx._record(FETCH, np.array([7, 8]), 0.5)
@@ -168,7 +182,8 @@ def test_drain_adds_memory_bytes_in_program_order():
 
 
 def test_untraced_context_drains_at_the_threshold_and_finalize_only():
-    """Spans are drain points for a recording tracer only."""
+    """Spans are drain points for a recording tracer only.  Every data
+    drain translates its batch here, wherever its caches then run."""
     calls = []
 
     def counting(name):
@@ -182,7 +197,7 @@ def test_untraced_context_drains_at_the_threshold_and_finalize_only():
     def run(tracer):
         calls.clear()
         ctx = PerfContext(XEON_E5645, seed=1, tracer=tracer)
-        with counting("data_access"), counting("inst_fetch"):
+        with counting("translate"), counting("inst_fetch"):
             for i in range(20):
                 with ctx.span(f"phase:{i}"):
                     ctx.rand_read("table", 2e4, 8)      # 2 500 addresses
@@ -193,11 +208,11 @@ def test_untraced_context_drains_at_the_threshold_and_finalize_only():
 
     during, at_finalize = run(tracer=None)
     assert during == []
-    assert [name for name, _ in at_finalize] == ["data_access", "inst_fetch"]
-    assert at_finalize[0] == ("data_access", 50_000)
+    assert [name for name, _ in at_finalize] == ["translate", "inst_fetch"]
+    assert at_finalize[0] == ("translate", 50_000)
 
     during, at_finalize = run(tracer=Tracer())
-    assert during == [("data_access", 2500)] * 20
+    assert during == [("translate", 2500)] * 20
     assert [name for name, _ in at_finalize] == ["inst_fetch"]
 
 
