@@ -10,9 +10,10 @@ Four gates on the cluster simulator, measured on real workload costs
 2. **Per-job cost at paper scale**: a warm replay of one job must fit
    an absolute millisecond budget -- the simulator is an accounting
    pass, not a second characterization.
-3. **Scale**: at ``ClusterSpec.scaled(1000)`` the vectorized engine
-   must beat the scalar reference by >= 5x on replays and fit an
-   absolute warm-replay budget, while staying bit-identical.
+3. **Scale**: at ``ClusterSpec.scaled(1000)`` the engine must beat
+   the per-task oracle (``tests/cluster/reference_sim.py``) by >= 5x on
+   replays and fit an absolute warm-replay budget, while staying
+   bit-identical.
 4. **Sweep**: a ~2000-evaluation replay sweep (families x clusters x
    data scales x seeds -- the paper's characterization grid shape)
    completes warm in seconds.
@@ -35,6 +36,7 @@ from repro.cluster import (
 )
 from repro.core.report import render_table
 from repro.core.workload import DATA_SCALE
+from tests.cluster import reference_sim
 
 #: One workload per engine family: MapReduce, Spark, SQL, serving, BSP.
 FAMILY_WORKLOADS = [
@@ -147,20 +149,20 @@ def test_event_plane_agreement_and_job_budget(benchmark, family_costs):
 
 
 def test_vectorized_speedup_at_scale(family_costs):
-    """Scalar vs vectorized at 1000 nodes: bit-identical, >= 5x faster."""
+    """Oracle vs engine at 1000 nodes: bit-identical, >= 5x faster."""
     big = PAPER_CLUSTER.scaled(SCALE_NODES)
     cost = family_costs[("Sort", "hadoop")]
 
     start = time.perf_counter()
-    scalar = ClusterSim(big, data_scale=DATA_SCALE, engine="scalar").run(cost)
+    scalar = reference_sim.run(ClusterSim(big, data_scale=DATA_SCALE), cost)
     scalar_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    cold = ClusterSim(big, data_scale=DATA_SCALE, engine="vector").run(cost)
+    cold = ClusterSim(big, data_scale=DATA_SCALE).run(cost)
     cold_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    warm = ClusterSim(big, data_scale=DATA_SCALE, engine="vector").run(cost)
+    warm = ClusterSim(big, data_scale=DATA_SCALE).run(cost)
     warm_seconds = time.perf_counter() - start
 
     assert _fingerprint(scalar) == _fingerprint(cold) == _fingerprint(warm)
@@ -233,13 +235,13 @@ def test_sweep_replay_interactive(family_costs):
 
 def test_scalar_vector_equivalence_on_real_costs(family_costs):
     """Every family's characterized cost replays bit-identically on the
-    scalar reference and the vectorized engine (paper + mixed)."""
+    per-task oracle and the engine (paper + mixed)."""
     for cluster in (PAPER_CLUSTER, MIXED_CLUSTER):
         for (name, stack), cost in family_costs.items():
-            scalar = ClusterSim(cluster, data_scale=DATA_SCALE, seed=11,
-                                engine="scalar").run(cost)
-            vector = ClusterSim(cluster, data_scale=DATA_SCALE, seed=11,
-                                engine="vector").run(cost)
+            scalar = reference_sim.run(
+                ClusterSim(cluster, data_scale=DATA_SCALE, seed=11), cost)
+            vector = ClusterSim(cluster, data_scale=DATA_SCALE,
+                                seed=11).run(cost)
             assert _fingerprint(scalar) == _fingerprint(vector), (
                 f"{name} [{stack}] diverges on {cluster.total_nodes} nodes")
 

@@ -434,7 +434,7 @@ def cmd_serve(args) -> None:
         spec = ServingRun(
             server=server, profile=profile, policy=args.policy or "none",
             seed=args.seed, sample_requests=args.sample,
-            slo_seconds=args.slo, engine=args.engine,
+            slo_seconds=args.slo,
             **({"cluster": cluster} if cluster is not None else {}))
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -916,12 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="latency SLO bound for goodput (default 0.5 s)")
     serve.add_argument("--sample", type=int, default=500, metavar="N",
                        help="requests sampled to measure service demand")
-    serve.add_argument("--engine", choices=("vector", "scalar"),
-                       default=None,
-                       help="replay engine: the batched vector engine "
-                            "(default) or the scalar heap reference -- "
-                            "bit-identical results, so the choice never "
-                            "affects caching")
     serve.add_argument("--autoscale", default=None, metavar="LO:HI",
                        help="sweep cluster size LO..HI nodes (e.g. 10:1000) "
                             "instead of a single run")

@@ -140,8 +140,7 @@ class TimeModel:
                  cpu_efficiency: float = CPU_EFFICIENCY,
                  overlap_residue: float = OVERLAP_RESIDUE,
                  spill_passes: float = SPILL_PASSES,
-                 congestion_coeff: float = CONGESTION_COEFF,
-                 sim_engine: str = None):
+                 congestion_coeff: float = CONGESTION_COEFF):
         if data_scale <= 0:
             raise ValueError("data_scale must be positive")
         if mode not in ("analytic", "event"):
@@ -158,8 +157,6 @@ class TimeModel:
         self.overlap_residue = overlap_residue
         self.spill_passes = spill_passes
         self.congestion_coeff = congestion_coeff
-        # "scalar" / "vector" / None (simulator default); event mode only.
-        self.sim_engine = sim_engine
 
     def phase_time(self, phase: PhaseCost) -> PhaseTime:
         cluster = self.cluster
@@ -206,8 +203,7 @@ class TimeModel:
         from repro.cluster.sim import ClusterSim
 
         return ClusterSim(self.cluster, data_scale=self.data_scale,
-                          seed=self.seed, spill_passes=self.spill_passes,
-                          engine=self.sim_engine)
+                          seed=self.seed, spill_passes=self.spill_passes)
 
     def _spill_bytes(self, phase: PhaseCost) -> float:
         """Bytes of working set that do not fit in cluster memory.

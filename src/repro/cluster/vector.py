@@ -1,15 +1,16 @@
-"""Vectorized event plane: numpy batch kernels for :class:`ClusterSim`.
+"""The event plane's engine: numpy batch kernels for :class:`ClusterSim`.
 
-The scalar reference implementation in :mod:`repro.cluster.sim` walks
-O(TASK_WAVES x slots) per-task loops and O(n^2) pairwise shuffle flows in
-pure Python, which makes a 1000-node replay thousands of times costlier
-than the 15-node paper preset.  This module replays the same semantics
-with batch kernels over flat numpy state and is **bit-identical** to the
-scalar path (same ``SimResult.seconds``, phases, and node usage --
-gated in ``tests/cluster/test_sim_vectorized.py``).
+Stated one task at a time, the semantics of :mod:`repro.cluster.sim`
+are O(TASK_WAVES x slots) per-task loops and O(n^2) pairwise shuffle
+flows -- in pure Python a 1000-node replay would cost thousands of
+times the 15-node paper preset.  This module replays them with batch
+kernels over flat numpy state.  The per-task loop is kept as the test
+oracle ``tests/cluster/reference_sim.py``, and the engine is
+**bit-identical** to it (same ``SimResult.seconds``, phases, and node
+usage -- gated in ``tests/cluster/test_sim_vectorized.py``).
 
 Bit-identity is an IEEE-754 argument, not a tolerance: every float the
-scalar path produces is the result of a specific sequence of exactly
+per-task loop produces is the result of a specific sequence of exactly
 rounded +, *, /, and max operations, and the kernels below perform the
 *same operations on the same operands in the same per-accumulator
 order*, just batched across nodes:
@@ -19,10 +20,10 @@ order*, just batched across nodes:
   -- so each phase opens with *uniform* state and the replay is
   phase-local (only the busy-time accumulators, ``compute_end``, and
   the killed set carry across phases);
-* straggler variates are blake2b hashes of ``seed|site`` exactly as the
-  scalar ``_unit`` computes them, batched over a prebuilt site array
+* straggler variates are blake2b hashes of ``seed|site`` exactly as
+  ``unit_hash`` computes them, batched over a prebuilt site array
   (the eighth-power shaping is ``np.float_power``, libm ``pow`` like
-  the scalar's Python ``**`` -- ``np.power`` is repeated squaring,
+  the oracle's Python ``**`` -- ``np.power`` is repeated squaring,
   which is *not* bit-equal);
 * placement is an inherently sequential argmin scan (each decision
   feeds the next task's load), kept as a tight loop over flat arrays
@@ -210,7 +211,7 @@ def flow_order(seed: int, phase_name: str, alive: tuple,
                total_nodes: int) -> FlowPlan:
     """The all-to-all shuffle's :class:`FlowPlan`, hash-sorted.
 
-    The scalar path sorts pairwise flows by ``(unit, src, dst)``; this
+    The per-flow walk sorts pairwise flows by ``(unit, src, dst)``; this
     reproduces that order with one batched hash pass plus one stable
     sort on the units.  ``alive`` must be ascending (the engine's node
     walk is).

@@ -15,7 +15,6 @@ from repro.serving.load import (
     LoadProfile,
     ServingOptions,
     generate_stream,
-    replay_stream,
 )
 from repro.serving.nutch import InvertedIndex, NutchServer
 from repro.serving.olio import OlioServer
@@ -34,7 +33,6 @@ from repro.serving.vector import (
     REQUEST_DTYPE,
     RequestArena,
     replay,
-    resolve_engine,
 )
 
 __all__ = [
@@ -59,7 +57,5 @@ __all__ = [
     "measure_demand",
     "mm_c",
     "replay",
-    "replay_stream",
-    "resolve_engine",
     "run_serving",
 ]

@@ -13,11 +13,8 @@ This module is the API-redesign half of the serving plane.  One frozen
 2. **arrivals** -- materialize the profile's deterministic timestamped
    request stream (:func:`repro.serving.load.generate_stream`);
 3. **replay** -- drive the stream through the cluster's per-node
-   core/NIC queues (:func:`repro.serving.vector.replay`: the batched
-   vector engine by default, the scalar heap reference under
-   ``engine="scalar"`` / ``REPRO_SCALAR_SERVE=1`` -- bit-identical
-   either way) under the selected recovery policies and any armed
-   fault rules;
+   core/NIC queues (:func:`repro.serving.vector.replay`) under the
+   selected recovery policies and any armed fault rules;
 4. **slo** -- aggregate the observed latencies into the tail-latency
    report (p50/p99/p999, goodput, shed/hedged/retried fractions) and
    attach the analytic ``mm_c`` point as the validation baseline.
@@ -50,7 +47,7 @@ from repro.serving.load import (
 )
 from repro.serving.queueing import QueueingResult, mm_c
 from repro.serving.simulation import Server
-from repro.serving.vector import replay, resolve_engine
+from repro.serving.vector import replay
 from repro.uarch.perfctx import context_or_null
 
 #: Default node counts of the autoscaling sweep: ~even decade coverage
@@ -77,11 +74,6 @@ class ServingRun:
     seed: int = 0
     sample_requests: int = 500
     slo_seconds: float = 0.5
-    #: Replay engine: "vector" (default), "scalar" (the heap reference),
-    #: or None to defer to ``REPRO_SCALAR_SERVE``.  Excluded from
-    #: comparison -- the engines are bit-identical, so the choice must
-    #: never split memo/disk-cache keys.
-    engine: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.profile, LoadProfile):
@@ -92,8 +84,6 @@ class ServingRun:
             raise ValueError("sample_requests must be positive")
         if self.slo_seconds <= 0:
             raise ValueError("slo_seconds must be positive")
-        if self.engine is not None:
-            resolve_engine(self.engine)
 
 
 @dataclass(frozen=True)
@@ -293,14 +283,12 @@ def run_serving(spec: ServingRun, ctx=None,
         stream = generate_stream(profile, mix, seed=spec.seed)
         sp.set("requests", stream.size)
         sp.set("duration_s", stream.duration)
-    engine = resolve_engine(spec.engine)
     with ctx.span(f"load:replay:{server.name}", category="serving",
-                  policy=spec.policy, nodes=spec.cluster.total_nodes,
-                  engine=engine):
+                  policy=spec.policy, nodes=spec.cluster.total_nodes):
         outcome = replay(
             stream, spec.cluster, demand.service_seconds,
             policy=spec.policy, faults=faults, site=site,
-            slo_seconds=spec.slo_seconds, engine=engine, ctx=ctx)
+            slo_seconds=spec.slo_seconds, ctx=ctx)
 
     with ctx.span(f"load:slo:{server.name}", category="serving") as sp:
         report = _build_report(spec, demand, stream, outcome)

@@ -1,18 +1,20 @@
-"""Vectorized serving replay: the batched twin of ``replay_stream``.
+"""The serving replay engine: batched numpy over the request plane.
 
-:func:`repro.serving.load.replay_stream` is a per-event Python heap --
-~100k simulated requests per second, which caps every SLO study at
-short windows (a single diurnal *day* at modest rates is 10^8+ events).
-This module replays the same stream through the same per-node core/NIC
-FIFO semantics **bit-identically** -- the same IEEE-754 additions,
-multiplications, maxima, and divisions applied to the same operands in
-the same per-accumulator order -- at 10x+ the rate, the same playbook
+Stated one event at a time, the replay is a Python heap -- ~100k
+simulated requests per second, which would cap every SLO study at short
+windows (a single diurnal *day* at modest rates is 10^8+ events).  That
+heap loop is kept as the test oracle
+``tests/serving/reference_replay.py``; this module replays the same
+stream through the same per-node core/NIC FIFO semantics
+**bit-identically** -- the same IEEE-754 additions, multiplications,
+maxima, and divisions applied to the same operands in the same
+per-accumulator order -- at 10x+ the rate, the same playbook
 :mod:`repro.cluster.vector` applied to the cluster event plane.
 
 How the batching preserves the bits
 -----------------------------------
 
-The scalar engine interleaves two event kinds on one time-ordered heap:
+The heap loop interleaves two event kinds on one time-ordered heap:
 DISPATCH (a request reaches the front door, pops the earliest-free
 service slot, serializes through the node's inbound NIC) and COMPLETE
 (its service finishes, serializes through the outbound NIC, then the
@@ -52,17 +54,13 @@ recovery policies run).  Three observations unlock batching:
 Every other configuration (closed loop, armed ``timeout``/``straggler``
 rules, a policy that did fire) couples the two event streams through
 feedback and fault-clock ticks; those run through an optimized
-transcription of the scalar event loop -- same event order, same fault
-tick order, same accumulation order -- so chaos runs stay bit-identical
+transcription of the heap loop -- same event order, same fault tick
+order, same accumulation order -- so chaos runs stay bit-identical
 too.  Its heap holds the feedback only; open-loop arrivals are merged
-in from a list.
-
-The scalar engine remains the reference behind
-``ServingRun(engine="scalar")`` / ``REPRO_SCALAR_SERVE=1`` (mirroring
-``REPRO_SCALAR_SIM``); the equivalence grid in
+in from a list.  The equivalence grid in
 ``tests/serving/test_vector_replay.py`` gates the bit-identity claim.
 
-Both engines leave per-request history in a preallocated
+Every replay leaves per-request history in a preallocated
 structured-array :class:`RequestArena` (exposed as
 ``ReplayOutcome.events`` / ``requests_for``) instead of per-request
 Python tuples.
@@ -71,7 +69,6 @@ Python tuples.
 from __future__ import annotations
 
 import heapq
-import os
 from math import inf
 
 import numpy as np
@@ -90,15 +87,7 @@ from repro.serving.load import (
     ReplayOutcome,
     TIMEOUT_SECONDS,
     policy_tokens,
-    replay_stream,
 )
-
-#: Environment escape hatch: any value but ""/"0" routes every replay
-#: through the scalar reference engine (mirrors ``REPRO_SCALAR_SIM``).
-ENV_SCALAR_SERVE = "REPRO_SCALAR_SERVE"
-
-#: Valid engine selectors.
-ENGINES = ("vector", "scalar")
 
 #: NIC-chain Jacobi limits (:func:`_fifo_chains`): skip straight to the
 #: scalar scan when the first-order NIC busy-run estimate exceeds
@@ -112,17 +101,6 @@ _JACOBI_ITER_MAX = 64
 #: A dispatch round must commit at least ``max(16, batch/8)`` requests;
 #: two consecutive starved rounds switch the dispatcher to the scan.
 _ROUND_MIN_COMMIT = 16
-
-
-def resolve_engine(engine=None) -> str:
-    """Normalize an engine selector (None -> env -> ``"vector"``)."""
-    if engine is None:
-        scalar = os.environ.get(ENV_SCALAR_SERVE, "") not in ("", "0")
-        return "scalar" if scalar else "vector"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown serving engine {engine!r}; valid: {', '.join(ENGINES)}")
-    return engine
 
 
 def _fifo_chains(ready, nodes, cost, free):
@@ -195,7 +173,7 @@ def _fifo_chains(ready, nodes, cost, free):
 #: is NaN for requests that never completed (shed, or lost to an
 #: unrecovered timeout fault); ``node`` is the node of the *primary*
 #: serving attempt (a hedge's winning duplicate is not tracked, matching
-#: the scalar engine, which only keeps the min completion time).
+#: the heap oracle, which only keeps the min completion time).
 REQUEST_DTYPE = np.dtype([
     ("arrival", "<f8"),      # first client issue time
     ("admit", "<f8"),        # front-door ready time of the last attempt
@@ -283,19 +261,29 @@ class RequestArena:
 def replay(stream: ArrivalStream, cluster: ClusterSpec,
            service_seconds: float, *, policy: str = "none",
            faults=NULL_FAULTS, site: str = "serving",
-           slo_seconds: float = 0.5, engine=None, ctx=None) -> ReplayOutcome:
-    """Drive ``stream`` through the cluster queues on the chosen engine.
+           slo_seconds: float = 0.5, engine: str = "vector",
+           ctx=None) -> ReplayOutcome:
+    """Drive ``stream`` through the cluster's core/NIC queues.
 
-    The vector engine (default) returns an outcome bit-identical to
-    :func:`repro.serving.load.replay_stream` and additionally carries a
-    :class:`RequestArena` (``outcome.events``).  ``engine="scalar"`` or
-    ``REPRO_SCALAR_SERVE=1`` routes through the scalar reference, which
-    keeps no arena.
+    Each node contributes ``cores`` FIFO service slots (service time
+    scaled by the reference/node clock ratio) and a full-duplex NIC
+    pair: requests serialize through the inbound link before queueing
+    for a core, responses through the outbound link.  Requests go in
+    ready order to the earliest-free slot -- the c-server FIFO queue the
+    analytic ``mm_c`` baseline models.  Policies and armed fault rules
+    map onto three recovery paths: ``shed`` (or an ``overload`` rule)
+    bounds the admission wait, ``hedge`` (or a ``straggler`` rule)
+    duplicates slow requests, ``retry`` (or a ``timeout`` rule)
+    re-issues with backoff.  The outcome carries a :class:`RequestArena`
+    (``outcome.events``).
+
+    ``engine`` accepts only ``"vector"``, the one engine, and raises
+    ``ValueError`` otherwise; it remains only because
+    ``bench/workloads.py`` still passes ``engine="vector"``.
     """
-    if resolve_engine(engine) == "scalar":
-        return replay_stream(stream, cluster, service_seconds,
-                             policy=policy, faults=faults, site=site,
-                             slo_seconds=slo_seconds)
+    if engine != "vector":
+        raise ValueError(
+            f"unknown serving engine {engine!r}; the only engine is 'vector'")
     return _VectorReplay(stream, cluster, service_seconds, policy, faults,
                          site, slo_seconds, ctx).run()
 
@@ -318,7 +306,7 @@ class _VectorReplay:
 
         nodes = cluster.nodes
         ref_hz = cluster.node.machine.freq_hz
-        # Core-major slot enumeration, identical to the scalar engine
+        # Core-major slot enumeration, identical to the heap oracle
         # (consecutive arrivals spread across nodes on the id tiebreak).
         slot_node, slot_scale = [], []
         for core in range(max(node.cores for node in nodes)):
@@ -330,7 +318,7 @@ class _VectorReplay:
         self.slot_scale = slot_scale
         self.homogeneous = all(s == 1.0 for s in slot_scale)
         self.num_nodes = len(nodes)
-        # Precomputed per-node constants.  The scalar engine divides
+        # Precomputed per-node constants.  The heap oracle divides
         # ``wire_bytes / bandwidth`` at every event; the quotient of the
         # same two doubles is the same double, so hoisting it is exact.
         self.req_c = [REQUEST_WIRE_BYTES / n.nic.bandwidth for n in nodes]
@@ -630,7 +618,7 @@ class _VectorReplay:
         """Phase 2: responses in ``(end, dispatch-seq)`` order through
         each node's outbound NIC chain (:func:`_fifo_chains`).  Returns
         (rounds, latencies, last_completion); latencies keep
-        completion-processing order (the scalar engine's list order --
+        completion-processing order (the heap oracle's list order --
         the pairwise mean depends on it)."""
         if live is None:               # nothing shed: skip the compaction
             e_live, nd_live, t_live = ends, enode, times
@@ -663,7 +651,7 @@ class _VectorReplay:
     # -- general path: optimized event loop ----------------------------------
 
     def _run_events(self) -> ReplayOutcome:
-        """Faithful transcription of the scalar event loop for the
+        """Faithful transcription of the heap loop for the
         feedback-coupled configurations (closed loop, hedge, retry,
         armed timeout/straggler rules): identical event order,
         fault-clock tick order, and accumulation order, with the
@@ -673,7 +661,7 @@ class _VectorReplay:
         The heap holds feedback only -- COMPLETE events and the
         DISPATCHes that completions, sheds and timeouts schedule.
         Open-loop arrivals are sorted and carry the lowest sequence
-        numbers of the scalar heap, so they are merged in from a list:
+        numbers of the oracle's heap, so they are merged in from a list:
         an arrival goes first unless a heap event is strictly earlier,
         exactly the ``(t, seq)`` order."""
         stream = self.stream

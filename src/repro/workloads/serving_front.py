@@ -35,7 +35,6 @@ def serving_spec(prepared, ctx, sample_requests: int = 500) -> ServingRun:
         cluster=SINGLE_NODE,
         seed=int(getattr(ctx, "seed", 0)),
         sample_requests=sample_requests,
-        engine=options.engine,
     )
 
 

@@ -1,7 +1,7 @@
-"""Vectorized event plane: bit-identity with the scalar reference.
+"""The event plane's engine: bit-identity with the per-task oracle.
 
-The vector engine (:mod:`repro.cluster.vector`) must replay every job
-*bit-identically* to the per-task scalar loop -- same
+The engine (:mod:`repro.cluster.vector`) must replay every job
+*bit-identically* to the per-task loop in ``reference_sim`` -- same
 ``SimResult.seconds``, phase records, per-node busy seconds -- across
 seeds, heterogeneous clusters, scaled clusters, and fault plans.  The
 grid here is property-style: every job shape the simulator models
@@ -12,8 +12,7 @@ Also covered: the invariants of the shuffle's level schedule
 (:class:`~repro.cluster.vector.FlowPlan`) over drawn clusters, the
 eighth-power straggler shaping against Python's ``**``, the event arena
 (one structured record per task) agreeing with the ``SimPhase``
-aggregates, and the ``REPRO_SCALAR_SIM`` escape hatch selecting the
-reference engine.
+aggregates, and the per-node gauge limit.
 """
 
 import hashlib
@@ -33,6 +32,7 @@ from repro.cluster import (
 from repro.cluster.sim import _eighth_power, unit_hash
 from repro.cluster.vector import flow_order
 from repro.faults import FaultInjector, FaultPlan
+from tests.cluster import reference_sim
 from tests.cluster.test_sim import fingerprint, mr_like_job
 
 GB = 1024 ** 3
@@ -93,18 +93,18 @@ FAULT_PLANS = {
 }
 
 
-def run(cluster, job, engine, seed=0, plan=None, data_scale=1.0):
+def make_sim(cluster, seed=0, plan=None, data_scale=1.0):
     faults = (FaultInjector(FaultPlan.parse(plan), seed=seed)
               if plan else None)
-    sim = ClusterSim(cluster, data_scale=data_scale, seed=seed,
-                     faults=faults, engine=engine)
-    return sim.run(job)
+    return ClusterSim(cluster, data_scale=data_scale, seed=seed,
+                      faults=faults)
 
 
 def assert_equivalent(cluster, job, seed=0, plan=None, data_scale=1.0):
-    scalar = run(cluster, job, "scalar", seed, plan, data_scale)
-    vector = run(cluster, job, "vector", seed, plan, data_scale)
-    assert fingerprint(scalar) == fingerprint(vector)
+    reference = reference_sim.run(
+        make_sim(cluster, seed, plan, data_scale), job)
+    vector = make_sim(cluster, seed, plan, data_scale).run(job)
+    assert fingerprint(reference) == fingerprint(vector)
     return vector
 
 
@@ -145,19 +145,19 @@ class TestEquivalenceGrid:
         assert_equivalent(PAPER_CLUSTER, mr_like_job(), data_scale=4.0)
 
     def test_fault_event_log_identical(self):
-        """Both engines must drive the fault injector through the same
-        sites in the same order (the injector records standing events
-        once per site)."""
+        """The engine must drive the fault injector through the same
+        sites in the same order as the oracle (the injector records
+        standing events once per site)."""
         plan = ("node_kill:node=1;slow_disk:node=2:factor=4;"
                 "slow_nic:node=5:factor=2")
 
-        def events(engine):
+        def events(replay):
             faults = FaultInjector(FaultPlan.parse(plan), seed=3)
-            ClusterSim(PAPER_CLUSTER, seed=3, faults=faults,
-                       engine=engine).run(mr_like_job())
+            replay(ClusterSim(PAPER_CLUSTER, seed=3, faults=faults),
+                   mr_like_job())
             return tuple((e.kind, e.site, e.phase) for e in faults.events)
 
-        assert events("scalar") == events("vector")
+        assert events(reference_sim.run) == events(ClusterSim.run)
 
 
 @st.composite
@@ -171,7 +171,7 @@ def shuffles(draw):
 
 
 class TestFlowPlan:
-    """The level schedule against the scalar walk's own flow order."""
+    """The level schedule against the oracle's own flow order."""
 
     @given(case=shuffles())
     @settings(max_examples=150, deadline=None)
@@ -179,7 +179,7 @@ class TestFlowPlan:
         seed, alive, total = case
         plan = flow_order(seed, "exchange", alive, total)
         flows = len(alive) * (len(alive) - 1)
-        # The scalar engine's order: by (unit, src, dst).
+        # The oracle's order: by (unit, src, dst).
         hashed = sorted(
             (unit_hash(seed, f"exchange:flow:{s}->{d}"), s, d)
             for s in alive for d in alive if s != d)
@@ -206,7 +206,7 @@ class TestFlowPlan:
             last_out[s] = last_in[d] = level[s, d]
 
         # Fold cells: distinct, never the carry column, in the node's own
-        # row, and along it in the order the scalar charges the node.
+        # row, and along it in the order the oracle charges the node.
         cells = np.concatenate((plan.cell_src, plan.cell_dst))
         assert len(set(cells.tolist())) == 2 * flows
         assert (cells % plan.width != 0).all()
@@ -226,8 +226,8 @@ class TestFlowPlan:
 
 
 def test_eighth_power_is_the_scalar_pow():
-    """``_eighth_power`` (both vector engines) against the scalar
-    loops' Python ``u ** 8``, over 10^5 hashed units."""
+    """``_eighth_power`` (both replay engines) against the per-task
+    oracles' Python ``u ** 8``, over 10^5 hashed units."""
     digest = b"".join(
         hashlib.blake2b(b"3|map:task%d" % t, digest_size=8).digest()
         for t in range(100_000))
@@ -241,7 +241,7 @@ def test_eighth_power_is_the_scalar_pow():
 
 class TestEventArena:
     def result(self, **kwargs):
-        return run(PAPER_CLUSTER, mr_like_job(), "vector", **kwargs)
+        return make_sim(PAPER_CLUSTER, **kwargs).run(mr_like_job())
 
     def test_one_record_per_task(self):
         result = self.result()
@@ -290,42 +290,39 @@ class TestEventArena:
             assert float(spans.sum()) == pytest.approx(
                 usage.busy_cpu_seconds)
 
-    def test_scalar_engine_has_no_arena(self):
-        result = run(PAPER_CLUSTER, mr_like_job(), "scalar")
-        assert result.arena is None
-        with pytest.raises(RuntimeError):
-            result.events
-        with pytest.raises(RuntimeError):
-            result.phase_events("map")
+    @pytest.mark.parametrize("plan_name", sorted(FAULT_PLANS))
+    def test_every_result_carries_its_arena(self, plan_name):
+        result = self.result(plan=FAULT_PLANS[plan_name])
+        assert result.arena is not None
+        assert len(result.events) == sum(p.tasks for p in result.phases)
+        for phase in result.phases:
+            if phase.tasks:
+                assert len(result.phase_events(phase.name)) == phase.tasks
 
 
-class TestEngineSelection:
-    def test_env_var_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_SIM", "1")
-        sim = ClusterSim(PAPER_CLUSTER)
-        assert sim.engine == "scalar"
-        assert sim.run(mr_like_job()).arena is None
+class TestOneEngine:
+    """``ClusterSim`` runs the vector engine and takes no selector."""
 
-    def test_env_var_zero_means_vector(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_SIM", "0")
-        assert ClusterSim(PAPER_CLUSTER).engine == "vector"
+    def test_sim_takes_no_engine_keyword(self):
+        with pytest.raises(TypeError):
+            ClusterSim(PAPER_CLUSTER, engine="vector")
+        assert not hasattr(ClusterSim(PAPER_CLUSTER), "engine")
 
-    def test_explicit_engine_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_SIM", "1")
-        assert ClusterSim(PAPER_CLUSTER, engine="vector").engine == "vector"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterSim(PAPER_CLUSTER, engine="quantum")
-
-    def test_timemodel_passes_engine_through(self):
+    def test_timemodel_takes_no_engine_keyword(self):
         from repro.cluster import TimeModel
 
-        scalar = TimeModel(PAPER_CLUSTER, mode="event",
-                           sim_engine="scalar").job_time(mr_like_job())
-        vector = TimeModel(PAPER_CLUSTER, mode="event",
-                           sim_engine="vector").job_time(mr_like_job())
-        assert scalar == vector
+        with pytest.raises(TypeError):
+            TimeModel(PAPER_CLUSTER, mode="event", sim_engine="vector")
+        event = TimeModel(PAPER_CLUSTER, mode="event")
+        assert event.job_time(mr_like_job()) == make_sim(
+            PAPER_CLUSTER).run(mr_like_job()).seconds
+
+    def test_scalar_env_var_changes_nothing(self, monkeypatch):
+        before = make_sim(PAPER_CLUSTER, seed=2).run(mr_like_job())
+        monkeypatch.setenv("REPRO_SCALAR_SIM", "1")
+        after = make_sim(PAPER_CLUSTER, seed=2).run(mr_like_job())
+        assert after.arena is not None
+        assert fingerprint(after) == fingerprint(before)
 
 
 class TestMetricsCardinality:
@@ -352,6 +349,14 @@ class TestMetricsCardinality:
             hist = metrics.histograms[f"cluster.sim.node_util.{kind}"]
             assert hist.count == 100
             assert 0.0 <= hist.min <= hist.max <= 1.0
+
+    @pytest.mark.parametrize("nodes,gauges", [(32, True), (33, False)])
+    def test_gauge_limit_is_inclusive(self, nodes, gauges):
+        from repro.cluster.sim import NODE_GAUGE_LIMIT
+
+        assert NODE_GAUGE_LIMIT == 32
+        metrics = self.run_fresh(PAPER_CLUSTER.scaled(nodes))
+        assert ("cluster.node.0.cpu_util" in metrics.gauges) is gauges
 
     def test_existing_sim_metrics_keep_meaning(self):
         metrics = self.run_fresh(PAPER_CLUSTER)

@@ -25,6 +25,13 @@ class TestParser:
         assert args.scale == 1
         assert args.stack is None
 
+    def test_serve_takes_no_engine(self, capsys):
+        parser = build_parser()
+        assert not hasattr(parser.parse_args(["serve", "nutch"]), "engine")
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "nutch", "--engine", "vector"])
+        assert "--engine" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -12,8 +12,8 @@ from repro.serving.load import (
     canonical_policy,
     generate_stream,
     policy_tokens,
-    replay_stream,
 )
+from repro.serving.vector import replay
 
 #: A two-op request mix for stream tests.
 MIX = (("read", 0.7), ("write", 0.3))
@@ -208,7 +208,7 @@ class TestReplayStream:
 
     def test_below_saturation_everything_completes(self):
         stream = self._stream(500.0)
-        outcome = replay_stream(stream, SINGLE_NODE, self.SERVICE)
+        outcome = replay(stream, SINGLE_NODE, self.SERVICE)
         assert outcome.completed == outcome.requests == stream.size
         assert outcome.shed == outcome.failed == 0
         assert len(outcome.latencies) == outcome.completed
@@ -220,15 +220,15 @@ class TestReplayStream:
 
     def test_mix_counts_issued_requests(self):
         stream = self._stream(300.0)
-        outcome = replay_stream(stream, SINGLE_NODE, self.SERVICE)
+        outcome = replay(stream, SINGLE_NODE, self.SERVICE)
         assert outcome.mix == stream.mix_counts()
         assert sum(outcome.mix.values()) == outcome.requests
 
     def test_shed_policy_bounds_queueing(self):
         stream = self._stream(18000.0, duration=1.0)
-        plain = replay_stream(stream, SINGLE_NODE, self.SERVICE)
-        shed = replay_stream(stream, SINGLE_NODE, self.SERVICE,
-                             policy="shed", slo_seconds=0.2)
+        plain = replay(stream, SINGLE_NODE, self.SERVICE)
+        shed = replay(stream, SINGLE_NODE, self.SERVICE,
+                      policy="shed", slo_seconds=0.2)
         assert shed.shed > 0
         assert shed.shed + shed.completed == shed.requests
         assert np.quantile(shed.latencies, 0.99) \
@@ -236,9 +236,9 @@ class TestReplayStream:
 
     def test_hedge_policy_duplicates_slow_requests(self):
         stream = self._stream(1000.0, duration=6.0)
-        outcome = replay_stream(stream, SINGLE_NODE, self.SERVICE,
-                                policy="hedge")
-        plain = replay_stream(stream, SINGLE_NODE, self.SERVICE)
+        outcome = replay(stream, SINGLE_NODE, self.SERVICE,
+                         policy="hedge")
+        plain = replay(stream, SINGLE_NODE, self.SERVICE)
         assert outcome.hedged > 0
         # Both copies run to completion: hedging buys tail for cpu.
         assert outcome.busy_cpu_seconds > plain.busy_cpu_seconds
@@ -246,8 +246,8 @@ class TestReplayStream:
 
     def test_retry_policy_reissues_late_requests(self):
         stream = self._stream(14000.0, duration=1.0)
-        outcome = replay_stream(stream, SINGLE_NODE, self.SERVICE,
-                                policy="retry")
+        outcome = replay(stream, SINGLE_NODE, self.SERVICE,
+                         policy="retry")
         assert outcome.retries > 0
         # Bounded retries then the late answer is accepted: every issued
         # request still completes (no silent loss without faults).
@@ -256,13 +256,13 @@ class TestReplayStream:
 
     def test_heterogeneous_cluster_replays(self):
         stream = self._stream(2000.0, duration=2.0)
-        outcome = replay_stream(stream, MIXED_CLUSTER, self.SERVICE)
+        outcome = replay(stream, MIXED_CLUSTER, self.SERVICE)
         assert outcome.completed == outcome.requests
 
     def test_closed_loop_replay(self):
         profile = LoadProfile(loop="closed", users=12, think_seconds=0.05,
                               duration=4.0, max_requests=600)
         stream = generate_stream(profile, MIX, seed=9)
-        outcome = replay_stream(stream, SINGLE_NODE, self.SERVICE)
+        outcome = replay(stream, SINGLE_NODE, self.SERVICE)
         assert 0 < outcome.completed == outcome.requests <= 600
         assert sum(outcome.mix.values()) == outcome.requests

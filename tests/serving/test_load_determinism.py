@@ -18,8 +18,8 @@ from repro.serving.load import (
     LoadProfile,
     ServingOptions,
     generate_stream,
-    replay_stream,
 )
+from repro.serving.vector import replay
 
 MIX = (("read", 0.6), ("write", 0.4))
 
@@ -58,8 +58,8 @@ class TestStreamDeterminism:
     def test_replay_is_deterministic(self):
         profile = LoadProfile(rps=5000.0, duration=2.0)
         stream = generate_stream(profile, MIX, seed=4)
-        a = replay_stream(stream, SINGLE_NODE, 0.002, policy="all")
-        b = replay_stream(stream, SINGLE_NODE, 0.002, policy="all")
+        a = replay(stream, SINGLE_NODE, 0.002, policy="all")
+        b = replay(stream, SINGLE_NODE, 0.002, policy="all")
         assert np.array_equal(a.latencies, b.latencies)
         assert (a.requests, a.completed, a.shed, a.hedged, a.retries) \
             == (b.requests, b.completed, b.shed, b.hedged, b.retries)

@@ -1,7 +1,7 @@
-"""Bit-identity gate for the vectorized serving replay engine.
+"""Bit-identity gate for the serving replay engine.
 
-The vector engine (:mod:`repro.serving.vector`) must reproduce the
-scalar heap reference (:func:`repro.serving.load.replay_stream`)
+The engine (:func:`repro.serving.vector.replay`) must reproduce the
+per-event heap oracle (``reference_replay.replay_stream``)
 *bit-for-bit*: same IEEE-754 operations on the same operands in the
 same per-accumulator order.  The grid below crosses stream shapes,
 recovery policies, fault plans, seeds, and cluster layouts (including
@@ -35,18 +35,21 @@ from repro.serving.load import (
     LoadProfile,
     ServingOptions,
     generate_stream,
-    replay_stream,
 )
+from repro.serving import slo
 from repro.serving.slo import ServingRun, _percentiles, run_serving
 from repro.serving import vector as vector_engine
-from repro.serving.vector import ENGINES, replay, resolve_engine
+from repro.serving.vector import replay
+from tests.serving import reference_replay
+from tests.serving.reference_replay import replay_stream
 
 MIX = (("read", 0.6), ("write", 0.4))
 
 
 def run_both(profile, cluster, svc, policy="none", plan=None, seed=3,
              recovery=True):
-    """One stream through both engines with independent fault clocks."""
+    """One stream through the oracle and the engine with independent
+    fault clocks."""
     stream = generate_stream(LoadProfile.parse(profile), MIX, seed=seed,
                              store=False)
 
@@ -59,7 +62,7 @@ def run_both(profile, cluster, svc, policy="none", plan=None, seed=3,
     scalar = replay_stream(stream, cluster, svc, policy=policy, faults=fs,
                            site="serving:eq")
     vector = replay(stream, cluster, svc, policy=policy, faults=fv,
-                    site="serving:eq", engine="vector")
+                    site="serving:eq")
     if plan is not None:
         assert fs.event_log() == fv.event_log()
     return scalar, vector
@@ -81,7 +84,7 @@ def assert_bit_identical(scalar, vector):
 
 
 class TestEquivalenceGrid:
-    """The tentpole gate: scalar and vector agree on every float."""
+    """The oracle and the engine agree on every float."""
 
     @pytest.mark.parametrize("profile", [
         "constant:rps=1500:duration=3",
@@ -142,7 +145,7 @@ class TestEquivalenceGrid:
 
 
 def scalar_chains(ready, nodes, cost, free):
-    """The scalar engines' NIC step, one message at a time."""
+    """The heap oracle's NIC step, one message at a time."""
     link = list(free)
     sent = []
     for r, v in zip(ready, nodes):
@@ -230,7 +233,7 @@ def assert_same_arena(a, b):
 class TestVerifiedSpeculation:
     """Open loop, no armed fault rule: the fast path goes first and its
     outcome stands iff no latency crossed a policy's bound -- either way
-    the result is the scalar engine's, arena and types included."""
+    the result is the oracle's, arena and types included."""
 
     CLUSTER = PAPER_CLUSTER.scaled(4)
 
@@ -251,8 +254,7 @@ class TestVerifiedSpeculation:
             None)._run_events()
         names = ("fastpath", "eventpath", "trials_rejected")
         before = [counter(name) for name in names]
-        vector = replay(stream, self.CLUSTER, svc, policy=policy,
-                        engine="vector")
+        vector = replay(stream, self.CLUSTER, svc, policy=policy)
         delta = dict(zip(names, (counter(name) - was
                                  for name, was in zip(names, before))))
         assert_bit_identical(scalar, vector)
@@ -268,7 +270,7 @@ class TestVerifiedSpeculation:
         # Light load, services of at most 1.5 x 2 ms: no latency near
         # 4 services or 0.5 s.  The last completion falls past the
         # window, so makespan is the event clock's np.float64, as the
-        # scalar engine's is ...
+        # oracle's is ...
         scalar, vector, delta = self.both(
             policy, "constant:rps=1500:duration=2", 0.002, longest=1.5)
         assert delta == {"fastpath": 1, "eventpath": 0, "trials_rejected": 0}
@@ -297,14 +299,13 @@ class TestVerifiedSpeculation:
         stream = generate_stream(
             LoadProfile.parse("constant:rps=800:duration=2"), MIX, seed=2,
             store=False)
-        plain = replay(stream, self.CLUSTER, 0.001, engine="vector")
+        plain = replay(stream, self.CLUSTER, 0.001)
         worst = float(plain.latencies.max())
         for bound, rejected in ((worst, 0), (np.nextafter(worst, 0.0), 1)):
             monkeypatch.setattr(vector_engine, "TIMEOUT_SECONDS", bound)
-            monkeypatch.setattr("repro.serving.load.TIMEOUT_SECONDS", bound)
+            monkeypatch.setattr(reference_replay, "TIMEOUT_SECONDS", bound)
             was = counter("trials_rejected")
-            vector = replay(stream, self.CLUSTER, 0.001, policy="retry",
-                            engine="vector")
+            vector = replay(stream, self.CLUSTER, 0.001, policy="retry")
             assert counter("trials_rejected") - was == rejected
             assert bool(vector.retries) == bool(rejected)
             assert_bit_identical(
@@ -322,8 +323,7 @@ class TestVerifiedSpeculation:
             ctx = PerfContext()
             ctx.tracer = Tracer("serve")
             with ctx.span("replay"):
-                replay(stream, self.CLUSTER, svc, policy=policy,
-                       engine="vector", ctx=ctx)
+                replay(stream, self.CLUSTER, svc, policy=policy, ctx=ctx)
             spans = list(ctx.tracer.finish().walk())
             return ([s for s in spans if s.name == "serve:round:dispatch"],
                     [s for s in spans if s.name == "serve:round:events"])
@@ -339,7 +339,7 @@ class TestVerifiedSpeculation:
 class TestArrivalMerge:
     """The event loop merges sorted arrivals with a heap of feedback
     events: at equal times the arrival goes first (it holds the lower
-    sequence number in the scalar heap)."""
+    sequence number in the oracle's heap)."""
 
     def test_an_arrival_that_ties_a_completion_goes_first(self):
         # Two nodes, slots core-major: 0 on node 0, 1 on node 1, 2 on
@@ -362,14 +362,13 @@ class TestArrivalMerge:
                 tail_u=np.zeros(n), think=np.zeros(n), duration=1.0,
                 users=0)
 
-        lone = replay(stream_of([0.125]), cluster, svc, engine="vector")
+        lone = replay(stream_of([0.125]), cluster, svc)
         end = float(lone.events["start"][0]) + svc * 6.0
         first_latency = {}
         for tie in (np.nextafter(end, 0.0), end, np.nextafter(end, 1.0)):
             stream = stream_of([0.125, tie])
             scalar = replay_stream(stream, cluster, svc, policy="hedge")
-            vector = replay(stream, cluster, svc, policy="hedge",
-                            engine="vector")
+            vector = replay(stream, cluster, svc, policy="hedge")
             assert_bit_identical(scalar, vector)
             assert vector.hedged == 2
             first_latency[tie] = float(vector.latencies[0])
@@ -379,21 +378,23 @@ class TestArrivalMerge:
 
 
 class TestRunServingEquivalence:
-    """Engine choice must be invisible in the SLOReport floats."""
+    """The oracle in place of the engine leaves every SLOReport float."""
 
-    def _report(self, engine, **kwargs):
+    def _report(self):
         from tests.serving.test_serving import small_nutch
 
         spec = ServingRun(
             server=small_nutch(),
             profile=LoadProfile.parse("flash:rps=2000:peak=6:duration=4"),
-            policy="shed+hedge", seed=11, sample_requests=50,
-            engine=engine, **kwargs)
+            policy="shed+hedge", seed=11, sample_requests=50)
         return run_serving(spec)
 
-    def test_reports_float_equal(self):
-        a = self._report("scalar")
-        b = self._report("vector")
+    def test_reports_float_equal(self, monkeypatch):
+        b = self._report()
+        monkeypatch.setattr(
+            slo, "replay",
+            lambda *args, ctx=None, **kwargs: replay_stream(*args, **kwargs))
+        a = self._report()
         for name in ("requests", "completed", "offered_rps", "achieved_rps",
                      "goodput_rps", "mean_latency", "p50_latency",
                      "p99_latency", "p999_latency", "max_latency",
@@ -404,63 +405,82 @@ class TestRunServingEquivalence:
 
 
 class TestHarnessEquivalence:
-    """Scalar serial vs vector pooled: the full harness path agrees."""
+    """Serial vs pooled: the full harness path agrees."""
 
-    def test_serial_scalar_vs_jobs2_vector(self):
-        def opts(engine):
-            return ServingOptions(
-                profile=LoadProfile.parse("constant:duration=5"),
-                policy="shed", engine=engine)
-
+    def test_serial_vs_jobs2(self):
+        options = ServingOptions(
+            profile=LoadProfile.parse("constant:duration=5"), policy="shed")
         specs = [RunSpec(workload="Nutch Server", seed=3),
                  RunSpec(workload="Rubis Server", seed=3)]
-        scalar = Harness(cache=None, serving=opts("scalar")).run_many(
-            specs, jobs=1)
-        vector = Harness(cache=None, serving=opts("vector")).run_many(
-            specs, jobs=2)
-        for a, b in zip(scalar, vector):
+        serial = Harness(cache=None, serving=options).run_many(specs, jobs=1)
+        pooled = Harness(cache=None, serving=options).run_many(specs, jobs=2)
+        for a, b in zip(serial, pooled):
             assert a.result.metric_value == b.result.metric_value
             assert a.result.details == b.result.details
 
 
-class TestEngineSelection:
-    def test_resolve_engine_defaults_to_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALAR_SERVE", raising=False)
-        assert resolve_engine(None) == "vector"
-        assert resolve_engine("scalar") == "scalar"
+def test_replay_takes_no_other_engine():
+    stream = generate_stream(
+        LoadProfile.parse("constant:rps=500:duration=2"), MIX, seed=1,
+        store=False)
+    with pytest.raises(ValueError, match="vector"):
+        replay(stream, SINGLE_NODE, 0.002, engine="scalar")
 
-    def test_env_flips_the_default_only(self, monkeypatch):
+
+class TestOneEngine:
+    """The serving replay has one engine and no selector for it."""
+
+    def test_options_take_no_engine(self):
+        with pytest.raises(TypeError):
+            ServingOptions(engine="vector")
+        with pytest.raises(TypeError):
+            ServingRun(server=object(), engine="vector")
+
+    def test_scalar_env_var_changes_nothing(self, monkeypatch):
+        stream = generate_stream(
+            LoadProfile.parse("constant:rps=500:duration=2"), MIX, seed=1,
+            store=False)
+        before = replay(stream, SINGLE_NODE, 0.002)
         monkeypatch.setenv("REPRO_SCALAR_SERVE", "1")
-        assert resolve_engine(None) == "scalar"
-        # An explicit engine always wins over the environment.
-        assert resolve_engine("vector") == "vector"
+        after = replay(stream, SINGLE_NODE, 0.002)
+        assert_bit_identical(before, after)
+        assert len(after.events) == after.requests
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="vector"):
-            resolve_engine("turbo")
-        with pytest.raises(ValueError):
-            ServingOptions(engine="turbo")
-        with pytest.raises(ValueError):
-            ServingRun(server=object(), engine="turbo")
+    def test_replay_span_names_no_engine(self):
+        from repro.obs.trace import Tracer
+        from repro.uarch.perfctx import PerfContext
+        from tests.serving.test_serving import small_nutch
 
-    def test_engine_never_forks_keys(self):
-        # The engines are bit-identical, so the choice is a pure
-        # execution detail: eq/hash/str -- everything RunSpec keys read
-        # -- must ignore it.
-        assert ServingOptions(engine="scalar") == ServingOptions()
-        assert hash(ServingOptions(engine="scalar")) == hash(ServingOptions())
-        assert str(ServingOptions(engine="scalar")) == str(ServingOptions())
-        harness = Harness()
-        base = RunSpec(workload="Nutch Server",
-                       serving=ServingOptions()).resolved(harness)
-        vec = RunSpec(workload="Nutch Server",
-                      serving=ServingOptions(engine="vector")).resolved(
-                          harness)
-        assert base.memo_key() == vec.memo_key()
-        assert base.cache_key() == vec.cache_key()
+        ctx = PerfContext()
+        ctx.tracer = Tracer("serve")
+        spec = ServingRun(
+            server=small_nutch(),
+            profile=LoadProfile.parse("constant:rps=500:duration=2"),
+            policy="shed", seed=1, sample_requests=50)
+        with ctx.span("serve"):
+            run_serving(spec, ctx=ctx)
+        spans = [s for s in ctx.tracer.finish().walk()
+                 if s.name.startswith("load:replay:")]
+        assert len(spans) == 1
+        assert spans[0].attrs == {
+            "policy": "shed", "nodes": SINGLE_NODE.total_nodes}
 
-    def test_all_engines_listed(self):
-        assert set(ENGINES) == {"vector", "scalar"}
+    @pytest.mark.parametrize("profile,plan", [
+        ("constant:rps=1500:duration=2", None),                 # fast path
+        ("constant:rps=2500:duration=3", "timeout:rate=0.1"),   # armed rule
+        ("constant:loop=closed:users=40:duration=6", None),     # closed loop
+    ])
+    def test_every_outcome_carries_its_arena(self, profile, plan):
+        stream = generate_stream(LoadProfile.parse(profile), MIX, seed=4,
+                                 store=False)
+        faults = (FaultInjector(FaultPlan.parse(plan), 4) if plan
+                  else NULL_FAULTS)
+        outcome = replay(stream, MIXED_CLUSTER, 0.003, policy="retry",
+                         faults=faults)
+        events = outcome.events
+        assert events.dtype == REQUEST_DTYPE
+        assert len(events) == outcome.requests
+        assert int(events["completed"].sum()) == outcome.completed
 
 
 class TestPercentiles:
@@ -492,8 +512,7 @@ class TestRequestArena:
                 policy="shed", svc=0.002):
         stream = generate_stream(LoadProfile.parse(profile), MIX, seed=5,
                                  store=False)
-        return stream, replay(stream, MIXED_CLUSTER, svc, policy=policy,
-                              engine="vector")
+        return stream, replay(stream, MIXED_CLUSTER, svc, policy=policy)
 
     def test_events_surface(self):
         stream, outcome = self._vector()
@@ -531,22 +550,11 @@ class TestRequestArena:
             seed=9, store=False)
         faults = FaultInjector(FaultPlan.parse("timeout:rate=0.1"), 9)
         outcome = replay(stream, MIXED_CLUSTER, 0.004, policy="retry",
-                         faults=faults, site="serving:arena",
-                         engine="vector")
+                         faults=faults, site="serving:arena")
         events = outcome.events
         assert int(events["retried"].sum()) > 0
         assert int(events["failed"].sum()) == outcome.failed
         assert (events["attempt"][events["retried"]] > 1).all()
-
-    def test_scalar_outcome_has_no_events(self):
-        stream = generate_stream(
-            LoadProfile.parse("constant:rps=500:duration=2"), MIX,
-            seed=1, store=False)
-        outcome = replay(stream, SINGLE_NODE, 0.002, engine="scalar")
-        with pytest.raises(RuntimeError, match="scalar"):
-            outcome.events
-        with pytest.raises(RuntimeError, match="REPRO_SCALAR_SERVE"):
-            outcome.requests_for("read")
 
     def test_rounds_metric_ticks(self):
         before = METRICS.counter("serving.vector.rounds").value
@@ -598,9 +606,7 @@ class TestStreamArtifacts:
         cold = generate_stream(profile, MIX, seed=4, store=False)
         warm = generate_stream(profile, MIX, seed=4, store=base)
         warm = generate_stream(profile, MIX, seed=4, store=base)  # mmap hit
-        a = replay(cold, MIXED_CLUSTER, 0.003, policy="shed",
-                   engine="vector")
-        b = replay(warm, MIXED_CLUSTER, 0.003, policy="shed",
-                   engine="vector")
+        a = replay(cold, MIXED_CLUSTER, 0.003, policy="shed")
+        b = replay(warm, MIXED_CLUSTER, 0.003, policy="shed")
         assert np.array_equal(a.latencies, b.latencies)
         assert a.mix == b.mix
