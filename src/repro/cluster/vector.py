@@ -20,16 +20,22 @@ order*, just batched across nodes:
   -- so each phase opens with *uniform* state and the replay is
   phase-local (only the busy-time accumulators, ``compute_end``, and
   the killed set carry across phases);
-* straggler variates are blake2b hashes of ``seed|site`` exactly as
-  ``unit_hash`` computes them, batched over a prebuilt site array
-  (the eighth-power shaping is ``np.float_power``, libm ``pow`` like
-  the oracle's Python ``**`` -- ``np.power`` is repeated squaring,
-  which is *not* bit-equal);
+* straggler variates and flow keys are blake2b hashes of
+  ``seed|site`` exactly as ``unit_hash`` computes them, batched by
+  :func:`prefixed_digests`: the sites' shared prefix is absorbed once
+  and each tail hashed on a ``copy()`` of that state (incremental
+  hashing *is* one-shot hashing; the copy skips constructing a hash
+  object).  The eighth-power shaping is ``np.float_power``, libm
+  ``pow`` like the oracle's Python ``**`` -- ``np.power`` is repeated
+  squaring, which is *not* bit-equal;
 * placement is an inherently sequential argmin scan (each decision
   feeds the next task's load), kept as a tight loop over flat arrays
-  and per-node slot heaps; everything the scan does not need --
-  straggler factors, read/compute times, busy folds, the write-behind
-  chain, spill, usage -- moves into vectorized pre/post passes;
+  and per-node slot heaps.  The write-behind FIFO rides in the scan,
+  in task order (``ws = max(write_free, ce)``); the scan keeps only
+  each task's node, slot, compute start, and read/write start, and
+  everything else -- straggler factors, compute and read ends
+  re-formed by the same single IEEE operations, busy folds, spill,
+  usage -- moves into vectorized pre/post passes;
 * order-sensitive float accumulations (busy seconds, working bytes)
   are reproduced as exact left folds: ``np.add.accumulate`` over
   per-node task-ordered rows (accumulate is sequential, unlike the
@@ -38,9 +44,10 @@ order*, just batched across nodes:
   NIC FIFO queues (:class:`FlowPlan`): the flows of one level touch
   disjoint queues and wait only for earlier levels, so each level is
   one vectorized max-plus advance.  Levels depend on the hash order
-  alone: they are found with it, once, and memoized process-wide (as
-  are the per-phase straggler factors), keyed by
-  ``(seed, phase, nodes)``, so sweep replays skip both.
+  alone: they are found with it, once -- a frontier walk over linked
+  queue heads -- and memoized process-wide (as are the per-phase
+  straggler factors), keyed by ``(seed, phase, nodes)``, so sweep
+  replays skip both.
 
 Per task the engine also records one event-arena row (node, slot,
 read/compute/write windows, straggle factor) -- the structured-array
@@ -66,7 +73,7 @@ from repro.cluster.sim import (
     _eighth_power,
     node_usage,
 )
-from repro.keyed import stable_order
+from repro.keyed import sort_group, stable_order
 
 _TWO64 = 2.0 ** 64
 
@@ -115,6 +122,25 @@ _FACTOR_CACHE = _LRUCache(max_elements=2_000_000)
 _FLOW_CACHE = _LRUCache(max_elements=24_000_000)
 
 
+def prefixed_digests(prefix: bytes, tails) -> bytes:
+    """The 8-byte blake2b digests of ``prefix + tail``, one per tail,
+    joined -- what ``unit_hash`` hashes for each site.
+
+    The prefix is absorbed once and each tail hashed on a ``copy()`` of
+    that state: incremental hashing equals one-shot hashing by blake2b's
+    definition, and a copy skips constructing a parametrised hash
+    object, which is most of the cost of a short site.
+    """
+    copy = hashlib.blake2b(prefix, digest_size=8).copy
+    out = []
+    append = out.append
+    for tail in tails:
+        state = copy()
+        state.update(tail)
+        append(state.digest())
+    return b"".join(out)
+
+
 def straggler_factors(seed: int, phase_name: str, count: int):
     """Batched scalar-identical straggler tail for ``count`` tasks.
 
@@ -125,17 +151,33 @@ def straggler_factors(seed: int, phase_name: str, count: int):
     hit = _FACTOR_CACHE.get(key)
     if hit is not None:
         return hit
-    blake = hashlib.blake2b
-    prefix = f"{seed}|{phase_name}:task".encode()
-    digest = b"".join(
-        blake(prefix + b"%d" % t, digest_size=8).digest()
-        for t in range(count))
+    digest = prefixed_digests(f"{seed}|{phase_name}:task".encode(),
+                              [b"%d" % t for t in range(count)])
     tails = _eighth_power(np.frombuffer(digest, dtype="<u8") / _TWO64)
     factors = 1.0 + STRAGGLER_TAIL * tails
     straggled = tails > 0.5
     value = (factors, straggled)
     _FACTOR_CACHE.put(key, value, count)
     return value
+
+
+def _queue_links(node):
+    """The FIFO queues of flows sharing an endpoint ``node``, in flow
+    (hash) order, as links: each flow's successor in its queue
+    (``node.size`` after a queue's last flow) and the first flow of every
+    non-empty queue, by ascending node.  Both come from the stable
+    order's groups -- never from last-write-wins on repeated fancy
+    indices."""
+    flows = node.size
+    grouped, order = sort_group(node)
+    first = np.ones(flows, dtype=bool)
+    first[1:] = grouped[1:] != grouped[:-1]
+    # The next flow in group order, unless that one opens a new queue.
+    following = np.append(order[1:], flows)
+    following[:-1][first[1:]] = flows
+    successor = np.empty(flows, dtype=np.int64)
+    successor[order] = following
+    return successor, order[first]
 
 
 class FlowPlan:
@@ -152,6 +194,15 @@ class FlowPlan:
     charges its source, then its destination, in hash order (two
     arrays: one scatter each beats one over ``(flows, 2)`` by a third).
 
+    The levels are found by frontier rounds over both queues kept as
+    linked lists: each flow's successor in its out- and in-queue, the
+    current head of every out-queue and every in-queue.  Round ``k``
+    takes each out-queue head that also heads its in-queue -- exactly
+    level ``k``, by ascending source -- and advances both heads.  An
+    exhausted out-queue's head is the sentinel flow ``flows``, whose
+    destination is an extra node that heads no flow, so it is never
+    taken; a round that takes nothing ends the walk.
+
     All of it is a pure function of the flow *order* -- none of it
     depends on bandwidths or prior phases -- so sweep replays reuse it
     wholesale from the cache.
@@ -162,29 +213,31 @@ class FlowPlan:
 
     def __init__(self, src, dst, total_nodes: int):
         flows = src.size
-        # Both FIFO queues of every node, as positions in hash order.
-        out_order = stable_order(src)
-        out_bounds = np.concatenate(
-            ([0], np.cumsum(np.bincount(src, minlength=total_nodes))))
-        out_ptr, out_end = out_bounds[:-1].copy(), out_bounds[1:]
-        in_order = stable_order(dst)
-        in_ptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(dst, minlength=total_nodes))))[:-1]
+        # ``head``: each sending node's out-queue head (ascending node);
+        # ``in_head``: each node's in-queue head, plus the extra node
+        # ``total_nodes`` -- the sentinel flow's destination -- heading
+        # no flow (-1), so an exhausted out-queue is never ready.
+        next_out, head = _queue_links(src)
+        next_in, first_in = _queue_links(dst)
+        in_head = np.full(total_nodes + 1, -1, dtype=np.int64)
+        in_head[dst[first_in]] = first_in
+        dst_of = np.append(dst, total_nodes)
         # Frontier rounds.  A flow that heads both its queues has both
         # predecessors in earlier rounds, and is taken in the round it
         # becomes ready: round k finds exactly level k.  The earliest
-        # pending flow always heads both, so rounds make progress.
+        # pending flow always heads both, so a round takes nothing only
+        # once every queue is exhausted.
         levels = []
-        pending = np.nonzero(out_end > out_ptr)[0]
         while True:
-            pending = pending[out_ptr[pending] < out_end[pending]]
-            if not pending.size:
+            d = dst_of[head]
+            ok = np.flatnonzero(in_head[d] == head)
+            if not ok.size:
                 break
-            heads = out_order[out_ptr[pending]]
-            ready = heads[in_order[in_ptr[dst[heads]]] == heads]
+            ready = head[ok]
             levels.append(ready)
-            out_ptr[src[ready]] += 1
-            in_ptr[dst[ready]] += 1
+            head[ok] = next_out[ready]
+            in_head[d[ok]] = next_in[ready]
+        del next_out, next_in, dst_of
         schedule = np.concatenate(levels)
         self.bounds = np.cumsum(
             [0] + [level.size for level in levels]).tolist()
@@ -223,16 +276,13 @@ def flow_order(seed: int, phase_name: str, alive: tuple,
     idx = np.array(alive, dtype=np.int64)
     n = idx.size
     # Hash the full n x n site grid (diagonal discarded below: +1/n
-    # hashes buys 2n instead of n^2 byte-formatting operations), joined
-    # one source row at a time: a list of all n^2 digests is 40 MB and
-    # 0.1 s at 1000 nodes.
-    blake = hashlib.blake2b
-    prefix = f"{seed}|{phase_name}:flow:".encode()
-    heads = [prefix + b"%d->" % i for i in alive]
+    # hashes buys 2n instead of n^2 byte-formatting operations), one
+    # source row -- one absorbed prefix -- at a time: a list of all n^2
+    # digests is 40 MB and 0.1 s at 1000 nodes.
+    prefix = f"{seed}|{phase_name}:flow:"
     tails = [b"%d" % j for j in alive]
     digest = b"".join([
-        b"".join([blake(h + t, digest_size=8).digest() for t in tails])
-        for h in heads])
+        prefixed_digests(f"{prefix}{i}->".encode(), tails) for i in alive])
     grid = np.frombuffer(digest, dtype="<u8") / _TWO64
     # Cell ``c`` of the grid is the flow alive[c // n] -> alive[c % n];
     # the diagonal is every (n + 1)-th cell.
@@ -424,18 +474,20 @@ class VectorEngine:
         write_time = write_share / self.disk_bw
 
         # --- placement scan (sequential by construction) -------------------
-        # Each decision feeds the next task's load, so this stays a
-        # Python loop -- but over flat lists and per-node slot heaps,
-        # with all per-task arithmetic pre/post-batched around it.
+        # Each decision feeds the next task's load, and the write-behind
+        # FIFO follows the tasks' compute ends in task order, so this
+        # stays a Python loop -- but over flat lists and per-node slot
+        # heaps, keeping only what no batched pass can form afterwards.
         cand_table = self.cand_table
         weighted_l = weighted.tolist()
         ratio_l = self.ratio.tolist()
         read_l = read_time.tolist()
+        write_l = write_time.tolist()
         disk_free = [now] * n
         core_min = [now] * n
+        write_free = [now] * n
         heaps = [[(now, slot) for slot in range(int(c))] for c in self.cores]
-        nodes_l, slots_l = [], []
-        rs_l, re_l, st_l, ce_l, ct_l = [], [], [], [], []
+        nodes_l, slots_l, st_l, rs_l, ws_l = [], [], [], [], []
         remote_total = 0
         for task in range(num_tasks):
             cands, remote = cand_table[task % n]
@@ -454,28 +506,45 @@ class VectorEngine:
                 rs = disk_free[best]
                 re = rs + read_l[best]
                 disk_free[best] = re
+                rs_l.append(rs)
             else:
-                rs = re = now
+                re = now
             heap = heaps[best]
             core_free, slot = heap[0]
             st = core_free if core_free > re else re
-            ct = weighted_l[task] * ratio_l[best]
-            ce = st + ct
+            ce = st + weighted_l[task] * ratio_l[best]
             heapreplace(heap, (ce, slot))
             core_min[best] = heap[0][0]
+            if has_write:
+                ws = write_free[best]
+                if ce > ws:
+                    ws = ce
+                write_free[best] = ws + write_l[best]
+                ws_l.append(ws)
             nodes_l.append(best)
             slots_l.append(slot)
-            rs_l.append(rs)
-            re_l.append(re)
             st_l.append(st)
-            ce_l.append(ce)
-            ct_l.append(ct)
-
-        node_arr = np.array(nodes_l, dtype=np.int64)
-        ce_arr = np.array(ce_l)
-        ct_arr = np.array(ct_l)
 
         # --- batched post passes -------------------------------------------
+        # The scan's own per-task values, re-formed by the same single
+        # IEEE operations on the same operands.
+        node_arr = np.array(nodes_l, dtype=np.int64)
+        st_arr = np.array(st_l)
+        ct_arr = weighted * self.ratio[node_arr]
+        ce_arr = st_arr + ct_arr
+        if has_read:
+            rs_arr = np.array(rs_l)
+            re_arr = rs_arr + read_time[node_arr]
+        else:
+            rs_arr = re_arr = now
+        if has_write:
+            ws_arr = np.array(ws_l)
+            we_arr = ws_arr + write_time[node_arr]
+            task_end = we_arr
+        else:
+            ws_arr = we_arr = task_end = ce_arr
+        write_free = np.array(write_free)
+
         # Per-node task grouping (stable: rows keep task order).
         counts = np.bincount(node_arr, minlength=n)
         max_k = int(counts.max())
@@ -507,25 +576,6 @@ class VectorEngine:
 
         np.maximum.at(self.compute_end, node_arr, ce_arr)
 
-        # Write-behind chain: per node a FIFO of max-plus advances in
-        # task order -- vectorized across nodes, one ordinal per round.
-        write_free = np.full(n, now)
-        if has_write:
-            ws_arr = np.zeros(num_tasks)
-            we_arr = np.zeros(num_tasks)
-            for k in range(max_k):
-                active = np.nonzero(counts > k)[0]
-                tasks_k = order[starts[active] + k]
-                ws = np.maximum(write_free[active], ce_arr[tasks_k])
-                we = ws + write_time[active]
-                write_free[active] = we
-                ws_arr[tasks_k] = ws
-                we_arr[tasks_k] = we
-            task_end = we_arr
-        else:
-            ws_arr = we_arr = ce_arr
-            task_end = ce_arr
-
         end = max(now, float(task_end.max()))
 
         # Memory pressure: count-indexed fold table gives each node's
@@ -555,9 +605,9 @@ class VectorEngine:
         sl = slice(offset, offset + num_tasks)
         arena.node[sl] = node_arr
         arena.slot[sl] = slots_l
-        arena.read_start[sl] = rs_l
-        arena.read_end[sl] = re_l
-        arena.compute_start[sl] = st_l
+        arena.read_start[sl] = rs_arr
+        arena.read_end[sl] = re_arr
+        arena.compute_start[sl] = st_arr
         arena.compute_end[sl] = ce_arr
         arena.write_start[sl] = ws_arr
         arena.write_end[sl] = we_arr

@@ -9,17 +9,19 @@ grid here is property-style: every job shape the simulator models
 axes, fingerprinted down to the float.
 
 Also covered: the invariants of the shuffle's level schedule
-(:class:`~repro.cluster.vector.FlowPlan`) over drawn clusters, the
-eighth-power straggler shaping against Python's ``**``, the event arena
-(one structured record per task) agreeing with the ``SimPhase``
-aggregates, and the per-node gauge limit.
+(:class:`~repro.cluster.vector.FlowPlan`) over drawn clusters and one
+with long queues, the absorbed-prefix site hashes against one-shot
+blake2b, the straggler draws and their eighth-power shaping against
+Python's ``**``, the event arena (one structured record per task)
+agreeing with the ``SimPhase`` aggregates, and the per-node gauge
+limit.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import (
     ClusterSim,
@@ -29,8 +31,12 @@ from repro.cluster import (
     PAPER_CLUSTER,
     PhaseCost,
 )
-from repro.cluster.sim import _eighth_power, unit_hash
-from repro.cluster.vector import flow_order
+from repro.cluster.sim import STRAGGLER_TAIL, _eighth_power, unit_hash
+from repro.cluster.vector import (
+    flow_order,
+    prefixed_digests,
+    straggler_factors,
+)
 from repro.faults import FaultInjector, FaultPlan
 from tests.cluster import reference_sim
 from tests.cluster.test_sim import fingerprint, mr_like_job
@@ -176,7 +182,19 @@ class TestFlowPlan:
     @given(case=shuffles())
     @settings(max_examples=150, deadline=None)
     def test_level_schedule_invariants(self, case):
-        seed, alive, total = case
+        self.check_plan(*case)
+
+    def test_long_queues(self):
+        """Queues 146 flows long, a non-contiguous alive set, and
+        trailing dead nodes (``total_nodes > max(alive) + 1``): the
+        linked queue heads and the sentinel far past what the drawn
+        clusters reach."""
+        killed = {11, 90, 149}
+        self.check_plan(29, tuple(i for i in range(150) if i not in killed),
+                        150)
+
+    @staticmethod
+    def check_plan(seed, alive, total):
         plan = flow_order(seed, "exchange", alive, total)
         flows = len(alive) * (len(alive) - 1)
         # The oracle's order: by (unit, src, dst).
@@ -239,6 +257,31 @@ def test_eighth_power_is_the_scalar_pow():
     assert _eighth_power([0.0, 1.0, 0.5]).tolist() == [0.0, 1.0, 0.5 ** 8]
 
 
+@given(prefix=st.binary(max_size=160),
+       tails=st.lists(st.binary(max_size=160), max_size=6))
+@example(prefix=b"", tails=[])
+@example(prefix=b"7|map:task", tails=[b"", b"0", b"123"])
+@example(prefix=b"p" * 100, tails=[b"t" * 40, b"", b"u" * 29])
+@example(prefix=b"q" * 130, tails=[b"", b"r"])
+def test_prefixed_digests_are_one_shot_hashes(prefix, tails):
+    """One absorbed prefix, one ``copy()`` per tail: every digest is
+    the one-shot ``blake2b(prefix + tail)``, across a block boundary
+    (128 bytes) too."""
+    assert prefixed_digests(prefix, tails) == b"".join(
+        hashlib.blake2b(prefix + tail, digest_size=8).digest()
+        for tail in tails)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 1000])
+def test_straggler_factors_are_the_scalar_draws(count):
+    """The batched straggler tail, bit for bit the oracle's per-task
+    ``1 + STRAGGLER_TAIL * unit_hash(...) ** 8``."""
+    factors, straggled = straggler_factors(11, "probe", count)
+    tails = [unit_hash(11, f"probe:task{t}") ** 8 for t in range(count)]
+    assert factors.tolist() == [1 + STRAGGLER_TAIL * u for u in tails]
+    assert straggled.tolist() == [u > 0.5 for u in tails]
+
+
 class TestEventArena:
     def result(self, **kwargs):
         return make_sim(PAPER_CLUSTER, **kwargs).run(mr_like_job())
@@ -265,6 +308,26 @@ class TestEventArena:
             assert (events["compute_end"] > events["compute_start"]).all()
             assert (events["write_start"] >= events["compute_end"]).all()
             assert (events["write_end"] <= phase.end).all()
+
+    def test_disk_queues_chain_per_node(self):
+        """Per node, in task order, the reads are one FIFO and the
+        writes one write-behind FIFO: each window opens exactly where
+        the node's previous one closed (its first at the phase start),
+        a write not before its own compute end.  A slow disk makes the
+        nodes' read and write times differ."""
+        result = self.result(plan=FAULT_PLANS["slow"])
+        for phase in result.phases:
+            if not phase.tasks:
+                continue
+            events = result.phase_events(phase.name)
+            for node in np.unique(events["node"]):
+                mine = events[events["node"] == node]
+                read_start, read_end = mine["read_start"], mine["read_end"]
+                assert read_start[0] == phase.start
+                assert (read_start[1:] == read_end[:-1]).all()
+                freed = np.concatenate(([phase.start], mine["write_end"][:-1]))
+                assert (mine["write_start"]
+                        == np.maximum(freed, mine["compute_end"])).all()
 
     def test_straggle_factors_in_band(self):
         events = self.result().events
