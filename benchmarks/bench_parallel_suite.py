@@ -13,14 +13,21 @@ import dataclasses
 import time
 
 from benchmarks.conftest import emit
+from repro.core import registry
 from repro.core.diskcache import DiskCache
 from repro.core.harness import Harness
 from repro.core.report import render_table
+from repro.core.runspec import RunSpec
 
 #: Subset for the serial-vs-parallel leg (spans batch MapReduce, NoSQL,
 #: query, and service workloads); the cache legs run the full suite.
 PARALLEL_SUBSET = ["Sort", "Grep", "Scan", "Select Query", "Nutch Server",
                    "PageRank"]
+
+
+def _specs(names=None):
+    return [RunSpec(workload=name)
+            for name in names or registry.workload_names()]
 
 
 def _events(points):
@@ -33,7 +40,7 @@ def test_parallel_suite_and_warm_cache(benchmark, tmp_path):
     # Cold serial full suite, populating the disk cache as it goes.
     cold = Harness(cache=DiskCache(root=cache_root))
     start = time.perf_counter()
-    cold_points = cold.suite()
+    cold_points = cold.run_many(_specs())
     cold_seconds = time.perf_counter() - start
 
     # Parallel fan-out over a representative subset (no cache, so the
@@ -42,7 +49,7 @@ def test_parallel_suite_and_warm_cache(benchmark, tmp_path):
                      if p.workload in set(PARALLEL_SUBSET)]
     parallel = Harness(jobs=2)
     start = time.perf_counter()
-    parallel_points = parallel.suite(names=PARALLEL_SUBSET)
+    parallel_points = parallel.run_many(_specs(PARALLEL_SUBSET))
     parallel_seconds = time.perf_counter() - start
     by_name = {p.workload: p for p in serial_subset}
     for point in parallel_points:
@@ -53,7 +60,8 @@ def test_parallel_suite_and_warm_cache(benchmark, tmp_path):
     # Warm full suite from the disk cache in a fresh harness.
     warm = Harness(cache=DiskCache(root=cache_root))
     start = time.perf_counter()
-    warm_points = benchmark.pedantic(warm.suite, iterations=1, rounds=1)
+    warm_points = benchmark.pedantic(warm.run_many, args=(_specs(),),
+                                     iterations=1, rounds=1)
     warm_seconds = time.perf_counter() - start
 
     assert _events(warm_points) == _events(cold_points)

@@ -9,15 +9,15 @@ micro-architectural profile.
     python examples/quickstart.py
 """
 
-from repro import suite
 from repro.core import registry
+from repro.core.harness import Harness
 
 
 def main() -> None:
     print("BigDataBench reproduction -- quickstart")
-    print(f"Workloads available: {', '.join(suite.names())}\n")
+    print(f"Workloads available: {', '.join(registry.workload_names())}\n")
 
-    outcome = suite.characterize("WordCount", scale=1)
+    outcome = Harness(cache=True).characterize("WordCount", scale=1)
     result = outcome.result
     events = outcome.events
 

@@ -10,8 +10,8 @@ hardware performance counters.
 
 Quick start::
 
-    from repro import suite
-    result = suite.characterize("WordCount", scale=1)
+    from repro.core.harness import Harness
+    result = Harness(cache=True).characterize("WordCount", scale=1)
     print(result.events.l1i_mpki)
 
 See ``examples/quickstart.py`` and DESIGN.md for the full tour.

@@ -14,6 +14,7 @@ from repro.baselines import TRADITIONAL_SUITES, run_suite, suite_average
 from repro.core import registry
 from repro.core.harness import Harness
 from repro.core.report import render_table
+from repro.core.runspec import RunSpec
 from repro.core.workload import SCALE_FACTORS
 from repro.uarch.hierarchy import XEON_E5310, XEON_E5645
 
@@ -75,8 +76,8 @@ def figure2(harness: Harness, names=None, small_scale: int = 1,
     names = names or FIGURE_ORDER
     rows = []
     for name in names:
-        small = harness.characterize(name, scale=small_scale)
-        large = harness.characterize(name, scale=large_scale)
+        small = harness.run(RunSpec(workload=name, scale=small_scale))
+        large = harness.run(RunSpec(workload=name, scale=large_scale))
         rows.append([name, large.events.l3_mpki, small.events.l3_mpki])
     avg_large = sum(r[1] for r in rows) / len(rows)
     avg_small = sum(r[2] for r in rows) / len(rows)
@@ -97,7 +98,8 @@ def figure3_mips(harness: Harness, names=None, scales=SCALE_FACTORS) -> FigureDa
     names = names or FIGURE_ORDER
     rows = []
     for name in names:
-        sweep = harness.sweep(name, scales=scales)
+        sweep = harness.run_many(
+            [RunSpec(workload=name, scale=s) for s in scales])
         rows.append([name] + [point.mips for point in sweep])
     return FigureData(
         name="Figure 3-1: MIPS vs data scale",
@@ -111,7 +113,8 @@ def figure3_speedup(harness: Harness, names=None, scales=SCALE_FACTORS) -> Figur
     names = names or FIGURE_ORDER
     rows = []
     for name in names:
-        sweep = harness.sweep(name, scales=scales)
+        sweep = harness.run_many(
+            [RunSpec(workload=name, scale=s) for s in scales])
         base = sweep[0].result.metric_value or 1.0
         rows.append([name] + [p.result.metric_value / base for p in sweep])
     return FigureData(
@@ -132,7 +135,7 @@ def figure4(harness: Harness, names=None) -> FigureData:
     rows = []
     bigdata_merged = None
     for name in names:
-        outcome = harness.characterize(name)
+        outcome = harness.run(RunSpec(workload=name))
         events = outcome.events
         mix = events.instruction_mix()
         rows.append([name, mix["load"], mix["store"], mix["branch"],
@@ -167,8 +170,8 @@ def figure5(harness_e5645: Harness, harness_e5310: Harness = None,
     fp_rows, int_rows = [], []
     merged = {"E5310": None, "E5645": None}
     for name in names:
-        on_new = harness_e5645.characterize(name)
-        on_old = harness_e5310.characterize(name)
+        on_new = harness_e5645.run(RunSpec(workload=name))
+        on_old = harness_e5310.run(RunSpec(workload=name))
         fp_rows.append([name, on_old.events.fp_intensity,
                         on_new.events.fp_intensity])
         int_rows.append([name, on_old.events.int_intensity,
@@ -203,7 +206,7 @@ def figure6_cache(harness: Harness, names=None) -> FigureData:
     rows = []
     merged = None
     for name in names:
-        events = harness.characterize(name).events
+        events = harness.run(RunSpec(workload=name)).events
         rows.append([name, events.l1i_mpki, events.l2_mpki, events.l3_mpki])
         merged = events if merged is None else merged.merge(events)
     rows.append(["Avg_BigData", merged.l1i_mpki, merged.l2_mpki, merged.l3_mpki])
@@ -223,7 +226,7 @@ def figure6_tlb(harness: Harness, names=None) -> FigureData:
     rows = []
     merged = None
     for name in names:
-        events = harness.characterize(name).events
+        events = harness.run(RunSpec(workload=name)).events
         rows.append([name, events.dtlb_mpki, events.itlb_mpki])
         merged = events if merged is None else merged.merge(events)
     rows.append(["Avg_BigData", merged.dtlb_mpki, merged.itlb_mpki])

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from repro.core import registry
 from repro.core.harness import Harness
 from repro.core.report import render_table
+from repro.core.runspec import RunSpec
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ def score_configuration(harness: Harness, label: str, scale: int = 1,
     names = names or registry.workload_names()
     per_workload = {}
     for name in names:
-        outcome = harness.characterize(name, scale=scale,
-                                       stack=stacks.get(name))
+        outcome = harness.run(RunSpec(workload=name, scale=scale,
+                                      stack=stacks.get(name)))
         per_workload[name] = (outcome.result.metric_name,
                               outcome.result.metric_value)
     groups = {"DPS": [], "OPS": [], "RPS": []}

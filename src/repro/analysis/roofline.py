@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.report import render_table
+from repro.core.runspec import RunSpec
 from repro.uarch.hierarchy import MachineConfig, XEON_E5645
 
 
@@ -68,7 +69,7 @@ def roofline_points(harness, names, machine: RooflineMachine = E5645_ROOFLINE) -
     """Place each workload on the roofline."""
     points = []
     for name in names:
-        events = harness.characterize(name).events
+        events = harness.run(RunSpec(workload=name)).events
         fp_i = events.fp_intensity
         int_i = events.int_intensity
         points.append(RooflinePoint(

@@ -30,6 +30,7 @@ import sys
 from repro.core import registry
 from repro.core.harness import Harness
 from repro.core.report import render_table
+from repro.core.runspec import RunSpec
 from repro.core.workload import SCALE_FACTORS
 from repro.streaming import EXACTLY_ONCE, STREAM_MODES
 from repro.uarch.hierarchy import MACHINES, XEON_E5645
@@ -52,62 +53,76 @@ def _cluster(name):
         raise SystemExit(str(exc))
 
 
-def _add_exec_options(sub) -> None:
-    """The shared execution flags: process fan-out and cache bypass."""
-    sub.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                     help="worker processes for independent points "
-                          "(0 = one per CPU; default 1 = serial)")
-    sub.add_argument("--no-cache", action="store_true",
-                     help="do not read or write the persistent result cache")
-    sub.add_argument("--no-artifacts", action="store_true",
-                     help="do not read or write the shared input "
-                          "artifact store (regenerate all inputs)")
-    sub.add_argument("--cluster", default=None, metavar="NAME",
-                     help="cluster preset to model (see 'repro cluster ls'; "
-                          "default: the paper's 14-node testbed)")
-    sub.add_argument("--profile", default=None, metavar="SPEC",
-                     help="serving load profile for online-service "
-                          "workloads: 'constant', 'diurnal', 'flash', "
-                          "'sessions', with optional params like "
-                          "'flash:rps=3200:peak=8' (default: constant at "
-                          "the workload's swept rate)")
-    sub.add_argument("--policy", default=None, metavar="P",
+#: Options more than one command takes, declared once: flag -> argparse
+#: keywords.  A row of ``COMMANDS`` names the flags its command takes; a
+#: ``(flag, overrides)`` entry there changes a default or help for that
+#: command only.
+OPTIONS = {
+    "--scale": dict(type=int, default=1),
+    "--stack": dict(default=None),
+    "--seed": dict(type=int, default=0),
+    "--machine": dict(default="E5645"),
+    "--faults": dict(default=None, metavar="SPEC"),
+    "--no-recovery": dict(action="store_true"),
+    "--checkpoint-interval": dict(type=int, metavar="N"),
+    "--jobs": dict(aliases=("-j",), type=int, default=1, metavar="N",
+                   help="worker processes for independent points "
+                        "(0 = one per CPU; default 1 = serial)"),
+    "--no-cache": dict(action="store_true",
+                       help="do not read or write the persistent result "
+                            "cache"),
+    "--no-artifacts": dict(action="store_true",
+                           help="do not read or write the shared input "
+                                "artifact store (regenerate all inputs)"),
+    "--cluster": dict(default=None, metavar="NAME",
+                      help="cluster preset to model (see 'repro cluster "
+                           "ls'; default: the paper's 14-node testbed)"),
+    "--profile": dict(default=None, metavar="SPEC",
+                      help="serving load profile for online-service "
+                           "workloads: 'constant', 'diurnal', 'flash', "
+                           "'sessions', with optional params like "
+                           "'flash:rps=3200:peak=8' (default: constant at "
+                           "the workload's swept rate)"),
+    "--policy": dict(default=None, metavar="P",
                      help="serving recovery policy: none, shed, hedge, "
-                          "retry, 'shed+hedge', or all (default: none)")
+                          "retry, 'shed+hedge', or all (default: none)"),
+}
+
+#: The execution flags of every harness-backed command: process fan-out,
+#: cache and artifact bypass, the cluster preset and the serving options.
+EXEC = ("--jobs", "--no-cache", "--no-artifacts", "--cluster", "--profile",
+        "--policy")
+
+#: One characterization point: scale, stack and machine.
+POINT = ("--scale", "--stack", "--machine")
 
 
 def _harness(args, machine=None) -> Harness:
     """Build a harness honoring ``--jobs``/``--no-cache``/``--no-artifacts``."""
     from repro.core.parallel import default_jobs
 
-    jobs = getattr(args, "jobs", 1)
-    if jobs == 0:
-        jobs = default_jobs()
-    cache = not getattr(args, "no_cache", False)
-    artifacts = False if getattr(args, "no_artifacts", False) else None
+    jobs = args.jobs or default_jobs()
+    artifacts = False if args.no_artifacts else None
     kwargs = {}
-    cluster = getattr(args, "cluster", None)
-    if cluster is not None:
-        kwargs["cluster"] = _cluster(cluster)
+    if args.cluster is not None:
+        kwargs["cluster"] = _cluster(args.cluster)
     serving = _serving_options(args)
     if serving is not None:
         kwargs["serving"] = serving
-    return Harness(machine=machine or XEON_E5645, jobs=jobs, cache=cache,
-                   artifacts=artifacts, **kwargs)
+    return Harness(machine=machine or XEON_E5645, jobs=jobs,
+                   cache=not args.no_cache, artifacts=artifacts, **kwargs)
 
 
 def _serving_options(args):
     """ServingOptions from --profile/--policy, or None when unset."""
-    profile = getattr(args, "profile", None)
-    policy = getattr(args, "policy", None)
-    if profile is None and policy is None:
+    if args.profile is None and args.policy is None:
         return None
     from repro.serving import LoadProfile, ServingOptions
 
     try:
         return ServingOptions(
-            profile=LoadProfile.parse(profile or "constant"),
-            policy=policy or "none")
+            profile=LoadProfile.parse(args.profile or "constant"),
+            policy=args.policy or "none")
     except ValueError as exc:
         raise SystemExit(str(exc))
 
@@ -138,8 +153,8 @@ def cmd_list(args) -> None:
 
 def cmd_run(args) -> None:
     harness = _harness(args, machine=_machine(args.machine))
-    outcome = harness.characterize(args.workload, scale=args.scale,
-                                   stack=args.stack)
+    outcome = harness.run(RunSpec(workload=args.workload, scale=args.scale,
+                                  stack=args.stack))
     events = outcome.events
     rows = [
         ["metric", f"{outcome.result.metric_name} = "
@@ -164,8 +179,9 @@ def cmd_run(args) -> None:
 def cmd_sweep(args) -> None:
     harness = _harness(args, machine=_machine(args.machine))
     rows = []
-    for point in harness.sweep(args.workload, scales=SCALE_FACTORS,
-                               stack=args.stack):
+    for point in harness.run_many(
+            [RunSpec(workload=args.workload, scale=scale, stack=args.stack)
+             for scale in SCALE_FACTORS]):
         rows.append([
             f"{point.scale}x", f"{point.result.metric_value:.4g}",
             f"{point.mips:.4g}", point.events.l3_mpki,
@@ -177,7 +193,6 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_trace(args) -> None:
-    from repro.core.runspec import RunSpec
     from repro.obs.export import (
         dump_json, render_trace, trace_to_chrome, trace_to_tree,
     )
@@ -220,7 +235,7 @@ def cmd_metrics(args) -> None:
 
     harness = _harness(args, machine=_machine(args.machine))
     for name in args.workloads:
-        harness.characterize(name, scale=args.scale)
+        harness.run(RunSpec(workload=name, scale=args.scale))
     print(render_metrics(METRICS))
 
 
@@ -254,9 +269,35 @@ def cmd_artifacts(args) -> None:
           f"(cap {store.cap_bytes / 1024 / 1024:.0f} MB)")
 
 
+def _overhead(clean, chaos) -> str:
+    """Modeled runtime of the fault-injected run over the clean one."""
+    ratio = (chaos.modeled_seconds / clean.modeled_seconds
+             if clean.modeled_seconds else 1.0)
+    return f"{(ratio - 1.0) * 100:+.1f}%"
+
+
+def _report_diff(clean, chaos, plan, tolerated: str = None) -> None:
+    """Print how the fault-injected run's output compares with the clean
+    one.  ``tolerated`` is printed instead of a divergence that is the
+    run's contract.  Any other divergence under recovery violates the
+    chaos layer's core invariant and exits 1, so CI catches it."""
+    from repro.faults import diff_outputs
+
+    diffs = diff_outputs(clean, chaos)
+    if not diffs:
+        print("  output: IDENTICAL to the fault-free run")
+    elif tolerated is not None:
+        print(tolerated)
+    else:
+        print("  output: DIVERGED from the fault-free run")
+        for diff in diffs:
+            print(f"    {diff}")
+        if plan.recovery:
+            raise SystemExit(1)
+
+
 def cmd_chaos(args) -> None:
-    from repro.core.runspec import RunSpec
-    from repro.faults import DEFAULT_CHAOS_SPEC, FaultPlan, diff_outputs
+    from repro.faults import DEFAULT_CHAOS_SPEC, FaultPlan
 
     plan = FaultPlan.parse(
         args.faults if args.faults is not None else DEFAULT_CHAOS_SPEC,
@@ -280,8 +321,6 @@ def cmd_chaos(args) -> None:
             return "-"
         return ", ".join(f"{k} x{v}" for k, v in sorted(bucket.items()))
 
-    overhead = (chaos.modeled_seconds / clean.modeled_seconds - 1.0) * 100 \
-        if clean.modeled_seconds else 0.0
     rows = [
         ["fault plan", str(plan)],
         ["faults injected", fmt(counts["fault"])],
@@ -289,23 +328,12 @@ def cmd_chaos(args) -> None:
         ["work lost", fmt(counts["lost"])],
         ["modeled time (clean)", f"{clean.modeled_seconds:.1f} s"],
         ["modeled time (chaos)", f"{chaos.modeled_seconds:.1f} s"],
-        ["runtime overhead", f"{overhead:+.1f}%"],
+        ["runtime overhead", _overhead(clean, chaos)],
     ]
     print(render_table(
         ["Quantity", "Value"], rows,
         title=f"chaos: {args.workload} @ {args.scale}x ({chaos.stack})"))
-
-    diffs = diff_outputs(clean, chaos)
-    if not diffs:
-        print("  output: IDENTICAL to the fault-free run")
-    else:
-        print("  output: DIVERGED from the fault-free run")
-        for diff in diffs:
-            print(f"    {diff}")
-        if plan.recovery:
-            # With recovery on, divergence violates the chaos layer's
-            # core invariant -- fail so CI catches it.
-            raise SystemExit(1)
+    _report_diff(clean, chaos, plan)
 
 
 #: Short names for the streaming workloads (full names work too).
@@ -317,8 +345,7 @@ STREAM_ALIASES = {
 
 
 def cmd_stream(args) -> None:
-    from repro.core.runspec import RunSpec
-    from repro.faults import FaultPlan, diff_outputs
+    from repro.faults import FaultPlan
 
     name = STREAM_ALIASES.get(args.workload.lower(), args.workload)
     if name not in registry.STREAMING_CLASSES:
@@ -366,30 +393,19 @@ def cmd_stream(args) -> None:
     ]
     if plan is not None:
         rows.insert(0, ["fault plan", str(plan)])
-        overhead = (shown.modeled_seconds / clean.modeled_seconds - 1.0) \
-            * 100 if clean.modeled_seconds else 0.0
-        rows.append(["runtime overhead", f"{overhead:+.1f}%"])
+        rows.append(["runtime overhead", _overhead(clean, shown)])
     print(render_table(
         ["Quantity", "Value"], rows,
         title=f"stream: {name} @ {args.scale}x ({shown.result.stack})"))
 
     if chaos is None or not plan.rules:
         return
-    diffs = diff_outputs(clean, chaos)
-    if not diffs:
-        print("  output: IDENTICAL to the fault-free run")
-    elif shown.result.stack == "at-least-once":
+    tolerated = None
+    if shown.result.stack == "at-least-once":
         # Duplicates under replay are this mode's contract, not a bug.
-        print(f"  output: {details['duplicate_windows']} duplicate "
-              "window(s) vs the fault-free run (at-least-once replay)")
-    else:
-        print("  output: DIVERGED from the fault-free run")
-        for diff in diffs:
-            print(f"    {diff}")
-        if plan.recovery:
-            # Exactly-once with recovery must be bit-identical -- fail
-            # so CI catches an invariant violation.
-            raise SystemExit(1)
+        tolerated = (f"  output: {details['duplicate_windows']} duplicate "
+                     "window(s) vs the fault-free run (at-least-once replay)")
+    _report_diff(clean, chaos, plan, tolerated)
 
 
 #: Short names for the three online services (full workload names work
@@ -609,7 +625,7 @@ def cmd_cluster(args) -> None:
         names = [args.name] if args.name else sorted(CLUSTERS)
         for name in names:
             spec = _cluster(name)
-            if getattr(args, "nodes", None):
+            if args.nodes:
                 spec = spec.scaled(args.nodes)
             rows = []
             # Identical consecutive nodes collapse into one row, so a
@@ -693,19 +709,23 @@ def cmd_table(args) -> None:
     print(render_paper_table(f"Table {args.number}"))
 
 
+def _points(scales=(1,), names=None) -> list:
+    """RunSpecs for every workload (default: all 19) at every scale."""
+    return [RunSpec(workload=name, scale=scale)
+            for name in names or registry.workload_names()
+            for scale in scales]
+
+
 def _prewarm_figure(harness: Harness, number: str) -> None:
-    """Batch every point a figure needs through ``characterize_many`` so
-    ``--jobs`` fans the whole figure out at once (the generators then hit
-    the memo point by point)."""
-    names = registry.workload_names()
+    """Batch every point a figure needs through ``run_many`` so ``--jobs``
+    fans the whole figure out at once (the generators then hit the memo
+    point by point)."""
     if number == "2":
-        harness.characterize_many(
-            [(n, s, None) for n in names for s in (1, 32)])
+        harness.run_many(_points((1, 32)))
     elif number in ("3", "3-1", "3-2"):
-        harness.characterize_many(
-            [(n, s, None) for n in names for s in SCALE_FACTORS])
+        harness.run_many(_points(SCALE_FACTORS))
     elif number in ("4", "5", "6"):
-        harness.suite()
+        harness.run_many(_points())
 
 
 def cmd_figure(args) -> None:
@@ -746,7 +766,7 @@ def cmd_roofline(args) -> None:
 
     harness = _harness(args)
     names = args.workloads or registry.workload_names()
-    harness.suite(names=names)
+    harness.run_many(_points(names=names))
     print(render_roofline(roofline_points(harness, names)))
 
 
@@ -756,9 +776,9 @@ def cmd_rank(args) -> None:
     harness = _harness(args)
     multi = ["Sort", "Grep", "WordCount", "PageRank", "K-means",
              "Connected Components"]
-    harness.characterize_many(
-        [(name, 1, stack) for stack in ("hadoop", "spark", "mpi")
-         for name in multi])
+    harness.run_many([RunSpec(workload=name, stack=stack)
+                      for stack in ("hadoop", "spark", "mpi")
+                      for name in multi])
     scores = []
     for stack in ("hadoop", "spark", "mpi"):
         scores.append(score_configuration(
@@ -772,15 +792,139 @@ def cmd_export(args) -> None:
     from repro.analysis import export_all
 
     harness = _harness(args)
-    harness.suite()
+    harness.run_many(_points())
     if args.sweeps:
-        harness.characterize_many(
-            [(n, s, None) for n in registry.workload_names()
-             for s in SCALE_FACTORS])
+        harness.run_many(_points(SCALE_FACTORS))
     written = export_all(harness, args.directory,
                          include_sweeps=args.sweeps)
     for path in written:
         print(path)
+
+
+#: One row per command: name, help, handler, and its arguments.  An
+#: argument is a name (``OPTIONS`` supplies its keywords, if any) or a
+#: ``(name, keywords)`` pair; keywords given here override ``OPTIONS``.
+COMMANDS = (
+    ("list", "list the 19 workloads", cmd_list, ()),
+    ("run", "characterize one workload", cmd_run,
+     ("workload", *POINT, *EXEC)),
+    ("sweep", "run the Table 6 data sweep", cmd_sweep,
+     ("workload", "--stack", "--machine", *EXEC)),
+    ("trace", "characterize with span tracing and print the phase "
+              "breakdown", cmd_trace,
+     ("workload", *POINT,
+      ("--format", dict(choices=("tree", "json", "chrome"), default="tree",
+                        help="tree = ASCII phase tree (default); json = "
+                             "span tree; chrome = chrome://tracing "
+                             "events")),
+      ("--out", dict(default=None, metavar="FILE",
+                     help="write to FILE instead of stdout")),
+      *EXEC)),
+    ("metrics", "run workloads and dump the process metrics registry",
+     cmd_metrics,
+     (("workloads", dict(nargs="*",
+                         help="workloads to characterize before dumping "
+                              "(engine counters need a fresh run: "
+                              "--no-cache)")),
+      "--scale", "--machine", *EXEC)),
+    ("artifacts", "inspect the shared input artifact store "
+                  "(memory-mapped BDGS inputs)", cmd_artifacts,
+     (("action", dict(nargs="?", default="ls", choices=["ls", "gc", "path"],
+                      help="ls = list artifacts; gc = evict LRU entries "
+                           "over the cap; path = print the live "
+                           "fingerprint directory")),
+      ("--dir", dict(default=None, metavar="DIR",
+                     help="artifact root (default: $REPRO_ARTIFACT_DIR or "
+                          "the cache root)")),
+      ("--cap-mb", dict(type=float, default=None,
+                        help="gc: evict down to this many megabytes")))),
+    ("chaos", "run a workload under a deterministic fault plan and "
+              "compare against the fault-free run", cmd_chaos,
+     ("workload",
+      ("--faults", dict(help="fault spec like 'task_crash:rate=0.3;"
+                             "node_kill:node=1' (default: the full chaos "
+                             "battery)")),
+      ("--no-recovery", dict(help="disable the recovery machinery (faults "
+                                  "destroy work instead of being "
+                                  "repaired)")),
+      ("--checkpoint-interval", dict(default=2,
+                                     help="BSP checkpoint every N "
+                                          "supersteps (default 2)")),
+      *POINT, "--seed", *EXEC)),
+    ("stream", "run a streaming workload through the checkpoint-barrier "
+               "dataflow engine, optionally under a fault plan", cmd_stream,
+     (("workload", dict(help="wordcount, grep, sessions, or a full "
+                             "streaming workload name")),
+      ("--mode", dict(choices=list(STREAM_MODES), default=EXACTLY_ONCE,
+                      help="sink replay mode (default exactly-once)")),
+      ("--faults", dict(help="fault spec like 'operator_crash:rate=0.1;"
+                             "channel_drop:rate=0.3' (default: no "
+                             "faults)")),
+      ("--no-recovery", dict(help="disable restore-from-barrier recovery "
+                                  "(faults destroy state instead)")),
+      ("--checkpoint-interval", dict(default=8,
+                                     help="emit a checkpoint barrier every "
+                                          "N source batches (default 8)")),
+      "--scale", "--seed", "--machine", *EXEC)),
+    ("serve", "drive an online service with a load profile and report the "
+              "tail-latency SLO study", cmd_serve,
+     (("server", dict(help="nutch, olio, rubis, or a full online-service "
+                           "workload name")),
+      ("--rps", dict(type=float, default=None,
+                     help="mean request rate (default: the workload's "
+                          "swept rate at --scale)")),
+      ("--duration", dict(type=float, default=None,
+                          help="simulated seconds of traffic (default 20)")),
+      ("--scale", dict(help="workload scale for the default rate "
+                            "(rate = 100 x scale req/s)")),
+      "--seed",
+      ("--slo", dict(type=float, default=0.5, metavar="SECONDS",
+                     help="latency SLO bound for goodput (default 0.5 s)")),
+      ("--sample", dict(type=int, default=500, metavar="N",
+                        help="requests sampled to measure service demand")),
+      ("--autoscale", dict(default=None, metavar="LO:HI",
+                           help="sweep cluster size LO..HI nodes (e.g. "
+                                "10:1000) instead of a single run")),
+      "--machine", *EXEC)),
+    ("scenario", "run one logical scenario (YCSB mixes, orders, feed, iot) "
+                 "against a storage backend through the unified protocol",
+     cmd_scenario,
+     (("name", dict(help="scenario name (ycsb-a..ycsb-f, orders, feed, "
+                         "iot)")),
+      ("--backend", dict(default="lsm", choices=["lsm", "sql", "dict"],
+                         help="storage backend (default lsm)")),
+      ("--knobs", dict(default=None, metavar="SPEC",
+                       help="consistency knobs, e.g. 'wal=off,"
+                            "consistency=eventual,commit=write-behind'")),
+      ("--compare", dict(action="store_true",
+                         help="run all backends and print a per-backend "
+                              "cost/latency table")),
+      "--scale", "--seed", "--machine", "--cluster",
+      ("--faults", dict(help="fault plan, e.g. 'task_crash:rate=0.2'")),
+      ("--no-recovery", dict(help="inject faults without recovery (ops "
+                                  "are lost; the answer diverges)")))),
+    ("table", "regenerate a paper table (1-7)", cmd_table, ("number",)),
+    ("figure", "regenerate a paper figure (2-6)", cmd_figure,
+     ("number", "--machine", *EXEC)),
+    ("cluster", "inspect the cluster presets the time models run against",
+     cmd_cluster,
+     (("action", dict(nargs="?", default="ls", choices=["ls", "show"],
+                      help="ls = list presets; show = per-node detail")),
+      ("name", dict(nargs="?", default=None,
+                    help="preset to show (default: all); a ':N' suffix "
+                         "overrides the node count (e.g. paper:100)")),
+      ("--nodes", dict(type=int, default=None, metavar="N",
+                       help="rescale the preset to N rack nodes before "
+                            "showing it")))),
+    ("roofline", "roofline placement", cmd_roofline,
+     (("workloads", dict(nargs="*")), *EXEC)),
+    ("rank", "rank stack configurations by suite score", cmd_rank, EXEC),
+    ("export", "dump tables/figures as CSV", cmd_export,
+     ("directory",
+      ("--sweeps", dict(action="store_true",
+                        help="include the expensive Figure 2/3 sweeps")),
+      *EXEC)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -790,210 +934,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "the paper's tables and figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list the 19 workloads").set_defaults(fn=cmd_list)
-
-    run = sub.add_parser("run", help="characterize one workload")
-    run.add_argument("workload")
-    run.add_argument("--scale", type=int, default=1)
-    run.add_argument("--stack", default=None)
-    run.add_argument("--machine", default="E5645")
-    _add_exec_options(run)
-    run.set_defaults(fn=cmd_run)
-
-    sweep = sub.add_parser("sweep", help="run the Table 6 data sweep")
-    sweep.add_argument("workload")
-    sweep.add_argument("--stack", default=None)
-    sweep.add_argument("--machine", default="E5645")
-    _add_exec_options(sweep)
-    sweep.set_defaults(fn=cmd_sweep)
-
-    trace = sub.add_parser("trace", help="characterize with span tracing "
-                                         "and print the phase breakdown")
-    trace.add_argument("workload")
-    trace.add_argument("--scale", type=int, default=1)
-    trace.add_argument("--stack", default=None)
-    trace.add_argument("--machine", default="E5645")
-    trace.add_argument("--format", choices=("tree", "json", "chrome"),
-                       default="tree",
-                       help="tree = ASCII phase tree (default); json = "
-                            "span tree; chrome = chrome://tracing events")
-    trace.add_argument("--out", default=None, metavar="FILE",
-                       help="write to FILE instead of stdout")
-    _add_exec_options(trace)
-    trace.set_defaults(fn=cmd_trace)
-
-    metrics = sub.add_parser("metrics", help="run workloads and dump the "
-                                             "process metrics registry")
-    metrics.add_argument("workloads", nargs="*",
-                         help="workloads to characterize before dumping "
-                              "(engine counters need a fresh run: --no-cache)")
-    metrics.add_argument("--scale", type=int, default=1)
-    metrics.add_argument("--machine", default="E5645")
-    _add_exec_options(metrics)
-    metrics.set_defaults(fn=cmd_metrics)
-
-    artifacts = sub.add_parser(
-        "artifacts",
-        help="inspect the shared input artifact store "
-             "(memory-mapped BDGS inputs)")
-    artifacts.add_argument("action", nargs="?", default="ls",
-                           choices=["ls", "gc", "path"],
-                           help="ls = list artifacts; gc = evict LRU "
-                                "entries over the cap; path = print the "
-                                "live fingerprint directory")
-    artifacts.add_argument("--dir", default=None, metavar="DIR",
-                           help="artifact root (default: "
-                                "$REPRO_ARTIFACT_DIR or the cache root)")
-    artifacts.add_argument("--cap-mb", type=float, default=None,
-                           help="gc: evict down to this many megabytes")
-    artifacts.set_defaults(fn=cmd_artifacts)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="run a workload under a deterministic fault plan and "
-             "compare against the fault-free run")
-    chaos.add_argument("workload")
-    chaos.add_argument("--faults", default=None, metavar="SPEC",
-                       help="fault spec like 'task_crash:rate=0.3;"
-                            "node_kill:node=1' (default: the full "
-                            "chaos battery)")
-    chaos.add_argument("--no-recovery", action="store_true",
-                       help="disable the recovery machinery (faults "
-                            "destroy work instead of being repaired)")
-    chaos.add_argument("--checkpoint-interval", type=int, default=2,
-                       metavar="N", help="BSP checkpoint every N "
-                                         "supersteps (default 2)")
-    chaos.add_argument("--scale", type=int, default=1)
-    chaos.add_argument("--stack", default=None)
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--machine", default="E5645")
-    _add_exec_options(chaos)
-    chaos.set_defaults(fn=cmd_chaos)
-
-    stream = sub.add_parser(
-        "stream",
-        help="run a streaming workload through the checkpoint-barrier "
-             "dataflow engine, optionally under a fault plan")
-    stream.add_argument("workload",
-                        help="wordcount, grep, sessions, or a full "
-                             "streaming workload name")
-    stream.add_argument("--mode", choices=list(STREAM_MODES),
-                        default=EXACTLY_ONCE,
-                        help="sink replay mode (default exactly-once)")
-    stream.add_argument("--faults", default=None, metavar="SPEC",
-                        help="fault spec like 'operator_crash:rate=0.1;"
-                             "channel_drop:rate=0.3' (default: no faults)")
-    stream.add_argument("--no-recovery", action="store_true",
-                        help="disable restore-from-barrier recovery "
-                             "(faults destroy state instead)")
-    stream.add_argument("--checkpoint-interval", type=int, default=8,
-                        metavar="N", help="emit a checkpoint barrier every "
-                                          "N source batches (default 8)")
-    stream.add_argument("--scale", type=int, default=1)
-    stream.add_argument("--seed", type=int, default=0)
-    stream.add_argument("--machine", default="E5645")
-    _add_exec_options(stream)
-    stream.set_defaults(fn=cmd_stream)
-
-    serve = sub.add_parser(
-        "serve",
-        help="drive an online service with a load profile and report "
-             "the tail-latency SLO study")
-    serve.add_argument("server",
-                       help="nutch, olio, rubis, or a full online-service "
-                            "workload name")
-    serve.add_argument("--rps", type=float, default=None,
-                       help="mean request rate (default: the workload's "
-                            "swept rate at --scale)")
-    serve.add_argument("--duration", type=float, default=None,
-                       help="simulated seconds of traffic (default 20)")
-    serve.add_argument("--scale", type=int, default=1,
-                       help="workload scale for the default rate "
-                            "(rate = 100 x scale req/s)")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--slo", type=float, default=0.5, metavar="SECONDS",
-                       help="latency SLO bound for goodput (default 0.5 s)")
-    serve.add_argument("--sample", type=int, default=500, metavar="N",
-                       help="requests sampled to measure service demand")
-    serve.add_argument("--autoscale", default=None, metavar="LO:HI",
-                       help="sweep cluster size LO..HI nodes (e.g. 10:1000) "
-                            "instead of a single run")
-    serve.add_argument("--machine", default="E5645")
-    _add_exec_options(serve)
-    serve.set_defaults(fn=cmd_serve)
-
-    scenario = sub.add_parser(
-        "scenario",
-        help="run one logical scenario (YCSB mixes, orders, feed, iot) "
-             "against a storage backend through the unified protocol")
-    scenario.add_argument("name", help="scenario name (ycsb-a..ycsb-f, "
-                                       "orders, feed, iot)")
-    scenario.add_argument("--backend", default="lsm",
-                          choices=["lsm", "sql", "dict"],
-                          help="storage backend (default lsm)")
-    scenario.add_argument("--knobs", default=None, metavar="SPEC",
-                          help="consistency knobs, e.g. "
-                               "'wal=off,consistency=eventual,"
-                               "commit=write-behind'")
-    scenario.add_argument("--compare", action="store_true",
-                          help="run all backends and print a per-backend "
-                               "cost/latency table")
-    scenario.add_argument("--scale", type=int, default=1)
-    scenario.add_argument("--seed", type=int, default=0)
-    scenario.add_argument("--machine", default="E5645")
-    scenario.add_argument("--cluster", default=None, metavar="NAME",
-                          help="cluster preset to model (default: the "
-                               "paper's 14-node testbed)")
-    scenario.add_argument("--faults", default=None, metavar="SPEC",
-                          help="fault plan, e.g. 'task_crash:rate=0.2'")
-    scenario.add_argument("--no-recovery", action="store_true",
-                          help="inject faults without recovery "
-                               "(ops are lost; the answer diverges)")
-    scenario.set_defaults(fn=cmd_scenario)
-
-    table = sub.add_parser("table", help="regenerate a paper table (1-7)")
-    table.add_argument("number")
-    _add_exec_options(table)
-    table.set_defaults(fn=cmd_table)
-
-    figure = sub.add_parser("figure", help="regenerate a paper figure (2-6)")
-    figure.add_argument("number")
-    figure.add_argument("--machine", default="E5645")
-    _add_exec_options(figure)
-    figure.set_defaults(fn=cmd_figure)
-
-    cluster = sub.add_parser(
-        "cluster", help="inspect the cluster presets the time models run "
-                        "against")
-    cluster.add_argument("action", nargs="?", default="ls",
-                         choices=["ls", "show"],
-                         help="ls = list presets; show = per-node detail")
-    cluster.add_argument("name", nargs="?", default=None,
-                         help="preset to show (default: all); a ':N' "
-                              "suffix overrides the node count "
-                              "(e.g. paper:100)")
-    cluster.add_argument("--nodes", type=int, default=None, metavar="N",
-                         help="rescale the preset to N rack nodes "
-                              "before showing it")
-    cluster.set_defaults(fn=cmd_cluster)
-
-    roofline = sub.add_parser("roofline", help="roofline placement")
-    roofline.add_argument("workloads", nargs="*")
-    _add_exec_options(roofline)
-    roofline.set_defaults(fn=cmd_roofline)
-
-    rank = sub.add_parser("rank", help="rank stack configurations by "
-                                       "suite score")
-    _add_exec_options(rank)
-    rank.set_defaults(fn=cmd_rank)
-
-    export = sub.add_parser("export", help="dump tables/figures as CSV")
-    export.add_argument("directory")
-    export.add_argument("--sweeps", action="store_true",
-                        help="include the expensive Figure 2/3 sweeps")
-    _add_exec_options(export)
-    export.set_defaults(fn=cmd_export)
+    for name, help_text, fn, arguments in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for argument in arguments:
+            flag, overrides = ((argument, {}) if isinstance(argument, str)
+                               else argument)
+            keywords = {**OPTIONS.get(flag, {}), **overrides}
+            command.add_argument(flag, *keywords.pop("aliases", ()),
+                                 **keywords)
+        command.set_defaults(fn=fn)
     return parser
 
 

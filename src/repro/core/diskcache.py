@@ -35,9 +35,6 @@ logger = logging.getLogger(__name__)
 #: Environment variable overriding the cache root directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
-#: Environment variable disabling the default-harness cache entirely.
-ENV_NO_CACHE = "REPRO_NO_CACHE"
-
 _FINGERPRINT: Optional[str] = None
 
 

@@ -6,8 +6,8 @@ machine configuration; prepare the input with BDGS; execute; collect the
 perf events, the modeled report, and the user-perceivable metric.
 Results are memoized so figure generators can share runs.
 
-Every run is described by a :class:`~repro.core.runspec.RunSpec`; the
-kwargs signatures below are thin shims over it.  Traced runs
+Every run is described by a :class:`~repro.core.runspec.RunSpec` and
+goes through :meth:`Harness.run` or :meth:`Harness.run_many`.  Traced runs
 (``trace=True``) additionally record a span tree (see
 :mod:`repro.obs.trace`) stored on the result -- per-engine-phase wall
 time and exact perf-event deltas -- which survives the memo, the disk
@@ -22,7 +22,7 @@ from typing import Optional
 from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
 from repro.core import registry
 from repro.core.runspec import RunSpec
-from repro.core.workload import SCALE_FACTORS, WorkloadResult
+from repro.core.workload import WorkloadResult
 from repro.obs.metrics import METRICS
 from repro.obs.trace import Span, Tracer
 from repro.uarch.events import ProfileReport
@@ -84,7 +84,7 @@ class CharacterizationResult:
 class Harness:
     """Runs and memoizes profiled workload executions.
 
-    ``jobs`` > 1 fans :meth:`suite` / :meth:`sweep` points across a
+    ``jobs`` > 1 fans the points of :meth:`run_many` across a
     process pool (see :mod:`repro.core.parallel`); results are merged
     back into the in-memory memo, so downstream figure/table code is
     unchanged and event counts are bit-identical to the serial path.
@@ -157,13 +157,13 @@ class Harness:
         return outcome
 
     def run_many(self, specs, jobs: Optional[int] = None) -> list:
-        """Run many points, in order; ``jobs`` > 1 fans missing ones out.
+        """Run many :class:`RunSpec` points, in order; ``jobs`` > 1 fans
+        the missing ones out.
 
-        ``specs`` may mix :class:`RunSpec` objects and legacy
-        ``(name, scale, stack)`` triples.  ``jobs`` overrides the
-        harness-level worker count for this call only.
+        ``jobs`` overrides the harness-level worker count for this call
+        only.
         """
-        specs = [self._coerce(spec) for spec in specs]
+        specs = list(specs)
         jobs = self.jobs if jobs is None else max(1, int(jobs))
         if jobs > 1 and len(specs) > 1:
             from repro.core.parallel import parallel_characterize
@@ -171,49 +171,20 @@ class Harness:
             parallel_characterize(self, specs, jobs=jobs)
         return [self.run(spec) for spec in specs]
 
-    # -- kwargs shims (the pre-RunSpec surface; no caller breaks) --------------
-
-    def characterize(self, name, scale: int = 1, stack: Optional[str] = None,
+    def characterize(self, name: str, scale: int = 1,
+                     stack: Optional[str] = None,
                      machine: Optional[MachineConfig] = None,
                      trace: bool = False) -> CharacterizationResult:
         """Run one workload at one scale on one machine, profiled.
 
-        ``name`` may also be a ready-made :class:`RunSpec` (the kwargs
-        are then ignored).
+        The keyword form of ``run(RunSpec(...))``.  It stays beside
+        :meth:`run` because the benchmark driver (``bench/workloads.py``)
+        calls it; the example scripts use it as the shortest way in.
         """
-        if isinstance(name, RunSpec):
-            return self.run(name)
         return self.run(RunSpec(workload=name, scale=scale, stack=stack,
                                 machine=machine, trace=trace))
 
-    def sweep(self, name: str, scales=SCALE_FACTORS,
-              stack: Optional[str] = None,
-              jobs: Optional[int] = None) -> list:
-        """The paper's data-volume sweep (Table 6 geometry)."""
-        return self.run_many(
-            [RunSpec(workload=name, scale=s, stack=stack) for s in scales],
-            jobs=jobs)
-
-    def suite(self, names=None, scale: int = 1,
-              jobs: Optional[int] = None) -> list:
-        """Characterize many workloads at one scale (Figures 4-6 input)."""
-        names = names or registry.workload_names()
-        return self.run_many(
-            [RunSpec(workload=name, scale=scale) for name in names],
-            jobs=jobs)
-
-    def characterize_many(self, specs) -> list:
-        """Characterize RunSpecs or ``(name, scale, stack)`` triples, in
-        order (alias of :meth:`run_many`, kept for existing callers)."""
-        return self.run_many(specs)
-
     # -- execution and persistent caching --------------------------------------
-
-    def _coerce(self, spec) -> RunSpec:
-        if isinstance(spec, RunSpec):
-            return spec
-        name, scale, stack = spec
-        return RunSpec(workload=name, scale=scale, stack=stack)
 
     def _execute(self, spec: RunSpec) -> CharacterizationResult:
         """Actually run one profiled point (no memo, no disk cache)."""

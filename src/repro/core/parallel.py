@@ -3,8 +3,8 @@
 The paper's evaluation matrix -- 19 workloads x several scales x multiple
 stacks, each profiled independently (Section 6) -- is embarrassingly
 parallel, but each point carries seconds of simulation.  This module fans
-the points of :meth:`Harness.suite` / :meth:`Harness.sweep` that are
-missing from both the in-memory memo and the disk cache across a
+the points of :meth:`Harness.run_many` that are missing from both the
+in-memory memo and the disk cache across a
 ``ProcessPoolExecutor`` and merges the returned
 :class:`CharacterizationResult` objects back into the calling harness'
 memo, so every downstream consumer (figures, tables, export, ranking)
@@ -67,17 +67,16 @@ def _mp_context():
 def parallel_characterize(harness, specs, jobs: int = None) -> None:
     """Fill ``harness``' memo for every missing point of ``specs``.
 
-    ``specs`` is an iterable of :class:`RunSpec` objects or legacy
-    ``(name, scale, stack)`` triples.  Points already memoized or
-    present in the disk cache are absorbed without spawning workers; if
-    at most one point is actually missing, it is left for the caller's
-    serial path (a pool would only add overhead).
+    ``specs`` is an iterable of :class:`RunSpec` objects.  Points
+    already memoized or present in the disk cache are absorbed without
+    spawning workers; if at most one point is actually missing, it is
+    left for the caller's serial path (a pool would only add overhead).
     """
     jobs = jobs or harness.jobs
     missing = []
     seen = set()
     for spec in specs:
-        spec = harness._coerce(spec).resolved(harness)
+        spec = spec.resolved(harness)
         key = spec.memo_key()
         if key in harness._cache or key in seen:
             continue
@@ -103,10 +102,3 @@ def parallel_characterize(harness, specs, jobs: int = None) -> None:
         harness._cache[key] = outcome
         harness._store_cached(spec, outcome)
 
-
-class ParallelHarness(Harness):
-    """A :class:`~repro.core.harness.Harness` defaulting to one worker
-    per CPU -- ``ParallelHarness()`` is ``Harness(jobs=os.cpu_count())``."""
-
-    def __init__(self, *args, jobs: int = None, **kwargs):
-        super().__init__(*args, jobs=jobs or default_jobs(), **kwargs)

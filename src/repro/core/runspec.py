@@ -4,12 +4,9 @@ Before this, "which run is this?" was answered three different ways --
 positional kwargs on :meth:`Harness.characterize`, ``(name, scale,
 stack)`` triples in :mod:`repro.core.parallel`, and an ad-hoc tuple for
 the disk cache.  A :class:`RunSpec` unifies them: every input that
-shapes a result (workload, scale, stack, machine, cluster, seed) plus
-the execution parameters that do not (``jobs``, ``trace``), with
-explicit helpers for the memo key and the persistent-cache key.
-
-The kwargs signatures on the harness and the ``repro.suite`` facade
-remain as thin shims that build a RunSpec, so no existing caller breaks.
+shapes a result (workload, scale, stack, machine, cluster, seed, fault
+plan, serving options) plus ``trace``, with explicit helpers for the
+memo key and the persistent-cache key.
 """
 
 from __future__ import annotations
@@ -27,11 +24,10 @@ class RunSpec:
 
     ``stack``, ``machine``, and ``cluster`` may be left None and are
     filled from the owning harness (and the workload's default stack) by
-    :meth:`resolved`.  ``jobs`` and ``trace`` are execution parameters:
-    they change how a run executes (process fan-out, span recording),
-    never what it computes -- which is why :meth:`cache_key` includes
-    ``trace`` (a traced result stores strictly more data) but excludes
-    ``jobs`` (results are bit-identical at any worker count).
+    :meth:`resolved`.  ``trace`` changes how a run executes (span
+    recording), never what it computes; :meth:`cache_key` still includes
+    it because a traced result stores strictly more data.  Process
+    fan-out is not part of a point: it is ``Harness.run_many(jobs=)``.
     """
 
     workload: str
@@ -42,7 +38,6 @@ class RunSpec:
     #: None means "inherit the harness seed" (0 without a harness);
     #: any int -- including 0 -- is an explicit per-run seed.
     seed: Optional[int] = None
-    jobs: int = 1
     trace: bool = False
     #: Optional fault plan (see :mod:`repro.faults`): a FaultPlan or a
     #: spec string like ``"task_crash:rate=0.3"``.  Frozen into the spec
@@ -59,8 +54,6 @@ class RunSpec:
     def __post_init__(self):
         if self.scale < 1:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.faults is not None:
             from repro.faults.plan import FaultPlan
 

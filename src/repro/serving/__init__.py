@@ -4,10 +4,9 @@ three servers (Nutch search, Olio social events, Rubis auctions).
 The serving API is the :class:`LoadProfile` / :class:`ServingRun` /
 :func:`run_serving` triple (see :mod:`repro.serving.slo`): a frozen load
 description drives a timestamped arrival stream through the cluster's
-per-node queues and reports tail-latency SLOs.  The legacy
-:class:`ServingSimulation` analytic path still works (one release, with
-a ``DeprecationWarning``) and the ``mm_c`` queueing model it sampled
-remains exported as the validation baseline.
+per-node queues and reports tail-latency SLOs.  The analytic ``mm_c``
+queueing model is exported as the validation baseline each report
+carries.
 """
 
 from repro.serving.load import (
@@ -20,7 +19,7 @@ from repro.serving.nutch import InvertedIndex, NutchServer
 from repro.serving.olio import OlioServer
 from repro.serving.queueing import QueueingResult, mm_c
 from repro.serving.rubis import RubisServer
-from repro.serving.simulation import Server, ServingResult, ServingSimulation
+from repro.serving.server import Server
 from repro.serving.slo import (
     AUTOSCALE_NODES,
     ServingRun,
@@ -49,9 +48,7 @@ __all__ = [
     "SLOReport",
     "Server",
     "ServingOptions",
-    "ServingResult",
     "ServingRun",
-    "ServingSimulation",
     "autoscale_sweep",
     "generate_stream",
     "measure_demand",

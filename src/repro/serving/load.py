@@ -63,8 +63,7 @@ PROFILE_SHAPES = ("constant", "diurnal", "flash", "sessions")
 #: aliases.
 POLICY_TOKENS = ("shed", "hedge", "retry")
 
-#: Bounded retries per timed-out request (matches the legacy
-#: ``ServingSimulation`` constants so chaos overheads stay comparable).
+#: Bounded retries per timed-out request.
 MAX_RETRIES = 3
 
 #: Client-observed timeout before a retry fires.

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.datagen.text import TextCorpus
 from repro.keyed import sort_group
-from repro.serving.simulation import Server
+from repro.serving.server import Server
 
 
 class InvertedIndex:

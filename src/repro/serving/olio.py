@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datagen.graph import Graph
-from repro.serving.simulation import Server
+from repro.serving.server import Server
 
 
 class OlioServer(Server):

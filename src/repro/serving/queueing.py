@@ -2,7 +2,7 @@
 
 Online-service workloads are swept from 100 to 3200 requests/second in
 the paper (Table 6) and measured in RPS plus latency (Section 6.1.2).
-The serving simulation measures the per-request service demand, then
+The serving study measures the per-request service demand, then
 this M/M/c-style model turns offered load into achieved throughput and
 mean latency: below saturation the Sakasegawa approximation for the
 queueing delay, above saturation a capacity-bound throughput with

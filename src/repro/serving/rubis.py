@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.datagen.table import ECommerceData
 from repro.keyed import sort_group
-from repro.serving.simulation import Server
+from repro.serving.server import Server
 
 
 class RubisServer(Server):

@@ -1,15 +1,12 @@
 """The unified serving entrypoint: SLO study over the replayed stream.
 
-This module is the API-redesign half of the serving plane.  One frozen
-:class:`ServingRun` value object subsumes the scattered
-``ServingSimulation(...)`` kwargs, and one entrypoint --
-:func:`run_serving` -- executes the whole study:
+One frozen :class:`ServingRun` value object describes a study, and one
+entrypoint -- :func:`run_serving` -- executes it:
 
 1. **demand** -- sample the server's request path under the profiler to
    measure mean per-request service demand (instructions -> seconds on
-   the cluster's reference machine), exactly as the legacy simulation
-   did (the ``serving:sample:*`` span and the ledger's ``serve`` phase
-   are preserved, so traces and modeled costs stay comparable);
+   the cluster's reference machine), recorded as a ``serving:sample:*``
+   span and charged as the ledger's ``serve`` phase;
 2. **arrivals** -- materialize the profile's deterministic timestamped
    request stream (:func:`repro.serving.load.generate_stream`);
 3. **replay** -- drive the stream through the cluster's per-node
@@ -46,7 +43,7 @@ from repro.serving.load import (
     generate_stream,
 )
 from repro.serving.queueing import QueueingResult, mm_c
-from repro.serving.simulation import Server
+from repro.serving.server import Server
 from repro.serving.vector import replay
 from repro.uarch.perfctx import context_or_null
 
@@ -59,10 +56,8 @@ AUTOSCALE_NODES = (10, 18, 32, 56, 100, 178, 316, 562, 1000)
 class ServingRun:
     """Everything one serving study needs, as a frozen value object.
 
-    Replaces the scattered ``ServingSimulation(server, cluster, ctx,
-    sample_requests, faults)`` + ``run(offered_rps, seed)`` kwargs: the
-    profile carries the load curve (shape + rate + loop), the policy the
-    recovery paths, and the whole spec is hashable/picklable so it can
+    The profile carries the load curve (shape + rate + loop), the policy
+    the recovery paths, and the whole spec is hashable/picklable so it can
     ride a :class:`~repro.core.runspec.RunSpec` into memo and disk-cache
     keys and across process pools.
     """
@@ -135,11 +130,6 @@ class SLOReport:
     cost: JobCost = None
 
     @property
-    def throughput_rps(self) -> float:
-        """Alias kept for symmetry with the legacy ``ServingResult``."""
-        return self.achieved_rps
-
-    @property
     def slo_attainment(self) -> float:
         """Fraction of issued requests answered within ``slo_seconds``."""
         if self.requests <= 0:
@@ -173,9 +163,8 @@ def measure_demand(server: Server, cluster: ClusterSpec = SINGLE_NODE,
     """Sample the request path to measure mean per-request demand.
 
     The profiled sample is the only place the server's ``handle`` runs
-    (the replay consumes the *measured* demand); the span keeps the
-    legacy ``serving:sample:<name>`` identity so existing trace
-    tooling sees the same shape, and the sample's aggregate demand is
+    (the replay consumes the *measured* demand); it is recorded as a
+    ``serving:sample:<name>`` span, and the sample's aggregate demand is
     charged through the shared cluster ledger as one ``serve`` phase.
     """
     ctx = context_or_null(ctx)
@@ -205,12 +194,6 @@ def measure_demand(server: Server, cluster: ClusterSpec = SINGLE_NODE,
     )
 
 
-def _quantile(latencies: np.ndarray, q: float) -> float:
-    if len(latencies) == 0:
-        return 0.0
-    return float(np.quantile(latencies, q))
-
-
 def _percentiles(latencies: np.ndarray,
                  qs: tuple = (0.50, 0.99, 0.999)) -> tuple:
     """All report percentiles from one ``np.partition`` pass.
@@ -222,7 +205,7 @@ def _percentiles(latencies: np.ndarray,
 
     Conventions: an **empty** latency array (nothing completed -- an
     all-shed overload or an empty stream) reports 0.0 for every
-    percentile, mirroring the legacy ``_quantile``; a **single**
+    percentile; a **single**
     completion reports that latency for every percentile.  NaN never
     appears here: incomplete requests carry NaN ``finish`` times in the
     :class:`~repro.serving.vector.RequestArena`, but the latency array

@@ -1,8 +1,47 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import json
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: ``{command: sorted [option strings, default, choices]}`` recorded from
+#: the parser before its shared options moved into one table.
+SURFACE = Path(__file__).with_name("cli_surface.json")
+
+README = Path(__file__).resolve().parents[2] / "README.md"
+
+#: The execution flags ``table`` accepted and ignored before it lost them.
+TABLE_DROPPED = {"--jobs", "--no-cache", "--no-artifacts", "--cluster",
+                 "--profile", "--policy"}
+
+
+def surface(parser) -> dict:
+    """Every command's arguments as ``[option strings, default, choices]``
+    (a positional's option strings are its name)."""
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {
+        name: sorted(([action.option_strings or [action.dest],
+                       action.default,
+                       list(action.choices) if action.choices else None]
+                      for action in command._actions
+                      if not isinstance(action, argparse._HelpAction)),
+                     key=json.dumps)
+        for name, command in sub.choices.items()
+    }
+
+
+def readme_commands() -> list:
+    """The argv of every ``python -m repro ...`` line in README.md."""
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    return [shlex.split(line.strip(), comments=True)[3:]
+            for line in text.splitlines()
+            if line.strip().startswith("python -m repro ")]
 
 
 class TestParser:
@@ -24,6 +63,22 @@ class TestParser:
         assert args.workload == "Grep"
         assert args.scale == 1
         assert args.stack is None
+
+    def test_surface_is_the_recorded_one(self):
+        recorded = json.loads(SURFACE.read_text(encoding="utf-8"))
+        recorded["table"] = [row for row in recorded["table"]
+                             if row[0][0] not in TABLE_DROPPED]
+        assert surface(build_parser()) == recorded
+
+    def test_table_rejects_execution_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["table", "4", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_readme_command_parses(self, argv):
+        build_parser().parse_args(argv)
 
     def test_serve_takes_no_engine(self, capsys):
         parser = build_parser()

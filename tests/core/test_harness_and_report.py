@@ -1,10 +1,11 @@
-"""Unit tests for the harness, report renderers, tables, and facade."""
+"""Unit tests for the harness, report renderers, and tables."""
 
 import pytest
 
 from repro.analysis import ALL_TABLES, render_paper_table
 from repro.core.harness import Harness
 from repro.core.report import render_series, render_table
+from repro.core.runspec import RunSpec
 from repro.uarch import XEON_E5310
 
 
@@ -32,7 +33,8 @@ class TestHarness:
         assert bigger.result.input_bytes > base.result.input_bytes
 
     def test_sweep_order(self, harness):
-        sweep = harness.sweep("Grep", scales=(1, 4))
+        sweep = harness.run_many(
+            [RunSpec(workload="Grep", scale=scale) for scale in (1, 4)])
         assert [p.scale for p in sweep] == [1, 4]
 
     def test_machine_override(self, harness):
@@ -84,36 +86,3 @@ class TestPaperTables:
         assert len(rows) == 19
         assert all(row[-1] == "1x4x8x16x32" for row in rows)
 
-
-class TestSuiteFacade:
-    def test_facade_characterize(self):
-        from repro import suite
-
-        suite.reset()
-        outcome = suite.characterize("Grep")
-        assert outcome.workload == "Grep"
-        assert len(suite.names()) == 19
-
-    def test_run_suite_jobs_are_not_sticky(self):
-        from repro import suite
-
-        saved = suite._DEFAULT.jobs
-        suite.run_suite(names=["Grep"], jobs=3)
-        assert suite._DEFAULT.jobs == saved
-        suite.sweep("Grep", scales=[1], jobs=3)
-        assert suite._DEFAULT.jobs == saved
-
-    def test_suite_is_deprecated_alias_of_run_suite(self):
-        from repro import suite
-
-        assert "run_suite" in suite.suite.__doc__
-        with pytest.warns(DeprecationWarning, match="run_suite"):
-            results = suite.suite(names=["Grep"])
-        assert [r.workload for r in results] == ["Grep"]
-
-    def test_facade_characterize_with_trace(self):
-        from repro import suite
-
-        outcome = suite.characterize("Grep", trace=True)
-        assert outcome.trace is not None
-        assert outcome.trace.find("mr:map") is not None

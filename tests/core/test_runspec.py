@@ -13,14 +13,16 @@ class TestValidation:
         spec = RunSpec(workload="Sort")
         assert spec.scale == 1
         assert spec.stack is None
-        assert spec.jobs == 1
         assert spec.trace is False
 
-    def test_rejects_bad_scale_and_jobs(self):
+    def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             RunSpec(workload="Sort", scale=0)
-        with pytest.raises(ValueError):
-            RunSpec(workload="Sort", jobs=0)
+
+    def test_fan_out_is_not_part_of_a_point(self):
+        # Worker count belongs to Harness.run_many(jobs=), not the spec.
+        with pytest.raises(TypeError):
+            RunSpec(workload="Sort", jobs=2)
 
     def test_frozen(self):
         spec = RunSpec(workload="Sort")
@@ -86,12 +88,6 @@ class TestKeys:
     def test_cache_key_round_trip(self):
         assert self._resolved().cache_key() == self._resolved().cache_key()
 
-    def test_jobs_do_not_change_keys(self):
-        base = self._resolved()
-        fanned = self._resolved(jobs=8)
-        assert base.cache_key() == fanned.cache_key()
-        assert base.memo_key() == fanned.memo_key()
-
     def test_trace_gets_distinct_keys(self):
         base = self._resolved()
         traced = self._resolved(trace=True)
@@ -133,17 +129,11 @@ class TestHarnessIntegration:
         second = harness.run(RunSpec(workload="Grep"))
         assert first is second
 
-    def test_characterize_accepts_spec_or_kwargs(self):
+    def test_characterize_is_run_of_a_spec(self):
         harness = Harness()
-        via_spec = harness.characterize(RunSpec(workload="Grep"))
         via_kwargs = harness.characterize("Grep")
-        assert via_spec is via_kwargs
-
-    def test_run_many_accepts_legacy_triples(self):
-        harness = Harness()
-        results = harness.run_many([("Grep", 1, None)])
-        assert results[0].workload == "Grep"
-        assert results[0] is harness.run(RunSpec(workload="Grep"))
+        assert via_kwargs is harness.run(RunSpec(workload="Grep"))
+        assert harness.run_many([RunSpec(workload="Grep")]) == [via_kwargs]
 
     def test_runs_differing_only_in_seed_do_not_collide(self):
         harness = Harness()

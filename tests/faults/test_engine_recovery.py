@@ -9,8 +9,9 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.mapreduce import Dfs, MapReduceJob, MapReduceRuntime
 from repro.mpi import BspProgram, BspRuntime
 from repro.nosql import LsmStore
-from repro.serving.simulation import Server, ServingSimulation
+from repro.serving import Server, ServingRun, run_serving
 from repro.uarch import PerfContext, XEON_E5645
+from repro.uarch.perfctx import NullPerfContext
 
 SMALL = ClusterSpec(num_nodes=4)
 
@@ -240,6 +241,7 @@ class TestLsmRecovery:
 
 class TinyServer(Server):
     name = "tiny"
+    MIX = (("a", 0.7), ("b", 0.3))
 
     def handle(self, rng, ctx):
         return "a" if rng.random() < 0.7 else "b"
@@ -248,50 +250,69 @@ class TinyServer(Server):
         return 1024
 
 
-def run_serving(faults=None, rps=100.0):
-    sim = ServingSimulation(TinyServer(), sample_requests=400, faults=faults)
-    return sim.run(rps, seed=3)
+def serve(plan=None, recovery=True, rps=100.0):
+    """Replay TinyServer's study with ``plan`` attached to the context,
+    as the harness attaches a chaos run's injector."""
+    ctx = NullPerfContext()
+    if plan is not None:
+        ctx.faults = injector(plan, recovery=recovery)
+    spec = ServingRun(server=TinyServer(), seed=3, sample_requests=400,
+                      profile=f"constant:rps={rps}:duration=4")
+    return run_serving(spec, ctx=ctx), ctx.faults
+
+
+def retry_keeps_the_mix(clean, chaos, faults):
+    assert chaos.request_mix == clean.request_mix
+    assert chaos.completed == chaos.requests
+    assert chaos.retried_fraction > 0
+    assert chaos.mean_latency > clean.mean_latency
+
+
+def timeouts_fail_requests(clean, chaos, faults):
+    lost = sum(event.phase == "lost" and event.kind == "request"
+               for event in faults.event_log())
+    assert lost > 0
+    assert chaos.completed == chaos.requests - lost
+    assert chaos.failed_fraction == lost / chaos.requests
+    # The replay's mix counts issued requests, failed ones included.
+    assert chaos.request_mix == clean.request_mix
+
+
+def hedging_keeps_the_mix(clean, chaos, faults):
+    assert chaos.request_mix == clean.request_mix
+    assert chaos.completed == chaos.requests
+    assert chaos.hedged_fraction > 0
+
+
+def stragglers_add_latency(clean, chaos, faults):
+    assert chaos.request_mix == clean.request_mix
+    assert chaos.hedged_fraction == 0
+    assert chaos.mean_latency > clean.mean_latency
+
+
+def shedding_bounds_latency(clean, chaos, faults):
+    # Far past saturation the clean queue grows without bound; shedding
+    # the excess keeps every completed request below the clean mean.
+    assert clean.queueing.saturated and clean.shed_fraction == 0
+    assert chaos.shed_fraction > 0
+    assert chaos.max_latency < clean.mean_latency
 
 
 class TestServingRecovery:
-    def test_retry_preserves_request_mix(self):
-        clean = run_serving()
-        chaos = run_serving(injector("timeout:rate=0.2"))
-        assert clean.request_mix == chaos.request_mix
-        assert chaos.retries > 0
-        assert chaos.mean_latency > clean.mean_latency
-
-    def test_timeout_without_recovery_fails_requests(self):
-        clean = run_serving()
-        chaos = run_serving(injector("timeout:rate=0.2", recovery=False))
-        assert chaos.failed_requests > 0
-        assert sum(chaos.request_mix.values()) == (
-            sum(clean.request_mix.values()) - chaos.failed_requests)
-
-    def test_hedging_preserves_request_mix(self):
-        clean = run_serving()
-        chaos = run_serving(injector("straggler:rate=0.2"))
-        assert clean.request_mix == chaos.request_mix
-        assert chaos.hedges > 0
-
-    def test_unhedged_stragglers_add_latency(self):
-        clean = run_serving()
-        chaos = run_serving(injector("straggler:rate=0.2:factor=8",
-                                     recovery=False))
-        assert chaos.mean_latency > clean.mean_latency
-        assert clean.request_mix == chaos.request_mix
-
-    def test_load_shedding_bounds_saturated_latency(self):
-        # Far past saturation: without the overload rule latency blows
-        # up; with it the server sheds load and latency stays bounded.
-        overloaded_rps = 1e9
-        clean = run_serving(rps=overloaded_rps)
-        chaos = run_serving(injector("overload:rate=1.0"),
-                            rps=overloaded_rps)
-        assert clean.queueing.saturated
-        assert chaos.shed_rps > 0
-        assert chaos.mean_latency < clean.mean_latency
-        assert chaos.throughput_rps == pytest.approx(clean.throughput_rps)
+    @pytest.mark.parametrize("plan, recovery, rps, check", [
+        ("timeout:rate=0.2", True, 100.0, retry_keeps_the_mix),
+        ("timeout:rate=0.2", False, 100.0, timeouts_fail_requests),
+        ("straggler:rate=0.2", True, 100.0, hedging_keeps_the_mix),
+        ("straggler:rate=0.2:factor=8", False, 100.0,
+         stragglers_add_latency),
+        ("overload:rate=1.0", True, 1e5, shedding_bounds_latency),
+    ], ids=["retry", "no-recovery-timeout", "hedge", "unhedged-straggler",
+            "shed"])
+    def test_replay_keeps_the_fault_invariant(self, plan, recovery, rps,
+                                              check):
+        clean, _ = serve(rps=rps)
+        chaos, faults = serve(plan, recovery=recovery, rps=rps)
+        check(clean, chaos, faults)
 
 
 # -- SQL ---------------------------------------------------------------------

@@ -13,10 +13,15 @@ import pytest
 
 from repro.core.artifacts import ArtifactStore
 from repro.core.harness import Harness
+from repro.core.runspec import RunSpec
 from repro.obs.metrics import METRICS
 
 #: One workload per BDGS data source.
 WORKLOADS = ["WordCount", "BFS", "Select Query"]
+
+
+def _specs(names):
+    return [RunSpec(workload=name) for name in names]
 
 
 def _fingerprint(outcome):
@@ -43,7 +48,7 @@ def test_serial_vs_parallel_identical(store):
     serial = Harness(artifacts=False)
     parallel = Harness(artifacts=store, jobs=2)
     expected = [serial.characterize(name, scale=1) for name in WORKLOADS]
-    observed = parallel.suite(names=WORKLOADS, scale=1)
+    observed = parallel.run_many(_specs(WORKLOADS))
     for a, b in zip(expected, observed):
         assert _fingerprint(a) == _fingerprint(b)
 
@@ -51,7 +56,7 @@ def test_serial_vs_parallel_identical(store):
 def test_warm_suite_regenerates_nothing(store):
     """ISSUE acceptance: a warm run hits artifacts for every input."""
     names = ["WordCount", "BFS", "Select Query", "K-means"]
-    Harness(artifacts=store).suite(names=names, scale=1)
+    Harness(artifacts=store).run_many(_specs(names))
 
     hits_before = METRICS.counter("datagen.artifact_hit").value
     generated_before = {
@@ -59,7 +64,7 @@ def test_warm_suite_regenerates_nothing(store):
         for kind in ("text", "social_graph", "ecommerce", "kmeans_points")
     }
     warm = Harness(artifacts=store)
-    warm.suite(names=names, scale=1)
+    warm.run_many(_specs(names))
     # Every input came from the store ...
     assert METRICS.counter("datagen.artifact_hit").value >= hits_before + 4
     # ... and zero generator calls happened.

@@ -26,7 +26,8 @@ SIMULATED = ("l1i_misses", "l1d_misses", "l2_misses", "l3_misses",
 @pytest.fixture(scope="module")
 def traced_suite():
     harness = Harness(trace=True)
-    return {out.workload: out for out in harness.suite()}
+    specs = [RunSpec(workload=name) for name in registry.workload_names()]
+    return {out.workload: out for out in harness.run_many(specs)}
 
 
 @pytest.mark.parametrize("name", registry.workload_names())

@@ -13,7 +13,6 @@ import pytest
 from repro.cluster.node import SINGLE_NODE
 from repro.core.harness import Harness
 from repro.core.runspec import RunSpec
-from repro.serving import ServingSimulation
 from repro.serving.load import (
     LoadProfile,
     ServingOptions,
@@ -117,10 +116,3 @@ class TestServingKeying:
         resolved = RunSpec(workload="Nutch Server").resolved(harness)
         assert resolved.serving is harness.serving
 
-
-class TestLegacyDeprecation:
-    def test_serving_simulation_warns(self):
-        from tests.serving.test_serving import small_nutch
-
-        with pytest.warns(DeprecationWarning, match="run_serving"):
-            ServingSimulation(small_nutch(), sample_requests=10)

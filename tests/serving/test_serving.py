@@ -13,7 +13,6 @@ from repro.serving import (
     NutchServer,
     OlioServer,
     RubisServer,
-    ServingSimulation,
     mm_c,
 )
 from repro.uarch import PerfContext, XEON_E5645
@@ -122,35 +121,3 @@ class TestServers:
         with pytest.raises(ValueError):
             OlioServer(facebook_social_graph(num_nodes=100), num_events=0)
 
-
-class TestServingSimulation:
-    def test_run_produces_result(self):
-        ctx = PerfContext(XEON_E5645, seed=0)
-        sim = ServingSimulation(small_nutch(), ctx=ctx, sample_requests=100)
-        result = sim.run(offered_rps=100)
-        assert result.throughput_rps == 100
-        assert result.mean_latency > 0
-        assert result.instructions_per_request > 0
-        assert result.mips > 0
-
-    def test_sweep_saturates_eventually(self):
-        """The paper's 100..3200 req/s sweep: throughput must flatten."""
-        ctx = PerfContext(XEON_E5645, seed=0)
-        sim = ServingSimulation(small_olio(), ctx=ctx, sample_requests=150)
-        rates = [100 * f for f in (1, 4, 8, 16, 32)]
-        results = sim.sweep(rates)
-        throughputs = [r.throughput_rps for r in results]
-        assert throughputs[0] == 100
-        assert throughputs[-1] <= rates[-1]
-        # Latency is monotonically non-decreasing across the sweep.
-        latencies = [r.mean_latency for r in results]
-        assert all(b >= a * 0.99 for a, b in zip(latencies, latencies[1:]))
-
-    def test_unprofiled_run_uses_fallback_demand(self):
-        sim = ServingSimulation(small_rubis(), sample_requests=50)
-        result = sim.run(offered_rps=200)
-        assert result.instructions_per_request == pytest.approx(2_000_000.0)
-
-    def test_sample_requests_validation(self):
-        with pytest.raises(ValueError):
-            ServingSimulation(small_nutch(), sample_requests=0)
