@@ -11,15 +11,17 @@ obtain" (Section 2).  This CLI is that surface:
     python -m repro figure 6 --jobs 4
     python -m repro roofline Sort K-means
     python -m repro trace Sort --scale 4 --format chrome --out sort.json
-    python -m repro metrics Sort --no-cache
+    python -m repro metrics Sort
     python -m repro chaos Grep --faults "task_crash:rate=0.3;node_kill:node=1"
     python -m repro artifacts ls
     python -m repro export out/csv
 
-Every harness-backed command accepts ``--jobs N`` (0 = one worker per
-CPU) to fan independent characterization points across processes,
-``--no-cache`` to bypass the persistent on-disk result cache, and
-``--no-artifacts`` to bypass the shared input artifact store.
+Every harness-backed command accepts ``--no-artifacts`` to bypass the
+shared input artifact store and, except ``metrics`` (which always runs
+its workloads), ``--no-cache`` to bypass the persistent on-disk result
+cache.  The commands that characterize many points -- ``sweep``,
+``figure``, ``roofline``, ``rank``, ``export`` -- accept ``--jobs N``
+(0 = one worker per CPU) to fan them across processes.
 """
 
 from __future__ import annotations
@@ -88,20 +90,25 @@ OPTIONS = {
                           "retry, 'shed+hedge', or all (default: none)"),
 }
 
-#: The execution flags of every harness-backed command: process fan-out,
-#: cache and artifact bypass, the cluster preset and the serving options.
-EXEC = ("--jobs", "--no-cache", "--no-artifacts", "--cluster", "--profile",
-        "--policy")
+#: How a command's harness is built: artifact bypass, the cluster preset
+#: and the serving options.  Every harness-backed command but ``metrics``
+#: can also bypass the result cache (``CACHED``); those that run many
+#: points through ``run_many`` can also fan them out (``FANOUT``).
+HARNESS = ("--no-artifacts", "--cluster", "--profile", "--policy")
+CACHED = ("--no-cache", *HARNESS)
+FANOUT = ("--jobs", *CACHED)
 
 #: One characterization point: scale, stack and machine.
 POINT = ("--scale", "--stack", "--machine")
 
 
 def _harness(args, machine=None) -> Harness:
-    """Build a harness honoring ``--jobs``/``--no-cache``/``--no-artifacts``."""
+    """Build a harness honoring the ``FANOUT`` flags the command takes: a
+    command without ``--jobs`` runs serially, one without ``--no-cache``
+    has no result cache."""
     from repro.core.parallel import default_jobs
 
-    jobs = args.jobs or default_jobs()
+    jobs = getattr(args, "jobs", 1) or default_jobs()
     artifacts = False if args.no_artifacts else None
     kwargs = {}
     if args.cluster is not None:
@@ -110,7 +117,8 @@ def _harness(args, machine=None) -> Harness:
     if serving is not None:
         kwargs["serving"] = serving
     return Harness(machine=machine or XEON_E5645, jobs=jobs,
-                   cache=not args.no_cache, artifacts=artifacts, **kwargs)
+                   cache=not getattr(args, "no_cache", True),
+                   artifacts=artifacts, **kwargs)
 
 
 def _serving_options(args):
@@ -807,9 +815,9 @@ def cmd_export(args) -> None:
 COMMANDS = (
     ("list", "list the 19 workloads", cmd_list, ()),
     ("run", "characterize one workload", cmd_run,
-     ("workload", *POINT, *EXEC)),
+     ("workload", *POINT, *CACHED)),
     ("sweep", "run the Table 6 data sweep", cmd_sweep,
-     ("workload", "--stack", "--machine", *EXEC)),
+     ("workload", "--stack", "--machine", *FANOUT)),
     ("trace", "characterize with span tracing and print the phase "
               "breakdown", cmd_trace,
      ("workload", *POINT,
@@ -819,14 +827,13 @@ COMMANDS = (
                              "events")),
       ("--out", dict(default=None, metavar="FILE",
                      help="write to FILE instead of stdout")),
-      *EXEC)),
+      *CACHED)),
     ("metrics", "run workloads and dump the process metrics registry",
      cmd_metrics,
      (("workloads", dict(nargs="*",
-                         help="workloads to characterize before dumping "
-                              "(engine counters need a fresh run: "
-                              "--no-cache)")),
-      "--scale", "--machine", *EXEC)),
+                         help="workloads to run before dumping (never "
+                              "from the result cache)")),
+      "--scale", "--machine", *HARNESS)),
     ("artifacts", "inspect the shared input artifact store "
                   "(memory-mapped BDGS inputs)", cmd_artifacts,
      (("action", dict(nargs="?", default="ls", choices=["ls", "gc", "path"],
@@ -850,7 +857,7 @@ COMMANDS = (
       ("--checkpoint-interval", dict(default=2,
                                      help="BSP checkpoint every N "
                                           "supersteps (default 2)")),
-      *POINT, "--seed", *EXEC)),
+      *POINT, "--seed", *CACHED)),
     ("stream", "run a streaming workload through the checkpoint-barrier "
                "dataflow engine, optionally under a fault plan", cmd_stream,
      (("workload", dict(help="wordcount, grep, sessions, or a full "
@@ -865,7 +872,7 @@ COMMANDS = (
       ("--checkpoint-interval", dict(default=8,
                                      help="emit a checkpoint barrier every "
                                           "N source batches (default 8)")),
-      "--scale", "--seed", "--machine", *EXEC)),
+      "--scale", "--seed", "--machine", *CACHED)),
     ("serve", "drive an online service with a load profile and report the "
               "tail-latency SLO study", cmd_serve,
      (("server", dict(help="nutch, olio, rubis, or a full online-service "
@@ -885,7 +892,7 @@ COMMANDS = (
       ("--autoscale", dict(default=None, metavar="LO:HI",
                            help="sweep cluster size LO..HI nodes (e.g. "
                                 "10:1000) instead of a single run")),
-      "--machine", *EXEC)),
+      "--machine", *CACHED)),
     ("scenario", "run one logical scenario (YCSB mixes, orders, feed, iot) "
                  "against a storage backend through the unified protocol",
      cmd_scenario,
@@ -905,7 +912,7 @@ COMMANDS = (
                                   "are lost; the answer diverges)")))),
     ("table", "regenerate a paper table (1-7)", cmd_table, ("number",)),
     ("figure", "regenerate a paper figure (2-6)", cmd_figure,
-     ("number", "--machine", *EXEC)),
+     ("number", "--machine", *FANOUT)),
     ("cluster", "inspect the cluster presets the time models run against",
      cmd_cluster,
      (("action", dict(nargs="?", default="ls", choices=["ls", "show"],
@@ -917,13 +924,13 @@ COMMANDS = (
                        help="rescale the preset to N rack nodes before "
                             "showing it")))),
     ("roofline", "roofline placement", cmd_roofline,
-     (("workloads", dict(nargs="*")), *EXEC)),
-    ("rank", "rank stack configurations by suite score", cmd_rank, EXEC),
+     (("workloads", dict(nargs="*")), *FANOUT)),
+    ("rank", "rank stack configurations by suite score", cmd_rank, FANOUT),
     ("export", "dump tables/figures as CSV", cmd_export,
      ("directory",
       ("--sweeps", dict(action="store_true",
                         help="include the expensive Figure 2/3 sweeps")),
-      *EXEC)),
+      *FANOUT)),
 )
 
 

@@ -17,10 +17,9 @@ constants (``CPU_EFFICIENCY``, ``CONGESTION_COEFF``,
   (heterogeneous E5645+E5310 clusters diverge here), then writes back
   through a write-behind queue (page-cache flushing: output bytes pay
   full disk time but do not block the next task's input read);
-* a seeded deterministic straggler tail (blake2b of seed x task site,
-  the same scheme as :class:`~repro.faults.inject.FaultInjector`)
-  stretches a few tasks per wave -- the analytic model's efficiency
-  factor, emerging instead of assumed;
+* a seeded deterministic straggler tail (:func:`repro.sitehash.unit`
+  of each task's site) stretches a few tasks per wave -- the analytic
+  model's efficiency factor, emerging instead of assumed;
 * per-node memory pressure spills (working bytes beyond the usable
   fraction of *that node's* memory pay extra disk passes);
 * shuffle runs as pairwise node-to-node flows over the endpoints' NIC
@@ -55,7 +54,6 @@ O(1) metric cardinality at any scale.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,19 +82,6 @@ REPLICATION = 3
 #: scale); the ``cluster.sim.node_util.*`` histograms always record the
 #: same utilizations in bounded form.
 NODE_GAUGE_LIMIT = 32
-
-
-def unit_hash(seed: int, site: str) -> float:
-    """Deterministic uniform [0, 1) variate -- same scheme as the fault
-    injector: a pure blake2b hash, no shared RNG consumed.
-
-    Shared across the execution planes: the event simulator's straggler
-    shaping and the serving request plane's retry jitter both derive
-    their reproducible randomness from this.
-    """
-    digest = hashlib.blake2b(f"{seed}|{site}".encode(),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "little") / 2.0 ** 64
 
 
 def _eighth_power(units) -> np.ndarray:

@@ -20,14 +20,12 @@ order*, just batched across nodes:
   -- so each phase opens with *uniform* state and the replay is
   phase-local (only the busy-time accumulators, ``compute_end``, and
   the killed set carry across phases);
-* straggler variates and flow keys are blake2b hashes of
-  ``seed|site`` exactly as ``unit_hash`` computes them, batched by
-  :func:`prefixed_digests`: the sites' shared prefix is absorbed once
-  and each tail hashed on a ``copy()`` of that state (incremental
-  hashing *is* one-shot hashing; the copy skips constructing a hash
-  object).  The eighth-power shaping is ``np.float_power``, libm
-  ``pow`` like the oracle's Python ``**`` -- ``np.power`` is repeated
-  squaring, which is *not* bit-equal;
+* straggler variates and flow keys are the oracle's
+  :func:`repro.sitehash.unit` draws, batched by
+  :func:`repro.sitehash.units` over the sites' shared prefix.  The
+  eighth-power shaping is ``np.float_power``, libm ``pow`` like the
+  oracle's Python ``**`` -- ``np.power`` is repeated squaring, which
+  is *not* bit-equal;
 * placement is an inherently sequential argmin scan (each decision
   feeds the next task's load), kept as a tight loop over flat arrays
   and per-node slot heaps.  The write-behind FIFO rides in the scan,
@@ -56,7 +54,6 @@ event log ``SimResult.events`` exposes lazily.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from heapq import heapreplace
 from math import inf
@@ -74,8 +71,8 @@ from repro.cluster.sim import (
     node_usage,
 )
 from repro.keyed import sort_group, stable_order
+from repro.sitehash import units
 
-_TWO64 = 2.0 ** 64
 
 #: Structured layout of one event-arena record (one per simulated task).
 EVENT_DTYPE = np.dtype([
@@ -122,25 +119,6 @@ _FACTOR_CACHE = _LRUCache(max_elements=2_000_000)
 _FLOW_CACHE = _LRUCache(max_elements=24_000_000)
 
 
-def prefixed_digests(prefix: bytes, tails) -> bytes:
-    """The 8-byte blake2b digests of ``prefix + tail``, one per tail,
-    joined -- what ``unit_hash`` hashes for each site.
-
-    The prefix is absorbed once and each tail hashed on a ``copy()`` of
-    that state: incremental hashing equals one-shot hashing by blake2b's
-    definition, and a copy skips constructing a parametrised hash
-    object, which is most of the cost of a short site.
-    """
-    copy = hashlib.blake2b(prefix, digest_size=8).copy
-    out = []
-    append = out.append
-    for tail in tails:
-        state = copy()
-        state.update(tail)
-        append(state.digest())
-    return b"".join(out)
-
-
 def straggler_factors(seed: int, phase_name: str, count: int):
     """Batched scalar-identical straggler tail for ``count`` tasks.
 
@@ -151,9 +129,8 @@ def straggler_factors(seed: int, phase_name: str, count: int):
     hit = _FACTOR_CACHE.get(key)
     if hit is not None:
         return hit
-    digest = prefixed_digests(f"{seed}|{phase_name}:task".encode(),
-                              [b"%d" % t for t in range(count)])
-    tails = _eighth_power(np.frombuffer(digest, dtype="<u8") / _TWO64)
+    tails = _eighth_power(units(f"{seed}|{phase_name}:task".encode(),
+                                [b"%d" % t for t in range(count)]))
     factors = 1.0 + STRAGGLER_TAIL * tails
     straggled = tails > 0.5
     value = (factors, straggled)
@@ -281,9 +258,8 @@ def flow_order(seed: int, phase_name: str, alive: tuple,
     # digests is 40 MB and 0.1 s at 1000 nodes.
     prefix = f"{seed}|{phase_name}:flow:"
     tails = [b"%d" % j for j in alive]
-    digest = b"".join([
-        prefixed_digests(f"{prefix}{i}->".encode(), tails) for i in alive])
-    grid = np.frombuffer(digest, dtype="<u8") / _TWO64
+    grid = np.concatenate([
+        units(f"{prefix}{i}->".encode(), tails) for i in alive])
     # Cell ``c`` of the grid is the flow alive[c // n] -> alive[c % n];
     # the diagonal is every (n + 1)-th cell.
     cells = np.flatnonzero(np.arange(n * n) % (n + 1))

@@ -2,8 +2,8 @@
 
 Every decision is a pure function of ``(seed, kind, site, tick)``: the
 tick comes from the run's :class:`~repro.faults.clock.FaultClock`, and
-probabilistic rules hash those four values (blake2b) into a uniform
-[0, 1) variate compared against the rule's rate.  No shared RNG is ever
+probabilistic rules compare the :func:`repro.sitehash.unit` variate of
+those four values against the rule's rate.  No shared RNG is ever
 consumed, so injecting faults can never perturb a workload's own random
 streams -- a prerequisite for the bit-identical-output invariant.
 
@@ -16,12 +16,12 @@ run result for the ``repro chaos`` report and the determinism tests.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.faults.clock import FaultClock
 from repro.faults.plan import FaultPlan, FaultRule
+from repro.sitehash import unit
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,6 @@ class NullFaultInjector:
     def standing(self, kind: str, site: str) -> Optional[FaultRule]:
         return None
 
-    def unit(self, site: str, salt: str = "") -> float:
-        return 1.0
-
     def recovered(self, action: str, site: str, **detail) -> None:
         pass
 
@@ -116,16 +113,6 @@ class FaultInjector(NullFaultInjector):
         """Whether any rule arms ``kind`` (lets engines skip dead code)."""
         return kind in self._by_kind
 
-    def unit(self, site: str, salt: str = "") -> float:
-        """Deterministic uniform [0, 1) variate for ``(seed, site, salt)``.
-
-        Engines also use this directly for recovery parameters that need
-        reproducible randomness (e.g. backoff jitter).
-        """
-        digest = hashlib.blake2b(
-            f"{self.seed}|{site}|{salt}".encode(), digest_size=8).digest()
-        return int.from_bytes(digest, "little") / 2.0 ** 64
-
     def fires(self, kind: str, site: str) -> Optional[FaultRule]:
         """Does a ``kind`` fault strike this opportunity at ``site``?
 
@@ -142,7 +129,7 @@ class FaultInjector(NullFaultInjector):
                 continue
             if tick in rule.at or (
                     rule.rate > 0.0
-                    and self.unit(site, f"{kind}:{tick}") < rule.rate):
+                    and unit(self.seed, f"{site}|{kind}:{tick}") < rule.rate):
                 self._record("fault", kind, site, tick)
                 return rule
         return None

@@ -162,29 +162,19 @@ class MapReduceRuntime:
         ctx=None,
         num_reducers: int = None,
         overhead: FrameworkOverhead = HADOOP_OVERHEAD,
-        task_failure_rate: float = 0.0,
-        failure_seed: int = 0,
         faults=None,
     ):
-        """``task_failure_rate`` injects Hadoop-style task failures: each
-        map attempt fails with that probability and is re-executed (work
-        and time are charged again), up to MAX_ATTEMPTS.
-
-        ``faults`` attaches a :class:`~repro.faults.inject.FaultInjector`
+        """``faults`` attaches a :class:`~repro.faults.inject.FaultInjector`
         explicitly; by default the runtime picks up the injector the
         harness attached to ``ctx`` (chaos runs), falling back to the
         shared null injector.
         """
         from repro.faults.inject import resolve_faults
 
-        if not 0.0 <= task_failure_rate < 1.0:
-            raise ValueError("task_failure_rate must be in [0, 1)")
         self.cluster = cluster
         self.ctx = context_or_null(ctx)
         self.num_reducers = num_reducers or cluster.num_nodes * 2
         self.overhead = overhead
-        self.task_failure_rate = task_failure_rate
-        self._failure_rng = np.random.default_rng(failure_seed)
         self.faults = resolve_faults(self.ctx, faults)
 
     def run(self, job: MapReduceJob, dfs_file: DfsFile, slicer=None) -> JobResult:
@@ -284,10 +274,10 @@ class MapReduceRuntime:
                     faults.recovered("replica_reread", site,
                                      node=alive[0], bytes=split.nbytes)
 
-            attempts = self._map_attempts(counters)
-            # Injected task crashes ride the same bounded-retry machinery
-            # as the legacy task_failure_rate knob; without recovery a
-            # single crash kills the task for good.
+            attempts = 1
+            # A crashed attempt is re-executed (work and time are charged
+            # again), up to MAX_ATTEMPTS; without recovery a single crash
+            # kills the task for good.
             if faults.enabled and faults.active_for("task_crash"):
                 if faults.recovery:
                     while (attempts < self.MAX_ATTEMPTS
@@ -376,17 +366,6 @@ class MapReduceRuntime:
         # Unhedged stragglers stretch the phase tail.
         pending.fixed_seconds = straggle_seconds
         return partitions, total_out_records
-
-    def _map_attempts(self, counters) -> int:
-        """Number of attempts this task needs (1 = first try succeeds)."""
-        if self.task_failure_rate <= 0.0:
-            return 1
-        attempts = 1
-        while (attempts < self.MAX_ATTEMPTS
-               and self._failure_rng.random() < self.task_failure_rate):
-            counters.add("task_retries")
-            attempts += 1
-        return attempts
 
     def _reduce_phase(self, job, partitions, map_out_records, counters, ledger,
                       working_region, input_nbytes):

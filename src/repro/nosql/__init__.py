@@ -3,7 +3,7 @@
 from repro.nosql.bloom import BloomFilter
 from repro.nosql.btree import BTreeStore
 from repro.nosql.sstable import BLOCK_SIZE, SSTable, Value
-from repro.nosql.store import LsmStore, StoreConfig, StoreStats, record_stamp
+from repro.nosql.store import LsmStore, StoreConfig, StoreStats
 
 __all__ = [
     "BLOCK_SIZE",
@@ -14,5 +14,4 @@ __all__ = [
     "StoreConfig",
     "StoreStats",
     "Value",
-    "record_stamp",
 ]

@@ -16,10 +16,10 @@ reads pay a predictable root-to-leaf walk instead of a multi-run probe.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 from repro.nosql.sstable import Value
-from repro.nosql.store import StoreConfig, StoreStats, record_stamp
+from repro.nosql.store import StoreConfig, StoreStats
+from repro.sitehash import stamp
 from repro.uarch.codemodel import NOSQL_STACK
 from repro.uarch.perfctx import context_or_null
 
@@ -71,7 +71,7 @@ class BTreeStore:
     def put(self, key: bytes, value_size: int) -> Value:
         if value_size < 0:
             raise ValueError("value_size must be non-negative")
-        value = Value(size=value_size, stamp=record_stamp(key, value_size))
+        value = Value(size=value_size, stamp=stamp(key, value_size))
         ctx = self.ctx
         with ctx.code(NOSQL_STACK):
             self._charge_walk(ctx, is_write=True)

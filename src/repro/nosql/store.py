@@ -18,23 +18,16 @@ operation statistics the serving layer converts into OPS and latency.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import math
 from dataclasses import dataclass
 
 from repro.nosql.sstable import BLOCK_SIZE, SSTable, Value
 from repro.obs.metrics import METRICS
+from repro.sitehash import stamp
 from repro.uarch.codemodel import NOSQL_STACK
 from repro.uarch.perfctx import context_or_null
 
 MB = 1024 * 1024
-
-
-def record_stamp(key: bytes, value_size: int) -> int:
-    """Deterministic verifiable stamp for a stored (key, size) pair."""
-    digest = hashlib.blake2b(key + value_size.to_bytes(8, "little"),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "little") & 0x7FFFFFFFFFFFFFFF
 
 
 @dataclass
@@ -164,7 +157,7 @@ class LsmStore:
         """Insert/overwrite a record of ``value_size`` real bytes."""
         if value_size < 0:
             raise ValueError("value_size must be non-negative")
-        value = Value(size=value_size, stamp=self._stamp(key, value_size))
+        value = Value(size=value_size, stamp=stamp(key, value_size))
         self._write(key, value)
         self.stats.puts += 1
         return value
@@ -491,6 +484,3 @@ class LsmStore:
     def _block_cache_fraction(self) -> float:
         """Block cache (~256 MB) as a fraction of the paper-scale data."""
         return max(1e-7, min(1.0, (256 * MB) / self._region_bytes("data")))
-
-    def _stamp(self, key: bytes, value_size: int) -> int:
-        return record_stamp(key, value_size)

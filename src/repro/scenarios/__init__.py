@@ -14,7 +14,6 @@ from repro.scenarios.backend import (
     Knobs,
     StorageBackend,
     key_bytes,
-    value_stamp,
 )
 from repro.scenarios.driver import (
     BACKEND_NAMES,
@@ -37,5 +36,4 @@ __all__ = [
     "key_bytes",
     "make_backend",
     "run_scenario",
-    "value_stamp",
 ]

@@ -10,8 +10,9 @@ seven operations::
 
 over integer logical keys, and every backend must return the *same
 logical answer* for the same operation sequence: a read yields the
-deterministic :func:`value_stamp` of the live ``(key, size)`` pair (or
-None for a miss), a scan yields the ordered live ``(key, stamp)`` rows.
+deterministic :func:`repro.sitehash.stamp` of the live ``(key, size)``
+pair (or None for a miss), a scan yields the ordered live ``(key,
+stamp)`` rows.
 The scenario driver (:mod:`repro.scenarios.driver`) and the scenario
 library (:mod:`repro.scenarios.library`) speak only this protocol --
 they never import ``repro.nosql`` or ``repro.sql`` internals.
@@ -42,8 +43,9 @@ any autocommit backlog first, so a transaction is a sync point.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+
+from repro.sitehash import stamp
 
 #: Autocommit writes buffered before a write-behind drain propagates
 #: them to the backing store (in logical operations, driver-ticked).
@@ -58,21 +60,6 @@ KNOB_CHOICES = {
 
 #: Tombstone sentinel in the session write buffer.
 _TOMBSTONE = object()
-
-
-def value_stamp(key_bytes: bytes, size: int) -> int:
-    """Deterministic verifiable stamp of a stored ``(key, size)`` pair.
-
-    This is the protocol's value law: the *same* expression the LSM
-    store applies on ``put`` (:func:`repro.nosql.store.record_stamp`),
-    restated here so the in-memory and SQL backends -- and the
-    equivalence tests -- agree on it without the scenario plane
-    importing storage-engine internals.  ``tests/scenarios`` pins the
-    two functions equal.
-    """
-    digest = hashlib.blake2b(key_bytes + size.to_bytes(8, "little"),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "little") & 0x7FFFFFFFFFFFFFFF
 
 
 def key_bytes(key: int) -> bytes:
@@ -212,11 +199,11 @@ class StorageBackend:
             if staged is _TOMBSTONE:
                 return None
             self.stats.read_hits += 1
-            return value_stamp(key_bytes(key), staged)
-        stamp = self._get(key)
-        if stamp is not None:
+            return stamp(key_bytes(key), staged)
+        value = self._get(key)
+        if value is not None:
             self.stats.read_hits += 1
-        return stamp
+        return value
 
     def write(self, key: int, size: int) -> None:
         """Insert/overwrite a record of ``size`` logical bytes."""
@@ -249,7 +236,7 @@ class StorageBackend:
                 if staged is _TOMBSTONE:
                     rows.pop(key, None)
                 else:
-                    rows[key] = value_stamp(key_bytes(key), staged)
+                    rows[key] = stamp(key_bytes(key), staged)
             out = tuple(sorted(rows.items())[:limit])
         else:
             out = tuple(self._scan(start_key, limit))

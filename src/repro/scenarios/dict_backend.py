@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import bisect
 
-from repro.scenarios.backend import StorageBackend, key_bytes, value_stamp
+from repro.scenarios.backend import StorageBackend, key_bytes
+from repro.sitehash import stamp
 from repro.uarch.codemodel import FRAMEWORK_STACK
 
 #: A hash-map op is a few hundred instructions of library code, not the
@@ -61,14 +62,14 @@ class DictBackend(StorageBackend):
         if size is None:
             return None
         self._touched_bytes += size
-        return value_stamp(key_bytes(key), size)
+        return stamp(key_bytes(key), size)
 
     def _scan(self, start_key: int, limit: int) -> list:
         first = bisect.bisect_left(self._keys, start_key)
         hits = self._keys[first:first + limit]
         self._charge(max(1, len(hits)))
         self._touched_bytes += sum(self._data[k] for k in hits)
-        return [(k, value_stamp(key_bytes(k), self._data[k])) for k in hits]
+        return [(k, stamp(key_bytes(k), self._data[k])) for k in hits]
 
     def record_count(self) -> int:
         return len(self._data)

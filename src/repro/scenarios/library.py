@@ -6,10 +6,9 @@ seed)``.  Backends never appear here -- the same scenario runs
 apples-to-apples against lsm/sql/dict, which is the entire point of the
 unified protocol.
 
-Determinism uses the suite's blake2b site-hash law (the same expression
-as :meth:`repro.faults.inject.FaultInjector.unit` -- no shared RNG
-state, every draw is an independent keyed hash), so op streams are
-seed-stable across processes, platforms, and ``jobs=N`` workers.
+Every draw is a :func:`repro.sitehash.unit` of its site -- no shared
+RNG state -- so op streams are seed-stable across processes, platforms,
+and ``jobs=N`` workers.
 
 The YCSB core mixes A-F follow the canonical workload definitions
 (update-heavy, read-mostly, read-only, read-latest, short-ranges,
@@ -28,10 +27,11 @@ Operations are plain tuples::
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.sitehash import unit
 
 #: Preloaded records / operations at scale 1 (multiplied by the Table 6
 #: scale factor).
@@ -44,13 +44,6 @@ ZIPF_THETA = 0.99
 #: Value sizes span [MIN_VALUE, MIN_VALUE + VALUE_SPREAD) bytes.
 MIN_VALUE = 100
 VALUE_SPREAD = 1000
-
-
-def unit(seed: int, site: str, salt: int) -> float:
-    """Deterministic uniform draw in [0, 1): the suite's site-hash law."""
-    digest = hashlib.blake2b(f"{seed}|{site}|{salt}".encode(),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "little") / 2.0**64
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,7 @@ class _Stream:
         self.seed = seed
 
     def u(self, part: str, salt: int) -> float:
-        return unit(self.seed, f"{self.site}:{part}", salt)
+        return unit(self.seed, f"{self.site}:{part}|{salt}")
 
     def size(self, salt: int) -> int:
         return MIN_VALUE + int(self.u("size", salt) * VALUE_SPREAD)

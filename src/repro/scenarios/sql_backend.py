@@ -25,7 +25,8 @@ import numpy as np
 
 from repro.cluster.ledger import CostLedger
 from repro.datagen.table import Table
-from repro.scenarios.backend import StorageBackend, key_bytes, value_stamp
+from repro.scenarios.backend import StorageBackend, key_bytes
+from repro.sitehash import stamp
 from repro.sql.engine import SqlEngine
 
 #: Bytes per cell, matching ``Table.nbytes``'s serialization model.
@@ -95,7 +96,7 @@ class SqlBackend(StorageBackend):
                 self._stale = True
                 self._index[key] = row
             self._k[row] = key
-            self._s[row] = value_stamp(key_bytes(key), size)
+            self._s[row] = stamp(key_bytes(key), size)
             self._v[row] = size
         self._dml_rows += 1
 

@@ -31,12 +31,12 @@ keeps the analytic ``mm_c`` model as a validation baseline.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from repro import sitehash
 from repro.cluster.sim import STRAGGLER_TAIL
 
 #: The load-curve shapes a profile can take.
@@ -343,9 +343,8 @@ class ArrivalStream:
 
 def _stream_rng(profile: LoadProfile, seed: int) -> np.random.Generator:
     """Generator keyed on the full ``(seed, profile)`` identity."""
-    digest = hashlib.blake2b(str(profile).encode(), digest_size=8).digest()
     return np.random.default_rng(
-        [int(seed) & (2 ** 63 - 1), int.from_bytes(digest, "little")])
+        [int(seed) & (2 ** 63 - 1), sitehash.key(str(profile).encode())])
 
 
 def _rate_curve(profile: LoadProfile, grid: np.ndarray) -> np.ndarray:

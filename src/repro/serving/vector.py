@@ -74,7 +74,7 @@ from math import inf
 import numpy as np
 
 from repro.cluster.node import ClusterSpec
-from repro.cluster.sim import STRAGGLER_TAIL, _eighth_power, unit_hash
+from repro.cluster.sim import STRAGGLER_TAIL, _eighth_power
 from repro.faults.inject import NULL_FAULTS
 from repro.keyed import group_starts, sort_group, stable_order
 from repro.serving.load import (
@@ -88,6 +88,7 @@ from repro.serving.load import (
     TIMEOUT_SECONDS,
     policy_tokens,
 )
+from repro.sitehash import unit
 
 #: NIC-chain Jacobi limits (:func:`_fifo_chains`): skip straight to the
 #: scalar scan when the first-order NIC busy-run estimate exceeds
@@ -846,7 +847,7 @@ class _VectorReplay:
                                 seq += 1
                                 issued += 1
                         continue
-                    jitter = 1.0 + 0.5 * unit_hash(
+                    jitter = 1.0 + 0.5 * unit(
                         stream.seed, f"{site}:jitter:{idx}:{attempt}")
                     back = ready + TIMEOUT_SECONDS \
                         + BACKOFF_SECONDS * (2.0 ** (attempt - 1)) * jitter

@@ -28,7 +28,7 @@ bit-identical emission sequence of a fault-free run; in
 ``at-least-once`` mode the sink commits immediately and replay visibly
 re-emits -- the duplicate-delta negative control.
 
-All fault decisions are the injector's pure blake2b hashes; the engine
+All fault decisions are the injector's :mod:`repro.sitehash` draws; the engine
 consumes no RNG at all, so the functional path is bit-deterministic
 serially and across process pools.
 """

@@ -21,9 +21,9 @@ from repro.cluster.sim import (
     TASK_WAVES,
     USABLE_MEMORY_FRACTION,
     node_usage,
-    unit_hash,
 )
 from repro.cluster.timemodel import JobCost, PhaseCost
+from repro.sitehash import unit
 
 
 class _SimNode:
@@ -166,7 +166,7 @@ def _run_phase(sim, phase: PhaseCost, nodes, alive, now: float) -> SimPhase:
             # Compute at the node's own clock: the per-node
             # CPI-derived CPU seconds heterogeneous clusters need.
             slot = node.earliest_core()
-            tail = unit_hash(sim.seed, f"{phase.name}:task{task}") ** 8
+            tail = unit(sim.seed, f"{phase.name}:task{task}") ** 8
             factor = 1.0 + STRAGGLER_TAIL * tail
             if tail > 0.5:
                 straggled += 1
@@ -244,8 +244,7 @@ def _shuffle(sim, phase: PhaseCost, alive, now: float) -> float:
     per_flow = phase.shuffle_bytes / (n * (n - 1))
     flows = [(src, dst) for src in alive for dst in alive if src is not dst]
     flows.sort(key=lambda pair: (
-        unit_hash(sim.seed,
-                  f"{phase.name}:flow:{pair[0].index}->{pair[1].index}"),
+        unit(sim.seed, f"{phase.name}:flow:{pair[0].index}->{pair[1].index}"),
         pair[0].index, pair[1].index))
     end = now
     for src, dst in flows:

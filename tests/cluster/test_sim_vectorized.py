@@ -10,19 +10,17 @@ axes, fingerprinted down to the float.
 
 Also covered: the invariants of the shuffle's level schedule
 (:class:`~repro.cluster.vector.FlowPlan`) over drawn clusters and one
-with long queues, the absorbed-prefix site hashes against one-shot
-blake2b, the straggler draws and their eighth-power shaping against
-Python's ``**``, the event arena (one structured record per task)
+with long queues, the straggler draws and their eighth-power shaping
+against Python's ``**``, the event arena (one structured record per task)
 agreeing with the ``SimPhase`` aggregates, and the per-node gauge
 limit.
 """
 
-import hashlib
-
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro import sitehash
 from repro.cluster import (
     ClusterSim,
     ClusterSpec,
@@ -31,12 +29,8 @@ from repro.cluster import (
     PAPER_CLUSTER,
     PhaseCost,
 )
-from repro.cluster.sim import STRAGGLER_TAIL, _eighth_power, unit_hash
-from repro.cluster.vector import (
-    flow_order,
-    prefixed_digests,
-    straggler_factors,
-)
+from repro.cluster.sim import STRAGGLER_TAIL, _eighth_power
+from repro.cluster.vector import flow_order, straggler_factors
 from repro.faults import FaultInjector, FaultPlan
 from tests.cluster import reference_sim
 from tests.cluster.test_sim import fingerprint, mr_like_job
@@ -199,7 +193,7 @@ class TestFlowPlan:
         flows = len(alive) * (len(alive) - 1)
         # The oracle's order: by (unit, src, dst).
         hashed = sorted(
-            (unit_hash(seed, f"exchange:flow:{s}->{d}"), s, d)
+            (sitehash.unit(seed, f"exchange:flow:{s}->{d}"), s, d)
             for s in alive for d in alive if s != d)
         position = {(s, d): k for k, (_, s, d) in enumerate(hashed)}
 
@@ -246,10 +240,8 @@ class TestFlowPlan:
 def test_eighth_power_is_the_scalar_pow():
     """``_eighth_power`` (both replay engines) against the per-task
     oracles' Python ``u ** 8``, over 10^5 hashed units."""
-    digest = b"".join(
-        hashlib.blake2b(b"3|map:task%d" % t, digest_size=8).digest()
-        for t in range(100_000))
-    units = np.frombuffer(digest, dtype="<u8") / 2.0 ** 64
+    units = sitehash.units(b"3|map:task",
+                           [b"%d" % t for t in range(100_000)])
     assert _eighth_power(units).tolist() == [u ** 8 for u in units.tolist()]
     for size in (0, 1, 7, 8, 9, 33):     # SIMD body and tail alike
         assert _eighth_power(units[:size]).tolist() == [
@@ -257,27 +249,12 @@ def test_eighth_power_is_the_scalar_pow():
     assert _eighth_power([0.0, 1.0, 0.5]).tolist() == [0.0, 1.0, 0.5 ** 8]
 
 
-@given(prefix=st.binary(max_size=160),
-       tails=st.lists(st.binary(max_size=160), max_size=6))
-@example(prefix=b"", tails=[])
-@example(prefix=b"7|map:task", tails=[b"", b"0", b"123"])
-@example(prefix=b"p" * 100, tails=[b"t" * 40, b"", b"u" * 29])
-@example(prefix=b"q" * 130, tails=[b"", b"r"])
-def test_prefixed_digests_are_one_shot_hashes(prefix, tails):
-    """One absorbed prefix, one ``copy()`` per tail: every digest is
-    the one-shot ``blake2b(prefix + tail)``, across a block boundary
-    (128 bytes) too."""
-    assert prefixed_digests(prefix, tails) == b"".join(
-        hashlib.blake2b(prefix + tail, digest_size=8).digest()
-        for tail in tails)
-
-
 @pytest.mark.parametrize("count", [0, 1, 7, 1000])
 def test_straggler_factors_are_the_scalar_draws(count):
     """The batched straggler tail, bit for bit the oracle's per-task
-    ``1 + STRAGGLER_TAIL * unit_hash(...) ** 8``."""
+    ``1 + STRAGGLER_TAIL * sitehash.unit(...) ** 8``."""
     factors, straggled = straggler_factors(11, "probe", count)
-    tails = [unit_hash(11, f"probe:task{t}") ** 8 for t in range(count)]
+    tails = [sitehash.unit(11, f"probe:task{t}") ** 8 for t in range(count)]
     assert factors.tolist() == [1 + STRAGGLER_TAIL * u for u in tails]
     assert straggled.tolist() == [u > 0.5 for u in tails]
 

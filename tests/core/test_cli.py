@@ -70,6 +70,12 @@ class TestParser:
                              if row[0][0] not in TABLE_DROPPED]
         assert surface(build_parser()) == recorded
 
+    def test_single_point_commands_take_no_jobs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "Grep", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     def test_table_rejects_execution_options(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["table", "4", "--jobs", "2"])
@@ -143,11 +149,17 @@ class TestCommands:
         assert doc["traceEvents"]
         assert all(e["ph"] == "X" for e in doc["traceEvents"])
 
-    def test_metrics(self, capsys):
-        assert main(["metrics", "Grep", "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "harness.runs" in out
-        assert "mr.jobs" in out
+    def test_metrics_runs_on_a_warm_cache(self, capsys, monkeypatch,
+                                          tmp_path):
+        from repro.obs.metrics import METRICS
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        for _ in range(2):     # two invocations, one process each
+            METRICS.reset()
+            assert main(["metrics", "Grep"]) == 0
+            out = capsys.readouterr().out
+            assert "harness.runs" in out
+            assert "mr.jobs" in out
 
     def test_chaos_reports_equivalence(self, capsys):
         assert main(["chaos", "Grep", "--no-cache",

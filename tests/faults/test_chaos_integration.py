@@ -3,8 +3,9 @@
 The core guarantee of the fault layer: with recovery enabled, any fault
 plan produces bit-identical workload *output* to the fault-free run --
 only counters and modeled timings may differ.  Verified here for one
-workload per engine family, plus event-sequence determinism (serial and
-under process fan-out) and the cache-key plumbing.
+workload per engine family, plus event-sequence determinism and the
+cache-key plumbing; process fan-out is
+``tests/integration/test_determinism.py``.
 """
 
 import pytest
@@ -78,18 +79,6 @@ class TestEventDeterminism:
             for seed in (5, 6)
         ]
         assert logs[0] != logs[1]
-
-    def test_parallel_runs_match_serial(self):
-        specs = [
-            RunSpec(workload="Grep", faults=self.SPEC, seed=5),
-            RunSpec(workload="Select Query", faults="task_crash:rate=0.5",
-                    seed=5),
-        ]
-        serial = Harness(cache=None).run_many(specs, jobs=1)
-        parallel = Harness(cache=None).run_many(specs, jobs=2)
-        for a, b in zip(serial, parallel):
-            assert a.fault_events == b.fault_events
-            assert a.result.metric_value == b.result.metric_value
 
 
 class TestCacheKeying:

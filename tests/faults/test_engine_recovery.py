@@ -40,11 +40,14 @@ class CountJob(MapReduceJob):
         return keys, np.add.reduceat(values, starts)
 
 
-def run_mr(faults=None):
+def mr_input():
     data = np.arange(20_000) % 31
-    file = Dfs(block_size=64 * 1024).put("in", data, 1024 * 1024)  # 16 splits
-    runtime = MapReduceRuntime(cluster=SMALL, faults=faults)
-    return runtime.run(CountJob(), file)
+    return Dfs(block_size=64 * 1024).put("in", data, 1024 * 1024)  # 16 splits
+
+
+def run_mr(faults=None, ctx=None):
+    runtime = MapReduceRuntime(cluster=SMALL, ctx=ctx, faults=faults)
+    return runtime.run(CountJob(), mr_input())
 
 
 class TestMapReduceRecovery:
@@ -54,6 +57,28 @@ class TestMapReduceRecovery:
         assert np.array_equal(clean.output_keys, chaos.output_keys)
         assert np.array_equal(clean.output_values, chaos.output_values)
         assert chaos.counters.get("task_retries") > 0
+
+    def test_task_crash_costs_extra_instructions(self):
+        def instructions(faults):
+            ctx = PerfContext(XEON_E5645, seed=0)
+            run_mr(faults, ctx=ctx)
+            return ctx.finalize().events.instructions
+
+        assert instructions(injector("task_crash:rate=0.6")) \
+            > 1.2 * instructions(None)
+
+    def test_task_crash_costs_extra_time(self):
+        from repro.cluster.timemodel import TimeModel
+
+        tm = TimeModel(data_scale=8192)
+        chaos = run_mr(injector("task_crash:rate=0.6"))
+        assert tm.job_time(chaos.cost) > tm.job_time(run_mr().cost)
+
+    def test_attempts_bounded_at_rate_one(self):
+        chaos = run_mr(injector("task_crash:rate=1.0"))
+        splits = len(mr_input().splits())
+        assert chaos.counters.get("task_retries") == \
+            (MapReduceRuntime.MAX_ATTEMPTS - 1) * splits
 
     def test_task_crash_without_recovery_loses_splits(self):
         clean = run_mr()

@@ -2,20 +2,14 @@
 
 import pytest
 
-from repro.nosql.store import record_stamp
 from repro.obs.metrics import METRICS
-from repro.scenarios import (
-    BackendError,
-    Knobs,
-    key_bytes,
-    run_scenario,
-    value_stamp,
-)
+from repro.scenarios import BackendError, Knobs, key_bytes, run_scenario
 from repro.scenarios.backend import WRITE_BEHIND_BATCH
 from repro.scenarios.dict_backend import DictBackend
 from repro.scenarios.driver import make_backend
 from repro.scenarios.lsm_backend import LsmBackend
 from repro.scenarios.sql_backend import SqlBackend
+from repro.sitehash import stamp
 from repro.sql.engine import SqlEngine
 
 
@@ -56,14 +50,6 @@ class TestKnobs:
 
 
 class TestValueLaw:
-    def test_value_stamp_matches_lsm_record_stamp(self):
-        """The protocol's value law is the LSM store's stamp law --
-        pinned here so the backends can never drift apart."""
-        for key in (0, 1, 7, 123456, 10**11):
-            for size in (0, 1, 100, 4096):
-                kb = key_bytes(key)
-                assert value_stamp(kb, size) == record_stamp(kb, size)
-
     def test_key_bytes_order_matches_numeric_order(self):
         keys = [0, 1, 9, 10, 99, 100, 12345, 10**9]
         encoded = [key_bytes(k) for k in keys]
@@ -79,12 +65,12 @@ class TestProtocol:
     def test_read_your_writes(self, backend):
         assert backend.read(1) is None
         backend.write(1, 100)
-        assert backend.read(1) == value_stamp(key_bytes(1), 100)
+        assert backend.read(1) == stamp(key_bytes(1), 100)
 
     def test_overwrite_latest_wins(self, backend):
         backend.write(1, 100)
         backend.write(1, 200)
-        assert backend.read(1) == value_stamp(key_bytes(1), 200)
+        assert backend.read(1) == stamp(key_bytes(1), 200)
 
     def test_delete_buries(self, backend):
         backend.write(1, 100)
@@ -98,7 +84,7 @@ class TestProtocol:
         backend.delete(3)
         rows = backend.scan(0, 10)
         assert [k for k, _ in rows] == [1, 5, 9]
-        assert rows[0][1] == value_stamp(key_bytes(1), 10)
+        assert rows[0][1] == stamp(key_bytes(1), 10)
         assert backend.scan(5, 10) == rows[1:]
         assert len(backend.scan(0, 2)) == 2
         assert backend.scan(0, 0) == ()
@@ -109,7 +95,7 @@ class TestProtocol:
         assert backend.in_txn
         backend.commit()
         assert not backend.in_txn
-        assert backend.read(1) == value_stamp(key_bytes(1), 100)
+        assert backend.read(1) == stamp(key_bytes(1), 100)
         assert backend.record_count() == 1
 
     def test_txn_rollback_discards(self, backend):
@@ -118,7 +104,7 @@ class TestProtocol:
         backend.write(2, 200)
         backend.delete(1)
         backend.rollback()
-        assert backend.read(1) == value_stamp(key_bytes(1), 100)
+        assert backend.read(1) == stamp(key_bytes(1), 100)
         assert backend.read(2) is None
         assert backend.record_count() == 1
 
@@ -157,13 +143,13 @@ class TestVisibilityKnobs:
         assert be.read(1) is None          # not drained yet
         assert be.scan(0, 10) == ()
         be.close()
-        assert be.read(1) == value_stamp(key_bytes(1), 100)
+        assert be.read(1) == stamp(key_bytes(1), 100)
 
     def test_ryw_sees_buffered_writes(self):
         be = DictBackend(Knobs.parse("commit=write-behind"))
         be.write(1, 100)
         assert be.stats.propagated == 0    # still buffered
-        assert be.read(1) == value_stamp(key_bytes(1), 100)
+        assert be.read(1) == stamp(key_bytes(1), 100)
         assert be.stats.buffer_hits == 1
         rows = be.scan(0, 10)
         assert [k for k, _ in rows] == [1]
@@ -211,7 +197,7 @@ class TestVisibilityKnobs:
         be.begin()                         # drains the autocommit backlog
         assert be.stats.propagated == 1
         be.rollback()
-        assert be.read(1) == value_stamp(key_bytes(1), 10)
+        assert be.read(1) == stamp(key_bytes(1), 10)
 
 
 class TestAdapters:
@@ -245,7 +231,7 @@ class TestAdapters:
         for i in range(2100):               # > 2 doublings of 1024
             be.write(i, 10)
         assert be.record_count() == 2100
-        assert be.read(2099) == value_stamp(key_bytes(2099), 10)
+        assert be.read(2099) == stamp(key_bytes(2099), 10)
         rows = be.scan(2090, 100)
         assert [k for k, _ in rows] == list(range(2090, 2100))
 

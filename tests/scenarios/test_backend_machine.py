@@ -25,9 +25,10 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.scenarios import Knobs, key_bytes, make_backend, value_stamp
+from repro.scenarios import Knobs, key_bytes, make_backend
 from repro.scenarios.backend import KNOB_CHOICES, WRITE_BEHIND_BATCH
 from repro.scenarios.driver import BACKEND_NAMES
+from repro.sitehash import stamp
 
 #: Few keys, so that writes, deletes and scans keep colliding.
 KEYS = st.integers(0, 24)
@@ -38,7 +39,7 @@ _DEAD = None     # a staged delete, in the model's buffer
 
 
 def _stamp(key: int, size: int) -> int:
-    return value_stamp(key_bytes(key), size)
+    return stamp(key_bytes(key), size)
 
 
 class BackendMachine(RuleBasedStateMachine):

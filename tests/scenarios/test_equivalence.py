@@ -2,9 +2,9 @@
 
 The same deterministic scenario must produce the *identical* logical
 answer -- the digest over every read result and transaction outcome --
-on every backend, for every knob combination, and regardless of how the
-run is executed (serial, ``jobs=2`` worker processes, or replayed from
-the disk cache).
+on every backend and for every knob combination.  That it is the same
+however the run executes (``jobs=2``, the disk cache) is
+``tests/integration/test_determinism.py``.
 """
 
 import dataclasses
@@ -122,26 +122,6 @@ class TestBackendEquivalence:
 
 
 class TestHarnessEquivalence:
-    """Serial vs jobs=2 vs disk-cache replay through the normal path."""
-
-    def test_serial_vs_jobs2_and_cache_round_trip(self, tmp_path):
-        from repro.core.diskcache import DiskCache
-
-        specs = [RunSpec(workload="Scenario Orders", scale=1, stack=stack,
-                         seed=5) for stack in ("dict", "lsm")]
-        serial = Harness(cache=False).run_many(specs)
-        fanned = Harness(jobs=2, cache=False).run_many(specs)
-        for left, right in zip(serial, fanned):
-            assert left.result.details == right.result.details
-            assert left.result.metric_value == right.result.metric_value
-
-        first = Harness(cache=DiskCache(str(tmp_path))).run_many(specs)
-        replayed_cache = DiskCache(str(tmp_path))
-        replay = Harness(cache=replayed_cache).run_many(specs)
-        assert replayed_cache.hits == len(specs)
-        for left, right in zip(first, replay):
-            assert left.result.details == right.result.details
-
     def test_memo_key_distinguishes_backend_and_seed(self):
         harness = Harness(cache=False)
 

@@ -12,7 +12,7 @@ import heapq
 import numpy as np
 
 from repro.cluster.node import ClusterSpec
-from repro.cluster.sim import STRAGGLER_TAIL, unit_hash
+from repro.cluster.sim import STRAGGLER_TAIL
 from repro.faults.inject import NULL_FAULTS
 from repro.serving.load import (
     ArrivalStream,
@@ -25,6 +25,7 @@ from repro.serving.load import (
     TIMEOUT_SECONDS,
     policy_tokens,
 )
+from repro.sitehash import unit
 
 
 def replay_stream(stream: ArrivalStream, cluster: ClusterSpec,
@@ -219,7 +220,7 @@ def replay_stream(stream: ArrivalStream, cluster: ClusterSpec,
                 faults.lost("request", site, index=int(idx))
                 issue_next(user, ready + TIMEOUT_SECONDS)
                 continue
-            jitter = 1.0 + 0.5 * unit_hash(
+            jitter = 1.0 + 0.5 * unit(
                 stream.seed, f"{site}:jitter:{idx}:{attempt}")
             back = ready + TIMEOUT_SECONDS \
                 + BACKOFF_SECONDS * (2.0 ** (attempt - 1)) * jitter

@@ -1,10 +1,9 @@
 """Determinism invariants of the serving load plane.
 
 Identical ``(seed, LoadProfile)`` must yield bit-identical arrival
-timestamps and request mixes -- serially, across repeated calls, and
-through the harness under ``jobs=N`` (workers receive pickled resolved
-specs, so the stream is regenerated in another process and must land on
-the same bits).
+timestamps and request mixes, serially and across repeated calls.
+Through the harness under ``jobs=N`` -- the stream regenerated in
+another process -- is ``tests/integration/test_determinism.py``.
 """
 
 import numpy as np
@@ -63,25 +62,6 @@ class TestStreamDeterminism:
         assert (a.requests, a.completed, a.shed, a.hedged, a.retries) \
             == (b.requests, b.completed, b.shed, b.hedged, b.retries)
         assert a.mix == b.mix
-
-
-class TestHarnessDeterminism:
-    SERVING = "constant:duration=5@shed"
-
-    def _specs(self):
-        # rps is left unset: each workload fills its default sweep rate.
-        return [
-            RunSpec(workload="Nutch Server", seed=3, serving=self.SERVING),
-            RunSpec(workload="Rubis Server", seed=3, serving=self.SERVING),
-        ]
-
-    def test_serial_and_parallel_bit_identical(self):
-        serial = Harness(cache=None).run_many(self._specs(), jobs=1)
-        parallel = Harness(cache=None).run_many(self._specs(), jobs=2)
-        for a, b in zip(serial, parallel):
-            assert a.result.metric_value == b.result.metric_value
-            assert a.result.details == b.result.details
-            assert a.events.instructions == b.events.instructions
 
 
 class TestServingKeying:

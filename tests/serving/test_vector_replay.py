@@ -24,8 +24,6 @@ from repro.cluster.node import (
     PAPER_CLUSTER,
     SINGLE_NODE,
 )
-from repro.core.harness import Harness
-from repro.core.runspec import RunSpec
 from repro.faults.inject import FaultInjector, NULL_FAULTS
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import METRICS
@@ -402,21 +400,6 @@ class TestRunServingEquivalence:
                      "failed_fraction", "utilization", "makespan"):
             assert getattr(a, name) == getattr(b, name), name
         assert a.request_mix == b.request_mix
-
-
-class TestHarnessEquivalence:
-    """Serial vs pooled: the full harness path agrees."""
-
-    def test_serial_vs_jobs2(self):
-        options = ServingOptions(
-            profile=LoadProfile.parse("constant:duration=5"), policy="shed")
-        specs = [RunSpec(workload="Nutch Server", seed=3),
-                 RunSpec(workload="Rubis Server", seed=3)]
-        serial = Harness(cache=None, serving=options).run_many(specs, jobs=1)
-        pooled = Harness(cache=None, serving=options).run_many(specs, jobs=2)
-        for a, b in zip(serial, pooled):
-            assert a.result.metric_value == b.result.metric_value
-            assert a.result.details == b.result.details
 
 
 def test_replay_takes_no_other_engine():
