@@ -36,7 +36,7 @@ def _prepare_all(store) -> float:
     harness = Harness(artifacts=store)
     start = time.perf_counter()
     for name in PREPARE_SUITE:
-        harness._prepared(name, 1, seed=0)
+        harness.prepare(name, 1, seed=0)
     return time.perf_counter() - start
 
 

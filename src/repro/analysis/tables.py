@@ -11,6 +11,7 @@ from repro.core import registry
 from repro.core.report import render_table
 from repro.core.workload import SCALE_FACTORS
 from repro.datagen.seeds import SEED_REGISTRY
+from repro.errors import InputError
 from repro.uarch.hierarchy import XEON_E5310, XEON_E5645
 
 
@@ -117,5 +118,7 @@ ALL_TABLES = {
 
 def render(name: str) -> str:
     """Render one table by its paper name."""
+    if name not in ALL_TABLES:
+        raise InputError(f"unknown table {name!r}; known: {', '.join(ALL_TABLES)}")
     headers, rows = ALL_TABLES[name]()
     return render_table(headers, rows, title=name)

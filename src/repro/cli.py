@@ -22,6 +22,9 @@ its workloads), ``--no-cache`` to bypass the persistent on-disk result
 cache.  The commands that characterize many points -- ``sweep``,
 ``figure``, ``roofline``, ``rank``, ``export`` -- accept ``--jobs N``
 (0 = one worker per CPU) to fan them across processes.
+
+A name, stack or spec that does not resolve (an
+:class:`~repro.errors.InputError`) exits 1 with its one-line message.
 """
 
 from __future__ import annotations
@@ -29,11 +32,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cluster.node import resolve_cluster
 from repro.core import registry
 from repro.core.harness import Harness
 from repro.core.report import render_table
 from repro.core.runspec import RunSpec
 from repro.core.workload import SCALE_FACTORS
+from repro.errors import InputError
 from repro.streaming import EXACTLY_ONCE, STREAM_MODES
 from repro.uarch.hierarchy import MACHINES, XEON_E5645
 
@@ -44,15 +49,6 @@ def _machine(name: str):
             return machine
     known = ", ".join(MACHINES)
     raise SystemExit(f"unknown machine {name!r}; known: {known}")
-
-
-def _cluster(name):
-    from repro.cluster.node import resolve_cluster
-
-    try:
-        return resolve_cluster(name)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
 
 
 #: Options more than one command takes, declared once: flag -> argparse
@@ -112,7 +108,7 @@ def _harness(args, machine=None) -> Harness:
     artifacts = False if args.no_artifacts else None
     kwargs = {}
     if args.cluster is not None:
-        kwargs["cluster"] = _cluster(args.cluster)
+        kwargs["cluster"] = resolve_cluster(args.cluster)
     serving = _serving_options(args)
     if serving is not None:
         kwargs["serving"] = serving
@@ -436,12 +432,7 @@ def cmd_serve(args) -> None:
 
     name = SERVE_ALIASES.get(args.server.lower(), args.server)
     harness = _harness(args, machine=_machine(args.machine))
-    try:
-        prepared = harness._prepared(name, args.scale, seed=args.seed)
-    except KeyError:
-        known = ", ".join(sorted(SERVE_ALIASES))
-        raise SystemExit(f"unknown server {args.server!r}; known: {known} "
-                         "(or a full online-service workload name)")
+    prepared = harness.prepare(name, args.scale, seed=args.seed)
     server = prepared.payload
     if not hasattr(server, "handle"):
         raise SystemExit(f"{name!r} is not an online service")
@@ -453,7 +444,7 @@ def cmd_serve(args) -> None:
         if args.duration is not None:
             profile = replace(profile, duration=float(args.duration))
         profile = profile.with_rate(prepared.details["rate_rps"])
-        cluster = (_cluster(args.cluster) if args.cluster is not None
+        cluster = (resolve_cluster(args.cluster) if args.cluster is not None
                    else None)
         spec = ServingRun(
             server=server, profile=profile, policy=args.policy or "none",
@@ -531,21 +522,12 @@ def cmd_scenario(args) -> None:
     from repro.core.workload import DATA_SCALE
     from repro.faults import FaultPlan
     from repro.faults.inject import FaultInjector
-    from repro.scenarios import BACKEND_NAMES, SCENARIO_NAMES, Knobs
+    from repro.scenarios import BACKEND_NAMES, Knobs
     from repro.scenarios.driver import run_scenario
     from repro.uarch.perfctx import PerfContext
 
-    if args.name not in SCENARIO_NAMES:
-        known = ", ".join(SCENARIO_NAMES)
-        raise SystemExit(f"unknown scenario {args.name!r}; known: {known}")
-    try:
-        knobs = Knobs.parse(args.knobs) if args.knobs else Knobs()
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    cluster = _cluster(args.cluster) if args.cluster is not None else None
-    if cluster is None:
-        from repro.cluster.node import PAPER_CLUSTER
-        cluster = PAPER_CLUSTER
+    knobs = Knobs.parse(args.knobs) if args.knobs else Knobs()
+    cluster = resolve_cluster(args.cluster or "paper")
     machine = _machine(args.machine)
     backends = list(BACKEND_NAMES) if args.compare else [args.backend]
     model = TimeModel(cluster, data_scale=DATA_SCALE)
@@ -557,12 +539,9 @@ def cmd_scenario(args) -> None:
             plan = FaultPlan.parse(args.faults,
                                    recovery=not args.no_recovery)
             faults = FaultInjector(plan, seed=args.seed)
-        try:
-            return run_scenario(args.name, backend=backend, knobs=knobs,
-                                ctx=ctx, cluster=cluster, seed=args.seed,
-                                scale=args.scale, faults=faults)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+        return run_scenario(args.name, backend=backend, knobs=knobs,
+                            ctx=ctx, cluster=cluster, seed=args.seed,
+                            scale=args.scale, faults=faults)
 
     results = [one(backend) for backend in backends]
 
@@ -632,7 +611,7 @@ def cmd_cluster(args) -> None:
     if args.action == "show":
         names = [args.name] if args.name else sorted(CLUSTERS)
         for name in names:
-            spec = _cluster(name)
+            spec = resolve_cluster(name)
             if args.nodes:
                 spec = spec.scaled(args.nodes)
             rows = []
@@ -955,7 +934,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.fn(args)
+    try:
+        args.fn(args)
+    except InputError as exc:
+        raise SystemExit(str(exc))
     return 0
 
 

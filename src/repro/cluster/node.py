@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import InputError
 from repro.uarch.hierarchy import MachineConfig, XEON_E5310, XEON_E5645
 
 GB = 1024 ** 3
@@ -173,7 +174,7 @@ def resolve_cluster(name) -> ClusterSpec:
         spec = CLUSTERS[base]
     except KeyError:
         known = ", ".join(sorted(CLUSTERS))
-        raise ValueError(f"unknown cluster {name!r}; known presets: {known} "
+        raise InputError(f"unknown cluster {name!r}; known presets: {known} "
                          f"(append ':N' to override the node count)")
     if not sep:
         return spec
@@ -182,6 +183,6 @@ def resolve_cluster(name) -> ClusterSpec:
         if nodes <= 0:
             raise ValueError
     except ValueError:
-        raise ValueError(f"bad node-count override in {name!r}: "
+        raise InputError(f"bad node-count override in {name!r}: "
                          f"expected '<preset>:<positive int>'")
     return spec.scaled(nodes)

@@ -102,7 +102,7 @@ class Harness:
     worker -- re-opens the same pages zero-copy.  Either way the harness
     generates each distinct data set once: workloads reading the same
     one share a read-only object, so ``False`` means "no spill", not
-    "regenerate" (a store bounds what stays open: see ``_prepared``).
+    "regenerate" (a store bounds what stays open: see :meth:`prepare`).
     """
 
     #: In-memory prepared-input cache bound when an artifact store is
@@ -136,7 +136,7 @@ class Harness:
         #: workloads that read the same one share it.  The prepared
         #: inputs above reference these objects, so without a store the
         #: memo adds no memory; with one they are memory-mapped, and
-        #: ``_prepared`` evicts them along with the inputs.
+        #: :meth:`prepare` evicts them along with the inputs.
         self._datasets: dict = {}
 
     # -- the RunSpec API -------------------------------------------------------
@@ -184,6 +184,42 @@ class Harness:
         return self.run(RunSpec(workload=name, scale=scale, stack=stack,
                                 machine=machine, trace=trace))
 
+    def prepare(self, name: str, scale: int, seed: int = None, ctx=None):
+        """The prepared input of workload ``name`` at ``scale``.
+
+        ``seed`` defaults to the harness seed.  Inputs are memoized per
+        ``(name, scale, seed)`` and generated through the artifact store,
+        with ``artifact:*`` spans on ``ctx``.  Every run of this harness
+        gets its input here, and so may a caller that drives a workload's
+        payload itself (``repro serve``).
+        """
+        from repro.core import artifacts
+
+        seed = self.seed if seed is None else seed
+        key = (name, scale, seed)
+        if key in self._inputs:
+            # LRU touch: move the hit to the back of insertion order.
+            prepared = self._inputs.pop(key)
+            self._inputs[key] = prepared
+            return prepared
+        with artifacts.activated(self.artifacts, ctx, self._datasets):
+            prepared = registry.create(name).prepare(scale, seed=seed)
+        self._inputs[key] = prepared
+        # With a store attached the memo is just a hot-set accelerator --
+        # evictions re-open the mmap'd artifact, so bound it; without a
+        # store it is the only thing preventing regeneration, keep it all.
+        if self.artifacts is not None:
+            while len(self._inputs) > self.INPUT_CACHE_SIZE:
+                self._inputs.pop(next(iter(self._inputs)))
+            # The data sets go with the last input of their (scale, seed)
+            # point: every memory-mapped array holds a mapping and a file
+            # descriptor, and keeps a collected artifact on disk.
+            points = {point[1:] for point in self._inputs}
+            for dataset in [dataset for dataset in self._datasets
+                            if dataset[1:3] not in points]:
+                del self._datasets[dataset]
+        return prepared
+
     # -- execution and persistent caching --------------------------------------
 
     def _execute(self, spec: RunSpec) -> CharacterizationResult:
@@ -209,9 +245,8 @@ class Harness:
             if injector is not None:
                 run_span.set("faults", str(spec.faults))
             with ctx.span(f"prepare:{spec.workload}", category="datagen"):
-                prepared = self._prepared(spec.workload, spec.scale,
-                                          seed=spec.seed, workload=workload,
-                                          ctx=ctx)
+                prepared = self.prepare(spec.workload, spec.scale,
+                                        seed=spec.seed, ctx=ctx)
             with ctx.span(f"run:{spec.workload}", category="harness"):
                 result = workload.run(prepared, ctx=ctx, cluster=spec.cluster,
                                       stack=spec.stack)
@@ -247,34 +282,3 @@ class Harness:
         if self.cache is None:
             return
         self.cache.put(spec.cache_key(), outcome)
-
-    def _prepared(self, name: str, scale: int, seed: int = None, workload=None,
-                  ctx=None):
-        from repro.core import artifacts
-
-        seed = self.seed if seed is None else seed
-        key = (name, scale, seed)
-        if key in self._inputs:
-            # LRU touch: move the hit to the back of insertion order.
-            prepared = self._inputs.pop(key)
-            self._inputs[key] = prepared
-            return prepared
-        if workload is None:
-            workload = registry.create(name)
-        with artifacts.activated(self.artifacts, ctx, self._datasets):
-            prepared = workload.prepare(scale, seed=seed)
-        self._inputs[key] = prepared
-        # With a store attached the memo is just a hot-set accelerator --
-        # evictions re-open the mmap'd artifact, so bound it; without a
-        # store it is the only thing preventing regeneration, keep it all.
-        if self.artifacts is not None:
-            while len(self._inputs) > self.INPUT_CACHE_SIZE:
-                self._inputs.pop(next(iter(self._inputs)))
-            # The data sets go with the last input of their (scale, seed)
-            # point: every memory-mapped array holds a mapping and a file
-            # descriptor, and keeps a collected artifact on disk.
-            points = {point[1:] for point in self._inputs}
-            for dataset in [dataset for dataset in self._datasets
-                            if dataset[1:3] not in points]:
-                del self._datasets[dataset]
-        return prepared

@@ -13,6 +13,7 @@ the paper tables.
 from __future__ import annotations
 
 from repro.core.workload import Workload
+from repro.errors import InputError
 from repro.workloads import (
     AggregateQueryWorkload,
     BfsWorkload,
@@ -77,10 +78,10 @@ SCENARIO_CLASSES = {
 _EXTENSION_REGISTRIES = (STREAMING_CLASSES, SCENARIO_CLASSES)
 
 
-class UnknownWorkloadError(ValueError, KeyError):
+class UnknownWorkloadError(InputError, KeyError):
     """Raised for a workload name not in Table 4 (or its extensions).
 
-    Subclasses both ValueError (it is a bad argument -- the message
+    Subclasses both InputError (it is a bad argument -- the message
     lists every valid choice) and KeyError (the registry is a mapping,
     and long-standing callers catch the lookup that way).
     """

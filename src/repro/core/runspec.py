@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.cluster.node import ClusterSpec
+from repro.errors import InputError
 from repro.uarch.hierarchy import MachineConfig
 
 
@@ -53,7 +54,7 @@ class RunSpec:
 
     def __post_init__(self):
         if self.scale < 1:
-            raise ValueError(f"scale must be >= 1, got {self.scale}")
+            raise InputError(f"scale must be >= 1, got {self.scale}")
         if self.faults is not None:
             from repro.faults.plan import FaultPlan
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import InputError
+
 #: Every fault kind an engine knows how to inject (and recover from).
 #:
 #: ``task_crash``    MapReduce map attempt / SQL scan fragment / Spark
@@ -74,11 +76,11 @@ FAULT_KINDS = (
 )
 
 
-class UnknownFaultKindError(ValueError, KeyError):
+class UnknownFaultKindError(InputError, KeyError):
     """Raised for a fault kind no engine knows how to inject.
 
     Mirrors :class:`repro.core.registry.UnknownWorkloadError`: it
-    subclasses both ValueError (a bad argument -- the message lists
+    subclasses both InputError (a bad argument -- the message lists
     every valid kind) and KeyError (callers treating FAULT_KINDS as a
     registry catch the lookup that way), and it fires at *parse* time,
     so a typo'd spec string fails when the plan is built instead of
@@ -127,18 +129,18 @@ class FaultRule:
         if self.kind not in FAULT_KINDS:
             raise UnknownFaultKindError(self.kind)
         if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {self.rate}")
+            raise InputError(f"rate must be in [0, 1], got {self.rate}")
         object.__setattr__(self, "at", tuple(int(t) for t in self.at))
         if any(t < 1 for t in self.at):
-            raise ValueError(f"at ticks are 1-based, got {self.at}")
+            raise InputError(f"at ticks are 1-based, got {self.at}")
         if self.factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {self.factor}")
+            raise InputError(f"factor must be >= 1, got {self.factor}")
         if self.node < 0:
-            raise ValueError(f"node must be >= 0, got {self.node}")
+            raise InputError(f"node must be >= 0, got {self.node}")
         if self.rate == 0.0 and not self.at and self.kind not in (
                 "node_kill", "overload", "slow_disk", "slow_nic",
                 "watermark_skew"):
-            raise ValueError(
+            raise InputError(
                 f"rule {self.kind!r} would never fire: give rate= or at=")
 
     def __str__(self) -> str:
@@ -160,7 +162,7 @@ class FaultRule:
         """Parse one ``kind:param=value:...`` rule."""
         fields = [f.strip() for f in text.strip().split(":") if f.strip()]
         if not fields:
-            raise ValueError("empty fault rule")
+            raise InputError("empty fault rule")
         kind, params = fields[0], {}
         last = None
         for item in fields[1:]:
@@ -169,7 +171,7 @@ class FaultRule:
                 # A colon inside a value (e.g. scope=mr:sort) splits the
                 # field; glue the orphan back onto the last parameter.
                 if last is None:
-                    raise ValueError(
+                    raise InputError(
                         f"malformed parameter {item!r} in rule {text!r} "
                         "(expected name=value)")
                 params[last] += ":" + item
@@ -189,7 +191,7 @@ class FaultRule:
             elif name == "node":
                 kwargs["node"] = int(value)
             else:
-                raise ValueError(
+                raise InputError(
                     f"unknown parameter {name!r} in rule {text!r}; valid: "
                     "rate, at, scope, factor, node")
         return cls(kind=kind, **kwargs)
@@ -215,10 +217,10 @@ class FaultPlan:
             for r in self.rules)
         for rule in rules:
             if not isinstance(rule, FaultRule):
-                raise ValueError(f"not a FaultRule: {rule!r}")
+                raise InputError(f"not a FaultRule: {rule!r}")
         object.__setattr__(self, "rules", rules)
         if self.checkpoint_interval < 1:
-            raise ValueError(
+            raise InputError(
                 f"checkpoint_interval must be >= 1, got "
                 f"{self.checkpoint_interval}")
 
@@ -243,7 +245,7 @@ class FaultPlan:
             elif flag.startswith("ckpt="):
                 checkpoint_interval = int(flag[len("ckpt="):])
             else:
-                raise ValueError(f"unknown plan flag {flag!r} in {spec!r}")
+                raise InputError(f"unknown plan flag {flag!r} in {spec!r}")
             saw_flag = True
             body = body.strip()
         rules = tuple(
@@ -253,7 +255,7 @@ class FaultPlan:
             # A flag-only spec (e.g. "[ckpt=4]") is a valid rule-free
             # plan: checkpointing configured, nothing armed.  A fully
             # empty spec is still a mistake.
-            raise ValueError(f"fault spec {spec!r} contains no rules")
+            raise InputError(f"fault spec {spec!r} contains no rules")
         return cls(rules=rules, recovery=recovery,
                    checkpoint_interval=checkpoint_interval)
 

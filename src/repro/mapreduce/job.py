@@ -92,8 +92,9 @@ class MapReduceJob:
     # -- functional dataflow -------------------------------------------------
 
     def record_count(self, split) -> int:
-        """Number of input records in a split payload."""
-        raise NotImplementedError
+        """Number of input records in a split payload: its length, unless
+        the payload is not one array of records."""
+        return len(split.payload)
 
     def map_batch(self, split, ctx) -> "tuple[np.ndarray, np.ndarray]":
         """Map a whole split; return (keys, values) int64/float64 arrays.

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from repro.errors import InputError
 from repro.sitehash import stamp
 
 #: Autocommit writes buffered before a write-behind drain propagates
@@ -93,7 +94,7 @@ class Knobs:
         for f in fields(self):
             value = getattr(self, f.name)
             if value not in KNOB_CHOICES[f.name]:
-                raise ValueError(
+                raise InputError(
                     f"knob {f.name}={value!r}; valid: "
                     f"{', '.join(KNOB_CHOICES[f.name])}")
 
@@ -110,7 +111,7 @@ class Knobs:
             name, sep, value = part.partition("=")
             name = name.strip()
             if not sep or name not in KNOB_CHOICES:
-                raise ValueError(
+                raise InputError(
                     f"bad knob {part!r}; expected name=value with name in "
                     f"{', '.join(KNOB_CHOICES)}")
             kwargs[name] = value.strip()

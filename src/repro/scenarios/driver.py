@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.cluster.ledger import CostLedger
 from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
+from repro.errors import InputError
 from repro.obs.metrics import METRICS
 from repro.scenarios import library
 from repro.scenarios.backend import Knobs, StorageBackend
@@ -72,7 +73,7 @@ def make_backend(name: str, knobs=None, ctx=None,
     if name == "dict":
         from repro.scenarios.dict_backend import DictBackend
         return DictBackend(knobs, ctx)
-    raise ValueError(f"unknown backend {name!r}; known: "
+    raise InputError(f"unknown backend {name!r}; known: "
                      f"{', '.join(BACKEND_NAMES)}")
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import InputError
 from repro.sitehash import unit
 
 #: Preloaded records / operations at scale 1 (multiplied by the Table 6
@@ -269,10 +270,10 @@ def build(name: str, scale: int = 1, seed: int = 0) -> Scenario:
     tuples), so every backend of a comparison runs the same object.
     """
     if name not in _BUILDERS:
-        raise ValueError(f"unknown scenario {name!r}; known: "
+        raise InputError(f"unknown scenario {name!r}; known: "
                          f"{', '.join(SCENARIO_NAMES)}")
     if scale < 1:
-        raise ValueError("scale must be >= 1")
+        raise InputError("scale must be >= 1")
     records = BASE_RECORDS * scale
     n_ops = BASE_OPS * scale
     return Scenario(

@@ -45,9 +45,6 @@ class _FilterJob(MapReduceJob):
         self.values = values
         self.mask = mask
 
-    def record_count(self, split):
-        return len(split.payload)
-
     def map_batch(self, split, ctx):
         rows = split.payload  # row indices
         keep = rows[self.mask[rows]]
@@ -78,9 +75,6 @@ class _AggregateJob(MapReduceJob):
         self.input_values = np.ones_like(values) if func == "count" else values
         if func == "avg":
             self.use_combiner = False
-
-    def record_count(self, split):
-        return len(split.payload)
 
     def map_batch(self, split, ctx):
         rows = split.payload
@@ -113,9 +107,6 @@ class _RepartitionJoinJob(MapReduceJob):
         self.right_keys = right_keys
         self.right_values = right_values
         self._split_at = len(left_keys)
-
-    def record_count(self, split):
-        return len(split.payload)
 
     def map_batch(self, split, ctx):
         rows = split.payload

@@ -12,18 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
 from repro.core.workload import (
     DPS,
     OFFLINE,
     Workload,
     WorkloadInfo,
     WorkloadInput,
-    WorkloadResult,
 )
 from repro.keyed import group_starts
 from repro.mpi import BspProgram, BspRuntime
-from repro.uarch.perfctx import context_or_null
 from repro.workloads import inputs
 
 
@@ -134,21 +131,15 @@ class BfsWorkload(Workload):
             details={"nodes": graph.num_nodes, "edges": graph.num_edges},
         )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
+    def mpi(self, prepared, ctx, cluster):
         runtime = BspRuntime(cluster=cluster, ctx=ctx)
         program = _BspBfs(prepared.payload, runtime.num_ranks,
                           paper_vertices=(1 << 15) * prepared.scale)
         bsp = runtime.run(program)
-        levels = np.concatenate([s["level"] for s in bsp.states])
-        reached = int((levels >= 0).sum())
-        return WorkloadResult(
-            workload=self.info.name, stack=stack, scale=prepared.scale,
-            input_bytes=prepared.nbytes, cost=bsp.cost,
-            metric_name=DPS,
-            metric_value=self.dps(prepared.nbytes, bsp.cost, cluster),
-            details={"reached": reached, "supersteps": bsp.supersteps,
-                     "max_level": int(levels.max())},
-        )
+        return bsp, bsp.cost
+
+    def check(self, prepared, output):
+        levels = np.concatenate([s["level"] for s in output.states])
+        return {"reached": int((levels >= 0).sum()),
+                "supersteps": output.supersteps,
+                "max_level": int(levels.max())}

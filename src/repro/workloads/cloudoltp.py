@@ -12,23 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
 from repro.cluster.ledger import CostLedger
 from repro.core.workload import (
     ONLINE,
     OPS,
+    Execution,
     Workload,
     WorkloadInfo,
     WorkloadInput,
-    WorkloadResult,
 )
 from repro.nosql import BTreeStore, LsmStore
 from repro.nosql.store import StoreConfig
-from repro.uarch.perfctx import context_or_null
 from repro.workloads import inputs
-
-#: Operations per measured run.
-OPS_PER_RUN = 2000
 
 #: Effective CPI of the store's request path.
 STORE_CPI = 1.4
@@ -38,24 +33,34 @@ BLOCK_MISS_FRACTION = 0.08
 
 OLTP_STACKS = ("HBase", "Cassandra", "MongoDB", "MySQL")
 
+#: Store family and tuning per stack: HBase-style LSM defaults, an LSM
+#: tuned Cassandra-style (bigger memtable, more runs before a size-tiered
+#: merge), and page-organized B+ tree engines for MongoDB and MySQL.
+STORES = {
+    "hbase": (LsmStore, None),
+    "cassandra": (LsmStore, StoreConfig(memtable_budget=8 * 1024 * 1024,
+                                        compaction_trigger=12)),
+    "mongodb": (BTreeStore, None),
+    "mysql": (BTreeStore, None),
+}
+
 
 def _record_key(index: int) -> bytes:
     return f"resume:{index:012d}".encode()
 
 
 class _CloudOltpWorkload(Workload):
-    """Shared preparation and OPS math for Read/Write/Scan.
+    """Shared preparation, measurement and OPS math for Read/Write/Scan:
+    a subclass gives the ``_operate`` loop over the loaded store.
 
     Table 4 lists four datastore stacks; the ``stack`` argument selects
-    the backend family:
-
-    * ``hbase``     -- LSM store, HBase-style defaults;
-    * ``cassandra`` -- LSM store tuned Cassandra-style (bigger memtable,
-      more runs before a size-tiered merge);
-    * ``mongodb`` / ``mysql`` -- B+ tree store (update-in-place pages).
+    the backend family from :data:`STORES`.
     """
 
     default_stack = "hbase"
+
+    #: Store operations one run measures.
+    ops_per_run = 2000
 
     def prepare(self, scale: int, seed: int = 0) -> WorkloadInput:
         self.check_scale(scale)
@@ -67,27 +72,26 @@ class _CloudOltpWorkload(Workload):
 
     def _preload(self, resumes, stack: str):
         """Load the chosen backend without profiling (ops are measured)."""
-        store = self._make_store(stack)
+        family, config = STORES[stack]
+        store = family(name=self.info.name.lower(), config=config)
         for index, size in enumerate(resumes.value_sizes.tolist()):
             store.put(_record_key(index), size)
         if isinstance(store, LsmStore):
             store.flush()
         return store
 
-    def _make_store(self, stack: str):
-        name = self.info.name.lower()
-        if stack == "hbase":
-            return LsmStore(name=name)
-        if stack == "cassandra":
-            return LsmStore(name=name, config=StoreConfig(
-                memtable_budget=8 * 1024 * 1024, compaction_trigger=12,
-            ))
-        # mongodb / mysql: page-organized engines.
-        return BTreeStore(name=name)
+    def _operate(self, store, resumes) -> dict:
+        """Run the measured operations; return their functional details."""
+        raise NotImplementedError
 
-    def _finish(self, prepared, stack, store, ctx, cluster,
-                ops: int, details: dict) -> WorkloadResult:
-        instructions = details.pop("_instructions")
+    def execute(self, prepared, ctx, cluster, stack):
+        store = self._preload(prepared.payload, stack)
+        store.ctx = ctx
+        instr_before = ctx.events.instructions
+        with ctx.span("nosql:ops", category="nosql", ops=self.ops_per_run):
+            details = self._operate(store, prepared.payload)
+        instructions = ctx.events.instructions - instr_before
+        ops = self.ops_per_run
         per_op_instr = instructions / max(1, ops)
         if per_op_instr <= 0:
             per_op_instr = 90_000.0  # nominal HBase path, unprofiled runs
@@ -118,11 +122,7 @@ class _CloudOltpWorkload(Workload):
             details["sstables"] = store.num_sstables
         else:
             details["tree_height"] = store.height
-        return WorkloadResult(
-            workload=self.info.name, stack=stack, scale=prepared.scale,
-            input_bytes=prepared.nbytes, cost=cost,
-            metric_name=OPS, metric_value=ops_per_second, details=details,
-        )
+        return Execution(cost, details, metric_value=ops_per_second)
 
 
 class ReadWorkload(_CloudOltpWorkload):
@@ -135,33 +135,21 @@ class ReadWorkload(_CloudOltpWorkload):
         input_description="32 x (1..32) GB data", workload_id=5,
     )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
-        resumes = prepared.payload
-        store = self._preload(resumes, stack)
-        store.ctx = ctx
+    def _operate(self, store, resumes):
         rng = np.random.default_rng(11)
         n = resumes.num_resumes
         # YCSB-style skew: 90% of reads hit the hottest 10% of keys.
-        hot = rng.random(OPS_PER_RUN) < 0.9
+        hot = rng.random(self.ops_per_run) < 0.9
         indices = np.where(
             hot,
-            rng.integers(0, max(1, n // 10), size=OPS_PER_RUN),
-            rng.integers(0, n, size=OPS_PER_RUN),
+            rng.integers(0, max(1, n // 10), size=self.ops_per_run),
+            rng.integers(0, n, size=self.ops_per_run),
         )
-        instr_before = ctx.events.instructions
         found = 0
-        with ctx.span("nosql:ops", category="nosql", ops=OPS_PER_RUN):
-            for index in indices.tolist():
-                if store.get(_record_key(int(index))) is not None:
-                    found += 1
-        return self._finish(
-            prepared, stack, store, ctx, cluster, OPS_PER_RUN,
-            {"found": found, "hit_rate": found / OPS_PER_RUN,
-             "_instructions": ctx.events.instructions - instr_before},
-        )
+        for index in indices.tolist():
+            if store.get(_record_key(int(index))) is not None:
+                found += 1
+        return {"found": found, "hit_rate": found / self.ops_per_run}
 
 
 class WriteWorkload(_CloudOltpWorkload):
@@ -174,28 +162,16 @@ class WriteWorkload(_CloudOltpWorkload):
         input_description="32 x (1..32) GB data", workload_id=6,
     )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
-        resumes = prepared.payload
-        store = self._preload(resumes, stack)
-        store.ctx = ctx
+    def _operate(self, store, resumes):
         rng = np.random.default_rng(12)
         n = resumes.num_resumes
         sizes = resumes.value_sizes
-        instr_before = ctx.events.instructions
-        with ctx.span("nosql:ops", category="nosql", ops=OPS_PER_RUN):
-            for op in range(OPS_PER_RUN):
-                # Half updates, half inserts.
-                index = int(rng.integers(0, 2 * n))
-                store.put(_record_key(index), int(sizes[op % n]))
-        return self._finish(
-            prepared, stack, store, ctx, cluster, OPS_PER_RUN,
-            {"flushes": store.stats.flushes,
-             "compactions": store.stats.compactions,
-             "_instructions": ctx.events.instructions - instr_before},
-        )
+        for op in range(self.ops_per_run):
+            # Half updates, half inserts.
+            index = int(rng.integers(0, 2 * n))
+            store.put(_record_key(index), int(sizes[op % n]))
+        return {"flushes": store.stats.flushes,
+                "compactions": store.stats.compactions}
 
 
 class ScanWorkload(_CloudOltpWorkload):
@@ -209,25 +185,12 @@ class ScanWorkload(_CloudOltpWorkload):
     )
 
     SCAN_LIMIT = 50
-    SCANS_PER_RUN = 300
+    ops_per_run = 300
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
-        resumes = prepared.payload
-        store = self._preload(resumes, stack)
-        store.ctx = ctx
+    def _operate(self, store, resumes):
         rng = np.random.default_rng(13)
-        n = resumes.num_resumes
-        instr_before = ctx.events.instructions
         rows = 0
-        with ctx.span("nosql:ops", category="nosql", ops=self.SCANS_PER_RUN):
-            for _ in range(self.SCANS_PER_RUN):
-                start = int(rng.integers(0, n))
-                rows += len(store.scan(_record_key(start), self.SCAN_LIMIT))
-        return self._finish(
-            prepared, stack, store, ctx, cluster, self.SCANS_PER_RUN,
-            {"rows_returned": rows,
-             "_instructions": ctx.events.instructions - instr_before},
-        )
+        for _ in range(self.ops_per_run):
+            start = int(rng.integers(0, resumes.num_resumes))
+            rows += len(store.scan(_record_key(start), self.SCAN_LIMIT))
+        return {"rows_returned": rows}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
 from repro.cluster.ledger import CostLedger
 from repro.core.workload import (
     DPS,
@@ -22,7 +21,6 @@ from repro.core.workload import (
     Workload,
     WorkloadInfo,
     WorkloadInput,
-    WorkloadResult,
 )
 from repro.mapreduce import (
     Dfs,
@@ -31,17 +29,16 @@ from repro.mapreduce import (
     OpCost,
     SumByKeyJob,
 )
-from repro.serving import RubisServer, run_serving
-from repro.uarch.perfctx import context_or_null
+from repro.serving import RubisServer
 from repro.workloads import inputs
-from repro.workloads.serving_front import serving_details, serving_spec
+from repro.workloads.serving_front import ServerWorkload
 
 
 # ---------------------------------------------------------------------------
 # Rubis Server (workload 17)
 # ---------------------------------------------------------------------------
 
-class RubisServerWorkload(Workload):
+class RubisServerWorkload(ServerWorkload):
     """Online auction serving; load swept 100 x (1..32) req/s."""
 
     info = WorkloadInfo(
@@ -60,19 +57,6 @@ class RubisServerWorkload(Workload):
             payload=server, nbytes=server.dataset_bytes(), scale=scale,
             details={"rate_rps": inputs.BASE_RPS * scale,
                      "items": server.num_items},
-        )
-
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
-        report = run_serving(serving_spec(prepared, ctx, sample_requests=500),
-                             ctx=ctx)
-        return WorkloadResult(
-            workload=self.info.name, stack=stack, scale=prepared.scale,
-            input_bytes=prepared.nbytes, cost=report.cost,
-            metric_name=RPS, metric_value=report.achieved_rps,
-            details=serving_details(report),
         )
 
 
@@ -111,9 +95,6 @@ class _CfGroupJob(MapReduceJob):
 
     def __init__(self, num_movies: int):
         self.num_movies = num_movies
-
-    def record_count(self, split):
-        return len(split.payload)
 
     def map_batch(self, split, ctx):
         pairs = split.payload  # (n, 2): user, movie
@@ -182,10 +163,7 @@ class CollaborativeFilteringWorkload(Workload):
                      "movies": reviews.num_movies},
         )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
+    def hadoop(self, prepared, ctx, cluster):
         pairs, num_movies = prepared.payload
         runtime = MapReduceRuntime(cluster=cluster, ctx=ctx)
         dfs = Dfs()
@@ -201,17 +179,11 @@ class CollaborativeFilteringWorkload(Workload):
             slicer=lambda payload, i, n: (np.array_split(payload[0], n)[i],
                                           np.array_split(payload[1], n)[i]),
         )
-        ledger = CostLedger(cluster)
-        cost = ledger.absorb(grouped.cost, counted.cost)
-        total_cooccur = int(counted.output_values.sum())
-        return WorkloadResult(
-            workload=self.info.name, stack=stack, scale=prepared.scale,
-            input_bytes=prepared.nbytes, cost=cost,
-            metric_name=DPS,
-            metric_value=self.dps(prepared.nbytes, cost, cluster),
-            details={"pairs": counted.output_records,
-                     "cooccurrences": total_cooccur},
-        )
+        return counted, CostLedger(cluster).absorb(grouped.cost, counted.cost)
+
+    def check(self, prepared, output):
+        return {"pairs": output.output_records,
+                "cooccurrences": int(output.output_values.sum())}
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +202,6 @@ class _NaiveBayesTrainJob(SumByKeyJob):
 
     def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
-
-    def record_count(self, split):
-        return len(split.payload)
 
     def map_batch(self, split, ctx):
         pairs = split.payload  # (n, 2): label, word
@@ -266,10 +235,7 @@ class NaiveBayesWorkload(Workload):
                      "labeled": int(keep.sum())},
         )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
+    def hadoop(self, prepared, ctx, cluster):
         reviews, doc_indices, doc_labels = prepared.payload
         vocab = reviews.corpus.vocab_size
 
@@ -284,18 +250,16 @@ class NaiveBayesWorkload(Workload):
             _NaiveBayesTrainJob(vocab), file
         )
 
+        # Classifying the held-out reviews is part of the run: it charges.
         accuracy = self._classify(ctx, reviews, test_docs, test_labels,
                                   result.output_keys, result.output_values,
                                   vocab, train_labels)
-        return WorkloadResult(
-            workload=self.info.name, stack=stack, scale=prepared.scale,
-            input_bytes=prepared.nbytes, cost=result.cost,
-            metric_name=DPS,
-            metric_value=self.dps(prepared.nbytes, result.cost, cluster),
-            details={"accuracy": accuracy,
-                     "train_docs": int(len(train_docs)),
-                     "test_docs": int(len(test_docs))},
-        )
+        return (accuracy, len(train_docs), len(test_docs)), result.cost
+
+    def check(self, prepared, output):
+        accuracy, train_docs, test_docs = output
+        return {"accuracy": accuracy, "train_docs": int(train_docs),
+                "test_docs": int(test_docs)}
 
     @staticmethod
     def _label_word_pairs(reviews, docs, labels) -> np.ndarray:

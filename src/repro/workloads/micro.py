@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
-from repro.cluster.timemodel import JobCost, PhaseCost
 from repro.mapreduce import (
     Dfs,
     MapReduceJob,
@@ -27,11 +25,9 @@ from repro.core.workload import (
     Workload,
     WorkloadInfo,
     WorkloadInput,
-    WorkloadResult,
 )
 from repro.mpi import BspProgram, BspRuntime
 from repro.spark import SparkContext
-from repro.uarch.perfctx import context_or_null
 from repro.workloads import inputs
 
 ANALYTICS_STACKS = ("Hadoop", "Spark", "MPI")
@@ -50,18 +46,6 @@ class _TextWorkload(Workload):
             details={"tokens": corpus.num_tokens, "docs": corpus.num_docs},
         )
 
-    def _result(self, prepared, stack, cost, cluster, details) -> WorkloadResult:
-        return WorkloadResult(
-            workload=self.info.name,
-            stack=stack,
-            scale=prepared.scale,
-            input_bytes=prepared.nbytes,
-            cost=cost,
-            metric_name=DPS,
-            metric_value=self.dps(prepared.nbytes, cost, cluster),
-            details=details,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Sort
@@ -77,9 +61,6 @@ class _SortJob(MapReduceJob):
 
     #: Our input stands for 8192x more data (4 MB -> 32 GB baseline).
     PAPER_RATIO = 8192
-
-    def record_count(self, split):
-        return len(split.payload)
 
     def map_batch(self, split, ctx):
         return split.payload.astype(np.int64, copy=False), None
@@ -136,36 +117,29 @@ class SortWorkload(_TextWorkload):
         input_description="32 x (1..32) GB data", workload_id=1,
     )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
-        corpus = prepared.payload
-        if stack == "hadoop":
-            file = Dfs().put("sort:input", corpus.tokens, prepared.nbytes)
-            result = MapReduceRuntime(cluster=cluster, ctx=ctx).run(_SortJob(), file)
-            sorted_ok = bool(np.all(np.diff(result.output_keys) >= 0))
-            return self._result(prepared, stack, result.cost, cluster,
-                                {"sorted": sorted_ok,
-                                 "records": result.output_records})
-        if stack == "spark":
-            sc = SparkContext(cluster=cluster, ctx=ctx)
-            file = Dfs().put("sort:input", corpus.tokens, prepared.nbytes)
-            parts = sc.from_dfs(file).sort_by_key().collect()
-            flat = np.concatenate(parts) if parts else np.empty(0)
-            return self._result(prepared, stack, sc.cost, cluster,
-                                {"sorted": bool(np.all(np.diff(flat) >= 0)),
-                                 "records": int(len(flat))})
-        # MPI sample sort.
+    def hadoop(self, prepared, ctx, cluster):
+        file = Dfs().put("sort:input", prepared.payload.tokens, prepared.nbytes)
+        result = MapReduceRuntime(cluster=cluster, ctx=ctx).run(_SortJob(), file)
+        return result.output_keys, result.cost
+
+    def spark(self, prepared, ctx, cluster):
+        sc = SparkContext(cluster=cluster, ctx=ctx)
+        file = Dfs().put("sort:input", prepared.payload.tokens, prepared.nbytes)
+        parts = sc.from_dfs(file).sort_by_key().collect()
+        return (np.concatenate(parts) if parts else np.empty(0)), sc.cost
+
+    def mpi(self, prepared, ctx, cluster):
         runtime = BspRuntime(cluster=cluster, ctx=ctx)
-        program = _BspSampleSort(corpus.tokens, runtime.num_ranks, prepared.nbytes)
-        bsp = runtime.run(program)
+        bsp = runtime.run(_BspSampleSort(prepared.payload.tokens,
+                                         runtime.num_ranks, prepared.nbytes))
         merged = np.concatenate(
             [s["sorted"] for s in bsp.states if s["sorted"] is not None]
         )
-        return self._result(prepared, stack, bsp.cost, cluster,
-                            {"sorted": bool(np.all(np.diff(merged) >= 0)),
-                             "records": int(len(merged))})
+        return merged, bsp.cost
+
+    def check(self, prepared, output):
+        return {"sorted": bool(np.all(np.diff(output) >= 0)),
+                "records": int(len(output))}
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +153,12 @@ GREP_MODULUS = 499
 GREP_REMAINDER = 123
 
 
+#: Byte-wise pattern matching per token, on every stack: the most
+#: integer/branch-heavy kernel in the suite (paper: int/fp ratio 179,
+#: MIPS keeps rising to 32x).
+GREP_MATCH_COST = OpCost(int_ops=95, branch_ops=38)
+
+
 def grep_mask(tokens: np.ndarray) -> np.ndarray:
     return tokens % GREP_MODULUS == GREP_REMAINDER
 
@@ -186,14 +166,9 @@ def grep_mask(tokens: np.ndarray) -> np.ndarray:
 class _GrepJob(MapReduceJob):
     name = "grep"
     group_by_key = False
-    # Byte-wise pattern matching: the most integer/branch-heavy kernel in
-    # the suite (paper: int/fp ratio 179, MIPS keeps rising to 32x).
-    map_cost = OpCost(int_ops=95, branch_ops=38)
+    map_cost = GREP_MATCH_COST
     reduce_cost = OpCost(int_ops=4, branch_ops=1)
     intermediate_record_bytes = 60
-
-    def record_count(self, split):
-        return len(split.payload)
 
     def map_batch(self, split, ctx):
         tokens = split.payload
@@ -217,8 +192,8 @@ class _BspGrep(BspProgram):
     def superstep(self, step, rank, state, inbox, comm, ctx):
         if step == 0:
             data = state["data"]
-            ctx.int_ops(95 * len(data))
-            ctx.branch_ops(38 * len(data))
+            ctx.int_ops(GREP_MATCH_COST.int_ops * len(data))
+            ctx.branch_ops(GREP_MATCH_COST.branch_ops * len(data))
             ctx.seq_read(f"mpi:grep:{rank}", len(data) * 8)
             state["matches"] = data[grep_mask(data)]
             if rank != 0:
@@ -237,53 +212,48 @@ class GrepWorkload(_TextWorkload):
         input_description="32 x (1..32) GB data", workload_id=2,
     )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
-        corpus = prepared.payload
-        expected = int(grep_mask(corpus.tokens).sum())
-        if stack == "hadoop":
-            file = Dfs().put("grep:input", corpus.tokens, prepared.nbytes)
-            result = MapReduceRuntime(cluster=cluster, ctx=ctx).run(_GrepJob(), file)
-            found = result.output_records
-            cost = result.cost
-        elif stack == "spark":
-            sc = SparkContext(cluster=cluster, ctx=ctx)
-            file = Dfs().put("grep:input", corpus.tokens, prepared.nbytes)
-            rdd = sc.from_dfs(file).filter_mask(
-                lambda p, c: grep_mask(p),
-                cost=OpCost(int_ops=95, branch_ops=38),
-            )
-            found = rdd.count()
-            cost = sc.cost
-        else:
-            runtime = BspRuntime(cluster=cluster, ctx=ctx)
-            bsp = runtime.run(_BspGrep(corpus.tokens, runtime.num_ranks,
-                                       prepared.nbytes))
-            found = sum(len(s["matches"]) for s in bsp.states)
-            cost = bsp.cost
-        return self._result(prepared, stack, cost, cluster,
-                            {"matches": int(found), "expected": expected,
-                             "correct": int(found) == expected})
+    def hadoop(self, prepared, ctx, cluster):
+        file = Dfs().put("grep:input", prepared.payload.tokens, prepared.nbytes)
+        result = MapReduceRuntime(cluster=cluster, ctx=ctx).run(_GrepJob(), file)
+        return result.output_records, result.cost
+
+    def spark(self, prepared, ctx, cluster):
+        sc = SparkContext(cluster=cluster, ctx=ctx)
+        file = Dfs().put("grep:input", prepared.payload.tokens, prepared.nbytes)
+        rdd = sc.from_dfs(file).filter_mask(lambda p, c: grep_mask(p),
+                                            cost=GREP_MATCH_COST)
+        return rdd.count(), sc.cost
+
+    def mpi(self, prepared, ctx, cluster):
+        runtime = BspRuntime(cluster=cluster, ctx=ctx)
+        bsp = runtime.run(_BspGrep(prepared.payload.tokens, runtime.num_ranks,
+                                   prepared.nbytes))
+        return sum(len(s["matches"]) for s in bsp.states), bsp.cost
+
+    def check(self, prepared, output):
+        expected = int(grep_mask(prepared.payload.tokens).sum())
+        return {"matches": int(output), "expected": expected,
+                "correct": int(output) == expected}
 
 
 # ---------------------------------------------------------------------------
 # WordCount
 # ---------------------------------------------------------------------------
 
+#: Per-token hash-count cost of WordCount on every stack (MPI writes it
+#: uniformly: see ``_BspWordCount``).
+WORDCOUNT_COST = OpCost(int_ops=32, branch_ops=9, rand_writes=1)
+
+
 class _WordCountJob(SumByKeyJob):
     name = "wordcount"
-    map_cost = OpCost(int_ops=32, branch_ops=9, rand_writes=1)
+    map_cost = WORDCOUNT_COST
     reduce_cost = OpCost(int_ops=10, branch_ops=3)
     intermediate_record_bytes = 16
 
     def working_bytes(self, input_nbytes):
         # The full-corpus vocabulary hash at paper scale (~192 MB).
         return 192 * 1024 * 1024
-
-    def record_count(self, split):
-        return len(split.payload)
 
     def map_batch(self, split, ctx):
         return split.payload.astype(np.int64, copy=False), None
@@ -307,8 +277,9 @@ class _BspWordCount(BspProgram):
         num_ranks = comm.num_ranks
         if step == 0:
             data = state["data"]
-            ctx.int_ops(32 * len(data))
-            ctx.branch_ops(9 * len(data))
+            ctx.int_ops(WORDCOUNT_COST.int_ops * len(data))
+            ctx.branch_ops(WORDCOUNT_COST.branch_ops * len(data))
+            # Drift: uniform writes here, skewed (Zipf-hot) on MapReduce/Spark.
             ctx.rand_write(f"mpi:wc:{rank}", len(data))
             counts = np.bincount(data, minlength=self.vocab_size)
             # All-to-all: each rank owns a slice of the vocabulary.
@@ -332,43 +303,38 @@ class WordCountWorkload(_TextWorkload):
         input_description="32 x (1..32) GB data", workload_id=3,
     )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
+    def hadoop(self, prepared, ctx, cluster):
+        file = Dfs().put("wc:input", prepared.payload.tokens, prepared.nbytes)
+        result = MapReduceRuntime(cluster=cluster, ctx=ctx).run(
+            _WordCountJob(), file
+        )
+        return (int(result.output_values.sum()), result.output_records), result.cost
+
+    def spark(self, prepared, ctx, cluster):
+        sc = SparkContext(cluster=cluster, ctx=ctx)
+        file = Dfs().put("wc:input", prepared.payload.tokens, prepared.nbytes)
+        rdd = sc.from_dfs(file).map_partitions(
+            lambda p, c: (p.astype(np.int64), np.ones(len(p), dtype=np.int64)),
+            cost=WORDCOUNT_COST,
+        ).reduce_by_key(lambda values, starts: np.add.reduceat(values, starts))
+        parts = rdd.collect()
+        counted = int(sum(p[1].sum() for p in parts if len(p[0])))
+        return (counted, int(sum(len(p[0]) for p in parts))), sc.cost
+
+    def mpi(self, prepared, ctx, cluster):
         corpus = prepared.payload
-        total = corpus.num_tokens
-        if stack == "hadoop":
-            file = Dfs().put("wc:input", corpus.tokens, prepared.nbytes)
-            result = MapReduceRuntime(cluster=cluster, ctx=ctx).run(
-                _WordCountJob(), file
-            )
-            counted = int(result.output_values.sum())
-            distinct = result.output_records
-            cost = result.cost
-        elif stack == "spark":
-            sc = SparkContext(cluster=cluster, ctx=ctx)
-            file = Dfs().put("wc:input", corpus.tokens, prepared.nbytes)
-            rdd = sc.from_dfs(file).map_partitions(
-                lambda p, c: (p.astype(np.int64), np.ones(len(p), dtype=np.int64)),
-                cost=OpCost(int_ops=32, branch_ops=9, rand_writes=1),
-            ).reduce_by_key(lambda values, starts: np.add.reduceat(values, starts))
-            parts = rdd.collect()
-            counted = int(sum(p[1].sum() for p in parts if len(p[0])))
-            distinct = int(sum(len(p[0]) for p in parts))
-            cost = sc.cost
-        else:
-            runtime = BspRuntime(cluster=cluster, ctx=ctx)
-            bsp = runtime.run(_BspWordCount(
-                corpus.tokens, runtime.num_ranks, prepared.nbytes,
-                corpus.vocab_size,
-            ))
-            merged = np.concatenate(
-                [s["counts"] for s in bsp.states if s["counts"] is not None]
-            )
-            counted = int(merged.sum())
-            distinct = int((merged > 0).sum())
-            cost = bsp.cost
-        return self._result(prepared, stack, cost, cluster,
-                            {"counted": counted, "total": total,
-                             "distinct": distinct, "correct": counted == total})
+        runtime = BspRuntime(cluster=cluster, ctx=ctx)
+        bsp = runtime.run(_BspWordCount(
+            corpus.tokens, runtime.num_ranks, prepared.nbytes,
+            corpus.vocab_size,
+        ))
+        merged = np.concatenate(
+            [s["counts"] for s in bsp.states if s["counts"] is not None]
+        )
+        return (int(merged.sum()), int((merged > 0).sum())), bsp.cost
+
+    def check(self, prepared, output):
+        counted, distinct = output
+        total = prepared.payload.num_tokens
+        return {"counted": counted, "total": total,
+                "distinct": distinct, "correct": counted == total}

@@ -10,24 +10,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
+from repro.cluster.ledger import CostLedger
 from repro.core.workload import (
     DPS,
     REALTIME,
+    Execution,
     Workload,
     WorkloadInfo,
     WorkloadInput,
-    WorkloadResult,
 )
 from repro.sql import HiveExecutor, SharkExecutor, SqlEngine
-from repro.uarch.perfctx import context_or_null
 from repro.workloads import inputs
 
 QUERY_STACKS = ("Impala", "MySQL", "Hive", "Shark")
 
+#: The execution family of each stack (Table 4): Hive compiles to
+#: MapReduce jobs, Shark to Spark stages, and Impala/MySQL execute on the
+#: in-process columnar engine.
+ENGINES = {"hive": HiveExecutor, "shark": SharkExecutor,
+           "impala": SqlEngine, "mysql": SqlEngine}
+
 
 class _QueryWorkload(Workload):
-    """Shared preparation: scaled ORDER/ITEM tables."""
+    """Shared preparation and body: scaled ORDER/ITEM tables, one query
+    repeated on the stack's engine, the DPS over every scanned byte.  A
+    subclass gives its ``query`` and the ``check`` of its answer."""
 
     default_stack = "hive"
 
@@ -35,10 +42,13 @@ class _QueryWorkload(Workload):
     #: reflects that and amortizes cache warm-up out of the measurement.
     REPETITIONS = 8
 
-    def _execute_repeated(self, engine, sql):
-        """Run the query REPETITIONS times; return (last result, cost)."""
-        from repro.cluster.ledger import CostLedger
+    def query(self, data) -> str:
+        raise NotImplementedError
 
+    def execute(self, prepared, ctx, cluster, stack):
+        """Run the query REPETITIONS times; check the last answer."""
+        engine = self._engine(prepared.payload, ctx, stack)
+        sql = self.query(prepared.payload)
         result = None
         ledger = CostLedger(engine.cluster)
         total_bytes = 0.0
@@ -46,7 +56,8 @@ class _QueryWorkload(Workload):
             result = engine.execute(sql)
             ledger.absorb(result.cost)
             total_bytes += result.stats.input_bytes
-        return result, ledger.job, total_bytes
+        return Execution(ledger.job, self.check(prepared, result),
+                         input_bytes=total_bytes)
 
     def prepare(self, scale: int, seed: int = 0) -> WorkloadInput:
         self.check_scale(scale)
@@ -58,29 +69,10 @@ class _QueryWorkload(Workload):
         )
 
     def _engine(self, data, ctx, stack: str):
-        """Pick the execution family for the requested stack (Table 4):
-        Hive compiles to MapReduce jobs, Shark to Spark stages, and
-        Impala/MySQL execute on the in-process columnar engine."""
-        if stack == "hive":
-            engine = HiveExecutor(ctx=ctx)
-        elif stack == "shark":
-            engine = SharkExecutor(ctx=ctx)
-        else:
-            engine = SqlEngine(ctx=ctx)
+        engine = ENGINES[stack](ctx=ctx)
         engine.register("ORDERS", data.orders, data.orders.nbytes)
         engine.register("ITEMS", data.items, data.items.nbytes)
         return engine
-
-    def _result(self, prepared, stack, query_result, cost, total_bytes,
-                cluster, details) -> WorkloadResult:
-        return WorkloadResult(
-            workload=self.info.name, stack=stack, scale=prepared.scale,
-            input_bytes=total_bytes,
-            cost=cost,
-            metric_name=DPS,
-            metric_value=self.dps(total_bytes, cost, cluster),
-            details=details,
-        )
 
 
 class SelectQueryWorkload(_QueryWorkload):
@@ -93,23 +85,23 @@ class SelectQueryWorkload(_QueryWorkload):
         input_description="32 x (1..32) GB data", workload_id=8,
     )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
+    @staticmethod
+    def _threshold(data) -> int:
+        return int(np.median(data.orders.column("BUYER_ID")))
+
+    def query(self, data):
+        return ("SELECT ORDER_ID, BUYER_ID FROM ORDERS "
+                f"WHERE BUYER_ID < {self._threshold(data)}")
+
+    def check(self, prepared, output):
         data = prepared.payload
-        threshold = int(np.median(data.orders.column("BUYER_ID")))
-        engine = self._engine(data, ctx, stack)
-        result, cost, total_bytes = self._execute_repeated(
-            engine,
-            f"SELECT ORDER_ID, BUYER_ID FROM ORDERS WHERE BUYER_ID < {threshold}",
-        )
-        expected = int((data.orders.column("BUYER_ID") < threshold).sum())
-        return self._result(prepared, stack, result, cost, total_bytes, cluster, {
-            "rows": result.num_rows,
+        expected = int((data.orders.column("BUYER_ID")
+                        < self._threshold(data)).sum())
+        return {
+            "rows": output.num_rows,
             "expected": expected,
-            "correct": result.num_rows == expected,
-        })
+            "correct": output.num_rows == expected,
+        }
 
 
 class AggregateQueryWorkload(_QueryWorkload):
@@ -122,30 +114,25 @@ class AggregateQueryWorkload(_QueryWorkload):
         input_description="32 x (1..32) GB data", workload_id=9,
     )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
-        data = prepared.payload
-        engine = self._engine(data, ctx, stack)
-        result, cost, total_bytes = self._execute_repeated(
-            engine,
-            "SELECT GOODS_ID, SUM(GOODS_AMOUNT) AS revenue, COUNT(*) AS n "
-            "FROM ITEMS GROUP BY GOODS_ID",
-        )
+    def query(self, data):
+        return ("SELECT GOODS_ID, SUM(GOODS_AMOUNT) AS revenue, COUNT(*) AS n "
+                "FROM ITEMS GROUP BY GOODS_ID")
+
+    def check(self, prepared, output):
         # Reference: numpy groupby.
+        data = prepared.payload
         goods = data.items.column("GOODS_ID")
         amounts = data.items.column("GOODS_AMOUNT")
         expected_total = float(amounts.sum())
-        got_total = float(result.table.column("revenue").sum())
-        return self._result(prepared, stack, result, cost, total_bytes, cluster, {
-            "groups": result.num_rows,
+        got_total = float(output.table.column("revenue").sum())
+        return {
+            "groups": output.num_rows,
             "expected_groups": int(len(np.unique(goods))),
             "correct": (
-                result.num_rows == len(np.unique(goods))
+                output.num_rows == len(np.unique(goods))
                 and abs(got_total - expected_total) < 1e-6 * max(1.0, expected_total)
             ),
-        })
+        }
 
 
 class JoinQueryWorkload(_QueryWorkload):
@@ -158,18 +145,13 @@ class JoinQueryWorkload(_QueryWorkload):
         input_description="32 x (1..32) GB data", workload_id=10,
     )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
-        data = prepared.payload
-        engine = self._engine(data, ctx, stack)
-        result, cost, total_bytes = self._execute_repeated(
-            engine,
-            "SELECT o.BUYER_ID, SUM(i.GOODS_AMOUNT) AS spend FROM ORDERS o "
-            "JOIN ITEMS i ON o.ORDER_ID = i.ORDER_ID GROUP BY o.BUYER_ID",
-        )
+    def query(self, data):
+        return ("SELECT o.BUYER_ID, SUM(i.GOODS_AMOUNT) AS spend FROM ORDERS o "
+                "JOIN ITEMS i ON o.ORDER_ID = i.ORDER_ID GROUP BY o.BUYER_ID")
+
+    def check(self, prepared, output):
         # Reference: map ORDER_ID -> BUYER_ID, then group amounts by buyer.
+        data = prepared.payload
         order_ids = data.orders.column("ORDER_ID")
         buyers = data.orders.column("BUYER_ID")
         buyer_of = dict(zip(order_ids.tolist(), buyers.tolist()))
@@ -177,12 +159,12 @@ class JoinQueryWorkload(_QueryWorkload):
             [buyer_of[o] for o in data.items.column("ORDER_ID").tolist()]
         )
         expected_total = float(data.items.column("GOODS_AMOUNT").sum())
-        got_total = float(result.table.column("spend").sum())
-        return self._result(prepared, stack, result, cost, total_bytes, cluster, {
-            "buyers": result.num_rows,
+        got_total = float(output.table.column("spend").sum())
+        return {
+            "buyers": output.num_rows,
             "expected_buyers": int(len(np.unique(item_buyers))),
             "correct": (
-                result.num_rows == len(np.unique(item_buyers))
+                output.num_rows == len(np.unique(item_buyers))
                 and abs(got_total - expected_total) < 1e-6 * max(1.0, expected_total)
             ),
-        })
+        }

@@ -21,19 +21,17 @@ counts, commits/rollbacks) from chaos-mobile bookkeeping (``op_retries``,
 
 from __future__ import annotations
 
-from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
 from repro.cluster.timemodel import JobCost
 from repro.core.workload import (
     ONLINE,
     OPS,
+    Execution,
     Workload,
     WorkloadInfo,
     WorkloadInput,
-    WorkloadResult,
 )
 from repro.scenarios import library
 from repro.scenarios.driver import BACKEND_NAMES, run_scenario
-from repro.uarch.perfctx import context_or_null
 
 #: The YCSB core mixes one Ycsb characterization covers.
 YCSB_MIX_NAMES = tuple(library.YCSB_MIXES)
@@ -60,10 +58,7 @@ class _ScenarioWorkload(Workload):
                      "ops": sum(len(s.ops) for s in scenarios)},
         )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        backend = self.check_stack(stack)
-        ctx = context_or_null(ctx)
+    def execute(self, prepared, ctx, cluster, backend):
         seed = prepared.payload["seed"]
         cost = JobCost()
         digests = {}
@@ -110,11 +105,7 @@ class _ScenarioWorkload(Workload):
             "executed": executed,
             "backend_work": work,
         }
-        return WorkloadResult(
-            workload=self.info.name, stack=backend, scale=prepared.scale,
-            input_bytes=prepared.nbytes, cost=cost,
-            metric_name=OPS, metric_value=ops_per_second, details=details,
-        )
+        return Execution(cost, details, metric_value=ops_per_second)
 
 
 class YcsbWorkload(_ScenarioWorkload):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
 from repro.cluster.ledger import CostLedger
 from repro.core.workload import (
     DPS,
@@ -20,22 +19,20 @@ from repro.core.workload import (
     Workload,
     WorkloadInfo,
     WorkloadInput,
-    WorkloadResult,
 )
 from repro.mapreduce import Dfs, MapReduceJob, MapReduceRuntime, OpCost
 from repro.mpi import BspProgram, BspRuntime
-from repro.serving import NutchServer, run_serving
+from repro.serving import NutchServer
 from repro.spark import SparkContext
-from repro.uarch.perfctx import context_or_null
 from repro.workloads import inputs
-from repro.workloads.serving_front import serving_details, serving_spec
+from repro.workloads.serving_front import ServerWorkload
 
 
 # ---------------------------------------------------------------------------
 # Nutch Server (workload 11)
 # ---------------------------------------------------------------------------
 
-class NutchServerWorkload(Workload):
+class NutchServerWorkload(ServerWorkload):
     """Online search serving; load swept 100 x (1..32) req/s."""
 
     info = WorkloadInfo(
@@ -47,6 +44,7 @@ class NutchServerWorkload(Workload):
 
     #: Fixed index size (the sweep varies request rate, not data).
     INDEX_PAGES_SCALE = 2
+    SAMPLE_REQUESTS = 600
 
     def prepare(self, scale: int, seed: int = 0) -> WorkloadInput:
         self.check_scale(scale)
@@ -56,19 +54,6 @@ class NutchServerWorkload(Workload):
             payload=server, nbytes=server.dataset_bytes(), scale=scale,
             details={"rate_rps": inputs.BASE_RPS * scale,
                      "pages": corpus.num_docs},
-        )
-
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
-        report = run_serving(serving_spec(prepared, ctx, sample_requests=600),
-                             ctx=ctx)
-        return WorkloadResult(
-            workload=self.info.name, stack=stack, scale=prepared.scale,
-            input_bytes=prepared.nbytes, cost=report.cost,
-            metric_name=RPS, metric_value=report.achieved_rps,
-            details=serving_details(report),
         )
 
 
@@ -87,9 +72,6 @@ class _IndexJob(MapReduceJob):
     def working_bytes(self, input_nbytes):
         # Dictionary plus posting buffers at paper scale.
         return 256 * 1024 * 1024
-
-    def record_count(self, split):
-        return len(split.payload)
 
     def map_batch(self, split, ctx):
         pairs = split.payload  # (n, 2): word id, doc id
@@ -128,23 +110,17 @@ class IndexWorkload(Workload):
                      "vocab": corpus.vocab_size},
         )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
+    def hadoop(self, prepared, ctx, cluster):
         file = Dfs().put("index:input", prepared.payload, prepared.nbytes)
         result = MapReduceRuntime(cluster=cluster, ctx=ctx).run(_IndexJob(), file)
-        postings_total = int(result.output_values.sum())
-        return WorkloadResult(
-            workload=self.info.name, stack=stack, scale=prepared.scale,
-            input_bytes=prepared.nbytes, cost=result.cost,
-            metric_name=DPS,
-            metric_value=self.dps(prepared.nbytes, result.cost, cluster),
-            details={"postings": postings_total,
-                     "tokens": prepared.details["tokens"],
-                     "distinct_words": result.output_records,
-                     "correct": postings_total == prepared.details["tokens"]},
-        )
+        return result, result.cost
+
+    def check(self, prepared, output):
+        postings_total = int(output.output_values.sum())
+        return {"postings": postings_total,
+                "tokens": prepared.details["tokens"],
+                "distinct_words": output.output_records,
+                "correct": postings_total == prepared.details["tokens"]}
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +145,19 @@ def pagerank_reference(graph, iterations: int) -> np.ndarray:
     return ranks
 
 
+#: Integer ops per edge of the rank contribution on MapReduce and Spark.
+PAGERANK_EDGE_INT_OPS = 14
+#: Drift: MPI charges 30 int ops per edge where MapReduce and Spark charge 14.
+PAGERANK_MPI_EDGE_INT_OPS = 30
+
+
 class _PageRankIterationJob(MapReduceJob):
     """One PageRank iteration: edges -> (dst, contribution) -> sums."""
 
     name = "pagerank"
     # Rank-vector accesses follow the in-degree skew: popular pages hot.
-    map_cost = OpCost(int_ops=14, fp_ops=2, branch_ops=3, rand_reads=2,
-                      hot_fraction=0.01, hot_prob=0.8)
+    map_cost = OpCost(int_ops=PAGERANK_EDGE_INT_OPS, fp_ops=2, branch_ops=3,
+                      rand_reads=2, hot_fraction=0.01, hot_prob=0.8)
     reduce_cost = OpCost(int_ops=8, fp_ops=2, branch_ops=2)
     intermediate_record_bytes = 16
 
@@ -184,9 +166,6 @@ class _PageRankIterationJob(MapReduceJob):
         self.ranks = ranks
         self.out_deg = out_deg
         self.paper_nodes = paper_nodes
-
-    def record_count(self, split):
-        return len(split.payload)
 
     def map_batch(self, split, ctx):
         edges = split.payload
@@ -225,33 +204,10 @@ class PageRankWorkload(Workload):
             details={"nodes": graph.num_nodes, "edges": graph.num_edges},
         )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
+    def hadoop(self, prepared, ctx, cluster):
         graph = prepared.payload
-        if stack == "hadoop":
-            ranks, cost = self._run_hadoop(graph, prepared.nbytes, ctx, cluster)
-        elif stack == "spark":
-            ranks, cost = self._run_spark(graph, prepared.nbytes, ctx, cluster)
-        else:
-            ranks, cost = self._run_mpi(graph, ctx, cluster)
-        reference = pagerank_reference(graph, self.iterations)
-        max_err = float(np.max(np.abs(ranks - reference)))
-        return WorkloadResult(
-            workload=self.info.name, stack=stack, scale=prepared.scale,
-            input_bytes=prepared.nbytes, cost=cost,
-            metric_name=DPS,
-            metric_value=self.dps(prepared.nbytes, cost, cluster),
-            details={"iterations": self.iterations, "max_error": max_err,
-                     "rank_sum": float(ranks.sum()),
-                     "correct": max_err < 1e-9},
-        )
-
-    def _run_hadoop(self, graph, nbytes, ctx, cluster):
         runtime = MapReduceRuntime(cluster=cluster, ctx=ctx)
-        dfs = Dfs()
-        file = dfs.put("pagerank:edges", graph.edges, nbytes)
+        file = Dfs().put("pagerank:edges", graph.edges, prepared.nbytes)
         n = graph.num_nodes
         ranks = np.full(n, 1.0 / n)
         out_deg = np.maximum(graph.out_degrees(), 1)
@@ -268,10 +224,10 @@ class PageRankWorkload(Workload):
             ledger.absorb(result.cost)
         return ranks, ledger.job
 
-    def _run_spark(self, graph, nbytes, ctx, cluster):
+    def spark(self, prepared, ctx, cluster):
+        graph = prepared.payload
         sc = SparkContext(cluster=cluster, ctx=ctx)
-        dfs = Dfs()
-        file = dfs.put("pagerank:edges", graph.edges, nbytes)
+        file = Dfs().put("pagerank:edges", graph.edges, prepared.nbytes)
         edges = sc.from_dfs(file).cache()
         n = graph.num_nodes
         ranks = np.full(n, 1.0 / n)
@@ -285,7 +241,8 @@ class PageRankWorkload(Workload):
                 return dst.astype(np.int64), current[src] / out_deg[src]
 
             pairs = edges.map_partitions(
-                contribs, cost=OpCost(int_ops=14, fp_ops=2, rand_reads=2)
+                contribs, cost=OpCost(int_ops=PAGERANK_EDGE_INT_OPS, fp_ops=2,
+                                      rand_reads=2)
             ).reduce_by_key(lambda values, starts: np.add.reduceat(values, starts))
             incoming = np.zeros(n)
             for part in pairs.collect():
@@ -295,11 +252,19 @@ class PageRankWorkload(Workload):
             ranks = (1 - DAMPING) / n + DAMPING * (incoming + dangling / n)
         return ranks, sc.cost
 
-    def _run_mpi(self, graph, ctx, cluster):
+    def mpi(self, prepared, ctx, cluster):
         runtime = BspRuntime(cluster=cluster, ctx=ctx)
-        program = _BspMpiPageRank(graph, runtime.num_ranks, self.iterations)
+        program = _BspMpiPageRank(prepared.payload, runtime.num_ranks,
+                                  self.iterations)
         bsp = runtime.run(program)
         return bsp.states[0]["ranks"], bsp.cost
+
+    def check(self, prepared, output):
+        reference = pagerank_reference(prepared.payload, self.iterations)
+        max_err = float(np.max(np.abs(output - reference)))
+        return {"iterations": self.iterations, "max_error": max_err,
+                "rank_sum": float(output.sum()),
+                "correct": max_err < 1e-9}
 
 
 class _BspMpiPageRank(BspProgram):
@@ -345,7 +310,8 @@ class _BspMpiPageRank(BspProgram):
         ctx.touch(f"pr:state:{rank}", self.num_nodes * 16)
         ctx.rand_read(f"pr:state:{rank}", 2 * len(edges))
         ctx.fp_ops(2 * len(edges))
-        ctx.int_ops(30 * len(edges) + 20 * self.num_nodes / comm.num_ranks)
+        ctx.int_ops(PAGERANK_MPI_EDGE_INT_OPS * len(edges)
+                    + 20 * self.num_nodes / comm.num_ranks)
         ctx.branch_ops(8 * len(edges))
         contrib = state["ranks"][src] / self.out_deg[src]
         partial = np.bincount(dst, weights=contrib, minlength=self.num_nodes)

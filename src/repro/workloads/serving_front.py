@@ -3,9 +3,10 @@
 The three online services (Nutch/Olio/Rubis) present identical fronts:
 one single-node service tier driven at the workload's swept request rate
 (the paper's 100 x (1..32) req/s geometry), reported with the same SLO
-detail keys.  This module holds that shape once -- each workload's
-``run()`` builds its :class:`~repro.serving.ServingRun` here and
-flattens the :class:`~repro.serving.SLOReport` into result details.
+detail keys.  This module holds that shape once: :class:`ServerWorkload`
+is their common body -- it builds the :class:`~repro.serving.ServingRun`,
+replays it, and flattens the :class:`~repro.serving.SLOReport` into
+result details -- and a service only adds its ``info`` and ``prepare``.
 
 The harness-attached :class:`~repro.serving.ServingOptions`
 (``ctx.serving``, set by the ``--profile`` / ``--policy`` flags) select
@@ -16,10 +17,11 @@ profile that does not pin its own ``rps``.
 from __future__ import annotations
 
 from repro.cluster.node import SINGLE_NODE
-from repro.serving import ServingOptions, ServingRun, SLOReport
+from repro.core.workload import Execution, Workload
+from repro.serving import ServingOptions, ServingRun, SLOReport, run_serving
 
 
-def serving_spec(prepared, ctx, sample_requests: int = 500) -> ServingRun:
+def serving_spec(prepared, ctx, sample_requests: int) -> ServingRun:
     """The workload's serving study: its server at its swept rate.
 
     The service tier is one front-end node (load sweeps must be able to
@@ -65,3 +67,17 @@ def serving_details(report: SLOReport) -> dict:
         "policy": report.policy,
         "mix": report.request_mix,
     }
+
+
+class ServerWorkload(Workload):
+    """An online service: its RPS is the achieved rate of its replay."""
+
+    #: Requests whose service demand is sampled per replay.
+    SAMPLE_REQUESTS = 500
+
+    def execute(self, prepared, ctx, cluster, stack):
+        report = run_serving(
+            serving_spec(prepared, ctx, sample_requests=self.SAMPLE_REQUESTS),
+            ctx=ctx)
+        return Execution(report.cost, serving_details(report),
+                         metric_value=report.achieved_rps)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
 from repro.cluster.ledger import CostLedger
 from repro.core.workload import (
     DPS,
@@ -20,23 +19,21 @@ from repro.core.workload import (
     Workload,
     WorkloadInfo,
     WorkloadInput,
-    WorkloadResult,
 )
 from repro.keyed import sort_group
 from repro.mapreduce import Dfs, MapReduceJob, MapReduceRuntime, OpCost
 from repro.mpi import BspProgram, BspRuntime
-from repro.serving import OlioServer, run_serving
+from repro.serving import OlioServer
 from repro.spark import SparkContext
-from repro.uarch.perfctx import context_or_null
 from repro.workloads import inputs
-from repro.workloads.serving_front import serving_details, serving_spec
+from repro.workloads.serving_front import ServerWorkload
 
 
 # ---------------------------------------------------------------------------
 # Olio Server (workload 14)
 # ---------------------------------------------------------------------------
 
-class OlioServerWorkload(Workload):
+class OlioServerWorkload(ServerWorkload):
     """Online social-events serving; load swept 100 x (1..32) req/s."""
 
     info = WorkloadInfo(
@@ -55,19 +52,6 @@ class OlioServerWorkload(Workload):
             payload=server, nbytes=server.dataset_bytes(), scale=scale,
             details={"rate_rps": inputs.BASE_RPS * scale,
                      "users": server.num_users},
-        )
-
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
-        report = run_serving(serving_spec(prepared, ctx, sample_requests=500),
-                             ctx=ctx)
-        return WorkloadResult(
-            workload=self.info.name, stack=stack, scale=prepared.scale,
-            input_bytes=prepared.nbytes, cost=report.cost,
-            metric_name=RPS, metric_value=report.achieved_rps,
-            details=serving_details(report),
         )
 
 
@@ -124,6 +108,10 @@ class _KmeansIterationJob(MapReduceJob):
         hot_fraction=6e-5,
         hot_prob=0.88,
     )
+    # Drift: Spark charges 2 centroid reads per point (4 here) at the
+    # default skew.
+    spark_cost = OpCost(int_ops=map_cost.int_ops, fp_ops=map_cost.fp_ops,
+                        branch_ops=map_cost.branch_ops, rand_reads=2)
     reduce_cost = OpCost(int_ops=8, fp_ops=2 * KMEANS_DIM, branch_ops=2)
     intermediate_record_bytes = 8 * KMEANS_DIM + 8
 
@@ -131,9 +119,6 @@ class _KmeansIterationJob(MapReduceJob):
         self.centroids = centroids
         self._sums = None
         self._counts = None
-
-    def record_count(self, split):
-        return len(split.payload)
 
     def map_batch(self, split, ctx):
         points = split.payload
@@ -184,41 +169,16 @@ class KmeansWorkload(Workload):
             details={"points": len(points), "dim": KMEANS_DIM, "k": KMEANS_K},
         )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
-        points = prepared.payload
-        rng = np.random.default_rng(42)
-        centroids = points[rng.choice(len(points), KMEANS_K, replace=False)]
-        if stack == "hadoop":
-            centroids, cost = self._run_hadoop(points, prepared.nbytes, centroids,
-                                               ctx, cluster)
-        elif stack == "spark":
-            centroids, cost = self._run_spark(points, prepared.nbytes, centroids,
-                                              ctx, cluster)
-        else:
-            centroids, cost = self._run_mpi(points, prepared.nbytes, centroids,
-                                            ctx, cluster)
-        inertia = self._inertia(points, centroids)
-        return WorkloadResult(
-            workload=self.info.name, stack=stack, scale=prepared.scale,
-            input_bytes=prepared.nbytes, cost=cost,
-            metric_name=DPS,
-            metric_value=self.dps(prepared.nbytes, cost, cluster),
-            details={"iterations": self.iterations,
-                     "inertia": inertia,
-                     "k": KMEANS_K},
-        )
-
     @staticmethod
-    def _inertia(points, centroids) -> float:
-        assign = kmeans_assign(points, centroids)
-        return float(((points - centroids[assign]) ** 2).sum())
+    def _seed_centroids(points) -> np.ndarray:
+        rng = np.random.default_rng(42)
+        return points[rng.choice(len(points), KMEANS_K, replace=False)]
 
-    def _run_hadoop(self, points, nbytes, centroids, ctx, cluster):
+    def hadoop(self, prepared, ctx, cluster):
+        points = prepared.payload
+        centroids = self._seed_centroids(points)
         runtime = MapReduceRuntime(cluster=cluster, ctx=ctx)
-        file = Dfs().put("kmeans:points", points, nbytes)
+        file = Dfs().put("kmeans:points", points, prepared.nbytes)
         ledger = CostLedger(cluster)
         for _ in range(self.iterations):
             job = _KmeansIterationJob(centroids)
@@ -227,9 +187,11 @@ class KmeansWorkload(Workload):
             ledger.absorb(result.cost)
         return centroids, ledger.job
 
-    def _run_spark(self, points, nbytes, centroids, ctx, cluster):
+    def spark(self, prepared, ctx, cluster):
+        points = prepared.payload
+        centroids = self._seed_centroids(points)
         sc = SparkContext(cluster=cluster, ctx=ctx)
-        file = Dfs().put("kmeans:points", points, nbytes)
+        file = Dfs().put("kmeans:points", points, prepared.nbytes)
         cached = sc.from_dfs(file).cache()
         for _ in range(self.iterations):
             state = {"sums": np.zeros_like(centroids),
@@ -242,19 +204,25 @@ class KmeansWorkload(Workload):
                 return payload
 
             cached.map_partitions(
-                assign_partition,
-                cost=OpCost(int_ops=18 + 30 * KMEANS_DIM,
-                            fp_ops=1.5 * KMEANS_DIM * KMEANS_K,
-                            branch_ops=KMEANS_K, rand_reads=2),
+                assign_partition, cost=_KmeansIterationJob.spark_cost,
             ).count()
             centroids = state["sums"] / np.maximum(state["counts"], 1)[:, None]
         return centroids, sc.cost
 
-    def _run_mpi(self, points, nbytes, centroids, ctx, cluster):
+    def mpi(self, prepared, ctx, cluster):
+        points = prepared.payload
+        centroids = self._seed_centroids(points)
         runtime = BspRuntime(cluster=cluster, ctx=ctx)
-        program = _BspKmeans(points, nbytes, centroids, self.iterations)
+        program = _BspKmeans(points, prepared.nbytes, centroids, self.iterations)
         bsp = runtime.run(program)
         return bsp.states[0]["centroids"], bsp.cost
+
+    def check(self, prepared, output):
+        points = prepared.payload
+        assign = kmeans_assign(points, output)
+        return {"iterations": self.iterations,
+                "inertia": float(((points - output[assign]) ** 2).sum()),
+                "k": KMEANS_K}
 
 
 class _BspKmeans(BspProgram):
@@ -344,9 +312,6 @@ class _CcIterationJob(MapReduceJob):
 
     def working_bytes(self, input_nbytes):
         return max(1 << 20, self.paper_vertices * 8)
-
-    def record_count(self, split):
-        return len(split.payload)
 
     def map_batch(self, split, ctx):
         edges = split.payload
@@ -445,44 +410,10 @@ class ConnectedComponentsWorkload(Workload):
             details={"nodes": graph.num_nodes, "edges": graph.num_edges},
         )
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        stack = self.check_stack(stack)
-        ctx = context_or_null(ctx)
+    def hadoop(self, prepared, ctx, cluster):
         graph = prepared.payload
-        if stack == "hadoop":
-            labels, cost = self._run_hadoop(graph, prepared.nbytes, ctx, cluster)
-        elif stack == "spark":
-            labels, cost = self._run_spark(graph, prepared.nbytes, ctx, cluster)
-        else:
-            runtime = BspRuntime(cluster=cluster, ctx=ctx)
-            bsp = runtime.run(_BspConnectedComponents(graph, runtime.num_ranks))
-            labels = np.concatenate([s["labels"] for s in bsp.states])
-            cost = bsp.cost
-        reference = connected_components_reference(graph)
-        correct = self._same_partition(labels, reference)
-        return WorkloadResult(
-            workload=self.info.name, stack=stack, scale=prepared.scale,
-            input_bytes=prepared.nbytes, cost=cost,
-            metric_name=DPS,
-            metric_value=self.dps(prepared.nbytes, cost, cluster),
-            details={"components": int(len(np.unique(labels))),
-                     "correct": correct},
-        )
-
-    @staticmethod
-    def _same_partition(labels_a, labels_b) -> bool:
-        """Two labelings describe the same partition iff the map between
-        them is one-to-one."""
-        pairs = np.unique(np.column_stack([labels_a, labels_b]), axis=0)
-        return (
-            len(np.unique(pairs[:, 0])) == len(pairs)
-            and len(np.unique(pairs[:, 1])) == len(pairs)
-        )
-
-    def _run_hadoop(self, graph, nbytes, ctx, cluster):
         runtime = MapReduceRuntime(cluster=cluster, ctx=ctx)
-        file = Dfs().put("cc:edges", graph.edges, nbytes)
+        file = Dfs().put("cc:edges", graph.edges, prepared.nbytes)
         labels = np.arange(graph.num_nodes, dtype=np.int64)
         paper_vertices = (1 << 15) * max(1, graph.num_nodes // (1 << 13))
         ledger = CostLedger(cluster)
@@ -497,9 +428,10 @@ class ConnectedComponentsWorkload(Workload):
             labels = proposed
         return labels, ledger.job
 
-    def _run_spark(self, graph, nbytes, ctx, cluster):
+    def spark(self, prepared, ctx, cluster):
+        graph = prepared.payload
         sc = SparkContext(cluster=cluster, ctx=ctx)
-        file = Dfs().put("cc:edges", graph.edges, nbytes)
+        file = Dfs().put("cc:edges", graph.edges, prepared.nbytes)
         edges = sc.from_dfs(file).cache()
         labels = np.arange(graph.num_nodes, dtype=np.int64)
         for _ in range(self.MAX_ITERATIONS):
@@ -522,3 +454,20 @@ class ConnectedComponentsWorkload(Workload):
                 break
             labels = proposed
         return labels, sc.cost
+
+    def mpi(self, prepared, ctx, cluster):
+        runtime = BspRuntime(cluster=cluster, ctx=ctx)
+        bsp = runtime.run(_BspConnectedComponents(prepared.payload,
+                                                  runtime.num_ranks))
+        return np.concatenate([s["labels"] for s in bsp.states]), bsp.cost
+
+    def check(self, prepared, output):
+        # Two labelings describe the same partition iff the map between
+        # them is one-to-one.
+        reference = connected_components_reference(prepared.payload)
+        pairs = np.unique(np.column_stack([output, reference]), axis=0)
+        correct = (
+            len(np.unique(pairs[:, 0])) == len(pairs)
+            and len(np.unique(pairs[:, 1])) == len(pairs)
+        )
+        return {"components": int(len(np.unique(output))), "correct": correct}

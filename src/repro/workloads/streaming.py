@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.node import ClusterSpec, PAPER_CLUSTER
 from repro.core.workload import (
     DPS,
     REALTIME,
+    Execution,
     Workload,
     WorkloadInfo,
     WorkloadInput,
-    WorkloadResult,
 )
 from repro.datagen.stream import RateProfile, table_stream, text_stream
 from repro.streaming import (
@@ -43,9 +42,8 @@ from repro.streaming import (
     StreamRuntime,
     TumblingWindow,
 )
-from repro.uarch.perfctx import context_or_null
 from repro.workloads import inputs
-from repro.workloads.micro import grep_mask
+from repro.workloads.micro import GREP_MATCH_COST, grep_mask
 
 #: Both replay modes, exposed as the workloads' "software stacks".
 STREAM_STACKS = (EXACTLY_ONCE, AT_LEAST_ONCE)
@@ -74,10 +72,7 @@ class _StreamingWorkload(Workload):
     def _expected_events(self, prepared) -> int:
         raise NotImplementedError
 
-    def run(self, prepared, ctx=None, cluster: ClusterSpec = PAPER_CLUSTER,
-            stack: str = None) -> WorkloadResult:
-        mode = self.check_stack(stack)
-        ctx = context_or_null(ctx)
+    def execute(self, prepared, ctx, cluster, mode):
         payload = prepared.payload
         flow = Dataflow(
             name=self.info.name.lower().replace(" ", "-"),
@@ -113,16 +108,7 @@ class _StreamingWorkload(Workload):
             "watermark_lag_s": counters["watermark_lag_s"],
             "events_per_second": outcome.events / duration if duration else 0.0,
         }
-        return WorkloadResult(
-            workload=self.info.name,
-            stack=mode,
-            scale=prepared.scale,
-            input_bytes=prepared.nbytes,
-            cost=outcome.cost,
-            metric_name=DPS,
-            metric_value=self.dps(prepared.nbytes, outcome.cost, cluster),
-            details=details,
-        )
+        return Execution(outcome.cost, details)
 
     def _package(self, scale, raw_batches, to_arrays, rate) -> WorkloadInput:
         """Materialize stream batches into replayable DataBatch form."""
@@ -202,7 +188,8 @@ class StreamingGrepWorkload(_TextStreamWorkload):
     def _operators(self) -> list:
         return [
             FilterOperator("grep-filter", grep_mask,
-                           int_ops=95, branch_ops=38),
+                           int_ops=GREP_MATCH_COST.int_ops,
+                           branch_ops=GREP_MATCH_COST.branch_ops),
             KeyedWindowAggregate("grep-windows", self.window,
                                  metric="count"),
         ]

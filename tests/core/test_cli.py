@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -267,3 +270,28 @@ class TestCommands:
         assert capsys.readouterr().out.strip().startswith(root)
         assert main(["artifacts", "gc", "--dir", root, "--cap-mb", "0"]) == 0
         assert "1 evicted" in capsys.readouterr().out
+
+
+#: Bad names, stacks and specs: each must end in one line, not a traceback.
+BAD_INPUT = [
+    ["run", "Bogus"],
+    ["sweep", "Bogus"],
+    ["metrics", "Bogus"],
+    ["run", "BFS", "--stack", "hadoop"],
+    ["chaos", "Grep", "--faults", "bogus:rate=1"],
+    ["chaos", "Grep", "--faults", "task_crash:rate=2"],
+    ["table", "9"],
+    ["run", "Grep", "--scale", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_exits_with_one_line(argv, tmp_path):
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "REPRO_CACHE_DIR": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-m", "repro", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode != 0
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.strip().splitlines()) == 1

@@ -41,7 +41,7 @@ class _DatagenCounts:
 
 
 def _prepare(harness, names, scale=1):
-    return {name: harness._prepared(name, scale, seed=0) for name in names}
+    return {name: harness.prepare(name, scale, seed=0) for name in names}
 
 
 def test_the_19_workloads_read_11_distinct_datasets():
@@ -83,12 +83,12 @@ def test_the_volume_sweep_generates_its_corpus_once():
 def test_the_key_is_the_content_not_the_workload():
     counts = _DatagenCounts()
     harness = Harness(artifacts=False)
-    harness._prepared("Grep", 1, seed=0)
-    harness._prepared("WordCount", 2, seed=0)       # another volume
-    harness._prepared("Sort", 1, seed=3)            # another seed
+    harness.prepare("Grep", 1, seed=0)
+    harness.prepare("WordCount", 2, seed=0)       # another volume
+    harness.prepare("Sort", 1, seed=3)            # another seed
     # Same kind, scale and seed, another base size (CF 6000, Bayes 1500).
-    harness._prepared("Collaborative Filtering", 1, seed=0)
-    harness._prepared("Naive Bayes", 1, seed=0)
+    harness.prepare("Collaborative Filtering", 1, seed=0)
+    harness.prepare("Naive Bayes", 1, seed=0)
     assert counts.gained("datagen.text.generated") == 3
     assert counts.gained("datagen.reviews.generated") == 2
     assert counts.memo_hits == 0
@@ -106,7 +106,7 @@ def test_a_write_to_a_shared_dataset_raises_with_or_without_a_store(
     writes in place fails the same way in both modes."""
     for mode in (False, ArtifactStore(root=str(tmp_path / "artifacts"))):
         harness = Harness(artifacts=mode)
-        harness._prepared(name, 1, seed=0)
+        harness.prepare(name, 1, seed=0)
         assert harness._datasets
         for dataset in harness._datasets.values():
             for array in artifacts.encode(dataset)[2].values():
@@ -162,8 +162,8 @@ def test_with_a_store_the_datasets_are_evicted_with_the_inputs(tmp_path):
     harness = Harness(artifacts=ArtifactStore(root=str(tmp_path / "artifacts")))
     bound = Harness.INPUT_CACHE_SIZE
     for seed in range(bound + 3):
-        harness._prepared("Grep", 1, seed=seed)
-        harness._prepared("WordCount", 1, seed=seed)
+        harness.prepare("Grep", 1, seed=seed)
+        harness.prepare("WordCount", 1, seed=seed)
         assert len(harness._inputs) <= bound
         points = {(scale, seed) for _, scale, seed in harness._inputs}
         assert {key[1:3] for key in harness._datasets} == points
@@ -171,7 +171,7 @@ def test_with_a_store_the_datasets_are_evicted_with_the_inputs(tmp_path):
     # An evicted point is re-opened from the store, not regenerated.
     counts = _DatagenCounts()
     assert ("text", 1, 0) not in harness._datasets
-    harness._prepared("Grep", 1, seed=0)
+    harness.prepare("Grep", 1, seed=0)
     assert ("text", 1, 0) in harness._datasets
     assert counts.gained("datagen.text.generated") == 0
     assert counts.gained("datagen.artifact_hit") == 1
@@ -179,7 +179,7 @@ def test_with_a_store_the_datasets_are_evicted_with_the_inputs(tmp_path):
     # Without a store the memo is all that prevents regeneration.
     plain = Harness(artifacts=False)
     for seed in range(bound + 1):
-        plain._prepared("Grep", 1, seed=seed)
+        plain.prepare("Grep", 1, seed=seed)
     assert len(plain._datasets) == bound + 1
 
 
