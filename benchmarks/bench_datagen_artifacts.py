@@ -1,6 +1,6 @@
-"""The shared input plane: cold vs warm artifacts, scalar vs vector BDGS.
+"""The shared input plane: cold vs warm store, scalar vs vector BDGS.
 
-Two perf claims from the artifact-store work, measured honestly:
+Two perf claims from the input-store work, measured honestly:
 
 1. Input preparation for a suite pass is >= 2x faster warm than cold --
    a warm store re-opens every corpus/graph/table memory-mapped instead
@@ -20,9 +20,9 @@ import time
 import numpy as np
 
 from benchmarks.conftest import emit, emit_json
-from repro.core.artifacts import ArtifactStore
 from repro.core.harness import Harness
 from repro.core.report import render_table
+from repro.core.store import Store
 from repro.datagen.graph import Graph, preferential_attachment
 
 #: One workload per BDGS input kind (text, pages, graphs, reviews,
@@ -41,7 +41,7 @@ def _prepare_all(store) -> float:
 
 
 def test_cold_vs_warm_artifact_prepare(benchmark, tmp_path):
-    store = ArtifactStore(root=str(tmp_path / "artifacts"))
+    store = Store(str(tmp_path / "store"))
 
     cold_seconds = _prepare_all(store)
     assert store.misses >= len(PREPARE_SUITE) - 1  # Index/Bayes may share

@@ -3,7 +3,7 @@
 The evaluation matrix (19 workloads x scales x stacks, Section 6) is
 embarrassingly parallel and perfectly repeatable, so the harness offers
 two accelerators: process fan-out (``Harness(jobs=N)``) and the
-persistent disk cache (:mod:`repro.core.diskcache`).  This bench runs
+persistent result cache (the ``result`` kind of :mod:`repro.core.store`).  This bench runs
 the same points three ways, checks the event counts are bit-identical,
 and demonstrates the headline win: a warm-cache full-suite pass at
 least 5x faster than the cold serial pass.
@@ -14,10 +14,10 @@ import time
 
 from benchmarks.conftest import emit
 from repro.core import registry
-from repro.core.diskcache import DiskCache
 from repro.core.harness import Harness
 from repro.core.report import render_table
 from repro.core.runspec import RunSpec
+from repro.core.store import Store
 
 #: Subset for the serial-vs-parallel leg (spans batch MapReduce, NoSQL,
 #: query, and service workloads); the cache legs run the full suite.
@@ -38,7 +38,7 @@ def test_parallel_suite_and_warm_cache(benchmark, tmp_path):
     cache_root = str(tmp_path / "repro-cache")
 
     # Cold serial full suite, populating the disk cache as it goes.
-    cold = Harness(cache=DiskCache(root=cache_root))
+    cold = Harness(cache=Store(cache_root))
     start = time.perf_counter()
     cold_points = cold.run_many(_specs())
     cold_seconds = time.perf_counter() - start
@@ -58,7 +58,7 @@ def test_parallel_suite_and_warm_cache(benchmark, tmp_path):
         assert point.result.metric_value == by_name[point.workload].result.metric_value
 
     # Warm full suite from the disk cache in a fresh harness.
-    warm = Harness(cache=DiskCache(root=cache_root))
+    warm = Harness(cache=Store(cache_root))
     start = time.perf_counter()
     warm_points = benchmark.pedantic(warm.run_many, args=(_specs(),),
                                      iterations=1, rounds=1)

@@ -20,7 +20,7 @@ Five gates on the traffic plane, measured on a real server:
 5. **Autoscale**: the 10 -> 1000-node sweep -- demand measured once,
    then pure event replay per size -- completes warm under a minute.
 
-A policy comparison under flash-crowd overload and the artifact-store
+A policy comparison under flash-crowd overload and the store's
 stream cache timings are recorded in the JSON document (ungated --
 trajectory data).  The checked-in ``BENCH_serving_load.json`` is the
 trajectory baseline; set ``REPRO_BENCH_DIR`` to persist a fresh
@@ -34,8 +34,8 @@ import pytest
 
 from benchmarks.conftest import emit, emit_json
 from repro.cluster.node import PAPER_CLUSTER, SINGLE_NODE
-from repro.core.artifacts import ArtifactStore
 from repro.core.report import render_table
+from repro.core.store import Store
 from repro.datagen.seeds import wikipedia_entries
 from repro.serving import (
     AUTOSCALE_NODES,
@@ -242,10 +242,10 @@ def test_million_user_day(demand):
 
 
 def test_stream_artifact_cache_timings(server):
-    """Ungated: what the artifact store buys on repeat sweeps."""
+    """Ungated: what the store buys on repeat sweeps."""
     profile = LoadProfile.parse("diurnal:rps=4000:peak=4:duration=60")
     with tempfile.TemporaryDirectory() as root:
-        store = ArtifactStore(root=root)
+        store = Store(root)
         start = time.perf_counter()
         generate_stream(profile, server.MIX, seed=0, store=store)
         cold_s = time.perf_counter() - start

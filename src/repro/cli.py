@@ -13,15 +13,16 @@ obtain" (Section 2).  This CLI is that surface:
     python -m repro trace Sort --scale 4 --format chrome --out sort.json
     python -m repro metrics Sort
     python -m repro chaos Grep --faults "task_crash:rate=0.3;node_kill:node=1"
-    python -m repro artifacts ls
+    python -m repro store ls
     python -m repro export out/csv
 
-Every harness-backed command accepts ``--no-artifacts`` to bypass the
-shared input artifact store and, except ``metrics`` (which always runs
-its workloads), ``--no-cache`` to bypass the persistent on-disk result
-cache.  The commands that characterize many points -- ``sweep``,
-``figure``, ``roofline``, ``rank``, ``export`` -- accept ``--jobs N``
-(0 = one worker per CPU) to fan them across processes.
+Every harness-backed command accepts ``--no-artifacts`` to keep
+generated inputs and serving streams out of the store and, except
+``metrics`` (which always runs its workloads), ``--no-cache`` to keep
+results out of it (see :mod:`repro.core.store`).  The commands that
+characterize many points -- ``sweep``, ``figure``, ``roofline``,
+``rank``, ``export`` -- accept ``--jobs N`` (0 = one worker per CPU)
+to fan them across processes.
 
 A name, stack or spec that does not resolve (an
 :class:`~repro.errors.InputError`) exits 1 with its one-line message.
@@ -67,11 +68,10 @@ OPTIONS = {
                    help="worker processes for independent points "
                         "(0 = one per CPU; default 1 = serial)"),
     "--no-cache": dict(action="store_true",
-                       help="do not read or write the persistent result "
-                            "cache"),
+                       help="do not read or write results in the store"),
     "--no-artifacts": dict(action="store_true",
-                           help="do not read or write the shared input "
-                                "artifact store (regenerate all inputs)"),
+                           help="do not read or write inputs or serving "
+                                "streams in the store"),
     "--cluster": dict(default=None, metavar="NAME",
                       help="cluster preset to model (see 'repro cluster "
                            "ls'; default: the paper's 14-node testbed)"),
@@ -243,34 +243,35 @@ def cmd_metrics(args) -> None:
     print(render_metrics(METRICS))
 
 
-def cmd_artifacts(args) -> None:
-    from repro.core import artifacts as art
+def cmd_store(args) -> None:
+    from repro.core import store as stores
 
-    store = art.ArtifactStore(root=args.dir) if args.dir else art.ArtifactStore()
+    store = stores.Store(args.dir)
+    mb = 1024 * 1024
     if args.action == "path":
-        print(store.directory)
+        print(store.root)
         return
     if args.action == "gc":
-        cap = (int(args.cap_mb * 1024 * 1024) if args.cap_mb is not None
-               else store.cap_bytes)
+        cap = (stores.CAP_BYTES if args.cap_mb is None
+               else int(args.cap_mb * mb))
         removed = store.gc(cap_bytes=cap)
         for entry in removed:
-            print(f"evicted {entry.key} ({entry.nbytes / 1024 / 1024:.1f} MB)")
-        print(f"{len(removed)} evicted; "
-              f"{store.total_bytes() / 1024 / 1024:.1f} MB "
-              f"of {cap / 1024 / 1024:.0f} MB in use")
+            print(f"evicted {entry.kind} {entry.key} "
+                  f"({entry.nbytes / mb:.1f} MB)")
+        print(f"{len(removed)} evicted; {store.total_bytes() / mb:.1f} MB "
+              f"of {cap / mb:.0f} MB in use")
         return
-    # ls (default): one row per stored artifact, stale fingerprints marked.
+    # ls (default): one row per entry, stale fingerprints marked; a
+    # result key (machine and cluster reprs) is cut to one screen column.
     entries = store.entries()
-    rows = [[entry.key, entry.codec,
-             f"{entry.nbytes / 1024 / 1024:.2f}",
-             "stale" if entry.stale else "live"]
+    rows = [[entry.kind, entry.key if len(entry.key) <= 60
+             else entry.key[:57] + "...", entry.codec,
+             f"{entry.nbytes / mb:.2f}", "stale" if entry.stale else "live"]
             for entry in entries]
     total = sum(entry.nbytes for entry in entries)
-    print(render_table(["Key", "Codec", "MB", "Fingerprint"], rows,
-                       title=f"artifacts at {store.root}"))
-    print(f"  total: {total / 1024 / 1024:.1f} MB "
-          f"(cap {store.cap_bytes / 1024 / 1024:.0f} MB)")
+    print(render_table(["Kind", "Key", "Codec", "MB", "Fingerprint"], rows,
+                       title=f"store at {store.root}"))
+    print(f"  total: {total / mb:.1f} MB (cap {stores.CAP_BYTES / mb:.0f} MB)")
 
 
 def _overhead(clean, chaos) -> str:
@@ -813,15 +814,14 @@ COMMANDS = (
                          help="workloads to run before dumping (never "
                               "from the result cache)")),
       "--scale", "--machine", *HARNESS)),
-    ("artifacts", "inspect the shared input artifact store "
-                  "(memory-mapped BDGS inputs)", cmd_artifacts,
+    ("store", "inspect the store of results, BDGS inputs and serving "
+              "streams", cmd_store,
      (("action", dict(nargs="?", default="ls", choices=["ls", "gc", "path"],
-                      help="ls = list artifacts; gc = evict LRU entries "
-                           "over the cap; path = print the live "
-                           "fingerprint directory")),
+                      help="ls = list entries; gc = evict LRU entries "
+                           "over the cap; path = print the root")),
       ("--dir", dict(default=None, metavar="DIR",
-                     help="artifact root (default: $REPRO_ARTIFACT_DIR or "
-                          "the cache root)")),
+                     help="store root (default: $REPRO_CACHE_DIR, else "
+                          "~/.cache/repro-bigdatabench)")),
       ("--cap-mb", dict(type=float, default=None,
                         help="gc: evict down to this many megabytes")))),
     ("chaos", "run a workload under a deterministic fault plan and "

@@ -88,24 +88,21 @@ class Harness:
     process pool (see :mod:`repro.core.parallel`); results are merged
     back into the in-memory memo, so downstream figure/table code is
     unchanged and event counts are bit-identical to the serial path.
-    ``cache`` attaches a persistent :class:`~repro.core.diskcache.DiskCache`
-    (pass a DiskCache, or True for the default location) so results
-    survive across processes; it is invalidated automatically when any
-    ``repro`` source file changes.  ``trace`` turns on span tracing for
-    every run this harness executes (individual runs can also request it
-    via ``RunSpec(trace=True)``).  ``artifacts`` controls the shared
-    input plane (:mod:`repro.core.artifacts`): the default ``None``
-    attaches the machine-wide store (disable with ``REPRO_NO_ARTIFACTS``),
-    ``False`` disables it, and a path / store instance pins a specific
-    root.  Prepared inputs then spill once to memory-mapped ``.npy``
-    artifacts and every later preparation -- in this process or any
-    worker -- re-opens the same pages zero-copy.  Either way the harness
-    generates each distinct data set once: workloads reading the same
-    one share a read-only object, so ``False`` means "no spill", not
-    "regenerate" (a store bounds what stays open: see :meth:`prepare`).
+    ``cache`` and ``artifacts`` attach a :class:`~repro.core.store.Store`
+    (a Store, a root path, or True for the default one; False or None
+    for none).  ``cache`` keeps results across processes, invalidated
+    when any ``repro`` source changes; it is off by default.
+    ``artifacts`` keeps generated inputs and serving streams -- spilled
+    once as memory-mapped ``.npy`` files that every later run, in this
+    process or any worker, re-opens zero-copy; ``None`` means the
+    default store.  Either way the harness generates each distinct data
+    set once: workloads reading the same one share a read-only object,
+    so ``artifacts=False`` means "no spill", not "regenerate" (a store
+    bounds what stays open: see :meth:`prepare`).  ``trace`` turns on
+    span tracing for every run (or per run: ``RunSpec(trace=True)``).
     """
 
-    #: In-memory prepared-input cache bound when an artifact store is
+    #: In-memory prepared-input cache bound when an input store is
     #: attached (misses re-open the mmap; pages stay in the OS cache).
     INPUT_CACHE_SIZE = 4
 
@@ -113,16 +110,15 @@ class Harness:
                  cluster: ClusterSpec = PAPER_CLUSTER, seed: int = 0,
                  jobs: int = 1, cache=None, trace: bool = False,
                  artifacts=None, serving=None):
-        from repro.core.artifacts import resolve_store
-        from repro.core.diskcache import resolve_cache
+        from repro.core.store import resolve
 
         self.machine = machine
         self.cluster = cluster
         self.seed = seed
         self.jobs = max(1, int(jobs or 1))
-        self.cache = resolve_cache(cache)
+        self.cache = resolve(cache)
         self.trace = bool(trace)
-        self.artifacts = resolve_store(artifacts)
+        self.artifacts = resolve(True if artifacts is None else artifacts)
         if serving is not None:
             from repro.serving.load import ServingOptions
 
@@ -188,12 +184,12 @@ class Harness:
         """The prepared input of workload ``name`` at ``scale``.
 
         ``seed`` defaults to the harness seed.  Inputs are memoized per
-        ``(name, scale, seed)`` and generated through the artifact store,
+        ``(name, scale, seed)`` and generated through the store,
         with ``artifact:*`` spans on ``ctx``.  Every run of this harness
         gets its input here, and so may a caller that drives a workload's
         payload itself (``repro serve``).
         """
-        from repro.core import artifacts
+        from repro.core import store
 
         seed = self.seed if seed is None else seed
         key = (name, scale, seed)
@@ -202,7 +198,7 @@ class Harness:
             prepared = self._inputs.pop(key)
             self._inputs[key] = prepared
             return prepared
-        with artifacts.activated(self.artifacts, ctx, self._datasets):
+        with store.activated(self.artifacts, ctx, self._datasets):
             prepared = registry.create(name).prepare(scale, seed=seed)
         self._inputs[key] = prepared
         # With a store attached the memo is just a hot-set accelerator --
@@ -224,6 +220,8 @@ class Harness:
 
     def _execute(self, spec: RunSpec) -> CharacterizationResult:
         """Actually run one profiled point (no memo, no disk cache)."""
+        from repro.core import store
+
         METRICS.counter("harness.executions").inc()
         workload = registry.create(spec.workload)
         tracer = Tracer(spec.workload) if spec.trace else None
@@ -247,7 +245,10 @@ class Harness:
             with ctx.span(f"prepare:{spec.workload}", category="datagen"):
                 prepared = self.prepare(spec.workload, spec.scale,
                                         seed=spec.seed, ctx=ctx)
-            with ctx.span(f"run:{spec.workload}", category="harness"):
+            # The store is active around the run too (the serving stream
+            # generator reads it), with no context: no span is added.
+            with ctx.span(f"run:{spec.workload}", category="harness"), \
+                    store.activated(self.artifacts, memo=self._datasets):
                 result = workload.run(prepared, ctx=ctx, cluster=spec.cluster,
                                       stack=spec.stack)
             # Inside the root span: its event delta is then the report's
@@ -272,7 +273,7 @@ class Harness:
     def _load_cached(self, spec: RunSpec):
         if self.cache is None:
             return None
-        outcome = self.cache.get(spec.cache_key())
+        outcome = self.cache.get("result", spec.cache_key())
         if outcome is not None:
             METRICS.counter("harness.disk_hits").inc()
         return outcome
@@ -281,4 +282,4 @@ class Harness:
                       outcome: CharacterizationResult) -> None:
         if self.cache is None:
             return
-        self.cache.put(spec.cache_key(), outcome)
+        self.cache.put("result", spec.cache_key(), outcome)

@@ -39,18 +39,18 @@ def default_jobs() -> int:
 _WORKER_HARNESS = None
 
 
-def _init_worker(machine, cluster, seed, artifact_root=False) -> None:
+def _init_worker(machine, cluster, seed, store_root=False) -> None:
     """Build the per-worker harness.
 
-    ``artifact_root`` is the parent's artifact store root (or False when
-    the parent runs without a store): workers open the *same* store, so
-    a spec never implies per-worker datagen -- inputs the parent (or any
+    ``store_root`` is the root of the parent's input store (or False when
+    the parent runs without one): workers open the *same* store, so a
+    spec never implies per-worker datagen -- inputs the parent (or any
     sibling) already spilled are re-opened memory-mapped, sharing page
     cache across the whole pool.
     """
     global _WORKER_HARNESS
     _WORKER_HARNESS = Harness(machine=machine, cluster=cluster, seed=seed,
-                              artifacts=artifact_root)
+                              artifacts=store_root)
 
 
 def _run_point(spec: RunSpec):

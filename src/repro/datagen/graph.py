@@ -83,7 +83,7 @@ class Graph:
         return self.num_edges * 21
 
     def to_arrays(self) -> "tuple[dict, dict]":
-        """Artifact codec (see :mod:`repro.core.artifacts`)."""
+        """Array codec (see :mod:`repro.core.store`)."""
         return ({"num_nodes": int(self.num_nodes),
                  "directed": bool(self.directed)},
                 {"edges": self.edges})

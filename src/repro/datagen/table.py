@@ -70,7 +70,7 @@ class Table:
         return [(name, str(col.dtype)) for name, col in self.columns.items()]
 
     def to_arrays(self) -> "tuple[dict, dict]":
-        """Artifact codec (see :mod:`repro.core.artifacts`)."""
+        """Array codec (see :mod:`repro.core.store`)."""
         return ({"name": self.name, "order": list(self.columns)},
                 dict(self.columns))
 
@@ -268,7 +268,7 @@ class ReviewSet:
         return self.corpus.nbytes + self.num_reviews * 24
 
     def to_arrays(self) -> "tuple[dict, dict]":
-        """Artifact codec (see :mod:`repro.core.artifacts`)."""
+        """Array codec (see :mod:`repro.core.store`)."""
         corpus_meta, corpus_arrays = self.corpus.to_arrays()
         arrays = {"user_ids": self.user_ids, "movie_ids": self.movie_ids,
                   "scores": self.scores}
@@ -407,7 +407,7 @@ class ResumeSet:
         return f"resume:{index:012d}".encode()
 
     def to_arrays(self) -> "tuple[dict, dict]":
-        """Artifact codec (see :mod:`repro.core.artifacts`)."""
+        """Array codec (see :mod:`repro.core.store`)."""
         return ({}, {"institution_ids": self.institution_ids,
                      "field_ids": self.field_ids,
                      "degree_ids": self.degree_ids,

@@ -127,8 +127,8 @@ class TextCorpus:
         return int(lengths[self.tokens].sum() + self.num_tokens)
 
     def to_arrays(self) -> "tuple[dict, dict]":
-        """Artifact codec: JSON-scalar metadata plus named arrays (see
-        :mod:`repro.core.artifacts`)."""
+        """Array codec: JSON-scalar metadata plus named arrays (see
+        :mod:`repro.core.store`)."""
         return ({"vocab_size": int(self.vocab_size)},
                 {"tokens": self.tokens, "doc_offsets": self.doc_offsets})
 

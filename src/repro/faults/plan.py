@@ -180,21 +180,29 @@ class FaultRule:
             params[last] = value.strip()
         kwargs = {}
         for name, value in params.items():
-            if name == "rate":
-                kwargs["rate"] = float(value)
-            elif name == "at":
-                kwargs["at"] = tuple(int(t) for t in value.split("|") if t)
-            elif name == "scope":
+            if name == "scope":
                 kwargs["scope"] = value
-            elif name == "factor":
-                kwargs["factor"] = float(value)
-            elif name == "node":
-                kwargs["node"] = int(value)
+            elif name == "at":
+                kwargs["at"] = tuple(_number(int, t, name, text)
+                                     for t in value.split("|") if t)
+            elif name in ("rate", "factor", "node"):
+                kwargs[name] = _number(int if name == "node" else float,
+                                       value, name, text)
             else:
                 raise InputError(
                     f"unknown parameter {name!r} in rule {text!r}; valid: "
                     "rate, at, scope, factor, node")
         return cls(kind=kind, **kwargs)
+
+
+def _number(kind, value: str, name: str, spec: str):
+    """``kind(value)``, or an InputError naming the field and the spec."""
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise InputError(f"{name}={value!r} in {spec!r} is not {what}") \
+            from None
 
 
 @dataclass(frozen=True)
@@ -243,7 +251,8 @@ class FaultPlan:
             if flag == "no-recovery":
                 recovery = False
             elif flag.startswith("ckpt="):
-                checkpoint_interval = int(flag[len("ckpt="):])
+                checkpoint_interval = _number(int, flag[len("ckpt="):],
+                                              "ckpt", spec)
             else:
                 raise InputError(f"unknown plan flag {flag!r} in {spec!r}")
             saw_flag = True

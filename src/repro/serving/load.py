@@ -313,11 +313,11 @@ class ArrivalStream:
         counts = np.bincount(kinds, minlength=len(self.ops))
         return {op: int(c) for op, c in zip(self.ops, counts) if c}
 
-    # -- artifact codec (see repro.core.artifacts) ---------------------------
+    # -- array codec (see repro.core.store) ----------------------------------
 
     def to_arrays(self) -> tuple:
-        """Split into JSON metadata + named arrays for the artifact
-        store (closed-loop streams have no ``times`` array)."""
+        """Split into JSON metadata + named arrays for the store
+        (closed-loop streams have no ``times`` array)."""
         meta = {"profile": str(self.profile), "seed": int(self.seed),
                 "ops": list(self.ops), "duration": float(self.duration),
                 "users": int(self.users)}
@@ -391,51 +391,33 @@ def generate_stream(profile: LoadProfile, mix, seed: int = 0,
     service variates, and think times for up to ``max_requests``
     requests and leave arrival times to the replay loop.
 
-    Streams ride the shared artifact plane: the arrays are spilled once
-    under ``("serving-stream", seed, profile, mix)`` keyed by the
-    serving-source fingerprint, so warm sweeps and repeated policy
-    comparisons mmap the generated stream instead of regenerating it
-    (generation is pure in ``(seed, profile, mix)``, so the cached bits
-    are the generated bits).  ``store`` narrows the routing: None
-    resolves the ambient store (the active ``activated()`` scope, else
-    the process default), False bypasses the store entirely, and an
-    explicit :class:`~repro.core.artifacts.ArtifactStore` is used as
-    given.
+    Streams are the store's ``stream`` kind, keyed by ``(seed, profile,
+    mix)``: warm sweeps and repeated policy comparisons mmap the
+    generated stream instead of regenerating it (generation is pure in
+    that key, so the stored bits are the generated bits).  ``store``
+    None reads :func:`repro.core.store.current` (the active harness
+    scope's store, else the default), False bypasses the store, and a
+    :class:`~repro.core.store.Store` is used as given.
     """
     if profile.rps <= 0 and not (profile.loop == "closed" and profile.users):
         raise ValueError(
             "profile has no rate; call with_rate() or give rps=/users=")
-    if store is not False:
-        from repro.core import artifacts
+    if store is None:
+        from repro.core.store import current
 
-        base = store if store is not None \
-            else artifacts.current_or_default_store()
-        if base is not None:
-            return _stream_through_store(
-                artifacts.serving_store(base), profile, mix, seed)
-    return _generate_stream(profile, mix, seed)
-
-
-def _stream_through_store(store, profile: LoadProfile, mix,
-                          seed: int) -> ArrivalStream:
-    """Serve one stream through the artifact plane (mirrors the BDGS
-    input helpers in :mod:`repro.workloads.inputs`)."""
-    from repro.core import artifacts
+        store = current()
+    if store is None or store is False:
+        return _generate_stream(profile, mix, seed)
     from repro.obs.metrics import METRICS
 
     key = ("serving-stream", int(seed), str(profile),
            tuple((str(op), float(p)) for op, p in mix))
-    ctx = artifacts.current_ctx()
-    with ctx.span("artifact:serving-stream", category="artifact",
-                  profile=str(profile), seed=int(seed)) as sp:
-        stream = store.get(key)
-        if stream is not None:
-            METRICS.counter("serving.artifact_hit").inc()
-            sp.set("hit", True)
-        else:
-            METRICS.counter("serving.artifact_miss").inc()
-            sp.set("hit", False)
-            stream = store.put(key, _generate_stream(profile, mix, seed))
+    stream = store.get("stream", key)
+    if stream is not None:
+        METRICS.counter("serving.artifact_hit").inc()
+    else:
+        METRICS.counter("serving.artifact_miss").inc()
+        stream = store.put("stream", key, _generate_stream(profile, mix, seed))
     # The codec round-trips the profile through its ``str`` form (the
     # key identity); hand back the caller's own object so ``%g``
     # rendering can never leak into a reconstructed field.

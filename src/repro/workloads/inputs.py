@@ -46,10 +46,10 @@ def _note_generated(kind: str, nbytes: float = 0.0, records: float = 0.0) -> Non
 
 
 def _artifact(kind: str, scale: int, seed: int, build, extra: tuple = ()):
-    """Serve one BDGS input through the shared input plane.
+    """Serve one BDGS input through the store's ``dataset`` kind.
 
     Inside a harness scope (the harness activates one around ``prepare``,
-    see :mod:`repro.core.artifacts`) every distinct input -- ``(kind,
+    see :mod:`repro.core.store`) every distinct input -- ``(kind,
     scale, seed) + extra`` -- exists once.  The scope's memo is asked
     first: the paper's 19 workloads read six data sets, and those that
     read the same one share one read-only object.  Then the store, if
@@ -58,42 +58,42 @@ def _artifact(kind: str, scale: int, seed: int, build, extra: tuple = ()):
     ``build()`` and spills the result.  Outside any scope (bare
     ``prepare()`` calls) this is exactly ``build()``.
     """
-    from repro.core import artifacts
+    from repro.core import store
 
-    memo = artifacts.current_memo()
+    memo = store.current_memo()
     if memo is None:
         return build()
     key = (kind, int(scale), int(seed)) + tuple(extra)
-    store = artifacts.current_store()
-    if store is None:
+    target = store.current()
+    if target is None:
         return _once(memo, key, build)
     # The span is opened around the memo too: a traced run has the same
     # shape whoever had the data set already -- an earlier workload of
     # this harness (serial), another process (``jobs=N``) or nobody.
-    with artifacts.current_ctx().span(f"artifact:{kind}", category="artifact",
-                                      scale=scale, seed=seed) as span:
+    with store.current_ctx().span(f"artifact:{kind}", category="artifact",
+                                  scale=scale, seed=seed) as span:
         span.set("hit", True)
 
         def open_or_spill():
-            obj = store.get(key)
+            obj = target.get("dataset", key)
             if obj is not None:
                 METRICS.counter("datagen.artifact_hit").inc()
                 METRICS.counter(f"datagen.{kind}.artifact_hit").inc()
                 return obj
             METRICS.counter("datagen.artifact_miss").inc()
             span.set("hit", False)
-            return store.put(key, build())
+            return target.put("dataset", key, build())
 
         return _once(memo, key, open_or_spill)
 
 
 def _once(memo: dict, key: tuple, make):
     """``memo[key]``, made (and its arrays set read-only) on first use."""
-    from repro.core import artifacts
+    from repro.core import store
 
     obj = memo.get(key)
     if obj is None:
-        obj = memo[key] = artifacts.frozen(make())
+        obj = memo[key] = store.frozen(make())
     else:
         METRICS.counter("datagen.memo_hit").inc()
     return obj

@@ -53,7 +53,7 @@ class TestParser:
         actions = parser._subparsers._group_actions[0].choices
         assert set(actions) == {
             "list", "run", "sweep", "table", "figure", "roofline", "rank",
-            "export", "trace", "metrics", "chaos", "artifacts", "cluster",
+            "export", "trace", "metrics", "chaos", "store", "cluster",
             "serve", "stream", "scenario",
         }
 
@@ -254,22 +254,25 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["run", "Grep", "--cluster", "warehouse"])
 
-    def test_artifacts_ls_gc_path(self, tmp_path, capsys):
+    def test_store_ls_gc_path(self, tmp_path, capsys):
         import numpy as np
 
-        from repro.core.artifacts import ArtifactStore
+        from repro.core.store import Store
 
-        root = str(tmp_path / "artifacts")
-        ArtifactStore(root=root).put(("text", 1, 0),
-                                     np.arange(64, dtype=np.int64))
-        assert main(["artifacts", "ls", "--dir", root]) == 0
+        root = str(tmp_path / "store")
+        store = Store(root)
+        store.put("dataset", ("text", 1, 0), np.arange(64, dtype=np.int64))
+        store.put("result", ("Grep", 1), {"metric": 1.0})
+        assert main(["store", "ls", "--dir", root]) == 0
         out = capsys.readouterr().out
-        assert "('text', 1, 0)" in out
+        assert "Kind" in out
+        assert "('text', 1, 0)" in out and "dataset" in out
+        assert "('Grep', 1)" in out and "result" in out
         assert "live" in out
-        assert main(["artifacts", "path", "--dir", root]) == 0
-        assert capsys.readouterr().out.strip().startswith(root)
-        assert main(["artifacts", "gc", "--dir", root, "--cap-mb", "0"]) == 0
-        assert "1 evicted" in capsys.readouterr().out
+        assert main(["store", "path", "--dir", root]) == 0
+        assert capsys.readouterr().out.strip() == root
+        assert main(["store", "gc", "--dir", root, "--cap-mb", "0"]) == 0
+        assert "2 evicted" in capsys.readouterr().out
 
 
 #: Bad names, stacks and specs: each must end in one line, not a traceback.
@@ -280,6 +283,11 @@ BAD_INPUT = [
     ["run", "BFS", "--stack", "hadoop"],
     ["chaos", "Grep", "--faults", "bogus:rate=1"],
     ["chaos", "Grep", "--faults", "task_crash:rate=2"],
+    ["chaos", "Grep", "--faults", "task_crash:rate=abc"],
+    ["chaos", "Grep", "--faults", "task_crash:at=x"],
+    ["chaos", "Grep", "--faults", "straggler:factor=y"],
+    ["chaos", "Grep", "--faults", "node_kill:node=z"],
+    ["chaos", "Grep", "--faults", "task_crash:rate=0.5 [ckpt=abc]"],
     ["table", "9"],
     ["run", "Grep", "--scale", "0"],
 ]

@@ -2,15 +2,16 @@
 
 The paper feeds 19 workloads from six data sets; ``inputs._artifact`` keys
 every generated input by content, and the harness's dataset memo is asked
-before the artifact store or the generator.  Counted here, never timed.
+before the store or the generator.  Counted here, never timed.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import artifacts, registry
-from repro.core.artifacts import ArtifactStore
+from repro.core import registry
+from repro.core import store as stores
 from repro.core.harness import Harness
+from repro.core.store import Store
 from repro.obs.metrics import METRICS
 from repro.workloads import inputs
 
@@ -95,7 +96,7 @@ def test_the_key_is_the_content_not_the_workload():
 
 
 def _first_array(dataset) -> np.ndarray:
-    return next(iter(artifacts.encode(dataset)[2].values()))
+    return next(iter(stores.encode(dataset)[2].values()))
 
 
 @pytest.mark.parametrize("name", ["WordCount", "BFS", "Select Query", "Read",
@@ -104,12 +105,12 @@ def test_a_write_to_a_shared_dataset_raises_with_or_without_a_store(
         name, tmp_path):
     """In memory or memory-mapped, an input is read-only: a workload that
     writes in place fails the same way in both modes."""
-    for mode in (False, ArtifactStore(root=str(tmp_path / "artifacts"))):
+    for mode in (False, Store(str(tmp_path / "artifacts"))):
         harness = Harness(artifacts=mode)
         harness.prepare(name, 1, seed=0)
         assert harness._datasets
         for dataset in harness._datasets.values():
-            for array in artifacts.encode(dataset)[2].values():
+            for array in stores.encode(dataset)[2].values():
                 assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 _first_array(dataset)[...] = 0
@@ -138,7 +139,7 @@ def test_bare_prepare_generates_every_time():
 
 
 def test_a_harness_with_a_store_spills_once_and_reopens(tmp_path):
-    store = ArtifactStore(root=str(tmp_path / "artifacts"))
+    store = Store(str(tmp_path / "artifacts"))
     counts = _DatagenCounts()
     cold = _prepare(Harness(artifacts=store), ["Grep", "WordCount"])
     assert counts.gained("datagen.text.generated") == 1
@@ -159,7 +160,7 @@ def test_a_harness_with_a_store_spills_once_and_reopens(tmp_path):
 def test_with_a_store_the_datasets_are_evicted_with_the_inputs(tmp_path):
     """Every memory-mapped array holds a mapping and a descriptor, so a
     long sweep must not keep every point it passed open."""
-    harness = Harness(artifacts=ArtifactStore(root=str(tmp_path / "artifacts")))
+    harness = Harness(artifacts=Store(str(tmp_path / "artifacts")))
     bound = Harness.INPUT_CACHE_SIZE
     for seed in range(bound + 3):
         harness.prepare("Grep", 1, seed=seed)
@@ -188,7 +189,7 @@ def test_a_traced_prepare_has_one_shape_however_the_dataset_was_served(
     """Serial runs share through the memo, ``jobs=N`` workers through the
     store: the ``artifact:*`` span is there either way, and never
     without a store."""
-    harness = Harness(artifacts=ArtifactStore(root=str(tmp_path / "artifacts")))
+    harness = Harness(artifacts=Store(str(tmp_path / "artifacts")))
     for name, hit in (("Grep", False), ("Sort", True)):
         trace = harness.characterize(name, scale=1, trace=True).trace
         spans = [span for span in trace.walk() if span.category == "artifact"]
@@ -213,32 +214,31 @@ def test_results_do_not_depend_on_what_was_prepared_before():
 class TestScope:
     def test_a_scope_without_a_memo_of_its_own_shares_within_itself(self):
         counts = _DatagenCounts()
-        with artifacts.activated(None):
+        with stores.activated(None):
             one = inputs.text_input(1, 0)
             assert inputs.text_input(1, 0) is one
-        with artifacts.activated(None):
+        with stores.activated(None):
             assert inputs.text_input(1, 0) is not one
         assert counts.gained("datagen.text.generated") == 2
         assert counts.memo_hits == 1
 
     def test_scopes_nest_and_restore_their_memo(self):
         outer, inner = {}, {}
-        assert artifacts.current_memo() is None
-        with artifacts.activated(None, memo=outer):
-            assert artifacts.current_memo() is outer
-            with artifacts.activated(None, memo=inner):
-                assert artifacts.current_memo() is inner
-            assert artifacts.current_memo() is outer
-        assert artifacts.current_memo() is None
+        assert stores.current_memo() is None
+        with stores.activated(None, memo=outer):
+            assert stores.current_memo() is outer
+            with stores.activated(None, memo=inner):
+                assert stores.current_memo() is inner
+            assert stores.current_memo() is outer
+        assert stores.current_memo() is None
 
     def test_an_in_scope_disable_still_overrides_the_default_store(
             self, tmp_path, monkeypatch):
-        """``current_or_default_store`` reads the same scope tuple."""
-        monkeypatch.setenv(artifacts.ENV_ARTIFACT_DIR, str(tmp_path / "root"))
-        assert artifacts.current_or_default_store() is not None
-        with artifacts.activated(None, memo={}):
-            assert artifacts.current_or_default_store() is None
-            assert artifacts.current_store() is None
-        store = ArtifactStore(root=str(tmp_path / "pinned"))
-        with artifacts.activated(store, memo={}):
-            assert artifacts.current_or_default_store() is store
+        """``current`` reads the same scope tuple."""
+        monkeypatch.setenv(stores.ENV_CACHE_DIR, str(tmp_path / "root"))
+        assert stores.current() is stores.default_store()
+        with stores.activated(None, memo={}):
+            assert stores.current() is None
+        pinned = Store(str(tmp_path / "pinned"))
+        with stores.activated(pinned, memo={}):
+            assert stores.current() is pinned

@@ -110,9 +110,9 @@ class TestCacheKeying:
         assert spec.faults.recovery
 
     def test_fault_events_survive_the_disk_cache(self, tmp_path):
-        from repro.core.diskcache import DiskCache
+        from repro.core.store import Store
 
-        cache = DiskCache(root=str(tmp_path / "cache"))
+        cache = Store(str(tmp_path / "cache"))
         spec = RunSpec(workload="Select Query", faults="task_crash:rate=1.0")
         first = Harness(cache=cache).run(spec)
         second = Harness(cache=cache).run(spec)

@@ -7,9 +7,9 @@ That memory-mapped inputs change no profiled number is
 
 import pytest
 
-from repro.core.artifacts import ArtifactStore
 from repro.core.harness import Harness
 from repro.core.runspec import RunSpec
+from repro.core.store import Store
 from repro.obs.metrics import METRICS
 
 #: One workload per BDGS data source.
@@ -22,7 +22,7 @@ def _specs(names):
 
 @pytest.fixture
 def store(tmp_path):
-    return ArtifactStore(root=str(tmp_path / "artifacts"))
+    return Store(str(tmp_path / "store"))
 
 
 def test_warm_suite_regenerates_nothing(store):

@@ -4,7 +4,7 @@ Every random decision in the suite is a hash of (seed, site)
 (:mod:`repro.sitehash`) and every input a pure function of
 ``(scale, seed)``, so *how* a spec runs may change wall-clock only:
 fanned out over worker processes, reading memory-mapped inputs from a
-cold and then a warm artifact store, or replayed from the disk cache.
+cold and then a warm store, or replayed from the result cache.
 One spec list covers every family -- MapReduce, Spark, the traced path,
 a scaled input, graph and table inputs, fault plans, the serving load
 plane and the scenario backends -- and one fingerprint covers
@@ -15,10 +15,9 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.core.artifacts import ArtifactStore
-from repro.core.diskcache import DiskCache
 from repro.core.harness import Harness
 from repro.core.runspec import RunSpec
+from repro.core.store import Store
 
 SERVING = "constant:duration=5@shed"
 
@@ -67,14 +66,14 @@ def test_artifact_store_and_disk_cache(reference, tmp_path):
     """A cold store generates and maps every input, a warm one only maps
     them; the cold run also writes the disk cache a fresh harness then
     answers every spec from."""
-    store = ArtifactStore(root=str(tmp_path / "artifacts"))
-    cold = Harness(artifacts=store, cache=DiskCache(str(tmp_path / "cache")))
+    store = Store(str(tmp_path / "artifacts"))
+    cold = Harness(artifacts=store, cache=Store(str(tmp_path / "cache")))
     assert [fingerprint(out) for out in cold.run_many(SPECS)] == reference
     cold_hits = store.hits
     warm = Harness(artifacts=store).run_many(SPECS)
     assert store.hits > cold_hits
     assert [fingerprint(out) for out in warm] == reference
-    reader = DiskCache(str(tmp_path / "cache"))
+    reader = Store(str(tmp_path / "cache"))
     replayed = Harness(cache=reader).run_many(SPECS)
     assert reader.hits == len(SPECS)
     assert [fingerprint(out) for out in replayed] == reference

@@ -547,9 +547,9 @@ class TestRequestArena:
 
 class TestStreamArtifacts:
     def test_store_round_trips_the_bits(self, tmp_path):
-        from repro.core import artifacts
+        from repro.core.store import Store
 
-        base = artifacts.ArtifactStore(root=str(tmp_path))
+        base = Store(str(tmp_path))
         profile = LoadProfile.parse("diurnal:rps=700:peak=5:duration=6")
         misses = METRICS.counter("serving.artifact_miss").value
         hits = METRICS.counter("serving.artifact_hit").value
@@ -571,9 +571,9 @@ class TestStreamArtifacts:
             assert stream.duration == reference.duration
 
     def test_closed_loop_stream_round_trips(self, tmp_path):
-        from repro.core import artifacts
+        from repro.core.store import Store
 
-        base = artifacts.ArtifactStore(root=str(tmp_path))
+        base = Store(str(tmp_path))
         profile = LoadProfile.parse("constant:loop=closed:users=30:duration=5")
         first = generate_stream(profile, MIX, seed=2, store=base)
         second = generate_stream(profile, MIX, seed=2, store=base)
@@ -582,9 +582,9 @@ class TestStreamArtifacts:
         assert np.array_equal(first.think, second.think)
 
     def test_replay_identical_through_the_store(self, tmp_path):
-        from repro.core import artifacts
+        from repro.core.store import Store
 
-        base = artifacts.ArtifactStore(root=str(tmp_path))
+        base = Store(str(tmp_path))
         profile = LoadProfile.parse("constant:rps=1500:duration=3")
         cold = generate_stream(profile, MIX, seed=4, store=False)
         warm = generate_stream(profile, MIX, seed=4, store=base)

@@ -126,9 +126,9 @@ class TestCacheKeying:
         assert len(variants) == 4
 
     def test_results_survive_the_disk_cache(self, tmp_path):
-        from repro.core.diskcache import DiskCache
+        from repro.core.store import Store
 
-        cache = DiskCache(root=str(tmp_path / "cache"))
+        cache = Store(str(tmp_path / "cache"))
         spec = RunSpec(workload="Streaming Grep",
                        faults=EXACTLY_ONCE_PLANS[0])
         first = Harness(cache=cache).run(spec)
