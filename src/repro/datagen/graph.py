@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datagen.models import fit_degree_powerlaw
-from repro.keyed import group_starts, sort_group, stable_order
+from repro.keyed import (
+    GUIDE_CHUNK,
+    bincount,
+    group_starts,
+    sort_group,
+    stable_order,
+)
 
 
 @dataclass
@@ -39,10 +45,10 @@ class Graph:
         return len(self.edges)
 
     def out_degrees(self) -> np.ndarray:
-        return np.bincount(self.edges[:, 0], minlength=self.num_nodes)
+        return bincount(self.edges[:, 0], minlength=self.num_nodes)
 
     def in_degrees(self) -> np.ndarray:
-        return np.bincount(self.edges[:, 1], minlength=self.num_nodes)
+        return bincount(self.edges[:, 1], minlength=self.num_nodes)
 
     def degrees(self) -> np.ndarray:
         """Total degree (undirected view: both endpoints count)."""
@@ -51,31 +57,45 @@ class Graph:
     def adjacency(self) -> "tuple[np.ndarray, np.ndarray]":
         """CSR over outgoing edges: (indptr, indices)."""
         if self._csr is None:
-            indices = self.edges[stable_order(self.edges[:, 0]), 1]
-            counts = np.bincount(self.edges[:, 0], minlength=self.num_nodes)
-            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            self._csr = (indptr, indices.astype(np.int64))
+            self._csr = self._csr_of(((0, 1),))
         return self._csr
 
-    def symmetrized(self) -> "Graph":
-        """Both edge directions present (for undirected traversals)."""
-        both = np.vstack([self.edges, self.edges[:, ::-1]])
-        return Graph(edges=both, num_nodes=self.num_nodes, directed=False)
+    def symmetric_adjacency(self) -> "tuple[np.ndarray, np.ndarray]":
+        """CSR with both edge directions, for undirected traversals: the
+        adjacency of the edge list followed by its reverse, built from
+        this one edge list (not cached: each traversal holds its own)."""
+        return self._csr_of(((0, 1), (1, 0)))
 
-    def deduplicated(self) -> "Graph":
-        """Remove self-loops and parallel edges."""
-        edges = self.edges[self.edges[:, 0] != self.edges[:, 1]]
-        keys = edges[:, 0].astype(np.int64) * self.num_nodes + edges[:, 1]
-        # The first occurrence of every distinct edge, in input order.
-        sorted_keys, order = sort_group(keys)
-        keep = np.zeros(len(edges), dtype=bool)
-        keep[order[group_starts(sorted_keys)[1]]] = True
-        return Graph(
-            edges=edges[keep],
-            num_nodes=self.num_nodes,
-            directed=self.directed,
-        )
+    def _csr_of(self, directions: tuple) -> "tuple[np.ndarray, np.ndarray]":
+        """CSR of the edge lists ``edges[:, [s, t]]`` for ``(s, t)`` in
+        ``directions``, one after the other: each vertex's neighbours in
+        the order a stable sort of the concatenated sources leaves them.
+
+        A counting build: the degrees give every vertex its slots, and
+        the edges are placed one chunk at a time -- a chunk's records
+        take their vertex's next free slots in chunk order (a stable
+        sort of the chunk ranks them).  It allocates the CSR and one
+        chunk of temporaries, never the concatenated edge list.
+        """
+        columns = [(self.edges[:, s], self.edges[:, t]) for s, t in directions]
+        counts = np.zeros(self.num_nodes, dtype=np.int64)
+        for sources, _ in columns:
+            counts += bincount(sources, minlength=self.num_nodes)
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        free = indptr[:-1].copy()       # next unused slot of every vertex
+        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        for sources, targets in columns:
+            for start in range(0, len(sources), GUIDE_CHUNK):
+                stop = start + GUIDE_CHUNK
+                keys, order = sort_group(sources[start:stop])
+                vertices, starts = group_starts(keys)
+                runs = np.diff(starts, append=keys.size)
+                slots = np.arange(keys.size) - np.repeat(starts, runs)
+                slots += free[keys]
+                indices[slots] = targets[start:stop][order]
+                free[vertices] += runs
+        return indptr, indices
 
     @property
     def nbytes(self) -> int:
@@ -93,6 +113,33 @@ class Graph:
         """Rebuild from codec output; ``edges`` may be a read-only memmap."""
         return cls(edges=arrays["edges"], num_nodes=int(meta["num_nodes"]),
                    directed=bool(meta["directed"]))
+
+
+def _first_edges(keys: np.ndarray, num_nodes: int) -> np.ndarray:
+    """The ``(m, 2)`` edges of the int64 keys ``src * num_nodes + dst``
+    (``-1`` for a self-loop): the first occurrence of every distinct edge
+    that is not a self-loop, in input order.
+
+    One stable sort of the keys finds the first occurrences (a self-loop
+    group, if any, sorts first and is dropped); their positions are then
+    sorted, and the kept keys decoded into the edges.  Every array is
+    dropped once read, so a caller that passes its only reference to
+    ``keys`` gets it freed once it is sorted.
+    """
+    sorted_keys, order = sort_group(keys)
+    del keys
+    distinct, starts = group_starts(sorted_keys)
+    del sorted_keys
+    if distinct.size and distinct[0] < 0:
+        distinct, starts = distinct[1:], starts[1:]
+    first = order[starts]
+    del order, starts
+    # Distinct positions: their stable order is their only order.
+    kept = distinct[stable_order(first)]
+    del distinct, first
+    edges = np.empty((kept.size, 2), dtype=np.int64)
+    np.divmod(kept, num_nodes, out=(edges[:, 0], edges[:, 1]))
+    return edges
 
 
 def preferential_attachment(
@@ -258,24 +305,54 @@ class KroneckerModel:
         # ``quadrant >= 2``, the column bit ``quadrant in (1, 3)``.
         cdf = (flat / flat.sum()).cumsum()
         cdf /= cdf[-1]
-        rows = np.zeros(num_edges, dtype=np.int64)
-        cols = np.zeros(num_edges, dtype=np.int64)
-        u = np.empty(num_edges, dtype=np.float64)
-        for _ in range(self.iterations):
-            rng.random(out=u)
-            bit = u >= cdf[1]
-            rows <<= 1
-            rows |= bit
-            bit ^= u >= cdf[0]
-            bit ^= u >= cdf[2]
-            cols <<= 1
-            cols |= bit
-        graph = Graph(
-            edges=np.column_stack([rows, cols]),
+        # The keys are passed on as the only reference to them, so that
+        # the dedupe frees them once they are sorted.
+        return Graph(
+            edges=_first_edges(self._descend(cdf, num_edges, rng),
+                               self.num_nodes),
             num_nodes=self.num_nodes,
             directed=directed,
         )
-        return graph.deduplicated()
+
+    def _descend(self, cdf: np.ndarray, num_edges: int,
+                 rng: np.random.Generator) -> np.ndarray:
+        """Every edge's key ``row * num_nodes + col`` after ``iterations``
+        rounds, ``-1`` for a self-loop.
+
+        One round's draws are taken a chunk at a time into one buffer
+        (the same stream as one ``rng.random(num_edges)``), and every
+        comparison writes into one of two chunk-sized masks; the keys
+        are then written over the rows, a chunk at a time.
+        """
+        rows = np.zeros(num_edges, dtype=np.int64)
+        cols = np.zeros(num_edges, dtype=np.int64)
+        u = np.empty(min(num_edges, GUIDE_CHUNK), dtype=np.float64)
+        bit_buffer = np.empty(u.size, dtype=bool)
+        cut_buffer = np.empty(u.size, dtype=bool)
+        for _ in range(self.iterations):
+            for start in range(0, num_edges, GUIDE_CHUNK):
+                size = min(GUIDE_CHUNK, num_edges - start)
+                draws = rng.random(out=u[:size])
+                bit, cut = bit_buffer[:size], cut_buffer[:size]
+                row = rows[start:start + size]
+                col = cols[start:start + size]
+                np.greater_equal(draws, cdf[1], out=bit)
+                row <<= 1
+                row |= bit
+                np.greater_equal(draws, cdf[0], out=cut)
+                bit ^= cut
+                np.greater_equal(draws, cdf[2], out=cut)
+                bit ^= cut
+                col <<= 1
+                col |= bit
+        for start in range(0, num_edges, GUIDE_CHUNK):
+            row = rows[start:start + GUIDE_CHUNK]
+            col = cols[start:start + GUIDE_CHUNK]
+            loop = row == col
+            row *= self.num_nodes
+            row += col
+            row[loop] = -1
+        return rows
 
 
 def graph_power_law_exponent(graph: Graph) -> float:

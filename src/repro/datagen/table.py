@@ -29,7 +29,7 @@ from repro.datagen.models import (
     fit_zipf,
 )
 from repro.datagen.text import TextCorpus
-from repro.keyed import inverse_cdf
+from repro.keyed import GUIDE_ABOVE, GUIDE_CHUNK, cdf_inverter
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +344,26 @@ class ReviewModel:
         lengths = np.maximum(
             1, rng.lognormal(self.log_len_mean, self.log_len_sigma, num_reviews).astype(np.int64)
         )
-        cdfs = {label: np.cumsum(p) for label, p in self.class_word_probs.items()}
         # Draw every document's uniforms in one call (sequential
-        # ``rng.random(length)`` calls consume the identical stream),
-        # then invert each class CDF over its tokens in one call per
-        # class instead of one per review.
+        # ``rng.random(length)`` calls consume the identical stream) --
+        # into the memory of the tokens, a float64 and an int64 being
+        # eight bytes each -- then invert each class's draws through its
+        # CDF, a chunk at a time, and write the word ids over them.  The
+        # classes own disjoint positions, so a class never reads an id.
         offsets = np.zeros(num_reviews + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        u = rng.random(int(offsets[-1]))
-        token_labels = np.repeat(labels, lengths)
         tokens = np.empty(int(offsets[-1]), dtype=np.int64)
-        for label, cdf in cdfs.items():
-            mask = token_labels == label
-            if mask.any():
-                tokens[mask] = inverse_cdf(cdf, u[mask])
+        draws = rng.random(out=tokens.view(np.float64))
+        token_labels = np.repeat(labels.astype(np.int8), lengths)
+        for label, probs in self.class_word_probs.items():
+            invert = cdf_inverter(
+                np.cumsum(probs),
+                guided=lengths[labels == label].sum() >= GUIDE_ABOVE)
+            for start in range(0, tokens.size, GUIDE_CHUNK):
+                mine = token_labels[start:start + GUIDE_CHUNK] == label
+                ids = tokens[start:start + GUIDE_CHUNK]
+                ids[mine] = invert(draws[start:start + GUIDE_CHUNK][mine])
+            del invert      # one guide table at a time
         corpus = TextCorpus(tokens=tokens, doc_offsets=offsets,
                             vocab_size=self.vocab_size)
         return ReviewSet(

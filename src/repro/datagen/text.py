@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.datagen.models import ZipfModel, fit_zipf
+from repro.keyed import GUIDE_CHUNK
 
 #: Consonant-vowel syllables used to synthesize word strings.
 _SYLLABLES = [c + v for c in "bcdfghjklmnprstvz" for v in "aeiou"]
@@ -122,9 +123,13 @@ class TextCorpus:
     @cached_property
     def nbytes(self) -> int:
         """Serialized size: each token's word plus one separator byte.
-        A pass over every token, so taken once per corpus."""
+        A pass over every token, so taken once per corpus, and one chunk
+        of word lengths at a time (integer sums do not depend on order)."""
         lengths = self.vocabulary.word_lengths()
-        return int(lengths[self.tokens].sum() + self.num_tokens)
+        total = self.num_tokens
+        for start in range(0, self.num_tokens, GUIDE_CHUNK):
+            total += int(lengths[self.tokens[start:start + GUIDE_CHUNK]].sum())
+        return total
 
     def to_arrays(self) -> "tuple[dict, dict]":
         """Array codec: JSON-scalar metadata plus named arrays (see

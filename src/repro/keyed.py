@@ -19,10 +19,17 @@ returns, only sooner:
 * :func:`group_sum` is that sort, grouping and ``np.add.reduceat`` in
   one, and it counts the records of integer keys over a narrow span
   into a table instead: a count does not need the order a sort would
-  establish.
+  establish.  :func:`bincount` is that table for callers that want it.
 * :func:`inverse_cdf` is ``np.searchsorted(cdf, u, side="left")``
   started from a table of exact bucket bounds, and never returns an
-  index past the end of the CDF.
+  index past the end of the CDF; :func:`draw_inverse_cdf` and
+  :func:`draw_chunks` invert ``rng.random(count)`` without the draws
+  ever existing at once.
+
+Memory is bounded the same way everywhere: a kernel allocates its output
+and at most one chunk (``GUIDE_CHUNK`` elements) of temporaries, never a
+second copy of its input -- the BDGS inputs it runs on are the largest
+arrays of a volume sweep.
 
 The module is a leaf (numpy only) and lives beside the packages rather
 than in ``repro.core``: ``repro.uarch.lru`` uses it, and ``repro.core``
@@ -49,10 +56,12 @@ GUIDE_BUCKETS = 1 << 18
 #: guided), 50 000 are twice as fast plain, 10^6 2.3-3.3x faster guided.
 GUIDE_ABOVE = 1 << 17
 
-#: Draws :func:`inverse_cdf` takes through the guide table at a time, so
-#: that its temporaries stay cache-sized.  8.5 M draws, fresh process,
-#: first call / later calls: 185-600 / 175-220 ms in chunks of 65 536,
-#: 270-920 / 255-295 ms in one piece (plain search: 460-820 ms).
+#: Elements every kernel here takes at a time: draws through the guide
+#: table, keys into a count table, positions into packed words.  Its
+#: temporaries stay cache-sized and the memory of a call is its output
+#: plus one chunk.  8.5 M draws, fresh process, first call / later
+#: calls: 185-600 / 175-220 ms in chunks of 65 536, 270-920 / 255-295 ms
+#: in one piece (plain search: 460-820 ms).
 GUIDE_CHUNK = 1 << 16
 
 #: Key span, as a multiple of the number of keys, up to which
@@ -81,7 +90,9 @@ def _packed(keys: np.ndarray):
         words = keys.astype(np.int64)
         words -= low
     words <<= bits
-    words |= np.arange(keys.size)
+    for start in range(0, keys.size, GUIDE_CHUNK):
+        stop = min(start + GUIDE_CHUNK, keys.size)
+        words[start:stop] |= np.arange(start, stop)
     words.sort()
     return words, bits, low
 
@@ -159,6 +170,47 @@ def group_starts(sorted_keys: np.ndarray) -> tuple:
     return sorted_keys[starts], starts
 
 
+def _offsets(keys: np.ndarray, low: int) -> np.ndarray:
+    """``keys - low`` as non-negative table indices (``keys`` itself
+    when ``low`` is 0 and the keys are not uint64)."""
+    if keys.dtype == np.uint64:
+        return (keys - np.uint64(low)).view(np.int64)
+    if low:
+        offsets = keys.astype(np.int64)
+        offsets -= low
+        return offsets
+    return keys
+
+
+def _tally(keys: np.ndarray, low: int, size: int) -> np.ndarray:
+    """``np.bincount(keys - low, minlength=size)`` for keys in ``low ..
+    low + size - 1``, counted one chunk at a time into one int64 table.
+
+    ``np.bincount`` copies an input it does not own whole -- a view, a
+    read-only array: 8.5 M shared tokens cost it 65 MB -- and ``keys -
+    low`` would be a second copy; counts do not depend on the order they
+    are added in, so the chunks add up to the same table.  An input of
+    one chunk or less is one ``bincount`` call, as it always was.
+    """
+    if keys.size <= GUIDE_CHUNK:
+        return np.bincount(_offsets(keys, low), minlength=size)
+    table = np.zeros(size, dtype=np.int64)
+    for start in range(0, keys.size, GUIDE_CHUNK):
+        np.add.at(table, _offsets(keys[start:start + GUIDE_CHUNK], low), 1)
+    return table
+
+
+def bincount(keys: np.ndarray, minlength: int = 0) -> np.ndarray:
+    """``np.bincount(keys, minlength=minlength)`` of non-negative 1-D
+    integer keys, without copying them (see :func:`_tally`)."""
+    keys = np.asarray(keys)
+    if keys.size == 0:
+        return np.zeros(minlength, dtype=np.int64)
+    if keys.min() < 0:
+        raise ValueError("bincount needs non-negative keys")
+    return _tally(keys, 0, max(minlength, int(keys.max()) + 1))
+
+
 def _counted(keys: np.ndarray):
     """The distinct keys and each one's number of records, counted into
     a table over the key span; None when the keys do not index one
@@ -167,16 +219,10 @@ def _counted(keys: np.ndarray):
     if keys.ndim != 1 or keys.dtype.kind not in "iu" or keys.size == 0:
         return None
     low = int(keys.min())
-    if int(keys.max()) - low > COUNT_SPAN * keys.size:
+    span = int(keys.max()) - low
+    if span > COUNT_SPAN * keys.size:
         return None
-    if keys.dtype == np.uint64:
-        offsets = (keys - np.uint64(low)).view(np.int64)
-    elif low:
-        offsets = keys.astype(np.int64)
-        offsets -= low
-    else:
-        offsets = keys
-    table = np.bincount(offsets)
+    table = _tally(keys, low, span + 1)
     present = np.flatnonzero(table)
     counts = table[present]
     return _keys_back(present, low, keys.dtype), counts
@@ -212,14 +258,9 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     probabilities that sum to one may end a few ulps *below* one; a draw
     above it would otherwise index one past the last item.
 
-    Large batches of draws in ``[0, 1)`` start from a guide table,
-    ``guide[k] = searchsorted(cdf, k / GUIDE_BUCKETS)``.  A draw falls in
-    bucket ``k = floor(u * GUIDE_BUCKETS)``, and ``k / K <= u < (k + 1) / K``
-    holds exactly because ``K`` is a power of two; ``searchsorted`` is
-    monotone in its needle, so the answer lies in ``guide[k] ..
-    guide[k + 1]``.  Most buckets of a long-tailed CDF hold no boundary
-    and settle their draws by the table alone; the rest bisect their
-    bucket, a shrinking set on every pass.
+    Large batches of draws in ``[0, 1)`` start from a guide table
+    (see :func:`cdf_inverter`); smaller ones, and draws outside ``[0,
+    1)``, take one plain search.
     """
     cdf = np.asarray(cdf)
     u = np.asarray(u)
@@ -230,26 +271,102 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     if (u.ndim != 1 or u.size < GUIDE_ABOVE or u.dtype != np.float64
             or not (u.min() >= 0.0 and u.max() < 1.0)):
         return np.minimum(np.searchsorted(cdf, u, side="left"), last)
-    guide = np.searchsorted(
-        cdf, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS, side="left")
+    return _collected(
+        _inverted(cdf, u.size, lambda start, stop: u[start:stop], "left"),
+        u.size)
+
+
+def draw_inverse_cdf(cdf: np.ndarray, count: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """``inverse_cdf(cdf, rng.random(count))``, with the draws taken one
+    chunk at a time (see :func:`draw_chunks`)."""
+    return _collected(draw_chunks(cdf, count, rng), count)
+
+
+def draw_chunks(cdf: np.ndarray, count: int, rng: np.random.Generator,
+                side: str = "left"):
+    """``(start, index)`` for every chunk of ``count`` draws: together,
+    ``np.minimum(np.searchsorted(cdf, rng.random(count), side), len(cdf)
+    - 1)``.  With ``side="right"`` and ``cdf = p.cumsum() / p.cumsum()[-1]``
+    that is ``rng.choice(len(p), size=count, p=p)``.
+
+    The draws never exist at once: ``rng.random(out=chunk)`` reads the
+    generator's stream exactly as one ``rng.random(count)`` does -- one
+    64-bit word per double, nothing buffered between calls -- so the
+    indices, and the generator's state afterwards, are the same.
+    """
+    buffer = np.empty(min(count, GUIDE_CHUNK))
+    return _inverted(
+        cdf, count, lambda start, stop: rng.random(out=buffer[:stop - start]),
+        side)
+
+
+def _collected(chunks, count: int) -> np.ndarray:
+    """The ``(start, index)`` chunks of :func:`_inverted` in one array."""
+    index = np.empty(count, dtype=np.int64)
+    for start, part in chunks:
+        index[start:start + part.size] = part
+    return index
+
+
+def _inverted(cdf: np.ndarray, count: int, draws, side: str):
+    """``(start, index)`` for every chunk ``u = draws(start, stop)`` of
+    ``count`` draws in ``[0, 1)``, through one :func:`cdf_inverter` (a
+    guide table from ``GUIDE_ABOVE`` draws on): the one chunk loop behind
+    :func:`inverse_cdf` and :func:`draw_chunks`."""
+    invert = cdf_inverter(cdf, side, guided=count >= GUIDE_ABOVE)
+    for start in range(0, count, GUIDE_CHUNK):
+        yield start, invert(draws(start, min(start + GUIDE_CHUNK, count)))
+
+
+def cdf_inverter(cdf: np.ndarray, side: str = "left", guided: bool = True):
+    """A function of draws ``u`` in ``[0, 1)`` -- a chunk at a time --
+    returning ``np.minimum(np.searchsorted(cdf, u, side), len(cdf) - 1)``.
+
+    ``guided``, it starts from a guide table built once, here:
+    ``guide[k] = searchsorted(cdf, k / GUIDE_BUCKETS, side)``.  A draw
+    falls in bucket ``k = floor(u * GUIDE_BUCKETS)``, and ``k / K <= u <
+    (k + 1) / K`` holds exactly because ``K`` is a power of two;
+    ``searchsorted`` is monotone in its needle, so the answer lies in
+    ``guide[k] .. guide[k + 1]``.  Most buckets of a long-tailed CDF hold
+    no boundary and settle their draws by the table alone; the rest
+    bisect their bucket, a shrinking set on every pass, with the
+    comparison ``searchsorted`` makes on that side.  The table costs
+    ``GUIDE_BUCKETS`` searches, so it pays from about ``GUIDE_ABOVE``
+    draws on.
+    """
+    cdf = np.asarray(cdf)
+    last = len(cdf) - 1
+    if last < 0:
+        raise ValueError("cannot invert an empty CDF")
+    if not guided:
+        def invert(u: np.ndarray) -> np.ndarray:
+            found = np.searchsorted(cdf, u, side=side)
+            return np.minimum(found, last, out=found)
+        return invert
+    bounds = np.arange(GUIDE_BUCKETS + 1, dtype=np.float64)
+    bounds /= GUIDE_BUCKETS
+    guide = np.searchsorted(cdf, bounds, side=side)
+    del bounds
     split = guide[1:] != guide[:-1]     # buckets holding a CDF boundary
-    index = np.empty(u.size, dtype=np.int64)
-    for start in range(0, u.size, GUIDE_CHUNK):
-        draws = u[start:start + GUIDE_CHUNK]
-        bucket = (draws * GUIDE_BUCKETS).astype(np.int64)
+    before = np.less if side == "left" else np.less_equal
+
+    def invert(u: np.ndarray) -> np.ndarray:
+        bucket = (u * GUIDE_BUCKETS).astype(np.int64)
         found = guide[bucket]
         # Invariant: the answer of draw open_[i] lies in lo[i] .. hi[i];
         # hi[i] <= guide[k + 1] is never read from the CDF (mid < hi).
         open_ = np.flatnonzero(split[bucket])
-        lo, hi, draw = found[open_], guide[bucket[open_] + 1], draws[open_]
+        lo, hi, draw = found[open_], guide[bucket[open_] + 1], u[open_]
         while open_.size:
             mid = (lo + hi) >> 1
-            below = cdf[mid] < draw
+            below = before(cdf[mid], draw)
             lo = np.where(below, mid + 1, lo)
             hi = np.where(below, hi, mid)
             settled = lo >= hi
             found[open_[settled]] = lo[settled]
             more = ~settled
             open_, lo, hi, draw = open_[more], lo[more], hi[more], draw[more]
-        index[start:start + GUIDE_CHUNK] = found
-    return np.minimum(index, last, out=index)
+        return np.minimum(found, last, out=found)
+
+    return invert

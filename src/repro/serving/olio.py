@@ -47,7 +47,7 @@ class OlioServer(Server):
         attendance = max(1, 5 * num_events)
         self.attendance_user = rng.integers(0, self.num_users, size=attendance)
         self.attendance_event = rng.integers(0, num_events, size=attendance)
-        self._adj = social_graph.symmetrized().adjacency()
+        self._adj = social_graph.symmetric_adjacency()
         self._ops = [op for op, _ in self.MIX]
         self._probs = np.array([p for _, p in self.MIX])
         self._added_events = 0

@@ -37,8 +37,7 @@ class _BspBfs(BspProgram):
     name = "mpi-bfs"
 
     def __init__(self, graph, num_ranks: int, paper_vertices: int, root: int = 0):
-        sym = graph.symmetrized()
-        self.indptr, self.indices = sym.adjacency()
+        self.indptr, self.indices = graph.symmetric_adjacency()
         self.num_nodes = graph.num_nodes
         self.num_ranks = num_ranks
         self.root = root

@@ -31,6 +31,7 @@ from repro.datagen.table import (
     ReviewSet,
 )
 from repro.datagen.text import TextCorpus, TextModel
+from repro.keyed import GUIDE_CHUNK
 from repro.obs.metrics import METRICS
 
 MB = 1024 * 1024
@@ -254,7 +255,13 @@ def kmeans_points_input(scale: int, seed: int = 0) -> np.ndarray:
         # Mixture of true clusters so the algorithm has structure to find.
         true_centers = rng.normal(0, 6.0, size=(KMEANS_K, KMEANS_DIM))
         labels = rng.integers(0, KMEANS_K, size=n)
-        points = true_centers[labels] + rng.normal(0, 1.0, size=(n, KMEANS_DIM))
+        # The noise is drawn into the output and each chunk's centers
+        # are added to it there: ``noise + center`` is ``center +
+        # noise`` to the bit, and no (n, dim) array of centers exists.
+        points = rng.normal(0, 1.0, size=(n, KMEANS_DIM))
+        rows = GUIDE_CHUNK // KMEANS_DIM
+        for start in range(0, n, rows):
+            points[start:start + rows] += true_centers[labels[start:start + rows]]
         _note_generated("kmeans_points", nbytes=points.nbytes, records=n)
         return points
 

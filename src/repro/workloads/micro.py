@@ -26,6 +26,7 @@ from repro.core.workload import (
     WorkloadInfo,
     WorkloadInput,
 )
+from repro.keyed import GUIDE_CHUNK
 from repro.mpi import BspProgram, BspRuntime
 from repro.spark import SparkContext
 from repro.workloads import inputs
@@ -160,7 +161,20 @@ GREP_MATCH_COST = OpCost(int_ops=95, branch_ops=38)
 
 
 def grep_mask(tokens: np.ndarray) -> np.ndarray:
-    return tokens % GREP_MODULUS == GREP_REMAINDER
+    """``tokens % GREP_MODULUS == GREP_REMAINDER``, one chunk of
+    remainders at a time: the mask is the only full-size array."""
+    mask = np.empty(len(tokens), dtype=bool)
+    for start in range(0, len(tokens), GUIDE_CHUNK):
+        chunk = tokens[start:start + GUIDE_CHUNK]
+        np.equal(chunk % GREP_MODULUS, GREP_REMAINDER,
+                 out=mask[start:start + len(chunk)])
+    return mask
+
+
+def grep_count(tokens: np.ndarray) -> int:
+    """``int(grep_mask(tokens).sum())`` without the mask."""
+    return sum(int(np.count_nonzero(grep_mask(tokens[start:start + GUIDE_CHUNK])))
+               for start in range(0, len(tokens), GUIDE_CHUNK))
 
 
 class _GrepJob(MapReduceJob):
@@ -231,7 +245,7 @@ class GrepWorkload(_TextWorkload):
         return sum(len(s["matches"]) for s in bsp.states), bsp.cost
 
     def check(self, prepared, output):
-        expected = int(grep_mask(prepared.payload.tokens).sum())
+        expected = grep_count(prepared.payload.tokens)
         return {"matches": int(output), "expected": expected,
                 "correct": int(output) == expected}
 

@@ -220,8 +220,18 @@ class KmeansWorkload(Workload):
     def check(self, prepared, output):
         points = prepared.payload
         assign = kmeans_assign(points, output)
+        # The squared residuals go into one array a block at a time and
+        # are summed once: the same pairwise sum, over the same array, as
+        # ``((points - output[assign]) ** 2).sum()``, without its three
+        # full-size temporaries.
+        residuals = np.empty(points.shape)
+        for start in range(0, len(points), KMEANS_ASSIGN_BLOCK):
+            block = slice(start, start + KMEANS_ASSIGN_BLOCK)
+            np.subtract(points[block], output[assign[block]],
+                        out=residuals[block])
+        np.square(residuals, out=residuals)
         return {"iterations": self.iterations,
-                "inertia": float(((points - output[assign]) ** 2).sum()),
+                "inertia": float(residuals.sum()),
                 "k": KMEANS_K}
 
 
@@ -330,8 +340,7 @@ class _BspConnectedComponents(BspProgram):
     name = "mpi-cc"
 
     def __init__(self, graph, num_ranks: int):
-        sym = graph.symmetrized()
-        self.indptr, self.indices = sym.adjacency()
+        self.indptr, self.indices = graph.symmetric_adjacency()
         self.num_nodes = graph.num_nodes
         bounds = np.linspace(0, self.num_nodes, num_ranks + 1).astype(np.int64)
         self.lo, self.hi = bounds[:-1], bounds[1:]

@@ -253,6 +253,21 @@ def test_inverse_cdf_is_the_clamped_left_search(guide, case):
     check_inverse_cdf(keyed.inverse_cdf, *case)
 
 
+
+@given(case=cdf_and_draws(), side=st.sampled_from(["left", "right"]))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_inverter_is_the_clamped_search_on_either_side(guide, case, side):
+    """``side="right"`` is the search ``rng.choice`` makes; the guide
+    table and the bisection must take the side's comparison."""
+    cdf, u = case
+    invert = keyed.cdf_inverter(cdf, side,
+                                guided=u.size >= keyed.GUIDE_ABOVE)
+    index = invert(u)
+    assert index.dtype == np.int64
+    assert np.array_equal(
+        index, np.minimum(np.searchsorted(cdf, u, side=side), len(cdf) - 1))
+
 class TestDeterministicCases:
     def test_wide_spans_fall_back_and_narrow_ones_pack(self):
         wide = np.array([np.iinfo(np.int64).max, np.iinfo(np.int64).min, 0,
@@ -376,6 +391,66 @@ class TestDeterministicCases:
         assert np.searchsorted(cdf, top, side="left") == zipf.vocab_size
         index = keyed.inverse_cdf(cdf, np.full(draws, top))
         assert (index == zipf.vocab_size - 1).all()
+
+
+#: Sizes on both sides of one and of two chunks.  ``GUIDE_ABOVE`` is two
+#: chunks, so the draws below it take the plain search a chunk at a time
+#: and the ones from it on the guide table.
+CHUNK_EDGES = [k * keyed.GUIDE_CHUNK + d for k in (1, 2) for d in (-1, 0, 1)]
+
+
+class TestChunkBoundaries:
+    """The chunked draw, count and pack paths at ``k * GUIDE_CHUNK - 1``,
+    ``k * GUIDE_CHUNK`` and ``k * GUIDE_CHUNK + 1``, each against its
+    numpy oracle."""
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_draws_are_one_random_call_inverted(self, n):
+        cdf = np.cumsum(ZipfModel(1.1292830167218264, 40_000).probabilities())
+        rng, oracle = np.random.default_rng(n), np.random.default_rng(n)
+        index = keyed.draw_inverse_cdf(cdf, n, rng)
+        check_inverse_cdf(lambda cdf, u: index, cdf, oracle.random(n))
+        # The generator is left where one ``random(n)`` leaves it.
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_right_side_draws_are_rng_choice(self, n):
+        probs = np.array([0.0, 0.3, 0.0, 0.25, 1e-9, 0.45 - 1e-9, 0.0])
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        rng, oracle = np.random.default_rng(n), np.random.default_rng(n)
+        parts = list(keyed.draw_chunks(cdf, n, rng, side="right"))
+        assert [start for start, _ in parts] == list(
+            range(0, n, keyed.GUIDE_CHUNK))
+        index = np.concatenate([part for _, part in parts])
+        assert np.array_equal(index, oracle.choice(len(probs), size=n, p=probs))
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_counts_are_the_sorted_count(self, n, dtype):
+        low = 2**63 if dtype == np.uint64 else -50
+        keys = (np.random.default_rng(n).integers(0, 1000, size=n)
+                .astype(dtype) + dtype(low))
+        keys.setflags(write=False)
+        assert keyed._counted(keys) is not None     # the table path
+        check_group_sum(keyed.group_sum, keys, None)
+        offsets = keys - keys.min()
+        assert np.array_equal(keyed.bincount(offsets, minlength=2000),
+                              np.bincount(offsets.astype(np.int64),
+                                          minlength=2000))
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_packed_positions_are_the_stable_order(self, n):
+        keys = np.random.default_rng(n).integers(-1000, 1000, size=n)
+        check_stable_order(keyed.stable_order, keys)
+        check_sort_group(keyed.sort_group, keyed.group_starts, keys)
+
+    def test_bincount_rejects_negative_keys(self):
+        with pytest.raises(ValueError):
+            keyed.bincount(np.array([3, -1, 2]))
+        assert keyed.bincount(np.empty(0, dtype=np.int64),
+                              minlength=3).tolist() == [0, 0, 0]
 
 
 # -- mutation checks ----------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from repro.datagen.graph import (
     Graph,
     KroneckerModel,
+    _first_edges,
     graph_power_law_exponent,
     preferential_attachment,
 )
@@ -14,6 +15,56 @@ from repro.datagen.graph import (
 def small_graph():
     edges = np.array([[0, 1], [0, 2], [1, 2], [2, 0]], dtype=np.int64)
     return Graph(edges=edges, num_nodes=3)
+
+
+# -- oracles: the edge-list idioms the CSR build and the dedupe replaced ----------
+
+def symmetrized(graph):
+    """Both edge directions as one edge list (what the undirected
+    traversals used to build before taking its adjacency)."""
+    both = np.vstack([graph.edges, graph.edges[:, ::-1]])
+    return Graph(edges=both, num_nodes=graph.num_nodes, directed=False)
+
+
+def reference_adjacency(graph):
+    """Targets gathered through a stable sort of the sources."""
+    sources = graph.edges[:, 0]
+    indices = graph.edges[np.argsort(sources, kind="stable"), 1]
+    indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=graph.num_nodes),
+              out=indptr[1:])
+    return indptr, indices.astype(np.int64)
+
+
+def reference_deduplicated(graph):
+    """Self-loops out, then the first occurrence of every edge."""
+    edges = graph.edges[graph.edges[:, 0] != graph.edges[:, 1]]
+    _, first = np.unique(edges[:, 0].astype(np.int64) * graph.num_nodes
+                         + edges[:, 1], return_index=True)
+    keep = np.zeros(len(edges), dtype=bool)
+    keep[first] = True
+    return edges[keep]
+
+
+def deduplicated(graph):
+    """The Kronecker generator's dedupe, run on any edge list."""
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    keys = src * graph.num_nodes + dst
+    keys[src == dst] = -1
+    return _first_edges(keys, graph.num_nodes)
+
+
+def random_graph(num_edges, num_nodes=1000, seed=0, dtype=np.int64):
+    """Skewed endpoints: parallel edges, self-loops, isolated vertices."""
+    rng = np.random.default_rng(seed)
+    edges = (rng.pareto(1.2, size=(num_edges, 2)) * 20).astype(np.int64)
+    return Graph(edges=np.minimum(edges, num_nodes - 1).astype(dtype),
+                 num_nodes=num_nodes)
+
+
+#: Around one chunk of the CSR build and the dedupe decode, and across two.
+CHUNK_SIZES = [0, 1, 7, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+               2 * (1 << 16) + 1]
 
 
 class TestGraph:
@@ -30,15 +81,46 @@ class TestGraph:
         assert indices[2] == 2
         assert indices[3] == 0
 
-    def test_symmetrized_doubles_edges(self):
-        sym = small_graph().symmetrized()
-        assert sym.num_edges == 8
-        assert not sym.directed
+    def test_symmetric_adjacency_is_the_csr_of_both_directions(self):
+        indptr, indices = small_graph().symmetric_adjacency()
+        want_indptr, want_indices = symmetrized(small_graph()).adjacency()
+        assert indptr.tolist() == want_indptr.tolist() == [0, 3, 5, 8]
+        assert indices.tolist() == want_indices.tolist() == [1, 2, 2, 2, 0,
+                                                             0, 0, 1]
 
-    def test_deduplicated_removes_loops_and_dups(self):
+    @pytest.mark.parametrize("num_edges", CHUNK_SIZES)
+    def test_csr_builds_match_their_oracles(self, num_edges):
+        graph = random_graph(num_edges, seed=num_edges)
+        for (indptr, indices), (want_indptr, want_indices) in (
+                (graph.adjacency(), reference_adjacency(graph)),
+                (graph.symmetric_adjacency(),
+                 reference_adjacency(symmetrized(graph)))):
+            assert indptr.dtype == indices.dtype == np.int64
+            assert np.array_equal(indptr, want_indptr)
+            assert np.array_equal(indices, want_indices)
+
+    def test_csr_of_narrow_read_only_edges(self):
+        graph = random_graph(5000, num_nodes=300, seed=3, dtype=np.int32)
+        graph.edges.setflags(write=False)
+        want = reference_adjacency(symmetrized(graph))
+        got = graph.symmetric_adjacency()
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert np.array_equal(graph.degrees(),
+                              np.bincount(graph.edges.ravel(),
+                                          minlength=graph.num_nodes))
+
+    def test_dedupe_removes_loops_and_dups(self):
         edges = np.array([[0, 0], [1, 2], [1, 2], [2, 1]], dtype=np.int64)
-        graph = Graph(edges=edges, num_nodes=3).deduplicated()
-        assert graph.num_edges == 2
+        kept = deduplicated(Graph(edges=edges, num_nodes=3))
+        assert kept.tolist() == [[1, 2], [2, 1]]
+
+    @pytest.mark.parametrize("num_edges", CHUNK_SIZES)
+    def test_dedupe_matches_its_oracle(self, num_edges):
+        graph = random_graph(num_edges, seed=num_edges)
+        got = deduplicated(graph)
+        want = reference_deduplicated(graph)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -100,9 +182,10 @@ class TestKronecker:
                 quadrant = rng.choice(4, size=num_edges, p=probs)
                 rows = (rows << 1) | (quadrant >> 1)
                 cols = (cols << 1) | (quadrant & 1)
-            return Graph(edges=np.column_stack([rows, cols]),
-                         num_nodes=model.num_nodes,
-                         directed=directed).deduplicated()
+            return Graph(edges=reference_deduplicated(Graph(
+                edges=np.column_stack([rows, cols]),
+                num_nodes=model.num_nodes)),
+                num_nodes=model.num_nodes, directed=directed)
 
         rng = np.random.default_rng(seed)
         graph = model.generate(rng, directed=directed)

@@ -6,9 +6,11 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.workloads.micro import (
     GREP_MODULUS,
+    GREP_REMAINDER,
     GrepWorkload,
     SortWorkload,
     WordCountWorkload,
+    grep_count,
     grep_mask,
 )
 
@@ -66,6 +68,15 @@ class TestGrep:
         corpus = grep_input.payload
         rate = grep_mask(corpus.tokens).mean()
         assert rate < 3.0 / GREP_MODULUS
+
+    @pytest.mark.parametrize("size", [0, 3, (1 << 16) - 1, 1 << 16,
+                                      (1 << 16) + 1, 3 << 16])
+    def test_chunked_match_is_the_remainder_test(self, size):
+        tokens = np.random.default_rng(size).integers(0, 40_000, size=size)
+        tokens[::1000] = GREP_REMAINDER + GREP_MODULUS * 7
+        want = tokens % GREP_MODULUS == GREP_REMAINDER
+        assert np.array_equal(grep_mask(tokens), want)
+        assert grep_count(tokens) == int(want.sum())
 
     def test_cost_has_phases(self, grep_input):
         result = GrepWorkload().run(grep_input, cluster=SMALL_CLUSTER)
