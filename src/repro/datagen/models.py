@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.keyed import GUIDE_CHUNK, draw_chunks, draw_inverse_cdf
+from repro.keyed import draw_chunks
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,10 @@ class ZipfModel:
         if count < 0:
             raise ValueError("count must be non-negative")
         cdf = np.cumsum(self.probabilities())
-        return draw_inverse_cdf(cdf, count, rng)
+        index = np.empty(count, dtype=np.int64)
+        for start, part in draw_chunks(cdf, count, rng):
+            index[start:start + part.size] = part
+        return index
 
 
 def fit_zipf(frequencies: np.ndarray) -> ZipfModel:
@@ -91,15 +94,6 @@ def fit_degree_powerlaw(degrees: np.ndarray, d_min: int = 2) -> float:
 # Column models for table data
 # ---------------------------------------------------------------------------
 
-def _choice_chunks(probs: np.ndarray, count: int, rng: np.random.Generator):
-    """``rng.choice(len(probs), size=count, p=probs)`` chunk by chunk, as
-    ``(start, index)`` (see :func:`repro.keyed.draw_chunks`): ``choice``
-    searches the normalized cumulative sum on its right side."""
-    cdf = np.cumsum(probs, dtype=np.float64)
-    cdf /= cdf[-1]
-    return draw_chunks(cdf, count, rng, side="right")
-
-
 @dataclass(frozen=True)
 class NumericColumnModel:
     """Empirical histogram model of a numeric column."""
@@ -108,24 +102,10 @@ class NumericColumnModel:
     bin_probs: np.ndarray
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """``rng.choice`` of a bin per value, then ``left + rng.random(count)
-        * (right - left)``.  Every bin is drawn before the first offset,
-        so the bins are kept -- in the memory of the values, an int64
-        and a float64 being eight bytes each -- and each chunk of values
-        is written over its own bins once they are read."""
-        values = np.empty(count, dtype=np.float64)
-        bins = values.view(np.int64)
-        for start, index in _choice_chunks(self.bin_probs, count, rng):
-            bins[start:start + index.size] = index
-        draws = np.empty(min(count, GUIDE_CHUNK))
-        for start in range(0, count, GUIDE_CHUNK):
-            chunk = bins[start:start + GUIDE_CHUNK]
-            left = self.bin_edges[chunk]
-            width = self.bin_edges[chunk + 1]
-            width -= left
-            width *= rng.random(out=draws[:chunk.size])
-            np.add(left, width, out=values[start:start + chunk.size])
-        return values
+        bins = rng.choice(len(self.bin_probs), size=count, p=self.bin_probs)
+        left = self.bin_edges[bins]
+        right = self.bin_edges[bins + 1]
+        return left + rng.random(count) * (right - left)
 
 
 @dataclass(frozen=True)
@@ -136,11 +116,7 @@ class CategoricalColumnModel:
     probs: np.ndarray
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """``rng.choice(self.categories, size=count, p=self.probs)``."""
-        values = np.empty(count, dtype=self.categories.dtype)
-        for start, index in _choice_chunks(self.probs, count, rng):
-            values[start:start + index.size] = self.categories[index]
-        return values
+        return rng.choice(self.categories, size=count, p=self.probs)
 
 
 def fit_numeric_column(values: np.ndarray, bins: int = 64) -> NumericColumnModel:

@@ -22,9 +22,8 @@ returns, only sooner:
   establish.  :func:`bincount` is that table for callers that want it.
 * :func:`inverse_cdf` is ``np.searchsorted(cdf, u, side="left")``
   started from a table of exact bucket bounds, and never returns an
-  index past the end of the CDF; :func:`draw_inverse_cdf` and
-  :func:`draw_chunks` invert ``rng.random(count)`` without the draws
-  ever existing at once.
+  index past the end of the CDF; :func:`draw_chunks` inverts
+  ``rng.random(count)`` without the draws ever existing at once.
 
 Memory is bounded the same way everywhere: a kernel allocates its output
 and at most one chunk (``GUIDE_CHUNK`` elements) of temporaries, never a
@@ -189,11 +188,8 @@ def _tally(keys: np.ndarray, low: int, size: int) -> np.ndarray:
     ``np.bincount`` copies an input it does not own whole -- a view, a
     read-only array: 8.5 M shared tokens cost it 65 MB -- and ``keys -
     low`` would be a second copy; counts do not depend on the order they
-    are added in, so the chunks add up to the same table.  An input of
-    one chunk or less is one ``bincount`` call, as it always was.
+    are added in, so the chunks add up to the same table.
     """
-    if keys.size <= GUIDE_CHUNK:
-        return np.bincount(_offsets(keys, low), minlength=size)
     table = np.zeros(size, dtype=np.int64)
     for start in range(0, keys.size, GUIDE_CHUNK):
         np.add.at(table, _offsets(keys[start:start + GUIDE_CHUNK], low), 1)
@@ -271,67 +267,42 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     if (u.ndim != 1 or u.size < GUIDE_ABOVE or u.dtype != np.float64
             or not (u.min() >= 0.0 and u.max() < 1.0)):
         return np.minimum(np.searchsorted(cdf, u, side="left"), last)
-    return _collected(
-        _inverted(cdf, u.size, lambda start, stop: u[start:stop], "left"),
-        u.size)
+    invert = cdf_inverter(cdf)
+    index = np.empty(u.size, dtype=np.int64)
+    for start in range(0, u.size, GUIDE_CHUNK):
+        index[start:start + GUIDE_CHUNK] = invert(u[start:start + GUIDE_CHUNK])
+    return index
 
 
-def draw_inverse_cdf(cdf: np.ndarray, count: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """``inverse_cdf(cdf, rng.random(count))``, with the draws taken one
-    chunk at a time (see :func:`draw_chunks`)."""
-    return _collected(draw_chunks(cdf, count, rng), count)
-
-
-def draw_chunks(cdf: np.ndarray, count: int, rng: np.random.Generator,
-                side: str = "left"):
+def draw_chunks(cdf: np.ndarray, count: int, rng: np.random.Generator):
     """``(start, index)`` for every chunk of ``count`` draws: together,
-    ``np.minimum(np.searchsorted(cdf, rng.random(count), side), len(cdf)
-    - 1)``.  With ``side="right"`` and ``cdf = p.cumsum() / p.cumsum()[-1]``
-    that is ``rng.choice(len(p), size=count, p=p)``.
+    ``inverse_cdf(cdf, rng.random(count))``.
 
     The draws never exist at once: ``rng.random(out=chunk)`` reads the
     generator's stream exactly as one ``rng.random(count)`` does -- one
     64-bit word per double, nothing buffered between calls -- so the
     indices, and the generator's state afterwards, are the same.
     """
+    invert = cdf_inverter(cdf, guided=count >= GUIDE_ABOVE)
     buffer = np.empty(min(count, GUIDE_CHUNK))
-    return _inverted(
-        cdf, count, lambda start, stop: rng.random(out=buffer[:stop - start]),
-        side)
-
-
-def _collected(chunks, count: int) -> np.ndarray:
-    """The ``(start, index)`` chunks of :func:`_inverted` in one array."""
-    index = np.empty(count, dtype=np.int64)
-    for start, part in chunks:
-        index[start:start + part.size] = part
-    return index
-
-
-def _inverted(cdf: np.ndarray, count: int, draws, side: str):
-    """``(start, index)`` for every chunk ``u = draws(start, stop)`` of
-    ``count`` draws in ``[0, 1)``, through one :func:`cdf_inverter` (a
-    guide table from ``GUIDE_ABOVE`` draws on): the one chunk loop behind
-    :func:`inverse_cdf` and :func:`draw_chunks`."""
-    invert = cdf_inverter(cdf, side, guided=count >= GUIDE_ABOVE)
     for start in range(0, count, GUIDE_CHUNK):
-        yield start, invert(draws(start, min(start + GUIDE_CHUNK, count)))
+        draws = buffer[:min(GUIDE_CHUNK, count - start)]
+        yield start, invert(rng.random(out=draws))
 
 
-def cdf_inverter(cdf: np.ndarray, side: str = "left", guided: bool = True):
+def cdf_inverter(cdf: np.ndarray, guided: bool = True):
     """A function of draws ``u`` in ``[0, 1)`` -- a chunk at a time --
-    returning ``np.minimum(np.searchsorted(cdf, u, side), len(cdf) - 1)``.
+    returning ``np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf)
+    - 1)``.
 
     ``guided``, it starts from a guide table built once, here:
-    ``guide[k] = searchsorted(cdf, k / GUIDE_BUCKETS, side)``.  A draw
-    falls in bucket ``k = floor(u * GUIDE_BUCKETS)``, and ``k / K <= u <
-    (k + 1) / K`` holds exactly because ``K`` is a power of two;
+    ``guide[k] = searchsorted(cdf, k / GUIDE_BUCKETS, side="left")``.
+    A draw falls in bucket ``k = floor(u * GUIDE_BUCKETS)``, and ``k / K
+    <= u < (k + 1) / K`` holds exactly because ``K`` is a power of two;
     ``searchsorted`` is monotone in its needle, so the answer lies in
     ``guide[k] .. guide[k + 1]``.  Most buckets of a long-tailed CDF hold
     no boundary and settle their draws by the table alone; the rest
-    bisect their bucket, a shrinking set on every pass, with the
-    comparison ``searchsorted`` makes on that side.  The table costs
+    bisect their bucket, a shrinking set on every pass.  The table costs
     ``GUIDE_BUCKETS`` searches, so it pays from about ``GUIDE_ABOVE``
     draws on.
     """
@@ -341,15 +312,14 @@ def cdf_inverter(cdf: np.ndarray, side: str = "left", guided: bool = True):
         raise ValueError("cannot invert an empty CDF")
     if not guided:
         def invert(u: np.ndarray) -> np.ndarray:
-            found = np.searchsorted(cdf, u, side=side)
+            found = np.searchsorted(cdf, u, side="left")
             return np.minimum(found, last, out=found)
         return invert
     bounds = np.arange(GUIDE_BUCKETS + 1, dtype=np.float64)
     bounds /= GUIDE_BUCKETS
-    guide = np.searchsorted(cdf, bounds, side=side)
+    guide = np.searchsorted(cdf, bounds, side="left")
     del bounds
     split = guide[1:] != guide[:-1]     # buckets holding a CDF boundary
-    before = np.less if side == "left" else np.less_equal
 
     def invert(u: np.ndarray) -> np.ndarray:
         bucket = (u * GUIDE_BUCKETS).astype(np.int64)
@@ -360,7 +330,7 @@ def cdf_inverter(cdf: np.ndarray, side: str = "left", guided: bool = True):
         lo, hi, draw = found[open_], guide[bucket[open_] + 1], u[open_]
         while open_.size:
             mid = (lo + hi) >> 1
-            below = before(cdf[mid], draw)
+            below = cdf[mid] < draw
             lo = np.where(below, mid + 1, lo)
             hi = np.where(below, hi, mid)
             settled = lo >= hi

@@ -254,19 +254,15 @@ def test_inverse_cdf_is_the_clamped_left_search(guide, case):
 
 
 
-@given(case=cdf_and_draws(), side=st.sampled_from(["left", "right"]))
+@given(case=cdf_and_draws(), guided=st.booleans())
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_inverter_is_the_clamped_search_on_either_side(guide, case, side):
-    """``side="right"`` is the search ``rng.choice`` makes; the guide
-    table and the bisection must take the side's comparison."""
+def test_inverter_is_the_clamped_left_search(guide, case, guided):
+    """Chunk by chunk, with the guide table or without it."""
     cdf, u = case
-    invert = keyed.cdf_inverter(cdf, side,
-                                guided=u.size >= keyed.GUIDE_ABOVE)
-    index = invert(u)
-    assert index.dtype == np.int64
-    assert np.array_equal(
-        index, np.minimum(np.searchsorted(cdf, u, side=side), len(cdf) - 1))
+    check_inverse_cdf(lambda cdf, u: keyed.cdf_inverter(cdf, guided)(u),
+                      cdf, u)
+
 
 class TestDeterministicCases:
     def test_wide_spans_fall_back_and_narrow_ones_pack(self):
@@ -408,22 +404,12 @@ class TestChunkBoundaries:
     def test_draws_are_one_random_call_inverted(self, n):
         cdf = np.cumsum(ZipfModel(1.1292830167218264, 40_000).probabilities())
         rng, oracle = np.random.default_rng(n), np.random.default_rng(n)
-        index = keyed.draw_inverse_cdf(cdf, n, rng)
-        check_inverse_cdf(lambda cdf, u: index, cdf, oracle.random(n))
-        # The generator is left where one ``random(n)`` leaves it.
-        assert rng.bit_generator.state == oracle.bit_generator.state
-
-    @pytest.mark.parametrize("n", CHUNK_EDGES)
-    def test_right_side_draws_are_rng_choice(self, n):
-        probs = np.array([0.0, 0.3, 0.0, 0.25, 1e-9, 0.45 - 1e-9, 0.0])
-        cdf = np.cumsum(probs)
-        cdf /= cdf[-1]
-        rng, oracle = np.random.default_rng(n), np.random.default_rng(n)
-        parts = list(keyed.draw_chunks(cdf, n, rng, side="right"))
+        parts = list(keyed.draw_chunks(cdf, n, rng))
         assert [start for start, _ in parts] == list(
             range(0, n, keyed.GUIDE_CHUNK))
         index = np.concatenate([part for _, part in parts])
-        assert np.array_equal(index, oracle.choice(len(probs), size=n, p=probs))
+        check_inverse_cdf(lambda cdf, u: index, cdf, oracle.random(n))
+        # The generator is left where one ``random(n)`` leaves it.
         assert rng.bit_generator.state == oracle.bit_generator.state
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])

@@ -22,7 +22,7 @@ SCALE = 8
 
 #: Peak over output bytes at scale 8, with at most 25 % headroom over
 #: what the generators measure (text 1.08, pages 1.10, web graph 2.07,
-#: social graph 2.07, reviews 1.38, ecommerce 1.36, resumes 2.03,
+#: social graph 2.07, reviews 1.38, ecommerce 1.33, resumes 2.03,
 #: K-means points 1.17).  The resume set is half a megabyte, so its
 #: fixed costs show.
 BUDGET = {

@@ -137,31 +137,6 @@ class TestColumnModels:
         assert set(np.unique(sample)) <= {1, 5}
 
 
-    @pytest.mark.parametrize("count", [0, 5, (1 << 16) + 1, (1 << 17) + 1])
-    def test_samples_are_the_rng_choice_idiom(self, count):
-        """Both column models draw as the ``rng.choice`` expressions they
-        replaced -- same values, same generator state afterwards -- on
-        both sides of a chunk and of the guide table."""
-        seed = np.random.default_rng(5).lognormal(3.0, 1.0, 5000)
-        numeric = fit_numeric_column(seed)
-        categorical = fit_categorical_column(
-            (seed // 7).astype(np.int32))
-        rng, oracle = np.random.default_rng(count), np.random.default_rng(count)
-        values = numeric.sample(count, rng)
-        bins = oracle.choice(len(numeric.bin_probs), size=count,
-                             p=numeric.bin_probs)
-        left = numeric.bin_edges[bins]
-        right = numeric.bin_edges[bins + 1]
-        want = left + oracle.random(count) * (right - left)
-        assert values.dtype == want.dtype
-        assert values.tobytes() == want.tobytes()
-        labels = categorical.sample(count, rng)
-        want = oracle.choice(categorical.categories, size=count,
-                             p=categorical.probs)
-        assert labels.dtype == want.dtype == np.int32
-        assert np.array_equal(labels, want)
-        assert rng.bit_generator.state == oracle.bit_generator.state
-
 class TestDistances:
     def test_ks_identical_is_zero(self):
         data = np.arange(100.0)
