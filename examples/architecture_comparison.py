@@ -10,6 +10,7 @@ and lifts operation intensity for big data workloads.
 
 from repro.core.harness import Harness
 from repro.core.report import render_table
+from repro.core.runspec import RunSpec
 from repro.uarch import XEON_E5310, XEON_E5645
 
 PROBES = ("Sort", "WordCount", "K-means", "Read", "Olio Server")
@@ -21,8 +22,8 @@ def main() -> None:
 
     rows = []
     for name in PROBES:
-        new = on_e5645.characterize(name).events
-        old = on_e5310.characterize(name).events
+        new = on_e5645.run(RunSpec(workload=name)).events
+        old = on_e5310.run(RunSpec(workload=name)).events
         rows.append([
             name,
             new.int_intensity, old.int_intensity,

@@ -11,13 +11,14 @@ micro-architectural profile.
 
 from repro.core import registry
 from repro.core.harness import Harness
+from repro.core.runspec import RunSpec
 
 
 def main() -> None:
     print("BigDataBench reproduction -- quickstart")
     print(f"Workloads available: {', '.join(registry.workload_names())}\n")
 
-    outcome = Harness(cache=True).characterize("WordCount", scale=1)
+    outcome = Harness(cache=True).run(RunSpec(workload="WordCount", scale=1))
     result = outcome.result
     events = outcome.events
 

@@ -11,13 +11,15 @@ view a search-engine operator would want.
 
 from repro.core.harness import Harness
 from repro.core.report import render_table
+from repro.core.runspec import RunSpec
 from repro.core.workload import SCALE_FACTORS
 
 
 def serving_sweep(harness: Harness) -> str:
     rows = []
-    for scale in SCALE_FACTORS:
-        outcome = harness.characterize("Nutch Server", scale=scale)
+    for scale, outcome in zip(SCALE_FACTORS, harness.run_many(
+            [RunSpec(workload="Nutch Server", scale=scale)
+             for scale in SCALE_FACTORS])):
         details = outcome.result.details
         rows.append([
             f"{100 * scale} req/s",
@@ -34,7 +36,7 @@ def serving_sweep(harness: Harness) -> str:
 def offline_jobs(harness: Harness) -> str:
     rows = []
     for name in ("Index", "PageRank"):
-        outcome = harness.characterize(name)
+        outcome = harness.run(RunSpec(workload=name))
         result = outcome.result
         rows.append([
             name,
@@ -56,8 +58,8 @@ def main() -> None:
     print()
     print(offline_jobs(harness))
     print()
-    nutch = harness.characterize("Nutch Server").events
-    index = harness.characterize("Index").events
+    nutch = harness.run(RunSpec(workload="Nutch Server")).events
+    index = harness.run(RunSpec(workload="Index")).events
     print("Characterization contrast (paper Section 6.3.2):")
     print(f"  Nutch Server L2 MPKI {nutch.l2_mpki:6.2f}  "
           f"(the paper's low-L2 exception among online services)")

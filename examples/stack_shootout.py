@@ -13,6 +13,7 @@ import sys
 
 from repro.core.harness import Harness
 from repro.core.report import render_table
+from repro.core.runspec import RunSpec
 
 STACKS = ("hadoop", "spark", "mpi")
 
@@ -22,8 +23,9 @@ def main() -> None:
     harness = Harness()
 
     rows = []
-    for stack in STACKS:
-        outcome = harness.characterize(workload, stack=stack)
+    outcomes = harness.run_many(
+        [RunSpec(workload=workload, stack=stack) for stack in STACKS])
+    for stack, outcome in zip(STACKS, outcomes):
         events = outcome.events
         rows.append([
             stack,

@@ -58,7 +58,8 @@ def main() -> None:
     sections.append("## Tables 1–7\n")
     sections.append(
         "All seven tables are regenerated from live objects "
-        "(`repro.analysis.tables`; bench target `bench_tables.py`). "
+        "(`repro.analysis.tables`; test "
+        "`tests/core/test_harness_and_report.py::TestPaperTables`). "
         "Tables 1 and 3 are survey/schema content; Tables 2, 4, 5, 6, 7 "
         "derive from the seed registry, workload registry, machine "
         "configs, and experiment geometry, so they cannot drift from the "
@@ -210,19 +211,19 @@ def main() -> None:
 
     sections.append(
         "## Reproduction inventory\n\n"
-        "| Experiment | Bench target | Status |\n|---|---|---|\n"
-        "| Table 1–7 | `bench_tables.py` | regenerated |\n"
-        "| Figure 2 | `bench_fig2_l3_volume.py` | shape holds (see deviation) |\n"
-        "| Figure 3-1 | `bench_fig3_scaling.py::test_fig3_1_mips` | shape holds |\n"
-        "| Figure 3-2 | `bench_fig3_scaling.py::test_fig3_2_speedup` | shape holds |\n"
-        "| Figure 4 | `bench_fig4_instmix.py` | holds |\n"
-        "| Figure 5-1/5-2 | `bench_fig5_intensity.py` | holds |\n"
-        "| Figure 6-1/6-2 | `bench_fig6_memhier.py` | holds |\n"
-        "| Stack ablation (future work in paper) | `bench_ablation_stacks.py` | new |\n"
-        "| Engine ablation (Table 4 stacks) | `bench_ablation_engines.py` | new |\n"
-        "| Cache ablation | `bench_ablation_cache.py` | new |\n"
-        "| Sampling validity | `bench_ablation_sampling.py` | new |\n"
-        "| BDGS veracity | `bench_ablation_datagen.py` | new |\n"
+        "| Experiment | Test | Status |\n|---|---|---|\n"
+        "| Table 1–7 | `tests/core/test_harness_and_report.py::TestPaperTables` | regenerated |\n"
+        "| Figure 2 | `test_paper_claims.py::TestC2DataVolume` | shape holds (see deviation) |\n"
+        "| Figure 3-1 | `test_paper_claims.py::TestC2DataVolume::test_figure3_mips_trends_differ` | shape holds |\n"
+        "| Figure 3-2 | `test_paper_claims.py::TestC2DataVolume::test_figure3_speedup_sort_degrades_services_scale` | shape holds |\n"
+        "| Figure 4 | `test_paper_claims.py::TestC1OperationIntensity` | holds |\n"
+        "| Figure 5-1/5-2 | `test_paper_claims.py::TestC1OperationIntensity`, `TestC5LevelThreeCache` | holds |\n"
+        "| Figure 6-1/6-2 | `test_paper_claims.py::TestC3CacheBehavior`, `TestC4TlbBehavior` | holds |\n"
+        "| Stack ablation (future work in paper) | `test_paper_claims.py::TestStackAblation` | new |\n"
+        "| Engine ablation (Table 4 stacks) | `tests/workloads/test_service_oltp_query.py::TestStackColumnAblation` | new |\n"
+        "| Cache ablation | `TestC5LevelThreeCache`, `tests/uarch/test_hierarchy.py::TestLastLevelCapacity` | new |\n"
+        "| Sampling validity | `tests/uarch/test_codemodel_regions_sampling.py::TestContractionStability` | new |\n"
+        "| BDGS veracity | `tests/datagen/test_seeds_formats_veracity.py::TestVeracityC6` | new |\n"
     )
 
     elapsed = time.time() - started

@@ -11,7 +11,8 @@ hardware performance counters.
 Quick start::
 
     from repro.core.harness import Harness
-    result = Harness(cache=True).characterize("WordCount", scale=1)
+    from repro.core.runspec import RunSpec
+    result = Harness(cache=True).run(RunSpec(workload="WordCount"))
     print(result.events.l1i_mpki)
 
 See ``examples/quickstart.py`` and DESIGN.md for the full tour.

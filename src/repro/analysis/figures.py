@@ -184,9 +184,10 @@ def figure5(harness_e5645: Harness, harness_e5310: Harness = None,
                     merged["E5645"].fp_intensity])
     int_rows.append(["Avg_BigData", merged["E5310"].int_intensity,
                      merged["E5645"].int_intensity])
+    on_new, on_old = (_traditional_events(XEON_E5645),
+                      _traditional_events(XEON_E5310))
     for suite in TRADITIONAL_ORDER:
-        new = _traditional_events(XEON_E5645)[suite]
-        old = _traditional_events(XEON_E5310)[suite]
+        new, old = on_new[suite], on_old[suite]
         fp_rows.append([f"Avg_{suite}", old.fp_intensity, new.fp_intensity])
         int_rows.append([f"Avg_{suite}", old.int_intensity, new.int_intensity])
     headers = ["Workload", "E5310", "E5645"]

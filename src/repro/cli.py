@@ -39,7 +39,7 @@ from repro.core.harness import Harness
 from repro.core.report import render_table
 from repro.core.runspec import RunSpec
 from repro.core.workload import SCALE_FACTORS
-from repro.errors import InputError
+from repro.errors import InputError, parse_number
 from repro.streaming import EXACTLY_ONCE, STREAM_MODES
 from repro.uarch.hierarchy import MACHINES, XEON_E5645
 
@@ -123,36 +123,23 @@ def _serving_options(args):
         return None
     from repro.serving import LoadProfile, ServingOptions
 
-    try:
-        return ServingOptions(
-            profile=LoadProfile.parse(args.profile or "constant"),
-            policy=args.policy or "none")
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    return ServingOptions(
+        profile=LoadProfile.parse(args.profile or "constant"),
+        policy=args.policy or "none")
 
 
 def cmd_list(args) -> None:
-    rows = []
-    for name in registry.workload_names():
-        info = registry.WORKLOAD_CLASSES[name].info
-        rows.append([info.workload_id, info.name, info.app_type, info.metric,
-                     ", ".join(info.stacks)])
-    print(render_table(["#", "Workload", "Type", "Metric", "Stacks"], rows,
-                       title="BigDataBench workloads (Table 4)"))
-    rows = []
-    for name in registry.streaming_names():
-        info = registry.STREAMING_CLASSES[name].info
-        rows.append([info.workload_id, info.name, info.app_type, info.metric,
-                     ", ".join(info.stacks)])
-    print(render_table(["#", "Workload", "Type", "Metric", "Modes"], rows,
-                       title="Streaming extensions (repro stream)"))
-    rows = []
-    for name in registry.scenario_names():
-        info = registry.SCENARIO_CLASSES[name].info
-        rows.append([info.workload_id, info.name, info.app_type, info.metric,
-                     ", ".join(info.stacks)])
-    print(render_table(["#", "Workload", "Type", "Metric", "Backends"], rows,
-                       title="Multi-backend scenarios (repro scenario)"))
+    for names, column, title in (
+            (registry.workload_names(), "Stacks",
+             "BigDataBench workloads (Table 4)"),
+            (registry.streaming_names(), "Modes",
+             "Streaming extensions (repro stream)"),
+            (registry.scenario_names(), "Backends",
+             "Multi-backend scenarios (repro scenario)")):
+        rows = [[info.workload_id, info.name, info.app_type, info.metric,
+                 ", ".join(info.stacks)] for info in map(registry.info, names)]
+        print(render_table(["#", "Workload", "Type", "Metric", column], rows,
+                           title=title))
 
 
 def cmd_run(args) -> None:
@@ -206,10 +193,6 @@ def cmd_trace(args) -> None:
         workload=args.workload, scale=args.scale, stack=args.stack,
         trace=True,
     ))
-    if outcome.trace is None:
-        raise SystemExit(
-            f"no trace recorded for {args.workload!r}; the cached result "
-            "predates tracing -- rerun with --no-cache")
     metadata = {
         "workload": outcome.workload,
         "scale": outcome.scale,
@@ -222,10 +205,8 @@ def cmd_trace(args) -> None:
         text = render_trace(outcome.trace)
     elif args.format == "json":
         text = dump_json(trace_to_tree(outcome.trace, metadata=metadata))
-    elif args.format == "chrome":
-        text = dump_json(trace_to_chrome(outcome.trace, metadata=metadata))
     else:
-        raise SystemExit(f"unknown format {args.format!r} (tree, json, chrome)")
+        text = dump_json(trace_to_chrome(outcome.trace, metadata=metadata))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -438,36 +419,26 @@ def cmd_serve(args) -> None:
     if not hasattr(server, "handle"):
         raise SystemExit(f"{name!r} is not an online service")
 
-    try:
-        profile = LoadProfile.parse(args.profile or "constant")
-        if args.rps is not None:
-            profile = replace(profile, rps=float(args.rps))
-        if args.duration is not None:
-            profile = replace(profile, duration=float(args.duration))
-        profile = profile.with_rate(prepared.details["rate_rps"])
-        cluster = (resolve_cluster(args.cluster) if args.cluster is not None
-                   else None)
-        spec = ServingRun(
-            server=server, profile=profile, policy=args.policy or "none",
-            seed=args.seed, sample_requests=args.sample,
-            slo_seconds=args.slo,
-            **({"cluster": cluster} if cluster is not None else {}))
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    profile = LoadProfile.parse(args.profile or "constant")
+    if args.rps is not None:
+        profile = replace(profile, rps=args.rps)
+    if args.duration is not None:
+        profile = replace(profile, duration=args.duration)
+    profile = profile.with_rate(prepared.details["rate_rps"])
+    cluster = (resolve_cluster(args.cluster) if args.cluster is not None
+               else None)
+    spec = ServingRun(
+        server=server, profile=profile, policy=args.policy or "none",
+        seed=args.seed, sample_requests=args.sample, slo_seconds=args.slo,
+        **({"cluster": cluster} if cluster is not None else {}))
 
     ctx = PerfContext(harness.machine, seed=args.seed)
     if args.autoscale:
         lo, _, hi = args.autoscale.partition(":")
-        try:
-            lo, hi = int(lo), int(hi or 1000)
-        except ValueError:
-            raise SystemExit(f"bad --autoscale {args.autoscale!r}; "
-                             "expected LO:HI node counts (e.g. 10:1000)")
-        counts = [n for n in AUTOSCALE_NODES if lo <= n <= hi]
-        for bound in (lo, hi):
-            if bound not in counts:
-                counts.append(bound)
-        counts.sort()
+        lo = parse_number(int, lo, "LO", args.autoscale)
+        hi = parse_number(int, hi or "1000", "HI", args.autoscale)
+        counts = sorted({n for n in AUTOSCALE_NODES if lo <= n <= hi}
+                        | {lo, hi})
         demand = measure_demand(server, spec.cluster, ctx,
                                 sample_requests=args.sample, seed=args.seed)
         rows = []
@@ -704,49 +675,34 @@ def _points(scales=(1,), names=None) -> list:
             for scale in scales]
 
 
-def _prewarm_figure(harness: Harness, number: str) -> None:
-    """Batch every point a figure needs through ``run_many`` so ``--jobs``
-    fans the whole figure out at once (the generators then hit the memo
-    point by point)."""
-    if number == "2":
-        harness.run_many(_points((1, 32)))
-    elif number in ("3", "3-1", "3-2"):
-        harness.run_many(_points(SCALE_FACTORS))
-    elif number in ("4", "5", "6"):
-        harness.run_many(_points())
+#: ``figure N``: the scales every workload runs at, batched through
+#: ``run_many`` first so ``--jobs`` fans the whole figure out at once,
+#: and the :mod:`repro.analysis` generators that then read the memo.
+FIGURES = {
+    "2": ((1, 32), ("figure2",)),
+    "3": (SCALE_FACTORS, ("figure3_mips", "figure3_speedup")),
+    "3-1": (SCALE_FACTORS, ("figure3_mips",)),
+    "3-2": (SCALE_FACTORS, ("figure3_speedup",)),
+    "4": ((1,), ("figure4",)),
+    "5": ((1,), ("figure5",)),
+    "6": ((1,), ("figure6_cache", "figure6_tlb")),
+}
 
 
 def cmd_figure(args) -> None:
-    from repro.analysis import (
-        figure2, figure3_mips, figure3_speedup, figure4,
-        figure5, figure6_cache, figure6_tlb,
-    )
+    import repro.analysis as analysis
 
+    if args.number not in FIGURES:
+        raise SystemExit(f"unknown figure {args.number!r} "
+                         f"({', '.join(FIGURES)})")
+    scales, generators = FIGURES[args.number]
     harness = _harness(args, machine=_machine(args.machine))
-    number = args.number
-    _prewarm_figure(harness, number)
-    if number == "2":
-        print(figure2(harness).render())
-    elif number in ("3", "3-1"):
-        print(figure3_mips(harness).render())
-        if number == "3":
-            print()
-            print(figure3_speedup(harness).render())
-    elif number == "3-2":
-        print(figure3_speedup(harness).render())
-    elif number == "4":
-        print(figure4(harness).render())
-    elif number == "5":
-        fig51, fig52 = figure5(harness)
-        print(fig51.render())
-        print()
-        print(fig52.render())
-    elif number == "6":
-        print(figure6_cache(harness).render())
-        print()
-        print(figure6_tlb(harness).render())
-    else:
-        raise SystemExit(f"unknown figure {number!r} (2, 3, 3-1, 3-2, 4, 5, 6)")
+    harness.run_many(_points(scales))
+    figures = []
+    for generator in generators:
+        made = getattr(analysis, generator)(harness)
+        figures.extend(made if isinstance(made, tuple) else (made,))
+    print("\n\n".join(figure.render() for figure in figures))
 
 
 def cmd_roofline(args) -> None:

@@ -303,9 +303,7 @@ class EventArena:
         """The whole arena as one structured array (built lazily)."""
         if self._packed is None:
             out = np.empty(self.rows, dtype=EVENT_DTYPE)
-            for field in ("node", "slot", "read_start", "read_end",
-                          "compute_start", "compute_end", "write_start",
-                          "write_end", "straggle", "straggled", "remote"):
+            for field in EVENT_DTYPE.names:
                 out[field] = getattr(self, field)
             self._packed = out
         return self._packed

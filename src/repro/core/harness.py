@@ -173,9 +173,8 @@ class Harness:
                      trace: bool = False) -> CharacterizationResult:
         """Run one workload at one scale on one machine, profiled.
 
-        The keyword form of ``run(RunSpec(...))``.  It stays beside
-        :meth:`run` because the benchmark driver (``bench/workloads.py``)
-        calls it; the example scripts use it as the shortest way in.
+        The keyword form of ``run(RunSpec(...))``, kept for
+        ``bench/workloads.py`` only; everything else calls :meth:`run`.
         """
         return self.run(RunSpec(workload=name, scale=scale, stack=stack,
                                 machine=machine, trace=trace))

@@ -118,10 +118,8 @@ class RunSpec:
 
         Machine and cluster go in by repr so custom configurations do
         not collide with presets sharing their name; the code
-        fingerprint is handled by the cache itself.  The untraced key
-        layout is unchanged from the pre-RunSpec harness, so existing
-        cache entries stay valid; traced runs get a distinct entry
-        (their results carry the span tree).
+        fingerprint is handled by the store itself.  Traced runs get a
+        distinct entry (their results carry the span tree).
         """
         self._require_resolved()
         key = ("characterize", self.workload, self.scale, self.stack,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import InputError
+from repro.errors import InputError, parse_number
 
 #: Every fault kind an engine knows how to inject (and recover from).
 #:
@@ -183,26 +183,16 @@ class FaultRule:
             if name == "scope":
                 kwargs["scope"] = value
             elif name == "at":
-                kwargs["at"] = tuple(_number(int, t, name, text)
+                kwargs["at"] = tuple(parse_number(int, t, name, text)
                                      for t in value.split("|") if t)
             elif name in ("rate", "factor", "node"):
-                kwargs[name] = _number(int if name == "node" else float,
-                                       value, name, text)
+                kwargs[name] = parse_number(
+                    int if name == "node" else float, value, name, text)
             else:
                 raise InputError(
                     f"unknown parameter {name!r} in rule {text!r}; valid: "
                     "rate, at, scope, factor, node")
         return cls(kind=kind, **kwargs)
-
-
-def _number(kind, value: str, name: str, spec: str):
-    """``kind(value)``, or an InputError naming the field and the spec."""
-    try:
-        return kind(value)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise InputError(f"{name}={value!r} in {spec!r} is not {what}") \
-            from None
 
 
 @dataclass(frozen=True)
@@ -251,8 +241,8 @@ class FaultPlan:
             if flag == "no-recovery":
                 recovery = False
             elif flag.startswith("ckpt="):
-                checkpoint_interval = _number(int, flag[len("ckpt="):],
-                                              "ckpt", spec)
+                checkpoint_interval = parse_number(
+                    int, flag[len("ckpt="):], "ckpt", spec)
             else:
                 raise InputError(f"unknown plan flag {flag!r} in {spec!r}")
             saw_flag = True

@@ -35,8 +35,9 @@ class FrameworkOverhead:
 
     The defaults model a Hadoop/JVM stack: heavy per-record object churn
     against a small hot allocation window (TLAB-like) inside a larger
-    live heap.  The MPI profile is far leaner -- the ablation
-    ``bench_ablation_stacks`` measures exactly this difference.
+    live heap.  The MPI profile is far leaner -- the stack ablation
+    (``TestStackAblation`` in the paper-claim tests) measures exactly
+    this difference.
     """
 
     per_record_int: float = 600.0

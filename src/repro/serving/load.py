@@ -38,6 +38,7 @@ import numpy as np
 
 from repro import sitehash
 from repro.cluster.sim import STRAGGLER_TAIL
+from repro.errors import InputError, parse_number
 
 #: The load-curve shapes a profile can take.
 #:
@@ -122,31 +123,31 @@ class LoadProfile:
 
     def __post_init__(self):
         if self.shape not in PROFILE_SHAPES:
-            raise ValueError(
+            raise InputError(
                 f"unknown profile shape {self.shape!r}; valid shapes: "
                 f"{', '.join(PROFILE_SHAPES)}")
         if self.loop not in ("open", "closed"):
-            raise ValueError(f"loop must be 'open' or 'closed', got {self.loop!r}")
+            raise InputError(f"loop must be 'open' or 'closed', got {self.loop!r}")
         if self.rps < 0:
-            raise ValueError(f"rps must be >= 0, got {self.rps}")
+            raise InputError(f"rps must be >= 0, got {self.rps}")
         if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+            raise InputError(f"duration must be positive, got {self.duration}")
         if self.users < 0:
-            raise ValueError(f"users must be >= 0, got {self.users}")
+            raise InputError(f"users must be >= 0, got {self.users}")
         if self.think_seconds <= 0:
-            raise ValueError("think_seconds must be positive")
+            raise InputError("think_seconds must be positive")
         if self.peak_factor < 1.0:
-            raise ValueError(f"peak_factor must be >= 1, got {self.peak_factor}")
+            raise InputError(f"peak_factor must be >= 1, got {self.peak_factor}")
         if not 0.0 <= self.flash_start < 1.0:
-            raise ValueError("flash_start must be in [0, 1)")
+            raise InputError("flash_start must be in [0, 1)")
         if not 0.0 < self.flash_width <= 1.0 - self.flash_start:
-            raise ValueError("flash_width must fit inside the run")
+            raise InputError("flash_width must fit inside the run")
         if self.session_mean < 1.0:
-            raise ValueError("session_mean must be >= 1")
+            raise InputError("session_mean must be >= 1")
         if self.session_alpha <= 1.0:
-            raise ValueError("session_alpha must be > 1 (finite mean)")
+            raise InputError("session_alpha must be > 1 (finite mean)")
         if self.max_requests < 1:
-            raise ValueError("max_requests must be >= 1")
+            raise InputError("max_requests must be >= 1")
 
     def with_rate(self, rps: float) -> "LoadProfile":
         """Fill an unset rate from the workload's default sweep point."""
@@ -184,7 +185,7 @@ class LoadProfile:
             return text
         fields = [f.strip() for f in str(text).strip().split(":") if f.strip()]
         if not fields:
-            raise ValueError("empty load profile spec")
+            raise InputError("empty load profile spec")
         shape = fields[0]
         aliases = {
             "think": "think_seconds", "peak": "peak_factor",
@@ -196,22 +197,22 @@ class LoadProfile:
         for item in fields[1:]:
             name, sep, value = item.partition("=")
             if not sep:
-                raise ValueError(
+                raise InputError(
                     f"malformed parameter {item!r} in profile {text!r} "
                     "(expected name=value)")
             name = aliases.get(name.strip(), name.strip())
             if name not in _PROFILE_DEFAULTS:
                 valid = sorted(set(_PROFILE_DEFAULTS) | set(aliases))
-                raise ValueError(
+                raise InputError(
                     f"unknown parameter {name!r} in profile {text!r}; "
                     f"valid: {', '.join(valid)}")
             default = _PROFILE_DEFAULTS[name]
             if isinstance(default, str):
                 kwargs[name] = value.strip()
-            elif isinstance(default, int):
-                kwargs[name] = int(value)
             else:
-                kwargs[name] = float(value)
+                kwargs[name] = parse_number(
+                    int if isinstance(default, int) else float, value,
+                    name, text)
         return cls(shape=shape, **kwargs)
 
 
@@ -230,7 +231,7 @@ def policy_tokens(policy: str) -> tuple:
     tokens = {t.strip() for t in text.split("+") if t.strip()}
     unknown = tokens - set(POLICY_TOKENS)
     if unknown:
-        raise ValueError(
+        raise InputError(
             f"unknown policy {', '.join(sorted(unknown))!r}; valid: none, "
             f"all, {', '.join(POLICY_TOKENS)} (joined with '+')")
     return tuple(t for t in POLICY_TOKENS if t in tokens)

@@ -31,6 +31,7 @@ import numpy as np
 from repro.cluster.ledger import CostLedger
 from repro.cluster.node import ClusterSpec, SINGLE_NODE
 from repro.cluster.timemodel import JobCost
+from repro.errors import InputError
 from repro.faults.inject import resolve_faults
 from repro.serving.load import (
     ArrivalStream,
@@ -76,9 +77,9 @@ class ServingRun:
                                LoadProfile.parse(self.profile))
         object.__setattr__(self, "policy", canonical_policy(self.policy))
         if self.sample_requests <= 0:
-            raise ValueError("sample_requests must be positive")
+            raise InputError("sample_requests must be positive")
         if self.slo_seconds <= 0:
-            raise ValueError("slo_seconds must be positive")
+            raise InputError("slo_seconds must be positive")
 
 
 @dataclass(frozen=True)

@@ -240,9 +240,7 @@ class RequestArena:
         if self._packed is None or len(self._packed) != self.used:
             out = np.empty(self.used, dtype=REQUEST_DTYPE)
             u = self.used
-            for name in ("arrival", "admit", "start", "finish", "node",
-                         "kind", "attempt", "hedged", "shed", "retried",
-                         "failed", "completed"):
+            for name in REQUEST_DTYPE.names:
                 out[name] = getattr(self, name)[:u]
             self._packed = out
         return self._packed

@@ -290,6 +290,9 @@ BAD_INPUT = [
     ["chaos", "Grep", "--faults", "task_crash:rate=0.5 [ckpt=abc]"],
     ["table", "9"],
     ["run", "Grep", "--scale", "0"],
+    ["serve", "nutch", "--profile", "flash:rps=abc"],
+    ["run", "Grep", "--policy", "bogus"],
+    ["serve", "nutch", "--slo", "0"],
 ]
 
 

@@ -15,20 +15,20 @@ class TestHarness:
         return Harness()
 
     def test_characterize_produces_events_and_metric(self, harness):
-        outcome = harness.characterize("Grep")
+        outcome = harness.run(RunSpec(workload="Grep"))
         assert outcome.events.instructions > 0
         assert outcome.result.metric_value > 0
         assert outcome.mips > 0
         assert outcome.machine == "Intel Xeon E5645"
 
     def test_memoization(self, harness):
-        first = harness.characterize("Grep")
-        second = harness.characterize("Grep")
+        first = harness.run(RunSpec(workload="Grep"))
+        second = harness.run(RunSpec(workload="Grep"))
         assert first is second
 
     def test_distinct_scales_not_shared(self, harness):
-        base = harness.characterize("Grep", scale=1)
-        bigger = harness.characterize("Grep", scale=4)
+        base = harness.run(RunSpec(workload="Grep", scale=1))
+        bigger = harness.run(RunSpec(workload="Grep", scale=4))
         assert base is not bigger
         assert bigger.result.input_bytes > base.result.input_bytes
 
@@ -38,12 +38,12 @@ class TestHarness:
         assert [p.scale for p in sweep] == [1, 4]
 
     def test_machine_override(self, harness):
-        outcome = harness.characterize("Grep", machine=XEON_E5310)
+        outcome = harness.run(RunSpec(workload="Grep", machine=XEON_E5310))
         assert outcome.machine == "Intel Xeon E5310"
         assert outcome.events.l3_accesses == 0
 
     def test_modeled_seconds_positive_for_batch(self, harness):
-        assert harness.characterize("Grep").modeled_seconds > 0
+        assert harness.run(RunSpec(workload="Grep")).modeled_seconds > 0
 
 
 class TestRenderers:
@@ -62,6 +62,13 @@ class TestRenderers:
 
 
 class TestPaperTables:
+    @pytest.mark.parametrize("name,shows", [
+        ("Table 1", "BigDataBench"), ("Table 2", "Wikipedia Entries"),
+        ("Table 3", "GOODS_AMOUNT"), ("Table 5", "12MB"),
+        ("Table 6", "req/s"), ("Table 7", "None")])
+    def test_table_shows_its_content(self, name, shows):
+        assert shows in render_paper_table(name)
+
     def test_all_seven_tables_render(self):
         assert len(ALL_TABLES) == 7
         for name in ALL_TABLES:
@@ -72,6 +79,7 @@ class TestPaperTables:
     def test_table4_lists_19_workloads(self):
         headers, rows = ALL_TABLES["Table 4"]()
         assert len(rows) == 19
+        assert render_paper_table("Table 4").count("\n") >= 20
 
     def test_table5_matches_machine(self):
         text = render_paper_table("Table 5")

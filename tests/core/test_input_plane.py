@@ -11,6 +11,7 @@ import pytest
 from repro.core import registry
 from repro.core import store as stores
 from repro.core.harness import Harness
+from repro.core.runspec import RunSpec
 from repro.core.store import Store
 from repro.obs.metrics import METRICS
 from repro.workloads import inputs
@@ -191,22 +192,23 @@ def test_a_traced_prepare_has_one_shape_however_the_dataset_was_served(
     without a store."""
     harness = Harness(artifacts=Store(str(tmp_path / "artifacts")))
     for name, hit in (("Grep", False), ("Sort", True)):
-        trace = harness.characterize(name, scale=1, trace=True).trace
+        trace = harness.run(RunSpec(workload=name, scale=1, trace=True)).trace
         spans = [span for span in trace.walk() if span.category == "artifact"]
         assert [span.name for span in spans] == ["artifact:text"]
         assert spans[0].attrs["hit"] is hit
     plain = Harness(artifacts=False)
     for name in ("Grep", "Sort"):
-        trace = plain.characterize(name, scale=1, trace=True).trace
+        trace = plain.run(RunSpec(workload=name, scale=1, trace=True)).trace
         assert not [span for span in trace.walk()
                     if span.category == "artifact"]
 
 
 def test_results_do_not_depend_on_what_was_prepared_before():
-    alone = Harness(artifacts=False).characterize("WordCount", scale=1)
+    alone = Harness(artifacts=False).run(
+        RunSpec(workload="WordCount", scale=1))
     harness = Harness(artifacts=False)
-    harness.characterize("Grep", scale=1)
-    shared = harness.characterize("WordCount", scale=1)
+    harness.run(RunSpec(workload="Grep", scale=1))
+    shared = harness.run(RunSpec(workload="WordCount", scale=1))
     assert shared.result.metric_value == alone.result.metric_value
     assert shared.report.events == alone.report.events
 

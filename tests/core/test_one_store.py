@@ -9,10 +9,12 @@ import dataclasses
 import logging
 import os
 import shutil
+import time
 
 import numpy as np
 import pytest
 
+from repro.core import registry
 from repro.core import store as stores
 from repro.core.harness import Harness
 from repro.core.runspec import RunSpec
@@ -364,25 +366,25 @@ class TestHarnessWiring:
     def test_results_survive_across_harnesses(self, tmp_path):
         root = str(tmp_path / "cache")
         first = Harness(cache=Store(root))
-        original = first.characterize("Grep")
+        original = first.run(RunSpec(workload="Grep"))
         assert [entry.kind for entry in first.cache.entries()] == ["result"]
 
         warm = Harness(cache=Store(root))
-        restored = warm.characterize("Grep")
+        restored = warm.run(RunSpec(workload="Grep"))
         assert warm.cache.hits == 1
         assert dataclasses.asdict(restored.report.events) == \
             dataclasses.asdict(original.report.events)
         assert restored.result.metric_value == original.result.metric_value
         # And the memo serves the second lookup without touching disk.
-        assert warm.characterize("Grep") is restored
+        assert warm.run(RunSpec(workload="Grep")) is restored
         assert warm.cache.hits == 1
 
     def test_harness_survives_a_corrupt_result(self, store):
-        first = Harness(cache=store).characterize("Grep", scale=1)
+        first = Harness(cache=store).run(RunSpec(workload="Grep", scale=1))
         [entry] = store.entries()
         with open(os.path.join(entry.path, "value.pkl"), "wb") as handle:
             handle.write(b"\x80corrupted")
-        again = Harness(cache=store).characterize("Grep", scale=1)
+        again = Harness(cache=store).run(RunSpec(workload="Grep", scale=1))
         assert again.result.metric_value == first.result.metric_value
         assert len(store.entries()) == 1  # the re-run wrote it back
 
@@ -390,7 +392,7 @@ class TestHarnessWiring:
         blocked = tmp_path / "blocked"
         blocked.write_text("a file, not a directory")
         outcome = Harness(cache=Store(str(blocked)),
-                          artifacts=False).characterize("Grep")
+                          artifacts=False).run(RunSpec(workload="Grep"))
         assert outcome.result.metric_value > 0
 
     def test_seed_machine_and_cluster_are_in_the_key(self, tmp_path):
@@ -429,3 +431,59 @@ class TestHarnessWiring:
         Harness(artifacts=store).run(RunSpec(workload="Nutch Server"))
         kinds = [entry.kind for entry in store.entries()]
         assert "stream" in kinds and "dataset" in kinds
+
+
+class TestWarmStoreBudgets:
+    """What the store buys, wall-clock (``pytest -m slow``)."""
+
+    #: One workload per BDGS input kind: together they prepare every
+    #: data source.
+    PREPARE_SUITE = ["WordCount", "Index", "PageRank", "BFS", "Naive Bayes",
+                     "Select Query", "Read", "K-means"]
+
+    #: The serial-vs-parallel subset: batch MapReduce, NoSQL, query and
+    #: service workloads.
+    PARALLEL_SUBSET = ["Sort", "Grep", "Scan", "Select Query",
+                       "Nutch Server", "PageRank"]
+
+    def _prepare_all(self, store) -> float:
+        harness = Harness(artifacts=store)
+        start = time.perf_counter()
+        for name in self.PREPARE_SUITE:
+            harness.prepare(name, 1, seed=0)
+        return time.perf_counter() - start
+
+    @pytest.mark.slow
+    def test_warm_inputs_prepare_at_least_twice_as_fast(self, tmp_path):
+        store = Store(str(tmp_path / "store"))
+        cold = self._prepare_all(store)
+        assert store.misses >= len(self.PREPARE_SUITE) - 1
+        warm = self._prepare_all(store)
+        assert store.hits >= len(self.PREPARE_SUITE) - 1
+        assert warm * 2 <= cold, f"warm {warm:.3f}s vs cold {cold:.3f}s"
+
+    @pytest.mark.slow
+    def test_warm_suite_at_least_five_times_the_cold_one(self, tmp_path):
+        def events(points):
+            return [dataclasses.asdict(p.report.events) for p in points]
+
+        def timed(harness, names):
+            start = time.perf_counter()
+            points = harness.run_many([RunSpec(workload=name)
+                                       for name in names])
+            return points, time.perf_counter() - start
+
+        suite = registry.workload_names()
+        root = str(tmp_path / "results")
+        cold_points, cold = timed(Harness(cache=Store(root)), suite)
+        serial = {p.workload: p for p in cold_points}
+        for point in Harness(jobs=2).run_many(
+                [RunSpec(workload=name) for name in self.PARALLEL_SUBSET]):
+            same = serial[point.workload]
+            assert events([point]) == events([same]), point.workload
+            assert point.result.metric_value == same.result.metric_value
+        harness = Harness(cache=Store(root))
+        warm_points, warm = timed(harness, suite)
+        assert events(warm_points) == events(cold_points)
+        assert harness.cache.hits == len(cold_points)
+        assert warm * 5 <= cold, f"warm {warm:.2f}s vs cold {cold:.2f}s"

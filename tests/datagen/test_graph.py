@@ -1,5 +1,7 @@
 """Unit tests for graph structures and the Kronecker generator."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,26 @@ def reference_deduplicated(graph):
     keep = np.zeros(len(edges), dtype=bool)
     keep[first] = True
     return edges[keep]
+
+
+def scalar_preferential_attachment(num_nodes, edges_per_node, rng):
+    """The generator before vectorization: one pool draw at a time."""
+    sources, targets, pool = [], [], [0]
+    for node in range(1, num_nodes):
+        fanout = min(edges_per_node, node)
+        chosen = set()
+        while len(chosen) < fanout:
+            pick = pool[int(rng.integers(0, len(pool)))]
+            if pick != node:
+                chosen.add(pick)
+        for dst in chosen:
+            sources.append(node)
+            targets.append(dst)
+            pool.append(dst)
+        pool.append(node)
+    edges = np.column_stack([np.asarray(sources, dtype=np.int64),
+                             np.asarray(targets, dtype=np.int64)])
+    return Graph(edges=edges, num_nodes=num_nodes)
 
 
 def deduplicated(graph):
@@ -148,6 +170,33 @@ class TestPreferentialAttachment:
     def test_validation(self):
         with pytest.raises(ValueError):
             preferential_attachment(1, 1, np.random.default_rng(0))
+
+    #: The Google web graph seed's geometry.
+    SEED_GEOMETRY = (8192, 6)
+
+    def test_keeps_the_scalar_generators_contract(self):
+        """Same edge count as the scalar oracle, no self-loops, and a
+        heavy tail at the seed's geometry."""
+        scalar = scalar_preferential_attachment(
+            *self.SEED_GEOMETRY, np.random.default_rng(103))
+        graph = preferential_attachment(*self.SEED_GEOMETRY,
+                                        np.random.default_rng(103))
+        assert graph.num_edges == scalar.num_edges
+        assert (graph.edges[:, 0] != graph.edges[:, 1]).all()
+        degrees = graph.degrees()
+        assert degrees.max() >= 20 * np.median(degrees[degrees > 0])
+
+    @pytest.mark.slow
+    def test_at_least_twice_the_scalar_oracle(self):
+        def seconds(generate):
+            start = time.perf_counter()
+            generate(*self.SEED_GEOMETRY, np.random.default_rng(103))
+            return time.perf_counter() - start
+
+        scalar = seconds(scalar_preferential_attachment)
+        vector = seconds(preferential_attachment)
+        assert vector * 2 <= scalar, (
+            f"vectorized {vector:.3f}s vs scalar {scalar:.3f}s")
 
 
 class TestKronecker:

@@ -24,6 +24,9 @@ from repro.datagen import (
     wikipedia_entries,
 )
 from repro.datagen.table import ECommerceModel
+from repro.mapreduce import Dfs, MapReduceRuntime
+from repro.uarch import PerfContext, XEON_E5645
+from repro.workloads.micro import _WordCountJob
 
 
 class TestSeedRegistry:
@@ -91,6 +94,22 @@ class TestFormats:
         assert records[1][1] == 200
 
 
+def _wordcount_view(corpus) -> dict:
+    """WordCount on ``corpus`` under the profiler: what it can see."""
+    ctx = PerfContext(XEON_E5645, seed=0)
+    file = Dfs().put("veracity:input", corpus.tokens, corpus.nbytes)
+    result = MapReduceRuntime(ctx=ctx).run(_WordCountJob(), file)
+    events = ctx.finalize().events
+    counters = result.counters
+    return {
+        "combiner_ratio": (counters.get("map_output_records")
+                           / counters.get("map_input_records")),
+        "l1i_mpki": events.l1i_mpki,
+        "l2_mpki": events.l2_mpki,
+        "dtlb_mpki": events.dtlb_mpki,
+    }
+
+
 class TestVeracityC6:
     """Claim C6: BDGS-synthesized data preserves seed characteristics."""
 
@@ -102,6 +121,20 @@ class TestVeracityC6:
         assert metrics["zipf_alpha_error"] < 0.2
         assert metrics["head_tv_distance"] < 0.3
         assert 0.8 < metrics["mean_doc_len_ratio"] < 1.25
+
+    def test_wordcount_cannot_tell_seed_from_synthetic(self):
+        """The ablation through a workload's eyes: WordCount's combiner
+        effectiveness (the word distribution) within 15%, its cache and
+        TLB misses within 25%, on seed and synthetic text alike."""
+        seed = wikipedia_entries(num_docs=1200)
+        synth = TextModel.estimate(seed).generate(
+            seed.num_docs, np.random.default_rng(0))
+        on_seed, on_synth = _wordcount_view(seed), _wordcount_view(synth)
+        assert on_synth["combiner_ratio"] == pytest.approx(
+            on_seed["combiner_ratio"], rel=0.15)
+        for metric in ("l1i_mpki", "l2_mpki", "dtlb_mpki"):
+            assert on_synth[metric] == pytest.approx(
+                on_seed[metric], rel=0.25), metric
 
     def test_text_veracity_at_4x_volume(self):
         """Veracity must hold while volume scales (4V together)."""

@@ -47,26 +47,25 @@ def test_warm_suite_regenerates_nothing(store):
 def test_prepared_memo_is_bounded_with_store(store):
     harness = Harness(artifacts=store)
     for name in WORKLOADS + ["K-means", "PageRank", "Grep"]:
-        harness.characterize(name, scale=1)
+        harness.run(RunSpec(workload=name, scale=1))
     assert len(harness._inputs) <= Harness.INPUT_CACHE_SIZE
 
 
 def test_prepared_memo_unbounded_without_store():
     harness = Harness(artifacts=False)
     for name in WORKLOADS + ["K-means", "PageRank", "Grep"]:
-        harness.characterize(name, scale=1)
+        harness.run(RunSpec(workload=name, scale=1))
     assert len(harness._inputs) == 6
 
 
 def test_artifact_spans_recorded(store):
-    outcome = Harness(artifacts=store).characterize("WordCount", scale=1,
-                                                    trace=True)
+    spec = RunSpec(workload="WordCount", scale=1, trace=True)
+    outcome = Harness(artifacts=store).run(spec)
     spans = [span for span in outcome.trace.walk()
              if span.category == "artifact"]
     assert spans and spans[0].name == "artifact:text"
     assert spans[0].attrs["hit"] is False
-    warm = Harness(artifacts=store, cache=False).characterize(
-        "WordCount", scale=1, trace=True)
+    warm = Harness(artifacts=store, cache=False).run(spec)
     hits = [span for span in warm.trace.walk()
             if span.category == "artifact"]
     assert hits and hits[0].attrs["hit"] is True

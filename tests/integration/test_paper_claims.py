@@ -15,6 +15,8 @@ import pytest
 from repro.analysis import (
     FIGURE_ORDER,
     figure2,
+    figure3_mips,
+    figure3_speedup,
     figure4,
     figure5,
     figure6_cache,
@@ -22,6 +24,7 @@ from repro.analysis import (
 )
 from repro.baselines import TRADITIONAL_SUITES, run_suite, suite_average
 from repro.core.harness import Harness
+from repro.core.runspec import RunSpec
 from repro.uarch import XEON_E5310, XEON_E5645
 
 TRADITIONAL = ("HPCC", "PARSEC", "SPECFP", "SPECINT")
@@ -53,6 +56,11 @@ def fig6_tlb(harness):
 
 
 @pytest.fixture(scope="module")
+def fig5(harness, harness_e5310):
+    return figure5(harness, harness_e5310)
+
+
+@pytest.fixture(scope="module")
 def traditional_events():
     return {
         suite: suite_average(run_suite(factory(), XEON_E5645))
@@ -63,7 +71,7 @@ def traditional_events():
 def _bigdata_events(harness):
     merged = None
     for name in FIGURE_ORDER:
-        events = harness.characterize(name).events
+        events = harness.run(RunSpec(workload=name)).events
         merged = events if merged is None else merged.merge(events)
     return merged
 
@@ -110,6 +118,12 @@ class TestC1OperationIntensity:
     def test_specint_is_the_integer_exception(self, fig4):
         assert fig4.row_for("Avg_SPECINT")[-1] > fig4.row_for("Avg_BigData")[-1]
 
+    def test_fp_share_marginal_for_big_data(self, fig4):
+        """Figure 4's invisible FP slivers, against HPCC's FP bars."""
+        fp_share = dict(zip(fig4.column("Workload"), fig4.column("FP")))
+        assert fp_share["Avg_BigData"] < 0.02
+        assert fp_share["Avg_HPCC"] > 0.3
+
 
 class TestC3CacheBehavior:
     """C3: L1I MPKI >= 4x traditional; L2 higher; L3 effective."""
@@ -144,6 +158,7 @@ class TestC3CacheBehavior:
         assert olio > 2 * analytics_avg
         assert rubis > 2 * analytics_avg
         assert nutch < analytics_avg  # the paper's 4.1 exception
+        assert nutch < olio / 3
 
     def test_bfs_is_the_analytics_l2_outlier(self, fig6_cache):
         bfs = fig6_cache.row_for("BFS")[2]
@@ -171,6 +186,7 @@ class TestC4TlbBehavior:
         values = {row[0]: row[1] for row in workload_rows}
         assert max(values, key=values.get) == "BFS"
         assert values["BFS"] > 10 * values["Nutch Server"]
+        assert values["Nutch Server"] < 0.3
         assert max(values.values()) > 20 * min(values.values())
 
 
@@ -183,29 +199,42 @@ class TestC5LevelThreeCache:
         assert on_new.fp_intensity > on_old.fp_intensity
         assert on_new.int_intensity > on_old.int_intensity
 
-    def test_figure5_reports_both_machines(self, harness, harness_e5310):
-        fig51, fig52 = figure5(harness, harness_e5310,
-                               names=["Sort", "K-means", "WordCount"])
+    def test_figure5_reports_both_machines(self, fig5):
+        fig51, fig52 = fig5
         assert fig51.headers == ["Workload", "E5310", "E5645"]
         sort_row = fig51.row_for("Sort")
         assert sort_row[2] >= sort_row[1]  # E5645 >= E5310
+        hpcc = fig51.row_for("Avg_HPCC")
+        assert hpcc[2] > hpcc[1]  # the L3 lifts the FP suite too
+
+    @pytest.mark.parametrize(
+        "name", ["WordCount", "K-means", "Olio Server", "Read"])
+    def test_integer_intensity_drops_without_l3(self, fig5, name):
+        """The cache ablation: one probe per workload class loses
+        integer intensity on the E5310, which has no L3."""
+        without, with_l3 = fig5[1].row_for(name)[1:]
+        assert with_l3 > without
 
 
 class TestC2DataVolume:
     """C2: data volume has a non-negligible micro-architectural impact."""
 
-    #: Endpoints of the Table 6 sweep; the full 5-point sweep runs in
-    #: benchmarks/bench_fig2/bench_fig3.
+    #: Endpoints of the Table 6 sweep (``repro figure 2`` and
+    #: ``figure 3`` run all five points of all 19 workloads).  Figures 2
+    #: and 3 are asserted on these workloads: a claim that some workload
+    #: moves (or stays) holds for the suite if it holds here.
     SCALES = (1, 32)
+    NAMES = ["Grep", "K-means", "Sort", "WordCount"]
 
     @pytest.fixture(scope="class")
     def sweep_pairs(self, harness):
-        names = ["Grep", "K-means", "Sort", "WordCount"]
-        return {
-            name: (harness.characterize(name, scale=self.SCALES[0]),
-                   harness.characterize(name, scale=self.SCALES[1]))
-            for name in names
-        }
+        points = harness.run_many([RunSpec(workload=name, scale=scale)
+                                   for name in self.NAMES
+                                   for scale in self.SCALES])
+        return dict(zip(self.NAMES, zip(points[::2], points[1::2])))
+
+    def _series(self, figure) -> dict:
+        return {row[0]: row[1:] for row in figure.rows}
 
     def test_volume_moves_microarch_metrics(self, sweep_pairs):
         """Some workload must move noticeably in MIPS or L3 MPKI."""
@@ -228,3 +257,70 @@ class TestC2DataVolume:
             for small, large in sweep_pairs.values()
         ]
         assert max(gaps) > 1.2 * min(gaps)
+
+    def test_figure2_l3_moves_for_some_and_not_others(self, harness):
+        fig = figure2(harness, names=self.NAMES, small_scale=self.SCALES[0],
+                      large_scale=self.SCALES[1])
+        gaps = {name: large / max(small, 1e-9)
+                for name, (large, small) in self._series(fig).items()
+                if not name.startswith("Avg_")}
+        assert max(gaps.values()) > 1.3
+        assert any(0.75 < gap < 1.25 for gap in gaps.values()), gaps
+
+    def test_figure3_mips_trends_differ(self, harness):
+        rows = self._series(figure3_mips(harness, names=self.NAMES,
+                                         scales=self.SCALES))
+        assert rows["Grep"][-1] > 1.4 * rows["Grep"][0]  # paper: 2.9x
+        trends = {name: series[-1] / series[0]
+                  for name, series in rows.items()}
+        assert min(trends.values()) < 0.9 < 1.2 < max(trends.values())
+
+    def test_figure3_speedup_sort_degrades_services_scale(self, harness):
+        rows = self._series(figure3_speedup(
+            harness, names=self.NAMES + ["Nutch Server"], scales=self.SCALES))
+        # Sort: I/O, spill and shuffle congestion (the paper's Figure 3-2
+        # explanation); the services scale with offered load.
+        assert rows["Sort"][-1] < 0.85
+        assert rows["Nutch Server"][-1] > 4.0
+
+    def test_figure3_speedup_normalized_for_every_workload(self, harness):
+        rows = self._series(figure3_speedup(harness, scales=self.SCALES[:1]))
+        assert len(rows) == len(FIGURE_ORDER)
+        for name, series in rows.items():
+            assert abs(series[0] - 1.0) < 1e-9, name
+
+
+class TestStackAblation:
+    """The paper's future work (Section 6.3.2): replace MapReduce with
+    MPI to test whether the deep framework stack causes the front-end
+    stalls -- the same algorithms on all three stacks, one profiler."""
+
+    NAMES = ("Sort", "Grep", "WordCount", "PageRank", "K-means",
+             "Connected Components")
+    STACKS = ("hadoop", "spark", "mpi")
+
+    @pytest.fixture(scope="class")
+    def by_stack(self, harness):
+        points = harness.run_many([RunSpec(workload=name, stack=stack)
+                                   for name in self.NAMES
+                                   for stack in self.STACKS])
+        runs = iter(points)
+        return {name: {stack: next(runs) for stack in self.STACKS}
+                for name in self.NAMES}
+
+    def test_mpi_halves_l1i_misses(self, by_stack):
+        for name, runs in by_stack.items():
+            assert (runs["hadoop"].events.l1i_mpki
+                    > 2 * runs["mpi"].events.l1i_mpki), name
+
+    def test_lighter_stacks_execute_fewer_instructions(self, by_stack):
+        for name, runs in by_stack.items():
+            hadoop = runs["hadoop"].events.instructions
+            assert runs["mpi"].events.instructions < hadoop, name
+            assert runs["spark"].events.instructions <= hadoop * 1.05, name
+
+    def test_spark_beats_hadoop_on_iterative_jobs(self, by_stack):
+        for name in ("PageRank", "K-means"):
+            runs = by_stack[name]
+            assert (runs["spark"].modeled_seconds
+                    < runs["hadoop"].modeled_seconds), name

@@ -1,7 +1,11 @@
 """Unit tests for the span tracer: nesting, ordering, event deltas."""
 
+import time
+
 import pytest
 
+from repro.core.harness import Harness
+from repro.core.runspec import RunSpec
 from repro.obs.trace import (
     NULL_SPAN,
     NULL_TRACER,
@@ -200,6 +204,30 @@ class TestNullTracer:
     def test_ctx_span_routes_to_null_tracer_by_default(self):
         ctx = PerfContext(XEON_E5645)
         assert ctx.span("mr:map") is NULL_SPAN
+
+    @pytest.mark.slow
+    def test_disabled_tracing_costs_nothing_measurable(self):
+        """The null span stays a fraction of a microsecond per call, and
+        a traced run -- tens of spans -- stays near an untraced one."""
+        ctx = PerfContext(XEON_E5645)
+        calls = 200_000
+        start = time.perf_counter()
+        for _ in range(calls):
+            with ctx.span("bench:null", category="bench"):
+                pass
+        per_call = (time.perf_counter() - start) / calls
+        assert per_call < 5e-6, f"null span costs {per_call * 1e9:.0f} ns"
+
+        def timed(trace):
+            harness = Harness()  # a fresh memo: every run executes
+            start = time.perf_counter()
+            harness.run(RunSpec(workload="Grep", trace=trace))
+            return time.perf_counter() - start
+
+        untraced = min(timed(False) for _ in range(2))
+        traced = timed(True)
+        assert traced <= untraced * 1.5 + 1.0, (
+            f"traced {traced:.2f}s vs untraced {untraced:.2f}s")
 
     def test_resolve_tracer(self):
         assert resolve_tracer(None) is NULL_TRACER

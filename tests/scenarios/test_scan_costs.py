@@ -31,6 +31,7 @@ import os
 import pytest
 
 from repro.core.harness import Harness
+from repro.core.runspec import RunSpec
 from repro.scenarios.driver import BACKEND_NAMES, run_scenario
 from repro.uarch import PerfContext, XEON_E5645
 
@@ -76,7 +77,8 @@ def observe(scenario, backend, seed, profiled) -> dict:
 
 
 def scan_workload_events() -> str:
-    return repr(Harness(cache=False).characterize("Scan", scale=1).events)
+    outcome = Harness(cache=False).run(RunSpec(workload="Scan", scale=1))
+    return repr(outcome.events)
 
 
 def _golden() -> dict:

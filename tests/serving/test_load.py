@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.node import MIXED_CLUSTER, SINGLE_NODE
+from repro.errors import InputError
 from repro.serving.load import (
     LoadProfile,
     POLICY_TOKENS,
@@ -47,19 +48,24 @@ class TestLoadProfile:
         assert LoadProfile.parse(profile) is profile
 
     def test_unknown_shape_rejected(self):
-        with pytest.raises(ValueError, match="unknown profile shape"):
+        with pytest.raises(InputError, match="unknown profile shape"):
             LoadProfile.parse("sawtooth:rps=100")
 
     def test_unknown_parameter_rejected(self):
-        with pytest.raises(ValueError, match="unknown parameter"):
+        with pytest.raises(InputError, match="unknown parameter"):
             LoadProfile.parse("constant:qps=100")
 
     def test_malformed_parameter_rejected(self):
-        with pytest.raises(ValueError, match="malformed parameter"):
+        with pytest.raises(InputError, match="malformed parameter"):
             LoadProfile.parse("constant:rps")
 
+    @pytest.mark.parametrize("spec", ["flash:rps=abc", "constant:cap=1.5"])
+    def test_non_number_rejected(self, spec):
+        with pytest.raises(InputError, match="is not"):
+            LoadProfile.parse(spec)
+
     def test_empty_spec_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             LoadProfile.parse("   ")
 
     @pytest.mark.parametrize("kwargs", [
@@ -75,7 +81,7 @@ class TestLoadProfile:
         dict(shape="square"),
     ])
     def test_field_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             LoadProfile(**kwargs)
 
     def test_with_rate_fills_only_unset(self):
@@ -99,7 +105,7 @@ class TestPolicies:
         assert canonical_policy("shed+shed") == "shed"
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown policy"):
+        with pytest.raises(InputError, match="unknown policy"):
             policy_tokens("panic")
 
 

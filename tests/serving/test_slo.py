@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster.node import SINGLE_NODE
 from repro.datagen.seeds import wikipedia_entries
+from repro.errors import InputError
 from repro.serving import (
     NutchServer,
     ServingRun,
@@ -44,9 +45,9 @@ class TestServingRun:
         assert spec.policy == "shed+hedge"
 
     def test_validation(self, server):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             ServingRun(server=server, sample_requests=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             ServingRun(server=server, slo_seconds=0.0)
 
     def test_rateless_spec_rejected_at_run(self, server):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import registry
+from repro.uarch import PerfContext, XEON_E5645
 from repro.uarch.codemodel import (
     ALL_PROFILES,
     CodeProfile,
@@ -134,3 +136,27 @@ class TestSamplePlans:
     def test_rejects_a_cap_below_one(self, cap):
         with pytest.raises(ValueError, match="cap"):
             plan_samples(10, contraction=8, cap=cap)
+
+
+class TestContractionStability:
+    """The sampling shortcut is valid: capacities and working sets shrink
+    together, so the reported metrics hold across a 4x range of
+    contraction factors."""
+
+    FACTORS = (4, 8, 16)
+
+    @pytest.mark.parametrize("name", ["WordCount", "Grep"])
+    def test_metrics_within_2x_of_the_median(self, name):
+        workload = registry.create(name)
+        prepared = workload.prepare(1)
+        runs = []
+        for factor in self.FACTORS:
+            ctx = PerfContext(XEON_E5645, contraction=factor, seed=0)
+            workload.run(prepared, ctx=ctx)
+            runs.append(ctx.finalize().events)
+        for metric in ("l1i_mpki", "l2_mpki", "dtlb_mpki"):
+            values = [getattr(events, metric) for events in runs]
+            center = sorted(values)[len(values) // 2]
+            for value in values:
+                assert 0.5 * center <= value <= 2.0 * center, (
+                    metric, values)

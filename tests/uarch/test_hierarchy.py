@@ -1,9 +1,14 @@
 """Unit tests for machine configs, the memory system, and the CPI model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.harness import Harness
+from repro.core.runspec import RunSpec
 from repro.uarch import cpu
+from repro.uarch.cache import CacheConfig
 from repro.uarch.events import PerfEvents
 from repro.uarch.hierarchy import (
     MACHINES,
@@ -121,3 +126,21 @@ class TestCpiModel:
         on_e5645 = cpu.stall_cycles(events, XEON_E5645)
         # Without an L3, an L2 miss pays full memory latency.
         assert on_e5310 > on_e5645
+
+
+class TestLastLevelCapacity:
+    """The cache ablation's capacity sweep: an E5645 whose L3 holds 2 to
+    24 MB, to find where the suite's working sets saturate."""
+
+    SIZES_MB = (2, 6, 12, 24)
+
+    def test_more_l3_never_hurts_and_the_sweep_spans_a_drop(self):
+        machines = [replace(XEON_E5645, name=f"E5645-L3-{size}MB",
+                            l3=CacheConfig("L3", size << 20, ways=16))
+                    for size in self.SIZES_MB]
+        for name in ("WordCount", "Olio Server"):
+            mpki = [point.events.l3_mpki for point in Harness().run_many(
+                [RunSpec(workload=name, machine=m) for m in machines])]
+            # Monotone within noise, and a real reduction end to end.
+            assert mpki[0] >= mpki[-1] * 0.95, (name, mpki)
+            assert mpki[0] > 1.15 * mpki[-1], (name, mpki)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.core.harness import Harness
+from repro.core.runspec import RunSpec
 from repro.workloads.cloudoltp import ReadWorkload, ScanWorkload, WriteWorkload
 from repro.workloads.ecommerce import RubisServerWorkload
 from repro.workloads.queries import (
@@ -121,3 +123,42 @@ class TestEcommerceAnalytics:
         # ~72% positive-class base rate.
         assert result.details["accuracy"] > 0.8
         assert result.details["test_docs"] > 50
+
+
+class TestStackColumnAblation:
+    """Table 4's stack column head to head, profiled through the harness:
+    SQL compiled to MapReduce (Hive) against in-process columnar
+    execution (Impala), and LSM (HBase, Cassandra) against B-tree
+    (MongoDB) Cloud OLTP backends."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        pairs = [(name, stack)
+                 for name in ("Select Query", "Aggregate Query", "Join Query")
+                 for stack in ("hive", "impala")]
+        pairs += [(name, stack) for name in ("Read", "Write", "Scan")
+                  for stack in ("hbase", "mongodb")]
+        pairs.append(("Write", "cassandra"))
+        points = Harness().run_many(
+            [RunSpec(workload=name, stack=stack) for name, stack in pairs])
+        return dict(zip(pairs, points))
+
+    @pytest.mark.parametrize("name", [
+        "Select Query", "Aggregate Query", "Join Query"])
+    def test_hive_pays_per_job_mapreduce_overheads(self, runs, name):
+        assert (runs[(name, "hive")].modeled_seconds
+                > 4 * runs[(name, "impala")].modeled_seconds)
+
+    def test_both_backend_families_serve_every_op(self, runs):
+        for name in ("Read", "Write", "Scan"):
+            for stack in ("hbase", "mongodb"):
+                assert runs[(name, stack)].result.metric_value > 0
+
+    def test_lsm_flushes_runs_and_btree_stays_shallow(self, runs):
+        assert "sstables" in runs[("Read", "hbase")].result.details
+        assert runs[("Read", "mongodb")].result.details["tree_height"] >= 2
+
+    def test_cassandras_bigger_memtable_flushes_less(self, runs):
+        hbase = runs[("Write", "hbase")].result.details
+        cassandra = runs[("Write", "cassandra")].result.details
+        assert cassandra["flushes"] <= hbase["flushes"]
