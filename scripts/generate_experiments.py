@@ -12,19 +12,15 @@ import sys
 import time
 
 from repro.analysis import (
-    ALL_TABLES,
+    build_figures,
     figure2,
     figure3_mips,
     figure3_speedup,
-    figure4,
-    figure5,
-    figure6_cache,
-    figure6_tlb,
     render_paper_table,
 )
 from repro.analysis import paper_reference as ref
 from repro.core.harness import Harness
-from repro.uarch import XEON_E5310, XEON_E5645
+from repro.uarch import XEON_E5645
 
 
 def fence(text: str) -> str:
@@ -42,7 +38,6 @@ def main() -> None:
     out_path = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
     started = time.time()
     harness = Harness(machine=XEON_E5645)
-    harness_e5310 = Harness(machine=XEON_E5310)
 
     sections = []
     sections.append(
@@ -68,9 +63,12 @@ def main() -> None:
     for name in ("Table 2", "Table 4", "Table 5", "Table 6", "Table 7"):
         sections.append(fence(render_paper_table(name)))
 
+    # ---- Figures 4-6: one events pass on both machines -------------------
+    print("figures 4-6 ...", flush=True)
+    events = build_figures(harness, ("4", "5", "6"))
+
     # ---- Figure 4 ---------------------------------------------------------
-    print("figure 4 ...", flush=True)
-    fig4 = figure4(harness)
+    fig4 = events["figure4"]
     sections.append("## Figure 4 — instruction breakdown\n")
     sections.append(fence(fig4.render()))
     ratios = {row[0]: row[-1] for row in fig4.rows}
@@ -91,8 +89,7 @@ def main() -> None:
     )
 
     # ---- Figure 5 ---------------------------------------------------------
-    print("figure 5 ...", flush=True)
-    fig51, fig52 = figure5(harness, harness_e5310)
+    fig51, fig52 = events["figure5_fp"], events["figure5_int"]
     sections.append("## Figure 5 — operation intensity (E5310 vs E5645)\n")
     sections.append(fence(fig51.render()))
     sections.append(fence(fig52.render()))
@@ -122,9 +119,7 @@ def main() -> None:
     )
 
     # ---- Figure 6 ---------------------------------------------------------
-    print("figure 6 ...", flush=True)
-    fig61 = figure6_cache(harness)
-    fig62 = figure6_tlb(harness)
+    fig61, fig62 = events["figure6_cache"], events["figure6_tlb"]
     sections.append("## Figure 6 — memory hierarchy\n")
     sections.append(fence(fig61.render()))
     sections.append(fence(fig62.render()))

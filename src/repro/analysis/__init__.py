@@ -1,8 +1,15 @@
-"""Regenerators for every table and figure in the paper's evaluation."""
+"""Regenerators for every table and figure in the paper's evaluation.
+
+A figure runs all its points on the caller's harness in one batch, so
+``jobs`` fans it out.  Figure 5 always shows both the E5310 and the
+E5645: the harness' machine (``repro figure --machine``) does not apply.
+"""
 
 from repro.analysis.figures import (
     FIGURE_ORDER,
+    FIGURES,
     FigureData,
+    build_figures,
     figure2,
     figure3_mips,
     figure3_speedup,
@@ -37,7 +44,9 @@ __all__ = [
     "export_figure",
     "export_table",
     "FIGURE_ORDER",
+    "FIGURES",
     "FigureData",
+    "build_figures",
     "figure2",
     "figure3_mips",
     "figure3_speedup",

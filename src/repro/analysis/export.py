@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import os
 
-from repro.analysis.figures import FigureData
+from repro.analysis.figures import FigureData, build_figures
 from repro.analysis.tables import ALL_TABLES
 
 
@@ -27,45 +27,24 @@ def export_figure(figure: FigureData, path: str) -> str:
 
 def export_table(name: str, path: str) -> str:
     """Write one paper table (by its 'Table N' name) as CSV."""
-    headers, rows = ALL_TABLES[name]()
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(headers)
-        writer.writerows(rows)
-    return path
+    return export_figure(FigureData(name, *ALL_TABLES[name]()), path)
+
+
+#: The figures ``export_all`` writes, by
+#: :data:`~repro.analysis.figures.FIGURES` number; ``include_sweeps``
+#: adds the expensive Figure 2/3 data sweeps.
+EXPORTED = ("4", "6")
+SWEEPS = ("2", "3")
 
 
 def export_all(harness, directory: str, include_sweeps: bool = False) -> list:
-    """Regenerate the evaluation and write every CSV under ``directory``.
-
-    ``include_sweeps`` adds the expensive Figure 2/3 data sweeps.
-    """
-    from repro.analysis.figures import (
-        figure2,
-        figure3_mips,
-        figure3_speedup,
-        figure4,
-        figure6_cache,
-        figure6_tlb,
-    )
-
+    """Regenerate the evaluation and write every CSV under ``directory``."""
     written = []
     for name in ALL_TABLES:
         slug = name.lower().replace(" ", "")
         written.append(export_table(name, os.path.join(directory, f"{slug}.csv")))
-    figures = [
-        ("figure4", figure4(harness)),
-        ("figure6_cache", figure6_cache(harness)),
-        ("figure6_tlb", figure6_tlb(harness)),
-    ]
-    if include_sweeps:
-        figures += [
-            ("figure2", figure2(harness)),
-            ("figure3_mips", figure3_mips(harness)),
-            ("figure3_speedup", figure3_speedup(harness)),
-        ]
-    for slug, figure in figures:
+    numbers = EXPORTED + (SWEEPS if include_sweeps else ())
+    for slug, figure in build_figures(harness, numbers).items():
         written.append(export_figure(
             figure, os.path.join(directory, f"{slug}.csv")
         ))

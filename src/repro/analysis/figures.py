@@ -1,21 +1,25 @@
 """Generators for the paper's Figures 2-6.
 
-Each generator takes a :class:`~repro.core.harness.Harness` (so bench
-targets can share memoized runs), executes the required experiments, and
-returns plain data structures plus an ASCII rendering -- the same rows
-and series the paper plots.
+Each generator hands every point its figure reads to the caller's
+:class:`~repro.core.harness.Harness` in one ``run_many`` call and
+returns the rows the paper plots plus an ASCII rendering.  Figures 4-6
+are column specs (:class:`EventsFigure`) over one events pass,
+:func:`events_figures`.  :data:`FIGURES` maps a figure number to its
+generators for ``repro figure`` and ``export_all``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import attrgetter
 
 from repro.baselines import TRADITIONAL_SUITES, run_suite, suite_average
-from repro.core import registry
 from repro.core.harness import Harness
 from repro.core.report import render_table
 from repro.core.runspec import RunSpec
 from repro.core.workload import SCALE_FACTORS
+from repro.uarch.events import PerfEvents
 from repro.uarch.hierarchy import XEON_E5310, XEON_E5645
 
 #: Figure bar order: the 19 workloads as the paper's x-axes list them.
@@ -27,12 +31,14 @@ FIGURE_ORDER = [
     "Read", "Write", "Scan",
 ]
 
-TRADITIONAL_ORDER = ["HPCC", "PARSEC", "SPECFP", "SPECINT"]
-
 
 @dataclass
 class FigureData:
-    """One regenerated figure: per-series values plus a rendering."""
+    """One regenerated figure: per-series values plus a rendering.
+
+    A figure of the events pass carries that pass's event vectors in
+    ``notes["events"]``: machine name -> row label -> ``PerfEvents``.
+    """
 
     name: str
     headers: list
@@ -53,188 +59,159 @@ class FigureData:
         raise KeyError(f"{self.name} has no row {label!r}")
 
 
-def _traditional_events(machine=XEON_E5645) -> dict:
-    """Suite-average events for the four traditional suites."""
-    return {
-        suite: suite_average(run_suite(factory(), machine))
-        for suite, factory in TRADITIONAL_SUITES.items()
-    }
+def _sweep_figure(harness: Harness, name: str, headers: list, names, scales,
+                  row) -> FigureData:
+    """One row ``[workload, *row(its points at every scale)]`` per
+    workload; the points run as one batch."""
+    names = names or FIGURE_ORDER
+    points = harness.run_many([RunSpec(workload=workload, scale=scale)
+                               for workload in names for scale in scales])
+    width = len(scales)
+    return FigureData(name, headers, [
+        [workload, *row(points[i * width:(i + 1) * width])]
+        for i, workload in enumerate(names)])
 
-
-# ---------------------------------------------------------------------------
-# Figure 2: L3 MPKI, large vs small input
-# ---------------------------------------------------------------------------
 
 def figure2(harness: Harness, names=None, small_scale: int = 1,
             large_scale: int = 32) -> FigureData:
-    """L3 cache MPKI under the baseline (small) and large inputs.
+    """Figure 2: L3 cache MPKI under the baseline (small) and large inputs.
 
     The paper's 'large input' is the configuration with the best
     user-perceivable performance; like the paper we contrast the baseline
     with the top of the sweep.
     """
-    names = names or FIGURE_ORDER
-    rows = []
-    for name in names:
-        small = harness.run(RunSpec(workload=name, scale=small_scale))
-        large = harness.run(RunSpec(workload=name, scale=large_scale))
-        rows.append([name, large.events.l3_mpki, small.events.l3_mpki])
-    avg_large = sum(r[1] for r in rows) / len(rows)
-    avg_small = sum(r[2] for r in rows) / len(rows)
-    rows.append(["Avg_BigData", avg_large, avg_small])
-    return FigureData(
-        name="Figure 2: L3 MPKI by input size",
-        headers=["Workload", "Large Input", "Small Input"],
-        rows=rows,
-    )
+    figure = _sweep_figure(
+        harness, "Figure 2: L3 MPKI by input size",
+        ["Workload", "Large Input", "Small Input"], names,
+        (small_scale, large_scale),
+        lambda sweep: [sweep[1].events.l3_mpki, sweep[0].events.l3_mpki])
+    figure.rows.append(["Avg_BigData", *(
+        sum(column) / len(column)
+        for column in zip(*(row[1:] for row in figure.rows)))])
+    return figure
 
 
-# ---------------------------------------------------------------------------
-# Figure 3: MIPS and normalized performance across the data sweep
-# ---------------------------------------------------------------------------
+def _scale_headers(scales) -> list:
+    return ["Workload"] + [f"{s}X" if s > 1 else "Baseline" for s in scales]
+
 
 def figure3_mips(harness: Harness, names=None, scales=SCALE_FACTORS) -> FigureData:
     """Figure 3-1: MIPS of every workload at every data scale."""
-    names = names or FIGURE_ORDER
-    rows = []
-    for name in names:
-        sweep = harness.run_many(
-            [RunSpec(workload=name, scale=s) for s in scales])
-        rows.append([name] + [point.mips for point in sweep])
-    return FigureData(
-        name="Figure 3-1: MIPS vs data scale",
-        headers=["Workload"] + [f"{s}X" if s > 1 else "Baseline" for s in scales],
-        rows=rows,
-    )
+    return _sweep_figure(harness, "Figure 3-1: MIPS vs data scale",
+                         _scale_headers(scales), names, scales,
+                         lambda sweep: [point.mips for point in sweep])
 
 
 def figure3_speedup(harness: Harness, names=None, scales=SCALE_FACTORS) -> FigureData:
     """Figure 3-2: user-perceivable performance normalized to baseline."""
-    names = names or FIGURE_ORDER
-    rows = []
-    for name in names:
-        sweep = harness.run_many(
-            [RunSpec(workload=name, scale=s) for s in scales])
+    def normalized(sweep):
         base = sweep[0].result.metric_value or 1.0
-        rows.append([name] + [p.result.metric_value / base for p in sweep])
-    return FigureData(
-        name="Figure 3-2: normalized performance vs data scale",
-        headers=["Workload"] + [f"{s}X" if s > 1 else "Baseline" for s in scales],
-        rows=rows,
-    )
+        return [point.result.metric_value / base for point in sweep]
+
+    return _sweep_figure(
+        harness, "Figure 3-2: normalized performance vs data scale",
+        _scale_headers(scales), names, scales, normalized)
 
 
-# ---------------------------------------------------------------------------
-# Figure 4: instruction breakdown
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class EventsFigure:
+    """One of Figures 4-6: rows are the workloads, ``Avg_BigData`` (their
+    merged events) and ``Avg_<suite>`` per traditional suite.  A column
+    is ``(header, quantity, machine)``: the quantity read off a row's
+    ``PerfEvents`` on that machine (None: the harness' machine).  Calling
+    one builds it alone."""
 
-def figure4(harness: Harness, names=None) -> FigureData:
-    """Instruction-class fractions for the 19 workloads plus the
-    traditional-suite averages, and the int/fp ratio."""
-    names = names or FIGURE_ORDER
-    rows = []
-    bigdata_merged = None
-    for name in names:
-        outcome = harness.run(RunSpec(workload=name))
-        events = outcome.events
-        mix = events.instruction_mix()
-        rows.append([name, mix["load"], mix["store"], mix["branch"],
-                     mix["int"], mix["fp"], events.int_fp_ratio])
-        bigdata_merged = events if bigdata_merged is None else bigdata_merged.merge(events)
-    mix = bigdata_merged.instruction_mix()
-    rows.append(["Avg_BigData", mix["load"], mix["store"], mix["branch"],
-                 mix["int"], mix["fp"], bigdata_merged.int_fp_ratio])
-    for suite, events in _traditional_events().items():
-        mix = events.instruction_mix()
-        rows.append([f"Avg_{suite}", mix["load"], mix["store"], mix["branch"],
-                     mix["int"], mix["fp"], events.int_fp_ratio])
-    return FigureData(
-        name="Figure 4: instruction breakdown",
-        headers=["Workload", "Load", "Store", "Branch", "Integer", "FP",
-                 "Int/FP ratio"],
-        rows=rows,
-    )
+    name: str
+    columns: tuple
+
+    def __call__(self, harness: Harness, names=None) -> FigureData:
+        return events_figures(harness, [self], names)[0]
 
 
-# ---------------------------------------------------------------------------
-# Figure 5: operation intensity on E5310 and E5645
-# ---------------------------------------------------------------------------
-
-def figure5(harness_e5645: Harness, harness_e5310: Harness = None,
-            names=None) -> "tuple[FigureData, FigureData]":
-    """Figure 5-1 (FP intensity) and 5-2 (integer intensity), both
-    machines."""
-    names = names or FIGURE_ORDER
-    harness_e5310 = harness_e5310 or Harness(machine=XEON_E5310,
-                                             seed=harness_e5645.seed)
-    fp_rows, int_rows = [], []
-    merged = {"E5310": None, "E5645": None}
-    for name in names:
-        on_new = harness_e5645.run(RunSpec(workload=name))
-        on_old = harness_e5310.run(RunSpec(workload=name))
-        fp_rows.append([name, on_old.events.fp_intensity,
-                        on_new.events.fp_intensity])
-        int_rows.append([name, on_old.events.int_intensity,
-                         on_new.events.int_intensity])
-        merged["E5645"] = (on_new.events if merged["E5645"] is None
-                           else merged["E5645"].merge(on_new.events))
-        merged["E5310"] = (on_old.events if merged["E5310"] is None
-                           else merged["E5310"].merge(on_old.events))
-    fp_rows.append(["Avg_BigData", merged["E5310"].fp_intensity,
-                    merged["E5645"].fp_intensity])
-    int_rows.append(["Avg_BigData", merged["E5310"].int_intensity,
-                     merged["E5645"].int_intensity])
-    on_new, on_old = (_traditional_events(XEON_E5645),
-                      _traditional_events(XEON_E5310))
-    for suite in TRADITIONAL_ORDER:
-        new, old = on_new[suite], on_old[suite]
-        fp_rows.append([f"Avg_{suite}", old.fp_intensity, new.fp_intensity])
-        int_rows.append([f"Avg_{suite}", old.int_intensity, new.int_intensity])
-    headers = ["Workload", "E5310", "E5645"]
-    return (
-        FigureData("Figure 5-1: FP operation intensity", headers, fp_rows),
-        FigureData("Figure 5-2: integer operation intensity", headers, int_rows),
-    )
+def _columns(*pairs, machine=None) -> tuple:
+    """Columns reading one ``PerfEvents`` attribute each."""
+    return tuple((header, attrgetter(attribute), machine)
+                 for header, attribute in pairs)
 
 
-# ---------------------------------------------------------------------------
-# Figure 6: memory-hierarchy behavior
-# ---------------------------------------------------------------------------
-
-def figure6_cache(harness: Harness, names=None) -> FigureData:
-    """Figure 6-1: L1I / L2 / L3 MPKI, workloads plus traditional suites."""
-    names = names or FIGURE_ORDER
-    rows = []
-    merged = None
-    for name in names:
-        events = harness.run(RunSpec(workload=name)).events
-        rows.append([name, events.l1i_mpki, events.l2_mpki, events.l3_mpki])
-        merged = events if merged is None else merged.merge(events)
-    rows.append(["Avg_BigData", merged.l1i_mpki, merged.l2_mpki, merged.l3_mpki])
-    for suite, events in _traditional_events().items():
-        rows.append([f"Avg_{suite}", events.l1i_mpki, events.l2_mpki,
-                     events.l3_mpki])
-    return FigureData(
-        name="Figure 6-1: cache behaviors",
-        headers=["Workload", "L1I MPKI", "L2 MPKI", "L3 MPKI"],
-        rows=rows,
-    )
+figure4 = EventsFigure("Figure 4: instruction breakdown", tuple(
+    (header, lambda events, kind=kind: events.instruction_mix()[kind], None)
+    for header, kind in (("Load", "load"), ("Store", "store"),
+                         ("Branch", "branch"), ("Integer", "int"),
+                         ("FP", "fp"))
+) + _columns(("Int/FP ratio", "int_fp_ratio")))
+figure5_fp, figure5_int = (
+    EventsFigure(f"Figure 5-{number}: {label} operation intensity",
+                 _columns(("E5310", attribute), machine=XEON_E5310)
+                 + _columns(("E5645", attribute), machine=XEON_E5645))
+    for number, label, attribute in ((1, "FP", "fp_intensity"),
+                                     (2, "integer", "int_intensity")))
+figure6_cache = EventsFigure("Figure 6-1: cache behaviors", _columns(
+    ("L1I MPKI", "l1i_mpki"), ("L2 MPKI", "l2_mpki"), ("L3 MPKI", "l3_mpki")))
+figure6_tlb = EventsFigure("Figure 6-2: TLB behaviors", _columns(
+    ("DTLB MPKI", "dtlb_mpki"), ("ITLB MPKI", "itlb_mpki")))
 
 
-def figure6_tlb(harness: Harness, names=None) -> FigureData:
-    """Figure 6-2: DTLB / ITLB MPKI, workloads plus traditional suites."""
-    names = names or FIGURE_ORDER
-    rows = []
-    merged = None
-    for name in names:
-        events = harness.run(RunSpec(workload=name)).events
-        rows.append([name, events.dtlb_mpki, events.itlb_mpki])
-        merged = events if merged is None else merged.merge(events)
-    rows.append(["Avg_BigData", merged.dtlb_mpki, merged.itlb_mpki])
-    for suite, events in _traditional_events().items():
-        rows.append([f"Avg_{suite}", events.dtlb_mpki, events.itlb_mpki])
-    return FigureData(
-        name="Figure 6-2: TLB behaviors",
-        headers=["Workload", "DTLB MPKI", "ITLB MPKI"],
-        rows=rows,
-    )
+def figure5(harness: Harness, names=None) -> "tuple[FigureData, FigureData]":
+    """Figures 5-1 and 5-2: an E5310 and an E5645 column each, whatever
+    the harness' machine."""
+    return tuple(events_figures(harness, [figure5_fp, figure5_int], names))
+
+
+def events_figures(harness: Harness, figures, names=None) -> list:
+    """Build events figures in one pass; one :class:`FigureData` each.
+
+    Every workload runs on every machine a column names, all in one
+    ``run_many``; each traditional suite is profiled once per machine.
+    """
+    names = list(names or FIGURE_ORDER)
+    machines = {machine.name: machine for machine in (
+        column_machine or harness.machine for figure in figures
+        for _, _, column_machine in figure.columns)}
+    points = iter(harness.run_many([
+        RunSpec(workload=name, machine=machine)
+        for machine in machines.values() for name in names]))
+    events = {}
+    for machine_name, machine in machines.items():
+        workloads = [next(points).events for _ in names]
+        events[machine_name] = {
+            **dict(zip(names, workloads)),
+            "Avg_BigData": reduce(PerfEvents.merge, workloads),
+            **{f"Avg_{suite}": suite_average(
+                run_suite(factory(), machine, harness.seed))
+               for suite, factory in TRADITIONAL_SUITES.items()},
+        }
+    labels = [*names, "Avg_BigData",
+              *(f"Avg_{suite}" for suite in TRADITIONAL_SUITES)]
+    return [FigureData(
+        name=figure.name,
+        headers=["Workload", *(header for header, _, _ in figure.columns)],
+        rows=[[label, *(
+            quantity(events[(machine or harness.machine).name][label])
+            for _, quantity, machine in figure.columns)] for label in labels],
+        notes={"events": events},
+    ) for figure in figures]
+
+
+#: ``repro figure N`` -> its figures by export slug, in order.
+FIGURES = {
+    "2": {"figure2": figure2},
+    "3": {"figure3_mips": figure3_mips, "figure3_speedup": figure3_speedup},
+    "3-1": {"figure3_mips": figure3_mips},
+    "3-2": {"figure3_speedup": figure3_speedup},
+    "4": {"figure4": figure4},
+    "5": {"figure5_fp": figure5_fp, "figure5_int": figure5_int},
+    "6": {"figure6_cache": figure6_cache, "figure6_tlb": figure6_tlb},
+}
+
+
+def build_figures(harness: Harness, numbers) -> dict:
+    """Slug -> :class:`FigureData` for every figure of ``numbers`` (keys of
+    :data:`FIGURES`), in order; the events figures share one pass."""
+    wanted = {slug: generator for number in numbers
+              for slug, generator in FIGURES[number].items()}
+    events = iter(events_figures(harness, [
+        generator for generator in wanted.values()
+        if isinstance(generator, EventsFigure)]))
+    return {slug: next(events) if isinstance(generator, EventsFigure)
+            else generator(harness) for slug, generator in wanted.items()}

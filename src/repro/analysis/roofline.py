@@ -68,10 +68,10 @@ class RooflinePoint:
 def roofline_points(harness, names, machine: RooflineMachine = E5645_ROOFLINE) -> list:
     """Place each workload on the roofline."""
     points = []
-    for name in names:
-        events = harness.run(RunSpec(workload=name)).events
-        fp_i = events.fp_intensity
-        int_i = events.int_intensity
+    for name, outcome in zip(names, harness.run_many(
+            [RunSpec(workload=name) for name in names])):
+        fp_i = outcome.events.fp_intensity
+        int_i = outcome.events.int_intensity
         points.append(RooflinePoint(
             workload=name,
             fp_intensity=fp_i,

@@ -13,8 +13,6 @@ Kernels return a checkable functional result; profiles are collected by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.uarch.codemodel import CodeProfile
 from repro.uarch.events import PerfEvents, ProfileReport
 from repro.uarch.hierarchy import MachineConfig, XEON_E5645
@@ -58,14 +56,3 @@ def suite_average(reports: list) -> PerfEvents:
         merged = merged.merge(report.events)
     return merged
 
-
-@dataclass(frozen=True)
-class SuiteSummary:
-    """Averaged metrics of one traditional suite on one machine."""
-
-    suite: str
-    events: PerfEvents
-
-    @property
-    def l1i_mpki(self) -> float:
-        return self.events.l1i_mpki

@@ -22,7 +22,10 @@ generated inputs and serving streams out of the store and, except
 results out of it (see :mod:`repro.core.store`).  The commands that
 characterize many points -- ``sweep``, ``figure``, ``roofline``,
 ``rank``, ``export`` -- accept ``--jobs N`` (0 = one worker per CPU)
-to fan them across processes.
+to fan them across processes; a figure hands all its points to the
+harness at once.  ``figure --machine`` picks the machine of Figures 2-4
+and 6; Figure 5 always shows both the E5310 and the E5645, so
+``--machine`` does not apply to it.
 
 A name, stack or spec that does not resolve (an
 :class:`~repro.errors.InputError`) exits 1 with its one-line message.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from repro.cluster.node import resolve_cluster
 from repro.core import registry
@@ -40,8 +44,9 @@ from repro.core.report import render_table
 from repro.core.runspec import RunSpec
 from repro.core.workload import SCALE_FACTORS
 from repro.errors import InputError, parse_number
-from repro.streaming import EXACTLY_ONCE, STREAM_MODES
+from repro.streaming import AT_LEAST_ONCE, EXACTLY_ONCE, STREAM_MODES
 from repro.uarch.hierarchy import MACHINES, XEON_E5645
+from repro.workloads.streaming import StreamingWorkload
 
 
 def _machine(name: str):
@@ -255,25 +260,36 @@ def cmd_store(args) -> None:
     print(f"  total: {total / mb:.1f} MB (cap {stores.CAP_BYTES / mb:.0f} MB)")
 
 
-def _overhead(clean, chaos) -> str:
-    """Modeled runtime of the fault-injected run over the clean one."""
-    ratio = (chaos.modeled_seconds / clean.modeled_seconds
-             if clean.modeled_seconds else 1.0)
-    return f"{(ratio - 1.0) * 100:+.1f}%"
-
-
-def _report_diff(clean, chaos, plan, tolerated: str = None) -> None:
-    """Print how the fault-injected run's output compares with the clean
-    one.  ``tolerated`` is printed instead of a divergence that is the
-    run's contract.  Any other divergence under recovery violates the
-    chaos layer's core invariant and exits 1, so CI catches it."""
+def _against_clean(args, base: dict, plan, rows, title: str,
+                   tolerated=None) -> None:
+    """Run ``base`` fault-free and, given a plan, under it; print the
+    table ``rows(clean, shown)`` of the run shown (the faulted one, if
+    any) with the plan and the runtime overhead, then compare the
+    outputs.  ``tolerated(shown)`` is printed instead of a divergence
+    that is the run's contract.  Any other divergence under recovery
+    violates the chaos layer's core invariant and exits 1, so CI
+    catches it."""
     from repro.faults import diff_outputs
 
-    diffs = diff_outputs(clean, chaos)
+    harness = _harness(args, machine=_machine(args.machine))
+    clean = harness.run(RunSpec(**base))
+    shown = (clean if plan is None
+             else harness.run(RunSpec(**base, faults=plan)))
+    table = rows(clean, shown)
+    if plan is not None:
+        ratio = (shown.modeled_seconds / clean.modeled_seconds
+                 if clean.modeled_seconds else 1.0)
+        table = [["fault plan", str(plan)], *table,
+                 ["runtime overhead", f"{(ratio - 1.0) * 100:+.1f}%"]]
+    print(render_table(["Quantity", "Value"], table,
+                       title=f"{title} @ {args.scale}x ({shown.stack})"))
+    if plan is None:
+        return
+    diffs = diff_outputs(clean, shown)
     if not diffs:
         print("  output: IDENTICAL to the fault-free run")
     elif tolerated is not None:
-        print(tolerated)
+        print(tolerated(shown))
     else:
         print("  output: DIVERGED from the fault-free run")
         for diff in diffs:
@@ -290,36 +306,26 @@ def cmd_chaos(args) -> None:
         recovery=not args.no_recovery,
         checkpoint_interval=args.checkpoint_interval,
     )
-    harness = _harness(args, machine=_machine(args.machine))
+
+    def rows(clean, chaos) -> list:
+        counts = Counter((event.phase, event.kind)
+                         for event in chaos.fault_events or ())
+
+        def fmt(phase: str) -> str:
+            return ", ".join(f"{kind} x{n}" for (of, kind), n
+                             in sorted(counts.items()) if of == phase) or "-"
+
+        return [
+            ["faults injected", fmt("fault")],
+            ["recovery actions", fmt("recovery")],
+            ["work lost", fmt("lost")],
+            ["modeled time (clean)", f"{clean.modeled_seconds:.1f} s"],
+            ["modeled time (chaos)", f"{chaos.modeled_seconds:.1f} s"],
+        ]
+
     base = dict(workload=args.workload, scale=args.scale, stack=args.stack,
                 seed=args.seed)
-    clean = harness.run(RunSpec(**base))
-    chaos = harness.run(RunSpec(**base, faults=plan))
-
-    events = chaos.fault_events or ()
-    counts = {"fault": {}, "recovery": {}, "lost": {}}
-    for event in events:
-        bucket = counts[event.phase]
-        bucket[event.kind] = bucket.get(event.kind, 0) + 1
-
-    def fmt(bucket: dict) -> str:
-        if not bucket:
-            return "-"
-        return ", ".join(f"{k} x{v}" for k, v in sorted(bucket.items()))
-
-    rows = [
-        ["fault plan", str(plan)],
-        ["faults injected", fmt(counts["fault"])],
-        ["recovery actions", fmt(counts["recovery"])],
-        ["work lost", fmt(counts["lost"])],
-        ["modeled time (clean)", f"{clean.modeled_seconds:.1f} s"],
-        ["modeled time (chaos)", f"{chaos.modeled_seconds:.1f} s"],
-        ["runtime overhead", _overhead(clean, chaos)],
-    ]
-    print(render_table(
-        ["Quantity", "Value"], rows,
-        title=f"chaos: {args.workload} @ {args.scale}x ({chaos.stack})"))
-    _report_diff(clean, chaos, plan)
+    _against_clean(args, base, plan, rows, f"chaos: {args.workload}")
 
 
 #: Short names for the streaming workloads (full names work too).
@@ -344,54 +350,43 @@ def cmd_stream(args) -> None:
         plan = FaultPlan.parse(args.faults,
                                recovery=not args.no_recovery,
                                checkpoint_interval=args.checkpoint_interval)
-    elif args.checkpoint_interval != 8:
+    elif args.checkpoint_interval != StreamingWorkload.checkpoint_interval:
         # Cadence without faults: a valid rule-free plan -- checkpoints
         # configured, nothing armed.
         plan = FaultPlan(rules=(),
                          checkpoint_interval=args.checkpoint_interval)
 
-    harness = _harness(args, machine=_machine(args.machine))
+    def rows(clean, shown) -> list:
+        details = shown.result.details
+        return [
+            ["mode", shown.result.stack],
+            ["windows committed", str(details["windows"])],
+            ["events in windows", f"{details['events']} "
+                                  f"(expected {details['expected_events']})"],
+            ["duplicate windows", str(details["duplicate_windows"])],
+            ["output digest", details["digest"]],
+            ["checkpoints / restores",
+             f"{details['checkpoints']} / {details['restores']}"],
+            ["replayed batches", str(details["replayed_batches"])],
+            ["throttled batches (backpressure)",
+             f"{details['throttled_batches']} "
+             f"({details['backpressure_stalls']} stalls)"],
+            ["watermark lag", f"{details['watermark_lag_s']:.2f} s"],
+            ["modeled time", f"{shown.modeled_seconds:.1f} s"],
+            ["metric", f"{shown.result.metric_name} = "
+                       f"{shown.result.metric_value:.4g}"],
+        ]
+
+    def tolerated(shown) -> str:
+        # Duplicates under replay are this mode's contract, not a bug.
+        return (f"  output: {shown.result.details['duplicate_windows']} "
+                "duplicate window(s) vs the fault-free run (at-least-once "
+                "replay)")
+
     base = dict(workload=name, scale=args.scale, stack=args.mode,
                 seed=args.seed)
-    clean = harness.run(RunSpec(**base))
-    chaos = harness.run(RunSpec(**base, faults=plan)) if plan is not None \
-        else None
-
-    shown = chaos if chaos is not None else clean
-    details = shown.result.details
-    rows = [
-        ["mode", shown.result.stack],
-        ["windows committed", str(details["windows"])],
-        ["events in windows", f"{details['events']} "
-                              f"(expected {details['expected_events']})"],
-        ["duplicate windows", str(details["duplicate_windows"])],
-        ["output digest", details["digest"]],
-        ["checkpoints / restores",
-         f"{details['checkpoints']} / {details['restores']}"],
-        ["replayed batches", str(details["replayed_batches"])],
-        ["throttled batches (backpressure)",
-         f"{details['throttled_batches']} "
-         f"({details['backpressure_stalls']} stalls)"],
-        ["watermark lag", f"{details['watermark_lag_s']:.2f} s"],
-        ["modeled time", f"{shown.modeled_seconds:.1f} s"],
-        ["metric", f"{shown.result.metric_name} = "
-                   f"{shown.result.metric_value:.4g}"],
-    ]
-    if plan is not None:
-        rows.insert(0, ["fault plan", str(plan)])
-        rows.append(["runtime overhead", _overhead(clean, shown)])
-    print(render_table(
-        ["Quantity", "Value"], rows,
-        title=f"stream: {name} @ {args.scale}x ({shown.result.stack})"))
-
-    if chaos is None or not plan.rules:
-        return
-    tolerated = None
-    if shown.result.stack == "at-least-once":
-        # Duplicates under replay are this mode's contract, not a bug.
-        tolerated = (f"  output: {details['duplicate_windows']} duplicate "
-                     "window(s) vs the fault-free run (at-least-once replay)")
-    _report_diff(clean, chaos, plan, tolerated)
+    _against_clean(args, base, plan, rows, f"stream: {name}",
+                   tolerated if args.mode == AT_LEAST_ONCE else None)
 
 
 #: Short names for the three online services (full workload names work
@@ -668,50 +663,22 @@ def cmd_table(args) -> None:
     print(render_paper_table(f"Table {args.number}"))
 
 
-def _points(scales=(1,), names=None) -> list:
-    """RunSpecs for every workload (default: all 19) at every scale."""
-    return [RunSpec(workload=name, scale=scale)
-            for name in names or registry.workload_names()
-            for scale in scales]
-
-
-#: ``figure N``: the scales every workload runs at, batched through
-#: ``run_many`` first so ``--jobs`` fans the whole figure out at once,
-#: and the :mod:`repro.analysis` generators that then read the memo.
-FIGURES = {
-    "2": ((1, 32), ("figure2",)),
-    "3": (SCALE_FACTORS, ("figure3_mips", "figure3_speedup")),
-    "3-1": (SCALE_FACTORS, ("figure3_mips",)),
-    "3-2": (SCALE_FACTORS, ("figure3_speedup",)),
-    "4": ((1,), ("figure4",)),
-    "5": ((1,), ("figure5",)),
-    "6": ((1,), ("figure6_cache", "figure6_tlb")),
-}
-
-
 def cmd_figure(args) -> None:
-    import repro.analysis as analysis
+    from repro.analysis import FIGURES, build_figures
 
     if args.number not in FIGURES:
         raise SystemExit(f"unknown figure {args.number!r} "
                          f"({', '.join(FIGURES)})")
-    scales, generators = FIGURES[args.number]
     harness = _harness(args, machine=_machine(args.machine))
-    harness.run_many(_points(scales))
-    figures = []
-    for generator in generators:
-        made = getattr(analysis, generator)(harness)
-        figures.extend(made if isinstance(made, tuple) else (made,))
-    print("\n\n".join(figure.render() for figure in figures))
+    print("\n\n".join(figure.render() for figure in
+                       build_figures(harness, [args.number]).values()))
 
 
 def cmd_roofline(args) -> None:
     from repro.analysis.roofline import render_roofline, roofline_points
 
-    harness = _harness(args)
     names = args.workloads or registry.workload_names()
-    harness.run_many(_points(names=names))
-    print(render_roofline(roofline_points(harness, names)))
+    print(render_roofline(roofline_points(_harness(args), names)))
 
 
 def cmd_rank(args) -> None:
@@ -735,13 +702,8 @@ def cmd_rank(args) -> None:
 def cmd_export(args) -> None:
     from repro.analysis import export_all
 
-    harness = _harness(args)
-    harness.run_many(_points())
-    if args.sweeps:
-        harness.run_many(_points(SCALE_FACTORS))
-    written = export_all(harness, args.directory,
-                         include_sweeps=args.sweeps)
-    for path in written:
+    for path in export_all(_harness(args), args.directory,
+                           include_sweeps=args.sweeps):
         print(path)
 
 
@@ -804,9 +766,10 @@ COMMANDS = (
                              "faults)")),
       ("--no-recovery", dict(help="disable restore-from-barrier recovery "
                                   "(faults destroy state instead)")),
-      ("--checkpoint-interval", dict(default=8,
-                                     help="emit a checkpoint barrier every "
-                                          "N source batches (default 8)")),
+      ("--checkpoint-interval",
+       dict(default=StreamingWorkload.checkpoint_interval,
+            help="emit a checkpoint barrier every N source batches "
+                 "(default %(default)s)")),
       "--scale", "--seed", "--machine", *CACHED)),
     ("serve", "drive an online service with a load profile and report the "
               "tail-latency SLO study", cmd_serve,

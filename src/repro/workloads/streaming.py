@@ -56,7 +56,7 @@ DOCS_PER_BATCH = 2
 ROWS_PER_BATCH = 48
 
 
-class _StreamingWorkload(Workload):
+class StreamingWorkload(Workload):
     """Shared harness plumbing for the streaming family."""
 
     default_stack = EXACTLY_ONCE
@@ -132,7 +132,7 @@ class _StreamingWorkload(Workload):
                      "duration_s": duration})
 
 
-class _TextStreamWorkload(_StreamingWorkload):
+class _TextStreamWorkload(StreamingWorkload):
     """Shared text-stream preparation (tokens as keys, unit values)."""
 
     rate = RateProfile(batches_per_second=4.0)
@@ -202,7 +202,7 @@ class StreamingGrepWorkload(_TextStreamWorkload):
         return 2 * matches
 
 
-class StreamingSessionsWorkload(_StreamingWorkload):
+class StreamingSessionsWorkload(StreamingWorkload):
     """Workload S3: sessionized click (order) counts per buyer.
 
     A buyer's clicks sessionize with a 1.2-second silence gap over the

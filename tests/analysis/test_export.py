@@ -4,6 +4,7 @@ import csv
 import os
 
 from repro.analysis import export_all, export_figure, export_table
+from repro.analysis import figures
 from repro.analysis.figures import FigureData
 from repro.core.harness import Harness
 
@@ -25,9 +26,19 @@ def test_export_table(tmp_path):
     assert "12MB" in rows[1]
 
 
-def test_export_all_without_sweeps(tmp_path):
+def test_export_all_without_sweeps(tmp_path, monkeypatch):
+    profiled = []
+    run_suite = figures.run_suite
+
+    def counted(*args):
+        profiled.append(args)
+        return run_suite(*args)
+
+    monkeypatch.setattr(figures, "run_suite", counted)
     harness = Harness()
     written = export_all(harness, str(tmp_path / "csv"),
                          include_sweeps=False)
     assert len(written) == 7 + 3
     assert all(os.path.exists(p) for p in written)
+    # Figures 4, 6-1 and 6-2 share one profile of each traditional suite.
+    assert len(profiled) == 4

@@ -8,10 +8,13 @@ from repro.analysis import (
     figure3_mips,
     figure3_speedup,
     figure4,
+    figure5,
     figure6_cache,
     figure6_tlb,
 )
 from repro.core.harness import Harness
+from repro.core.runspec import RunSpec
+from repro.uarch import XEON_E5310, XEON_E5645
 
 SUBSET = ["Grep", "K-means"]
 
@@ -75,3 +78,23 @@ class TestFigure6:
         text = fig.render()
         assert "Figure 6-1" in text
         assert len(fig.column("L1I MPKI")) == len(fig.rows)
+
+
+class TestFigure5:
+    """Figure 5 runs both machines on the caller's harness."""
+
+    def test_columns_name_their_machine_whatever_the_harness(self):
+        harness = Harness(machine=XEON_E5310)
+        fp, integer = figure5(harness, names=["Grep"])
+        for machine, index in ((XEON_E5310, 1), (XEON_E5645, 2)):
+            events = harness.run(RunSpec(workload="Grep",
+                                         machine=machine)).events
+            assert fp.row_for("Grep")[index] == events.fp_intensity
+            assert integer.row_for("Grep")[index] == events.int_intensity
+        assert fp.row_for("Grep")[1] != fp.row_for("Grep")[2]
+
+    def test_both_machines_fan_out_on_the_callers_harness(self):
+        harness = Harness(jobs=2)
+        figure5(harness, names=["Grep"])
+        machines = {key[3] for key in harness._cache}
+        assert machines == {XEON_E5310.name, XEON_E5645.name}

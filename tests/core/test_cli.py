@@ -132,6 +132,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "figure6_cache.csv" in out
 
+    def test_figure_6_profiles_each_suite_once(self, capsys, monkeypatch):
+        from repro.analysis import figures
+
+        profiled = []
+        run_suite = figures.run_suite
+
+        def counted(*args):
+            profiled.append(args)
+            return run_suite(*args)
+
+        monkeypatch.setattr(figures, "run_suite", counted)
+        assert main(["figure", "6"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 6-1" in out and "Figure 6-2" in out
+        assert len(profiled) == 4
+
     def test_unknown_figure(self):
         with pytest.raises(SystemExit):
             main(["figure", "9"])

@@ -5,8 +5,9 @@ inequalities and orderings, not exact numbers -- the reproduction targets
 the paper's qualitative conclusions (see the Numbers policy in
 DESIGN.md).
 
-The shared harness characterizes all 19 workloads once (scale 1,
-Xeon E5645) plus the four traditional suites; individual tests read from
+The shared harness characterizes all 19 workloads once (scale 1, on
+the Xeon E5645 and, for Figure 5, the E5310) plus the four traditional
+suites on each machine, in one events pass; individual tests read from
 that single run set.
 """
 
@@ -14,15 +15,11 @@ import pytest
 
 from repro.analysis import (
     FIGURE_ORDER,
+    build_figures,
     figure2,
     figure3_mips,
     figure3_speedup,
-    figure4,
-    figure5,
-    figure6_cache,
-    figure6_tlb,
 )
-from repro.baselines import TRADITIONAL_SUITES, run_suite, suite_average
 from repro.core.harness import Harness
 from repro.core.runspec import RunSpec
 from repro.uarch import XEON_E5310, XEON_E5645
@@ -36,42 +33,35 @@ def harness():
 
 
 @pytest.fixture(scope="module")
-def harness_e5310():
-    return Harness(machine=XEON_E5310)
+def figures(harness):
+    """Figures 4, 5 and 6 from one events pass."""
+    return build_figures(harness, ("4", "5", "6"))
 
 
 @pytest.fixture(scope="module")
-def fig4(harness):
-    return figure4(harness)
+def fig4(figures):
+    return figures["figure4"]
 
 
 @pytest.fixture(scope="module")
-def fig6_cache(harness):
-    return figure6_cache(harness)
+def fig6_cache(figures):
+    return figures["figure6_cache"]
 
 
 @pytest.fixture(scope="module")
-def fig6_tlb(harness):
-    return figure6_tlb(harness)
+def fig6_tlb(figures):
+    return figures["figure6_tlb"]
 
 
 @pytest.fixture(scope="module")
-def fig5(harness, harness_e5310):
-    return figure5(harness, harness_e5310)
+def fig5(figures):
+    return figures["figure5_fp"], figures["figure5_int"]
 
 
-@pytest.fixture(scope="module")
-def traditional_events():
-    return {
-        suite: suite_average(run_suite(factory(), XEON_E5645))
-        for suite, factory in TRADITIONAL_SUITES.items()
-    }
-
-
-def _bigdata_events(harness):
+def _bigdata_events(harness, machine):
     merged = None
     for name in FIGURE_ORDER:
-        events = harness.run(RunSpec(workload=name)).events
+        events = harness.run(RunSpec(workload=name, machine=machine)).events
         merged = events if merged is None else merged.merge(events)
     return merged
 
@@ -79,25 +69,24 @@ def _bigdata_events(harness):
 class TestC1OperationIntensity:
     """C1: big data workloads have very low operation intensity."""
 
-    def test_fp_intensity_two_orders_below_traditional(self, harness,
-                                                       traditional_events):
-        bigdata = _bigdata_events(harness)
+    def test_fp_intensity_two_orders_below_traditional(self, harness, fig5):
+        bigdata = _bigdata_events(harness, XEON_E5645)
         for suite in ("HPCC", "PARSEC", "SPECFP"):
-            ratio = traditional_events[suite].fp_intensity / bigdata.fp_intensity
+            ratio = fig5[0].row_for(f"Avg_{suite}")[2] / bigdata.fp_intensity
             assert ratio > 20, f"{suite} ratio {ratio:.1f}"
         # Combined traditional average: >= 2 orders of magnitude.
+        suites = fig5[0].notes["events"][XEON_E5645.name]
         combined = (
-            traditional_events["HPCC"]
-            .merge(traditional_events["PARSEC"])
-            .merge(traditional_events["SPECFP"])
+            suites["Avg_HPCC"]
+            .merge(suites["Avg_PARSEC"])
+            .merge(suites["Avg_SPECFP"])
         )
         assert combined.fp_intensity / bigdata.fp_intensity > 50
 
-    def test_int_intensity_same_order_as_traditional(self, harness,
-                                                     traditional_events):
-        bigdata = _bigdata_events(harness)
+    def test_int_intensity_same_order_as_traditional(self, harness, fig5):
+        bigdata = _bigdata_events(harness, XEON_E5645)
         for suite in TRADITIONAL:
-            ratio = bigdata.int_intensity / traditional_events[suite].int_intensity
+            ratio = bigdata.int_intensity / fig5[1].row_for(f"Avg_{suite}")[2]
             assert 0.1 < ratio < 10, f"{suite} ratio {ratio:.2f}"
 
     def test_int_fp_ratio_two_orders_above_traditional(self, fig4):
@@ -193,9 +182,9 @@ class TestC4TlbBehavior:
 class TestC5LevelThreeCache:
     """C5: FP intensity on the E5645 exceeds the E5310 (L3 at work)."""
 
-    def test_bigdata_intensity_higher_with_l3(self, harness, harness_e5310):
-        on_new = _bigdata_events(harness)
-        on_old = _bigdata_events(harness_e5310)
+    def test_bigdata_intensity_higher_with_l3(self, harness, fig5):
+        on_new = _bigdata_events(harness, XEON_E5645)
+        on_old = _bigdata_events(harness, XEON_E5310)
         assert on_new.fp_intensity > on_old.fp_intensity
         assert on_new.int_intensity > on_old.int_intensity
 
