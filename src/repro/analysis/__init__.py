@@ -23,7 +23,7 @@ from repro.analysis.ranking import (
     SuiteScore,
     geometric_mean,
     render_ranking,
-    score_configuration,
+    score_configurations,
 )
 from repro.analysis.roofline import (
     E5645_ROOFLINE,
@@ -59,5 +59,5 @@ __all__ = [
     "render_ranking",
     "render_roofline",
     "roofline_points",
-    "score_configuration",
+    "score_configurations",
 ]

@@ -177,9 +177,8 @@ def events_figures(harness: Harness, figures, names=None) -> list:
         events[machine_name] = {
             **dict(zip(names, workloads)),
             "Avg_BigData": reduce(PerfEvents.merge, workloads),
-            **{f"Avg_{suite}": suite_average(
-                run_suite(factory(), machine, harness.seed))
-               for suite, factory in TRADITIONAL_SUITES.items()},
+            **{f"Avg_{suite}": _suite_events(harness, suite, machine)
+               for suite in TRADITIONAL_SUITES},
         }
     labels = [*names, "Avg_BigData",
               *(f"Avg_{suite}" for suite in TRADITIONAL_SUITES)]
@@ -191,6 +190,20 @@ def events_figures(harness: Harness, figures, names=None) -> list:
             for _, quantity, machine in figure.columns)] for label in labels],
         notes={"events": events},
     ) for figure in figures]
+
+
+def _suite_events(harness: Harness, suite: str, machine) -> PerfEvents:
+    """The averaged events of one traditional suite on ``machine``,
+    profiled once and kept in the harness's result store, if any."""
+    key = ("suite", suite, repr(machine), harness.seed)
+    cache = harness.cache
+    events = None if cache is None else cache.get("result", key)
+    if events is None:
+        events = suite_average(run_suite(
+            TRADITIONAL_SUITES[suite](), machine, harness.seed))
+        if cache is not None:
+            cache.put("result", key, events)
+    return events
 
 
 #: ``repro figure N`` -> its figures by export slug, in order.

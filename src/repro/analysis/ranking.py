@@ -36,32 +36,35 @@ def geometric_mean(values: list) -> float:
     return math.exp(sum(math.log(v) for v in positives) / len(positives))
 
 
-def score_configuration(harness: Harness, label: str, scale: int = 1,
-                        stacks: dict = None,
-                        names: list = None) -> SuiteScore:
-    """Run (or reuse) the suite under one configuration and score it.
+def score_configurations(harness: Harness, configurations: dict,
+                         scale: int = 1, names: list = None) -> list:
+    """Run (or reuse) the suite under each configuration and score it.
 
-    ``stacks`` maps workload name -> stack override (e.g. run all the
-    multi-stack analytics on "spark").
+    ``configurations`` maps a label to its stack overrides (workload
+    name -> stack, e.g. all the multi-stack analytics on "spark"; None
+    for none).  Every configuration's points go to one ``run_many``, so
+    a ``jobs`` > 1 harness fans them all out through one pool.
     """
-    stacks = stacks or {}
     names = names or registry.workload_names()
-    per_workload = {}
-    for name in names:
-        outcome = harness.run(RunSpec(workload=name, scale=scale,
-                                      stack=stacks.get(name)))
-        per_workload[name] = (outcome.result.metric_name,
-                              outcome.result.metric_value)
-    groups = {"DPS": [], "OPS": [], "RPS": []}
-    for metric, value in per_workload.values():
-        groups[metric].append(value)
-    return SuiteScore(
-        label=label,
-        dps_score=geometric_mean(groups["DPS"]),
-        ops_score=geometric_mean(groups["OPS"]),
-        rps_score=geometric_mean(groups["RPS"]),
-        per_workload=per_workload,
-    )
+    points = iter(harness.run_many([
+        RunSpec(workload=name, scale=scale, stack=(stacks or {}).get(name))
+        for stacks in configurations.values() for name in names]))
+    scores = []
+    for label in configurations:
+        per_workload = {name: (outcome.result.metric_name,
+                               outcome.result.metric_value)
+                        for name, outcome in zip(names, points)}
+        groups = {"DPS": [], "OPS": [], "RPS": []}
+        for metric, value in per_workload.values():
+            groups[metric].append(value)
+        scores.append(SuiteScore(
+            label=label,
+            dps_score=geometric_mean(groups["DPS"]),
+            ops_score=geometric_mean(groups["OPS"]),
+            rps_score=geometric_mean(groups["RPS"]),
+            per_workload=per_workload,
+        ))
+    return scores
 
 
 def render_ranking(scores: list) -> str:

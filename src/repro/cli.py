@@ -682,21 +682,14 @@ def cmd_roofline(args) -> None:
 
 
 def cmd_rank(args) -> None:
-    from repro.analysis.ranking import render_ranking, score_configuration
+    from repro.analysis.ranking import render_ranking, score_configurations
 
-    harness = _harness(args)
     multi = ["Sort", "Grep", "WordCount", "PageRank", "K-means",
              "Connected Components"]
-    harness.run_many([RunSpec(workload=name, stack=stack)
-                      for stack in ("hadoop", "spark", "mpi")
-                      for name in multi])
-    scores = []
-    for stack in ("hadoop", "spark", "mpi"):
-        scores.append(score_configuration(
-            harness, f"analytics on {stack}", names=multi,
-            stacks={name: stack for name in multi},
-        ))
-    print(render_ranking(scores))
+    print(render_ranking(score_configurations(
+        _harness(args), {f"analytics on {stack}": dict.fromkeys(multi, stack)
+                         for stack in ("hadoop", "spark", "mpi")},
+        names=multi)))
 
 
 def cmd_export(args) -> None:

@@ -84,10 +84,11 @@ class CharacterizationResult:
 class Harness:
     """Runs and memoizes profiled workload executions.
 
-    ``jobs`` > 1 fans the points of :meth:`run_many` across a
-    process pool (see :mod:`repro.core.parallel`); results are merged
-    back into the in-memory memo, so downstream figure/table code is
-    unchanged and event counts are bit-identical to the serial path.
+    ``jobs`` > 1 fans the points of :meth:`run_many` that miss both the
+    in-memory memo and the disk cache across a process pool (see
+    :mod:`repro.core.parallel`); results are merged back into the memo,
+    so downstream figure/table code is unchanged and event counts are
+    bit-identical to the serial path.
     ``cache`` and ``artifacts`` attach a :class:`~repro.core.store.Store`
     (a Store, a root path, or True for the default one; False or None
     for none).  ``cache`` keeps results across processes, invalidated
@@ -95,16 +96,11 @@ class Harness:
     ``artifacts`` keeps generated inputs and serving streams -- spilled
     once as memory-mapped ``.npy`` files that every later run, in this
     process or any worker, re-opens zero-copy; ``None`` means the
-    default store.  Either way the harness generates each distinct data
-    set once: workloads reading the same one share a read-only object,
-    so ``artifacts=False`` means "no spill", not "regenerate" (a store
-    bounds what stays open: see :meth:`prepare`).  ``trace`` turns on
-    span tracing for every run (or per run: ``RunSpec(trace=True)``).
+    default store.  Inputs are prepared afresh for every run; the data
+    sets they read are what is shared (see :meth:`prepare`).  ``trace``
+    turns on span tracing for every run (or per run:
+    ``RunSpec(trace=True)``).
     """
-
-    #: In-memory prepared-input cache bound when an input store is
-    #: attached (misses re-open the mmap; pages stay in the OS cache).
-    INPUT_CACHE_SIZE = 4
 
     def __init__(self, machine: MachineConfig = XEON_E5645,
                  cluster: ClusterSpec = PAPER_CLUSTER, seed: int = 0,
@@ -127,45 +123,52 @@ class Harness:
         #: online-service workloads; RunSpec.serving overrides per run.
         self.serving = serving
         self._cache: dict = {}
-        self._inputs: dict = {}
-        #: Generated data sets by content key ``(kind, scale, seed, ...)``:
-        #: workloads that read the same one share it.  The prepared
-        #: inputs above reference these objects, so without a store the
-        #: memo adds no memory; with one they are memory-mapped, and
-        #: :meth:`prepare` evicts them along with the inputs.
+        #: Generated data sets by content key ``(kind, scale, seed, ...)``
+        #: when no store is attached: the only copy, kept for the
+        #: harness's life (see :meth:`_activated`).
         self._datasets: dict = {}
 
     # -- the RunSpec API -------------------------------------------------------
 
     def run(self, spec: RunSpec) -> CharacterizationResult:
         """Run one fully described point (memo -> disk cache -> execute)."""
-        spec = spec.resolved(self)
-        key = spec.memo_key()
-        METRICS.counter("harness.runs").inc()
-        if key in self._cache:
-            METRICS.counter("harness.memo_hits").inc()
-            return self._cache[key]
-        outcome = self._load_cached(spec)
-        if outcome is None:
-            outcome = self._execute(spec)
-            self._store_cached(spec, outcome)
-        self._cache[key] = outcome
-        return outcome
+        return self.run_many([spec], jobs=1)[0]
 
     def run_many(self, specs, jobs: Optional[int] = None) -> list:
-        """Run many :class:`RunSpec` points, in order; ``jobs`` > 1 fans
-        the missing ones out.
+        """Run many :class:`RunSpec` points, in order.
 
-        ``jobs`` overrides the harness-level worker count for this call
-        only.
+        Each point is looked up in the memo, then the disk cache; the
+        missing ones execute, fanned out over ``jobs`` worker processes
+        when more than one is missing (``jobs`` overrides the
+        harness-level worker count for this call only).
         """
-        specs = list(specs)
+        specs = [spec.resolved(self) for spec in specs]
         jobs = self.jobs if jobs is None else max(1, int(jobs))
-        if jobs > 1 and len(specs) > 1:
-            from repro.core.parallel import parallel_characterize
+        missing = {}
+        for spec in specs:
+            key = spec.memo_key()
+            METRICS.counter("harness.runs").inc()
+            if key in self._cache or key in missing:
+                METRICS.counter("harness.memo_hits").inc()
+                continue
+            outcome = (None if self.cache is None
+                       else self.cache.get("result", spec.cache_key()))
+            if outcome is None:
+                missing[key] = spec
+            else:
+                METRICS.counter("harness.disk_hits").inc()
+                self._cache[key] = outcome
+        if jobs > 1 and len(missing) > 1:
+            from repro.core.parallel import execute_in_pool
 
-            parallel_characterize(self, specs, jobs=jobs)
-        return [self.run(spec) for spec in specs]
+            outcomes = execute_in_pool(self, list(missing.values()), jobs)
+        else:
+            outcomes = map(self._execute, missing.values())
+        for (key, spec), outcome in zip(missing.items(), outcomes):
+            self._cache[key] = outcome
+            if self.cache is not None:
+                self.cache.put("result", spec.cache_key(), outcome)
+        return [self._cache[spec.memo_key()] for spec in specs]
 
     def characterize(self, name: str, scale: int = 1,
                      stack: Optional[str] = None,
@@ -182,45 +185,35 @@ class Harness:
     def prepare(self, name: str, scale: int, seed: int = None, ctx=None):
         """The prepared input of workload ``name`` at ``scale``.
 
-        ``seed`` defaults to the harness seed.  Inputs are memoized per
-        ``(name, scale, seed)`` and generated through the store,
+        ``seed`` defaults to the harness seed.  The input is prepared
+        afresh on every call; the data sets it reads are generated
+        through the store and the data-set memo (see :meth:`_activated`),
         with ``artifact:*`` spans on ``ctx``.  Every run of this harness
         gets its input here, and so may a caller that drives a workload's
         payload itself (``repro serve``).
         """
+        seed = self.seed if seed is None else seed
+        with self._activated(ctx):
+            return registry.create(name).prepare(scale, seed=seed)
+
+    def _activated(self, ctx=None):
+        """The store scope of one prepare or one run.
+
+        Without a store the data-set memo is the only copy, so it lasts
+        for the harness's life; with one it lasts for this scope, and
+        later readers re-open the store's read-only memmaps -- a long
+        sweep maps only the point it is on.
+        """
         from repro.core import store
 
-        seed = self.seed if seed is None else seed
-        key = (name, scale, seed)
-        if key in self._inputs:
-            # LRU touch: move the hit to the back of insertion order.
-            prepared = self._inputs.pop(key)
-            self._inputs[key] = prepared
-            return prepared
-        with store.activated(self.artifacts, ctx, self._datasets):
-            prepared = registry.create(name).prepare(scale, seed=seed)
-        self._inputs[key] = prepared
-        # With a store attached the memo is just a hot-set accelerator --
-        # evictions re-open the mmap'd artifact, so bound it; without a
-        # store it is the only thing preventing regeneration, keep it all.
-        if self.artifacts is not None:
-            while len(self._inputs) > self.INPUT_CACHE_SIZE:
-                self._inputs.pop(next(iter(self._inputs)))
-            # The data sets go with the last input of their (scale, seed)
-            # point: every memory-mapped array holds a mapping and a file
-            # descriptor, and keeps a collected artifact on disk.
-            points = {point[1:] for point in self._inputs}
-            for dataset in [dataset for dataset in self._datasets
-                            if dataset[1:3] not in points]:
-                del self._datasets[dataset]
-        return prepared
+        return store.activated(self.artifacts, ctx,
+                               self._datasets if self.artifacts is None
+                               else None)
 
     # -- execution and persistent caching --------------------------------------
 
     def _execute(self, spec: RunSpec) -> CharacterizationResult:
         """Actually run one profiled point (no memo, no disk cache)."""
-        from repro.core import store
-
         METRICS.counter("harness.executions").inc()
         workload = registry.create(spec.workload)
         tracer = Tracer(spec.workload) if spec.trace else None
@@ -247,7 +240,7 @@ class Harness:
             # The store is active around the run too (the serving stream
             # generator reads it), with no context: no span is added.
             with ctx.span(f"run:{spec.workload}", category="harness"), \
-                    store.activated(self.artifacts, memo=self._datasets):
+                    self._activated():
                 result = workload.run(prepared, ctx=ctx, cluster=spec.cluster,
                                       stack=spec.stack)
             # Inside the root span: its event delta is then the report's
@@ -268,17 +261,3 @@ class Harness:
             trace.set("modeled_seconds", outcome.modeled_seconds)
             trace.set("metric", f"{result.metric_name}={result.metric_value:.6g}")
         return outcome
-
-    def _load_cached(self, spec: RunSpec):
-        if self.cache is None:
-            return None
-        outcome = self.cache.get("result", spec.cache_key())
-        if outcome is not None:
-            METRICS.counter("harness.disk_hits").inc()
-        return outcome
-
-    def _store_cached(self, spec: RunSpec,
-                      outcome: CharacterizationResult) -> None:
-        if self.cache is None:
-            return
-        self.cache.put("result", spec.cache_key(), outcome)

@@ -2,21 +2,21 @@
 
 The paper's evaluation matrix -- 19 workloads x several scales x multiple
 stacks, each profiled independently (Section 6) -- is embarrassingly
-parallel, but each point carries seconds of simulation.  This module fans
-the points of :meth:`Harness.run_many` that are missing from both the
-in-memory memo and the disk cache across a
-``ProcessPoolExecutor`` and merges the returned
-:class:`CharacterizationResult` objects back into the calling harness'
-memo, so every downstream consumer (figures, tables, export, ranking)
-is unchanged.
+parallel, but each point carries seconds of simulation.
+:meth:`Harness.run_many` looks every point up in its memo and disk cache
+itself and hands the missing ones here: this module only builds a
+``ProcessPoolExecutor`` and maps the resolved specs to their
+:class:`CharacterizationResult` objects, in order.
 
 Determinism: a worker runs exactly the code the serial path runs -- a
 fresh deterministic ``prepare(scale, seed)`` plus a fresh
 ``PerfContext(machine, seed)`` per point -- so event counts and metrics
 are bit-identical to a serial run regardless of worker count or
-scheduling order.  Traced points carry their span tree back in the
-pickled result, so worker spans land in the parent's memo exactly as a
-serial run's would.
+scheduling order.  Workers share data sets, never prepared inputs: each
+opens the parent's store, or keeps its own data-set memo when there is
+none.  Traced points carry their span tree back in the pickled result,
+so worker spans land in the parent's memo exactly as a serial run's
+would.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ def default_jobs() -> int:
 
 
 # One harness per worker process, built once by the pool initializer so
-# consecutive tasks in the same worker share prepared inputs.
+# consecutive tasks in the same worker share data sets.
 _WORKER_HARNESS = None
 
 
-def _init_worker(machine, cluster, seed, store_root=False) -> None:
+def _init_worker(store_root) -> None:
     """Build the per-worker harness.
 
     ``store_root`` is the root of the parent's input store (or False when
@@ -49,8 +49,7 @@ def _init_worker(machine, cluster, seed, store_root=False) -> None:
     cache across the whole pool.
     """
     global _WORKER_HARNESS
-    _WORKER_HARNESS = Harness(machine=machine, cluster=cluster, seed=seed,
-                              artifacts=store_root)
+    _WORKER_HARNESS = Harness(artifacts=store_root)
 
 
 def _run_point(spec: RunSpec):
@@ -64,41 +63,14 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def parallel_characterize(harness, specs, jobs: int = None) -> None:
-    """Fill ``harness``' memo for every missing point of ``specs``.
-
-    ``specs`` is an iterable of :class:`RunSpec` objects.  Points
-    already memoized or present in the disk cache are absorbed without
-    spawning workers; if at most one point is actually missing, it is
-    left for the caller's serial path (a pool would only add overhead).
-    """
-    jobs = jobs or harness.jobs
-    missing = []
-    seen = set()
-    for spec in specs:
-        spec = spec.resolved(harness)
-        key = spec.memo_key()
-        if key in harness._cache or key in seen:
-            continue
-        cached = harness._load_cached(spec)
-        if cached is not None:
-            harness._cache[key] = cached
-            continue
-        seen.add(key)
-        missing.append((key, spec))
-    if len(missing) <= 1 or jobs <= 1:
-        return
-
-    workers = min(jobs, len(missing))
+def execute_in_pool(harness, specs, jobs: int) -> list:
+    """The outcomes of the resolved ``specs``, in order, executed on
+    ``jobs`` worker processes that open ``harness``' input store."""
+    store = harness.artifacts
     with ProcessPoolExecutor(
-        max_workers=workers,
+        max_workers=min(jobs, len(specs)),
         mp_context=_mp_context(),
         initializer=_init_worker,
-        initargs=(harness.machine, harness.cluster, harness.seed,
-                  harness.artifacts.root if harness.artifacts else False),
+        initargs=(False if store is None else store.root,),
     ) as pool:
-        outcomes = list(pool.map(_run_point, [spec for _, spec in missing]))
-    for (key, spec), outcome in zip(missing, outcomes):
-        harness._cache[key] = outcome
-        harness._store_cached(spec, outcome)
-
+        return list(pool.map(_run_point, specs))

@@ -103,9 +103,11 @@ class NumericColumnModel:
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         bins = rng.choice(len(self.bin_probs), size=count, p=self.bin_probs)
-        left = self.bin_edges[bins]
-        right = self.bin_edges[bins + 1]
-        return left + rng.random(count) * (right - left)
+        # ``left + u * (right - left)`` with one temporary at a time.
+        values = rng.random(count)
+        values *= np.diff(self.bin_edges)[bins]
+        values += self.bin_edges[bins]
+        return values
 
 
 @dataclass(frozen=True)

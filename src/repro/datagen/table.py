@@ -453,14 +453,18 @@ class ResumeModel:
     def generate(self, num_resumes: int, rng: np.random.Generator) -> ResumeSet:
         if num_resumes <= 0:
             raise ValueError("num_resumes must be positive")
+
+        def rounded(model, floor):  # in place, then one cast
+            values = model.sample(num_resumes, rng)
+            return np.maximum(np.round(values, out=values), floor,
+                              out=values).astype(np.int64)
+
         return ResumeSet(
             institution_ids=self.institution_zipf.sample(num_resumes, rng),
-            field_ids=self.field_model.sample(num_resumes, rng).astype(np.int64),
-            degree_ids=self.degree_model.sample(num_resumes, rng).astype(np.int64),
-            publication_counts=np.maximum(
-                0, np.round(self.pub_model.sample(num_resumes, rng))
-            ).astype(np.int64),
-            value_sizes=np.maximum(
-                64, np.round(self.size_model.sample(num_resumes, rng))
-            ).astype(np.int64),
+            field_ids=self.field_model.sample(num_resumes, rng).astype(
+                np.int64, copy=False),
+            degree_ids=self.degree_model.sample(num_resumes, rng).astype(
+                np.int64, copy=False),
+            publication_counts=rounded(self.pub_model, 0),
+            value_sizes=rounded(self.size_model, 64),
         )

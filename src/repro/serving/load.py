@@ -409,15 +409,10 @@ def generate_stream(profile: LoadProfile, mix, seed: int = 0,
         store = current()
     if store is None or store is False:
         return _generate_stream(profile, mix, seed)
-    from repro.obs.metrics import METRICS
-
     key = ("serving-stream", int(seed), str(profile),
            tuple((str(op), float(p)) for op, p in mix))
     stream = store.get("stream", key)
-    if stream is not None:
-        METRICS.counter("serving.artifact_hit").inc()
-    else:
-        METRICS.counter("serving.artifact_miss").inc()
+    if stream is None:
         stream = store.put("stream", key, _generate_stream(profile, mix, seed))
     # The codec round-trips the profile through its ``str`` form (the
     # key identity); hand back the caller's own object so ``%g``

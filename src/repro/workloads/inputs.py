@@ -52,9 +52,10 @@ def _artifact(kind: str, scale: int, seed: int, build, extra: tuple = ()):
     Inside a harness scope (the harness activates one around ``prepare``,
     see :mod:`repro.core.store`) every distinct input -- ``(kind,
     scale, seed) + extra`` -- exists once.  The scope's memo is asked
-    first: the paper's 19 workloads read six data sets, and those that
-    read the same one share one read-only object.  Then the store, if
-    one is attached, which makes it once machine-wide: a hit re-opens
+    first; without a store the harness keeps it for its life, so of the
+    paper's 19 workloads, which read six data sets, those that read the
+    same one share one read-only object.  Then the store, if one is
+    attached, which makes it once machine-wide: a hit re-opens
     the spilled ``.npy`` arrays memory-mapped read-only; a miss runs
     ``build()`` and spills the result.  Outside any scope (bare
     ``prepare()`` calls) this is exactly ``build()``.
@@ -68,22 +69,20 @@ def _artifact(kind: str, scale: int, seed: int, build, extra: tuple = ()):
     target = store.current()
     if target is None:
         return _once(memo, key, build)
-    # The span is opened around the memo too: a traced run has the same
-    # shape whoever had the data set already -- an earlier workload of
-    # this harness (serial), another process (``jobs=N``) or nobody.
+    # With a store the memo lasts one scope (one prepare), so every
+    # prepare of a traced run opens this span, whoever made the data set
+    # -- an earlier run of this harness, another process (``jobs=N``) or
+    # nobody: the span tree is the same serially and fanned out.
     with store.current_ctx().span(f"artifact:{kind}", category="artifact",
                                   scale=scale, seed=seed) as span:
         span.set("hit", True)
 
         def open_or_spill():
             obj = target.get("dataset", key)
-            if obj is not None:
-                METRICS.counter("datagen.artifact_hit").inc()
-                METRICS.counter(f"datagen.{kind}.artifact_hit").inc()
-                return obj
-            METRICS.counter("datagen.artifact_miss").inc()
-            span.set("hit", False)
-            return target.put("dataset", key, build())
+            if obj is None:
+                span.set("hit", False)
+                obj = target.put("dataset", key, build())
+            return obj
 
         return _once(memo, key, open_or_spill)
 

@@ -6,7 +6,7 @@ from repro.analysis.ranking import (
     SuiteScore,
     geometric_mean,
     render_ranking,
-    score_configuration,
+    score_configurations,
 )
 from repro.core.harness import Harness
 
@@ -30,19 +30,18 @@ class TestScoring:
     NAMES = ["Grep", "WordCount", "Read", "Nutch Server"]
 
     def test_scores_cover_metric_classes(self, harness):
-        score = score_configuration(harness, "default", names=self.NAMES)
+        (score,) = score_configurations(harness, {"default": None},
+                                        names=self.NAMES)
         assert score.dps_score > 0
         assert score.ops_score > 0
         assert score.rps_score > 0
         assert len(score.per_workload) == len(self.NAMES)
 
     def test_stack_override_changes_dps(self, harness):
-        hadoop = score_configuration(harness, "hadoop",
-                                     names=["Grep", "WordCount"])
-        spark = score_configuration(
-            harness, "spark", names=["Grep", "WordCount"],
-            stacks={"Grep": "spark", "WordCount": "spark"},
-        )
+        hadoop, spark = score_configurations(
+            harness, {"hadoop": None,
+                      "spark": {"Grep": "spark", "WordCount": "spark"}},
+            names=["Grep", "WordCount"])
         assert spark.dps_score != hadoop.dps_score
         # Spark's lower fixed overheads win on these small inputs.
         assert spark.dps_score > hadoop.dps_score
@@ -54,3 +53,26 @@ class TestScoring:
         lines = text.splitlines()
         assert "fast" in lines[3]
         assert "slow" in lines[4]
+
+
+def test_a_jobs_2_harness_scores_every_configuration_through_one_pool(
+        monkeypatch):
+    from repro.core import parallel
+
+    pools = []
+    execute_in_pool = parallel.execute_in_pool
+
+    def counted(harness, specs, jobs):
+        pools.append(len(specs))
+        return execute_in_pool(harness, specs, jobs)
+
+    monkeypatch.setattr(parallel, "execute_in_pool", counted)
+    multi = ["Sort", "Grep", "WordCount", "PageRank", "K-means",
+             "Connected Components"]
+    stacks = ("hadoop", "spark", "mpi")
+    scores = score_configurations(
+        Harness(jobs=2), {stack: dict.fromkeys(multi, stack)
+                          for stack in stacks}, names=multi)
+    assert pools == [18]
+    assert [score.label for score in scores] == list(stacks)
+    assert all(list(score.per_workload) == multi for score in scores)

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.node import PAPER_CLUSTER, SINGLE_NODE
 from repro.core.harness import Harness
 from repro.core.runspec import RunSpec
+from repro.obs.metrics import METRICS
 from repro.uarch.hierarchy import XEON_E5310, XEON_E5645
 
 
@@ -136,12 +137,16 @@ class TestHarnessIntegration:
         assert harness.run_many([RunSpec(workload="Grep")]) == [via_kwargs]
 
     def test_runs_differing_only_in_seed_do_not_collide(self):
-        harness = Harness()
+        generated = METRICS.counter("datagen.text.generated")
+        before = generated.value
+        harness = Harness(artifacts=False)
         a = harness.run(RunSpec(workload="Grep", seed=1))
         b = harness.run(RunSpec(workload="Grep", seed=2))
         assert a is not b
-        assert ("Grep", 1, 1) in harness._inputs
-        assert ("Grep", 1, 2) in harness._inputs
+        assert a.report.events != b.report.events
+        assert generated.value == before + 2     # one corpus per seed
+        assert harness.run(RunSpec(workload="Grep", seed=1)) is a
+        assert generated.value == before + 2
 
     def test_runspec_exported_from_core(self):
         import repro.core

@@ -551,12 +551,12 @@ class TestStreamArtifacts:
 
         base = Store(str(tmp_path))
         profile = LoadProfile.parse("diurnal:rps=700:peak=5:duration=6")
-        misses = METRICS.counter("serving.artifact_miss").value
-        hits = METRICS.counter("serving.artifact_hit").value
+        misses = METRICS.counter("store.stream.misses").value
+        hits = METRICS.counter("store.stream.hits").value
         first = generate_stream(profile, MIX, seed=17, store=base)
-        assert METRICS.counter("serving.artifact_miss").value == misses + 1
+        assert METRICS.counter("store.stream.misses").value == misses + 1
         second = generate_stream(profile, MIX, seed=17, store=base)
-        assert METRICS.counter("serving.artifact_hit").value == hits + 1
+        assert METRICS.counter("store.stream.hits").value == hits + 1
         reference = generate_stream(profile, MIX, seed=17, store=False)
         for stream in (first, second):
             assert np.array_equal(stream.times, reference.times)
