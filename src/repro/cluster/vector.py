@@ -70,7 +70,7 @@ from repro.cluster.sim import (
     _eighth_power,
     node_usage,
 )
-from repro.keyed import sort_group, stable_order
+from repro.keyed import GUIDE_CHUNK, sort_group, stable_order
 from repro.sitehash import units
 
 
@@ -115,7 +115,9 @@ _FACTOR_CACHE = _LRUCache(max_elements=2_000_000)
 
 #: Shuffle level schedules per (seed, phase name, alive nodes).
 #: A 1000-node plan is ~4M elements (~32 MB), so the budget holds a
-#: few huge entries or hundreds of sweep-scale ones.
+#: few huge entries or hundreds of sweep-scale ones.  Building one
+#: holds the plan plus its working set -- about twice the plan at its
+#: peak (``tests/cluster/test_plan_memory.py``).
 _FLOW_CACHE = _LRUCache(max_elements=24_000_000)
 
 
@@ -149,12 +151,40 @@ def _queue_links(node):
     grouped, order = sort_group(node)
     first = np.ones(flows, dtype=bool)
     first[1:] = grouped[1:] != grouped[:-1]
+    del grouped
     # The next flow in group order, unless that one opens a new queue.
-    following = np.append(order[1:], flows)
-    following[:-1][first[1:]] = flows
     successor = np.empty(flows, dtype=np.int64)
-    successor[order] = following
+    successor[order[:-1]] = order[1:]
+    successor[order[-1:]] = flows
+    successor[order[:-1][first[1:]]] = flows
     return successor, order[first]
+
+
+def _fold_cells(src, dst, total_nodes: int):
+    """Each flow's two cells in the ``(nodes, width)`` busy-net fold
+    block, interleaved in flow order (``2 * f`` its source's, ``2 * f +
+    1`` its destination's), and ``width``.
+
+    The interleaved endpoint stream is grouped per node (stable: a
+    node's charges keep flow order); endpoint ``r`` in group order takes
+    cell ``node * width + 1 + r - starts[node]``, formed a chunk at a
+    time and scattered back to stream order.
+    """
+    endpoints = np.empty(2 * src.size, dtype=np.int64)
+    endpoints[0::2] = src
+    endpoints[1::2] = dst
+    counts = np.bincount(endpoints, minlength=total_nodes)
+    width = int(counts.max()) + 1
+    starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
+    first_cell = np.arange(total_nodes) * width + 1 - starts
+    grouped = stable_order(endpoints)
+    cells = np.empty(endpoints.size, dtype=np.int64)
+    for lo in range(0, endpoints.size, GUIDE_CHUNK):
+        part = grouped[lo:lo + GUIDE_CHUNK]
+        rank = first_cell.take(endpoints.take(part))
+        rank += np.arange(lo, lo + part.size)
+        cells[part] = rank
+    return cells, width
 
 
 class FlowPlan:
@@ -190,6 +220,9 @@ class FlowPlan:
 
     def __init__(self, src, dst, total_nodes: int):
         flows = src.size
+        # The fold cells first: the walk below then runs beside one array
+        # of them, not beside the endpoint grouping that forms them.
+        cells, self.width = _fold_cells(src, dst, total_nodes)
         # ``head``: each sending node's out-queue head (ascending node);
         # ``in_head``: each node's in-queue head, plus the extra node
         # ``total_nodes`` -- the sentinel flow's destination -- heading
@@ -218,22 +251,12 @@ class FlowPlan:
         schedule = np.concatenate(levels)
         self.bounds = np.cumsum(
             [0] + [level.size for level in levels]).tolist()
+        del levels
+        self.cell_src = cells[0::2][schedule]
+        self.cell_dst = cells[1::2][schedule]
+        del cells
         self.src = src[schedule]
         self.dst = dst[schedule]
-        # busy_net fold cells: group the interleaved endpoint stream per
-        # node (stable: a node's charges keep hash order).
-        endpoints = np.empty(2 * flows, dtype=np.int64)
-        endpoints[0::2] = src
-        endpoints[1::2] = dst
-        counts = np.bincount(endpoints, minlength=total_nodes)
-        self.width = int(counts.max()) + 1
-        starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        first_cell = np.arange(total_nodes) * self.width + 1 - starts
-        grouped = stable_order(endpoints)
-        cells = np.empty(2 * flows, dtype=np.int64)
-        cells[grouped] = np.arange(2 * flows) + first_cell[endpoints[grouped]]
-        self.cell_src = cells[2 * schedule]
-        self.cell_dst = cells[2 * schedule + 1]
         self.elements = 4 * flows
 
 
@@ -254,20 +277,32 @@ def flow_order(seed: int, phase_name: str, alive: tuple,
     n = idx.size
     # Hash the full n x n site grid (diagonal discarded below: +1/n
     # hashes buys 2n instead of n^2 byte-formatting operations), one
-    # source row -- one absorbed prefix -- at a time: a list of all n^2
-    # digests is 40 MB and 0.1 s at 1000 nodes.
+    # source row -- one absorbed prefix -- at a time, into its row of
+    # the grid: a list of all n^2 digests is 40 MB and 0.1 s at 1000
+    # nodes.
     prefix = f"{seed}|{phase_name}:flow:"
     tails = [b"%d" % j for j in alive]
-    grid = np.concatenate([
-        units(f"{prefix}{i}->".encode(), tails) for i in alive])
+    grid = np.empty((n, n))
+    for row, i in enumerate(alive):
+        grid[row] = units(f"{prefix}{i}->".encode(), tails)
     # Cell ``c`` of the grid is the flow alive[c // n] -> alive[c % n];
-    # the diagonal is every (n + 1)-th cell.
-    cells = np.flatnonzero(np.arange(n * n) % (n + 1))
+    # ``off`` masks out the diagonal.
+    off = np.ones((n, n), dtype=bool)
+    np.fill_diagonal(off, False)
+    keys = grid[off]
+    del grid
     # The cells are row-major over ascending ``alive``, i.e. already in
     # (src, dst) order, which a stable sort keeps among equal keys: the
     # permutation a lexsort by (keys, src, dst) would give.
-    cells = cells[stable_order(grid[cells])]
-    plan = FlowPlan(idx[cells // n], idx[cells % n], total_nodes)
+    order = stable_order(keys)
+    del keys
+    cells = np.flatnonzero(off).take(order)
+    del off, order
+    src = idx.take(cells // n)
+    np.remainder(cells, n, out=cells)
+    dst = idx.take(cells)
+    del cells
+    plan = FlowPlan(src, dst, total_nodes)
     _FLOW_CACHE.put(key, plan, plan.elements)
     return plan
 

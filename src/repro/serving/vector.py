@@ -76,7 +76,7 @@ import numpy as np
 from repro.cluster.node import ClusterSpec
 from repro.cluster.sim import STRAGGLER_TAIL, _eighth_power
 from repro.faults.inject import NULL_FAULTS
-from repro.keyed import group_starts, sort_group, stable_order
+from repro.keyed import GUIDE_CHUNK, group_starts, sort_group, stable_order
 from repro.serving.load import (
     ArrivalStream,
     BACKOFF_SECONDS,
@@ -168,6 +168,14 @@ def _fifo_chains(ready, nodes, cost, free):
     sent = np.empty(size)
     sent[perm] = chain
     return sent, passes
+
+
+def _straggler_factors(stream):
+    """Each request's straggler factor ``1 + STRAGGLER_TAIL * u**8``."""
+    factors = _eighth_power(stream.tail_u)
+    factors *= STRAGGLER_TAIL
+    factors += 1.0
+    return factors
 
 
 #: Per-request history record: one row per issued request.  ``finish``
@@ -288,7 +296,15 @@ def replay(stream: ArrivalStream, cluster: ClusterSpec,
 
 
 class _VectorReplay:
-    """One vector replay: shared precompute + the two execution paths."""
+    """One vector replay: shared precompute + the two execution paths.
+
+    The constructor keeps the per-slot and per-node constants and one
+    per-request array, ``base3`` (service seconds x multiplier x
+    straggler factor), which only the fast path reads.  The event path
+    forms its own per-request lists (the ``service_seconds x mult``
+    prefix and the factors), so a replay that takes the fast path never
+    holds them.
+    """
 
     def __init__(self, stream, cluster, service_seconds, policy, faults,
                  site, slo_seconds, ctx):
@@ -348,11 +364,10 @@ class _VectorReplay:
         self.fire_bound = min(fire_bounds, default=None)
         self.closed = stream.users > 0
 
-        self.factors = 1.0 + STRAGGLER_TAIL * _eighth_power(stream.tail_u)
         # Left-assoc product prefix: scalar computes
         # ``((service_seconds * mult) * factor) * slot_scale``.
-        self.sm2 = service_seconds * np.asarray(stream.service_mult)
-        self.base3 = self.sm2 * self.factors
+        self.base3 = service_seconds * np.asarray(stream.service_mult)
+        self.base3 *= _straggler_factors(stream)
 
     # -- entry ---------------------------------------------------------------
 
@@ -615,37 +630,43 @@ class _VectorReplay:
 
     def _complete_fast(self, times, ends, enode, live):
         """Phase 2: responses in ``(end, dispatch-seq)`` order through
-        each node's outbound NIC chain (:func:`_fifo_chains`).  Returns
-        (rounds, latencies, last_completion); latencies keep
-        completion-processing order (the heap oracle's list order --
-        the pairwise mean depends on it)."""
+        each node's outbound NIC chain (:func:`_fifo_chains`), one
+        ``GUIDE_CHUNK`` of that order at a time: a node's first message
+        in a chunk queues behind its last send of the chunks before
+        (``free``), the very recurrence one call over the whole order
+        makes.  Returns (rounds, latencies, last_completion); latencies
+        keep completion-processing order (the heap oracle's list order
+        -- the pairwise mean depends on it)."""
+        # Stable: equal ends keep dispatch order, the heap's seq tiebreak.
         if live is None:               # nothing shed: skip the compaction
-            e_live, nd_live, t_live = ends, enode, times
+            rows = stable_order(ends)
         else:
-            e_live = ends[live]
-            nd_live = enode[live]
-            t_live = times[live]
-        m = e_live.size
+            rows = live[stable_order(ends[live])]
+        m = rows.size
         if m == 0:
             return 0, np.empty(0), 0.0
-        # Stable: equal ends keep dispatch order, the heap's seq tiebreak.
-        order = stable_order(e_live)
-        nd_s = nd_live.take(order)
-        fin, rounds = _fifo_chains(
-            e_live.take(order), nd_s, np.asarray(self.resp_c),
-            np.zeros(self.num_nodes))
-        if self.homogeneous:
-            fin += self.lat[0]
-        else:
-            fin += np.asarray(self.lat)[nd_s]
-        latencies = fin - t_live.take(order)
         if live is None:
-            finish = np.empty(m)
-            finish[order] = fin        # arrival order: the arena column
-            self.arena.finish = finish
-        else:
-            self.arena.finish[live[order]] = fin
-        return rounds, latencies, float(fin.max())
+            self.arena.finish = np.empty(m)
+        finish = self.arena.finish     # arrival order: the arena column
+        resp_c = np.asarray(self.resp_c)
+        lat = np.asarray(self.lat)
+        free = np.zeros(self.num_nodes)
+        latencies = np.empty(m)
+        rounds = 0
+        last_completion = 0.0
+        for lo in range(0, m, GUIDE_CHUNK):
+            part = rows[lo:lo + GUIDE_CHUNK]
+            nd = enode.take(part)
+            fin, passes = _fifo_chains(ends.take(part), nd, resp_c, free)
+            rounds += passes
+            # A link's sends only move forward: its latest is its last.
+            np.maximum.at(free, nd, fin)
+            fin += self.lat[0] if self.homogeneous else lat[nd]
+            np.subtract(fin, times.take(part),
+                        out=latencies[lo:lo + part.size])
+            finish[part] = fin
+            last_completion = max(last_completion, float(fin.max()))
+        return rounds, latencies, last_completion
 
     # -- general path: optimized event loop ----------------------------------
 
@@ -676,8 +697,9 @@ class _VectorReplay:
         rc = self.req_c
         oc = self.resp_c
         lt = self.lat
-        sm2 = self.sm2.tolist()
-        factors = self.factors.tolist()
+        sm2 = (self.service_seconds
+               * np.asarray(stream.service_mult)).tolist()
+        factors = _straggler_factors(stream).tolist()
         sd = (self.service_seconds * np.asarray(stream.dup_mult)).tolist()
         think = stream.think.tolist() if closed else None
         shed_bound = self.shed_bound

@@ -31,6 +31,7 @@ from repro.cluster import (
 )
 from repro.cluster.sim import STRAGGLER_TAIL, _eighth_power
 from repro.cluster.vector import flow_order, straggler_factors
+from repro.keyed import GUIDE_CHUNK
 from repro.faults import FaultInjector, FaultPlan
 from tests.cluster import reference_sim
 from tests.cluster.test_sim import fingerprint, mr_like_job
@@ -235,6 +236,15 @@ class TestFlowPlan:
         assert plan.elements == sum(
             a.size for a in (plan.src, plan.dst, plan.cell_src,
                              plan.cell_dst))
+
+
+def test_fold_cells_over_several_chunks():
+    """190 alive nodes are 2 x 35 910 endpoints: the fold cells, formed
+    one ``GUIDE_CHUNK`` of the grouped endpoints at a time, cross a chunk
+    boundary and must still be the oracle's."""
+    flows = 190 * 189
+    assert 2 * flows > GUIDE_CHUNK
+    TestFlowPlan.check_plan(11, tuple(range(190)), 190)
 
 
 def test_eighth_power_is_the_scalar_pow():

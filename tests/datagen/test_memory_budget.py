@@ -9,14 +9,13 @@ with at most 25 % headroom.  A generator that gathers, masks or copies
 its whole output once more lands far above its row.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from repro import keyed
 from repro.datagen.text import TextCorpus
 from repro.workloads import inputs
+from tests.peaks import traced_peak
 
 SCALE = 8
 
@@ -45,16 +44,6 @@ def output_bytes(generated) -> int:
         return generated.nbytes
     _, arrays = generated.to_arrays()
     return sum(array.nbytes for array in arrays.values())
-
-
-def traced_peak(build):
-    """``(result, peak bytes)`` of one call under tracemalloc."""
-    tracemalloc.start()
-    try:
-        result = build()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module", autouse=True)

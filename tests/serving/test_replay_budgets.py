@@ -40,9 +40,11 @@ VECTOR_SPEEDUP_FLOOR = 10.0
 #: Generating and replaying 5 x 10^7 requests.  Measured ~44 s + ~70 s.
 DAY_SCALE_BUDGET_SECONDS = 360.0
 
-#: The day's arrays peak around 11 GB resident: below this much
-#: available memory the test skips rather than thrash.
-DAY_SCALE_MIN_AVAILABLE_GB = 16.0
+#: Generating and replaying the day peaks at ~107 bytes per request
+#: (tracemalloc over generate + ``replay(policy="shed")`` on the day
+#: profile capped at 5 x 10^6 requests): 5 x 10^7 x 107 B x 1.25.  Below
+#: this much available memory the test skips rather than thrash.
+DAY_SCALE_MIN_AVAILABLE_GB = 6.7
 
 AUTOSCALE_BUDGET_SECONDS = 60.0
 
@@ -124,7 +126,7 @@ def test_million_user_day(demand):
     available = _available_gb()
     if available is not None and available < DAY_SCALE_MIN_AVAILABLE_GB:
         pytest.skip(f"{available:.1f} GB available; the day-scale arrays "
-                    f"need ~{DAY_SCALE_MIN_AVAILABLE_GB:.0f} GB")
+                    f"need ~{DAY_SCALE_MIN_AVAILABLE_GB:.1f} GB")
     stream, generate_seconds = _seconds(lambda: generate_stream(
         LoadProfile.parse(DAY_PROFILE), (("read", 0.6), ("write", 0.4)),
         seed=0, store=False))

@@ -217,6 +217,85 @@ class TestFifoChains:
             == vector_engine._JACOBI_ITER_MAX
 
 
+class TestChunkedCompletion:
+    """The completion phase runs the outbound NIC chains one
+    ``GUIDE_CHUNK`` of the completion order at a time, carrying each
+    link's last send into the next chunk: at and around every chunk
+    boundary that is one ``_fifo_chains`` call over the whole order,
+    which ``TestFifoChains`` pins to the scalar loop."""
+
+    CHUNK = vector_engine.GUIDE_CHUNK
+
+    def check(self, cluster, live_rows, shed):
+        rng = np.random.default_rng(live_rows)
+        stream = generate_stream(LoadProfile.parse(
+            "constant:rps=100:duration=1"), MIX, seed=0, store=False)
+        engine = vector_engine._VectorReplay(
+            stream, cluster, 0.01, "shed", NULL_FAULTS, "serving:chunks",
+            0.5, None)
+        nodes = engine.num_nodes
+        resp_c = np.asarray(engine.resp_c)
+        n = live_rows + (live_rows // 3 if shed else 0)
+        # Completions at half the links' capacity, in dispatch order (not
+        # sorted), on a grid so that some ends tie.
+        gap = resp_c.mean() / nodes * 2.0
+        ends = np.cumsum(rng.exponential(gap, n))
+        ends = np.round(ends / (gap / 4)) * (gap / 4)
+        rng.shuffle(ends)
+        times = ends - rng.exponential(0.01, n)
+        enode = rng.integers(0, nodes, n).astype(np.int32)
+        live = None
+        engine.arena = vector_engine.RequestArena(
+            n, stream.ops, np.zeros(n, dtype=np.int64), eager=False)
+        if shed:
+            shed_mask = np.zeros(n, dtype=bool)
+            shed_mask[rng.choice(n, n - live_rows, replace=False)] = True
+            ends[shed_mask] = -1.0     # never read: it would sort first
+            live = np.flatnonzero(~shed_mask)
+            engine.arena.finish = np.full(n, np.nan)
+
+        _, latencies, last = engine._complete_fast(times, ends, enode, live)
+
+        rows = np.argsort(ends if live is None else ends[live], kind="stable")
+        if live is not None:
+            rows = live[rows]
+        sent, _ = vector_engine._fifo_chains(
+            ends[rows], enode[rows], resp_c, np.zeros(nodes))
+        fin = sent + np.asarray(engine.lat)[enode[rows]]
+        finish = np.full(n, np.nan)
+        finish[rows] = fin
+        assert np.array_equal(latencies, fin - times[rows])
+        assert np.array_equal(engine.arena.finish, finish, equal_nan=True)
+        assert last == fin.max()
+        if live_rows > self.CHUNK:
+            # The carry matters: links restarted idle at each chunk send
+            # some messages earlier.
+            restarted = np.concatenate([vector_engine._fifo_chains(
+                ends[part], enode[part], resp_c, np.zeros(nodes))[0]
+                for part in np.split(rows, range(self.CHUNK, rows.size,
+                                                 self.CHUNK))])
+            assert not np.array_equal(restarted, sent)
+
+    @pytest.mark.parametrize("shed", [False, True])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_is_one_call_over_the_whole_order(self, chunks, offset, shed):
+        self.check(PAPER_CLUSTER, chunks * self.CHUNK + offset, shed)
+
+    def test_per_node_latencies_on_a_mixed_cluster(self):
+        self.check(MIXED_CLUSTER, self.CHUNK + 1, shed=True)
+
+    def test_just_over_one_chunk_is_the_heap_oracle(self):
+        # One node, 12 cores at ~80 % load: its outbound link is busy a
+        # third of the time, across the chunk boundary too.
+        scalar, vector = run_both(
+            f"constant:rps=2500:duration=30:cap={self.CHUNK + 1}",
+            SINGLE_NODE, 0.004, policy="shed")
+        assert vector.requests == self.CHUNK + 1
+        assert vector.completed > self.CHUNK
+        assert_bit_identical(scalar, vector)
+
+
 def counter(name):
     return METRICS.counter(f"serving.vector.{name}").value
 
