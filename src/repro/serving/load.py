@@ -285,7 +285,8 @@ class ArrivalStream:
     Bit-identical for identical ``(seed, profile, mix)`` -- the
     determinism invariant the serving tests assert serially and under
     ``jobs=N``.  ``times`` is None for closed-loop profiles (arrivals
-    emerge from the think/response loop during replay).
+    emerge from the think/response loop during replay), ``think`` for
+    open-loop ones (no replay reads it).
     """
 
     profile: LoadProfile
@@ -296,7 +297,7 @@ class ArrivalStream:
     service_mult: np.ndarray         # exponential service variates, mean 1
     dup_mult: np.ndarray             # variates for hedged duplicates
     tail_u: np.ndarray               # uniform straggler shaping (u**8)
-    think: np.ndarray                # exponential think times (closed loop)
+    think: Optional[np.ndarray]      # exponential think times (closed loop)
     duration: float                  # effective simulated window
     users: int                       # closed-loop population (0 = open)
 
@@ -318,16 +319,15 @@ class ArrivalStream:
 
     def to_arrays(self) -> tuple:
         """Split into JSON metadata + named arrays for the store
-        (closed-loop streams have no ``times`` array)."""
+        (closed-loop streams have no ``times`` array, open-loop ones no
+        ``think``)."""
         meta = {"profile": str(self.profile), "seed": int(self.seed),
                 "ops": list(self.ops), "duration": float(self.duration),
                 "users": int(self.users)}
         arrays = {"kinds": self.kinds, "service_mult": self.service_mult,
                   "dup_mult": self.dup_mult, "tail_u": self.tail_u,
-                  "think": self.think}
-        if self.times is not None:
-            arrays["times"] = self.times
-        return meta, arrays
+                  "think": self.think, "times": self.times}
+        return meta, {k: v for k, v in arrays.items() if v is not None}
 
     @classmethod
     def from_arrays(cls, meta: dict, arrays: dict) -> "ArrivalStream":
@@ -337,7 +337,7 @@ class ArrivalStream:
             times=arrays.get("times"), kinds=arrays["kinds"],
             service_mult=arrays["service_mult"],
             dup_mult=arrays["dup_mult"], tail_u=arrays["tail_u"],
-            think=arrays["think"], duration=float(meta["duration"]),
+            think=arrays.get("think"), duration=float(meta["duration"]),
             users=int(meta["users"]),
         )
 
@@ -453,7 +453,8 @@ def _generate_stream(profile: LoadProfile, mix,
         service_mult=rng.exponential(1.0, size=n),
         dup_mult=rng.exponential(1.0, size=n),
         tail_u=rng.random(n),
-        think=rng.exponential(profile.think_seconds, size=n),
+        think=(rng.exponential(profile.think_seconds, size=n)
+               if profile.loop == "closed" else None),
         duration=float(duration), users=users,
     )
 

@@ -1,9 +1,12 @@
-"""The SQL engine: a Hive/Impala-like executor over columnar tables.
+"""The SQL front end, and the columnar engine that lowers it in process.
 
-Registered tables carry their *real* serialized byte size so scans charge
-proportionate IO.  Execution is scan -> join -> filter -> aggregate/
-project, all under the database code profile.  Per-query statistics feed
-the realtime-analytics metrics.
+Table 4's relational queries run on three executors: the in-process
+columnar engine here (:class:`SqlEngine`; Impala, MySQL), Hive's
+MapReduce jobs (:mod:`repro.sql.hive_exec`) and Shark's Spark stages
+(:mod:`repro.sql.shark_exec`).  All three share one front end: table
+registration, parsing, binding, the ``sql:query`` span with its
+statistics, and the answer of a global aggregate over an empty relation.
+They differ only in how they lower the bound plan, and what that costs.
 
 A statement is parsed once (:meth:`SqlEngine.prepare`) and *bound* once:
 :meth:`SqlEngine.run_plan` resolves its column references against the
@@ -11,15 +14,25 @@ registered schemas, keeps the result on the statement, and binds again
 only after a table it scans was registered with other columns.
 ``execute(sql)`` is ``run_plan(prepare(sql))``, so a statement with its
 literals inline and one run with ``?`` parameters execute the same code.
+
+Registered tables carry their *real* serialized byte size so scans charge
+proportionate IO.  The columnar engine runs scan -> join -> filter ->
+aggregate/project, all under the database code profile.  Per-query
+statistics feed the realtime-analytics metrics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from repro.cluster.ledger import CostLedger
+from repro.cluster.node import PAPER_CLUSTER
 from repro.cluster.timemodel import JobCost
 from repro.datagen.table import Table
+from repro.keyed import sort_group
 from repro.obs.metrics import METRICS
 from repro.sql import operators
 from repro.sql.parser import Query, SqlError, parse
@@ -90,22 +103,15 @@ class _Plan:
     projection: list        # the columns of a non-aggregate statement
 
 
-class SqlEngine:
-    """Executes parsed queries against registered columnar tables."""
+class _FrontEnd:
+    """What every executor shares: registration, parsing, binding and the
+    ``sql:query`` span.  An executor gives :meth:`_metered` (the ledger
+    its lowering charges) and :meth:`_lower` (the bound plan to a table)."""
 
-    EFFECTIVE_CPI = 0.95
-
-    #: Query planning/coordination overhead (paper-scale seconds).
-    QUERY_FIXED_SECONDS = 1.5
-
-    def __init__(self, ctx=None, cluster=None, faults=None):
-        from repro.cluster.node import PAPER_CLUSTER
-        from repro.faults.inject import resolve_faults
-
+    def __init__(self, ctx=None, cluster=None):
         self.ctx = context_or_null(ctx)
         self.cluster = cluster or PAPER_CLUSTER
         self._tables: dict = {}
-        self.faults = resolve_faults(self.ctx, faults)
 
     def register(self, name: str, table: Table, nbytes: int) -> None:
         """Register ``table`` under ``name`` with its real serialized size."""
@@ -131,24 +137,24 @@ class SqlEngine:
             raise SqlError(f"statement takes {query.params} parameter(s), "
                            f"got {len(params)}")
         plan = self._bound(query)
-        ctx = self.ctx
+        self._check(query, plan)
         stats = QueryStats()
-        ledger = CostLedger(self.cluster, ctx=ctx, cpi=self.EFFECTIVE_CPI)
-        with ledger.measured(
-                "query", fixed_seconds=self.QUERY_FIXED_SECONDS) as pending:
-            with ctx.span("sql:query", category="sql") as sp:
-                with ctx.code(DATABASE_STACK):
-                    result = self._execute(plan, params, stats)
-                rows_out = result.num_rows
+        with self._metered(stats) as ledger:
+            with self.ctx.span("sql:query", category="sql") as sp:
+                result = self._lower(plan, params, stats, ledger)
+                if plan.aggregates and not plan.group_by \
+                        and not result.num_rows:
+                    result = _over_empty(plan.aggregates)
+                stats.rows_out = result.num_rows
                 sp.set("rows_scanned", stats.rows_scanned)
-                sp.set("rows_out", rows_out)
-            pending.disk_read_bytes = stats.input_bytes
-            pending.working_bytes = stats.input_bytes
+                sp.set("rows_out", stats.rows_out)
         METRICS.counter("sql.queries").inc()
         METRICS.counter("sql.rows_scanned").inc(stats.rows_scanned)
         METRICS.counter("sql.input_bytes").inc(stats.input_bytes)
-        stats.rows_out = rows_out
         return QueryResult(table=result, stats=stats, cost=ledger.job)
+
+    def _check(self, query: Query, plan: _Plan) -> None:
+        """Raise :class:`SqlError` for a statement this executor cannot run."""
 
     # -- binding -----------------------------------------------------------------
 
@@ -213,79 +219,6 @@ class SqlEngine:
             needed=self._columns_for(query, ref, registered.table, joined),
             region=f"sql:table:{ref.name}", site=f"sql:scan:{ref.name}")
 
-    # -- execution ---------------------------------------------------------------
-
-    def _execute(self, plan: _Plan, params, stats: QueryStats) -> Table:
-        ctx = self.ctx
-        current = self._scan_side(plan.sides[0], stats)
-        if plan.join_keys is not None:
-            other = self._scan_side(plan.sides[1], stats)
-            base_key, other_key = plan.join_keys
-            with ctx.span("sql:join", category="sql") as sp:
-                current = operators.hash_join(
-                    current, other, base_key, other_key, ctx,
-                    region="sql:join",
-                )
-                stats.rows_joined = current.num_rows
-                sp.set("rows", stats.rows_joined)
-
-        if plan.predicates:
-            with ctx.span("sql:filter", category="sql",
-                          predicates=len(plan.predicates)) as sp:
-                current = operators.filter_rows(
-                    current, plan.predicates, ctx, params)
-                stats.rows_filtered = current.num_rows
-                sp.set("rows", stats.rows_filtered)
-
-        if plan.aggregates:
-            with ctx.span("sql:aggregate", category="sql",
-                          groups=len(plan.group_by)):
-                return operators.hash_aggregate(
-                    current, plan.group_by, plan.aggregates, ctx,
-                    region="sql:agg"
-                )
-        if not plan.projection:
-            return current
-        with ctx.span("sql:project", category="sql",
-                      columns=len(plan.projection)):
-            return operators.project(current, plan.projection, ctx)
-
-    def _scan_side(self, side: _Side, stats: QueryStats) -> Table:
-        ctx = self.ctx
-        registered = self._tables[side.name]
-        table, nbytes, needed = registered.table, registered.nbytes, side.needed
-        rows = table.num_rows
-        ctx.touch(side.region, nbytes * PAPER_TABLE_RATIO)
-        # Joined sides keep qualified names so both sides can coexist:
-        # the scanned table is called by the registration name.
-        with ctx.span(side.site, category="sql", columns=len(needed)) as sp:
-            scanned = operators.scan(side.name, table, needed, nbytes, ctx,
-                                     region=side.region)
-            sp.set("rows", rows)
-        # Chaos: an executor running this scan fragment may crash; the
-        # coordinator re-dispatches the fragment (the scan work and IO
-        # are charged again) and the result is recomputed identically.
-        faults = self.faults
-        if faults.enabled:
-            if faults.fires("task_crash", side.site) is not None:
-                if faults.recovery:
-                    with ctx.span("recovery:fragment_retry",
-                                  category="faults"):
-                        scanned = operators.scan(
-                            side.name, table, needed, nbytes, ctx,
-                            region=side.region)
-                    stats.fragments_retried += 1
-                    faults.recovered("fragment_retry", side.site, rows=rows)
-                else:
-                    # The in-process engine cannot actually destroy its
-                    # tables; an unrecovered fragment crash fails the
-                    # query in a real engine, recorded here as loss.
-                    faults.lost("scan_fragment", side.site)
-        stats.rows_scanned += rows
-        stats.input_bytes += nbytes * (len(needed) / max(1, len(side.schema)))
-        stats.tables.append(side.name)
-        return scanned
-
     def _columns_for(self, query: Query, ref, table: Table, joined: bool) -> list:
         """Columns of ``ref``'s table the query touches."""
         wanted = set()
@@ -337,3 +270,247 @@ class SqlEngine:
             return self._tables[name]
         except KeyError:
             raise SqlError(f"table {name!r} is not registered") from None
+
+
+def _over_empty(aggregates: list) -> Table:
+    """A global aggregate over an empty relation: COUNT is 0; SUM folds
+    to 0; MIN/MAX/AVG have no witness (NaN stands in for NULL)."""
+    return Table("result", {
+        a.alias: (np.array([0], dtype=np.int64) if a.func == "count"
+                  else np.array([0.0 if a.func == "sum" else np.nan]))
+        for a in aggregates})
+
+
+class SqlEngine(_FrontEnd):
+    """Executes bound plans on in-process columnar operators."""
+
+    EFFECTIVE_CPI = 0.95
+
+    #: Query planning/coordination overhead (paper-scale seconds).
+    QUERY_FIXED_SECONDS = 1.5
+
+    def __init__(self, ctx=None, cluster=None, faults=None):
+        from repro.faults.inject import resolve_faults
+
+        super().__init__(ctx, cluster)
+        self.faults = resolve_faults(self.ctx, faults)
+
+    @contextmanager
+    def _metered(self, stats: QueryStats):
+        """One ``query`` phase: the lowering's instructions, the bytes its
+        scans read and the planning overhead."""
+        ledger = CostLedger(self.cluster, ctx=self.ctx, cpi=self.EFFECTIVE_CPI)
+        with ledger.measured(
+                "query", fixed_seconds=self.QUERY_FIXED_SECONDS) as pending:
+            yield ledger
+            pending.disk_read_bytes = stats.input_bytes
+            pending.working_bytes = stats.input_bytes
+
+    def _lower(self, plan: _Plan, params, stats: QueryStats, ledger) -> Table:
+        ctx = self.ctx
+        with ctx.code(DATABASE_STACK):
+            current = self._scan_side(plan.sides[0], stats)
+            if plan.join_keys is not None:
+                other = self._scan_side(plan.sides[1], stats)
+                base_key, other_key = plan.join_keys
+                with ctx.span("sql:join", category="sql") as sp:
+                    current = operators.hash_join(
+                        current, other, base_key, other_key, ctx,
+                        region="sql:join",
+                    )
+                    stats.rows_joined = current.num_rows
+                    sp.set("rows", stats.rows_joined)
+
+            if plan.predicates:
+                with ctx.span("sql:filter", category="sql",
+                              predicates=len(plan.predicates)) as sp:
+                    current = operators.filter_rows(
+                        current, plan.predicates, ctx, params)
+                    stats.rows_filtered = current.num_rows
+                    sp.set("rows", stats.rows_filtered)
+
+            if plan.aggregates:
+                with ctx.span("sql:aggregate", category="sql",
+                              groups=len(plan.group_by)):
+                    return operators.hash_aggregate(
+                        current, plan.group_by, plan.aggregates, ctx,
+                        region="sql:agg"
+                    )
+            with ctx.span("sql:project", category="sql",
+                          columns=len(plan.projection)):
+                return operators.project(current, plan.projection, ctx)
+
+    def _scan_side(self, side: _Side, stats: QueryStats) -> Table:
+        ctx = self.ctx
+        registered = self._tables[side.name]
+        table, nbytes, needed = registered.table, registered.nbytes, side.needed
+        rows = table.num_rows
+        ctx.touch(side.region, nbytes * PAPER_TABLE_RATIO)
+        # Joined sides keep qualified names so both sides can coexist:
+        # the scanned table is called by the registration name.
+        with ctx.span(side.site, category="sql", columns=len(needed)) as sp:
+            scanned = operators.scan(side.name, table, needed, nbytes, ctx,
+                                     region=side.region)
+            sp.set("rows", rows)
+        # Chaos: an executor running this scan fragment may crash; the
+        # coordinator re-dispatches the fragment (the scan work and IO
+        # are charged again) and the result is recomputed identically.
+        faults = self.faults
+        if faults.enabled:
+            if faults.fires("task_crash", side.site) is not None:
+                if faults.recovery:
+                    with ctx.span("recovery:fragment_retry",
+                                  category="faults"):
+                        scanned = operators.scan(
+                            side.name, table, needed, nbytes, ctx,
+                            region=side.region)
+                    stats.fragments_retried += 1
+                    faults.recovered("fragment_retry", side.site, rows=rows)
+                else:
+                    # The in-process engine cannot actually destroy its
+                    # tables; an unrecovered fragment crash fails the
+                    # query in a real engine, recorded here as loss.
+                    faults.lost("scan_fragment", side.site)
+        stats.rows_scanned += rows
+        stats.input_bytes += nbytes * (len(needed) / max(1, len(side.schema)))
+        stats.tables.append(side.name)
+        return scanned
+
+
+@dataclass(frozen=True)
+class _Part:
+    """One scanned side of a staged statement, resolved to arrays."""
+
+    name: str            # the registration name
+    nbytes: int          # its registered size: a staged scan reads it all
+    mask: np.ndarray     # the rows its WHERE predicates keep
+    keys: np.ndarray     # int64 group or join keys (None for a select)
+    values: np.ndarray   # float64 projected, folded or joined-through column
+
+
+def _mask(table: Table, predicates: list, prefix: str = "") -> np.ndarray:
+    """The rows of ``table`` every predicate on it keeps; in a join, the
+    predicates on the side whose columns are qualified with ``prefix``."""
+    mask = np.ones(table.num_rows, dtype=bool)
+    for predicate in predicates:
+        if predicate.column.startswith(prefix):
+            mask &= replace(predicate,
+                            column=predicate.column[len(prefix):]).mask(table)
+    return mask
+
+
+def _owner(column: str) -> str:
+    """The registration name a join query's qualified column belongs to."""
+    return column.split(".", 1)[0]
+
+
+class _Staged(_FrontEnd):
+    """The front end of the executors that lower a plan to framework
+    stages (Hive's MapReduce jobs, Shark's Spark stages).
+
+    It resolves the plan to arrays -- each side's WHERE mask, its group
+    or join keys and values, the dim/fact split of a join -- and the
+    executor lowers three shapes over them: ``_select(ledger, part)``
+    gives the kept row positions in order, ``_fold(ledger, part, func)``
+    one aggregate's ``(keys, values)`` per group in any order, and
+    ``_join_sum(ledger, dim, fact)`` ``(joined pairs, keys, sums)``.  A
+    scan reads its table's whole ``nbytes``: stages read rows, not columns.
+    Stages shuffle on int64 keys and fold float64 values, so group and
+    join keys must be integers; the answer takes the columns' dtypes back
+    (exact while a sum of integers stays below 2**53).
+    """
+
+    def _check(self, query: Query, plan: _Plan) -> None:
+        join_ok = plan.join_keys is None or (
+            len(plan.aggregates) == 1 and plan.aggregates[0].func == "sum"
+            and len(plan.group_by) == 1
+            and _owner(plan.group_by[0]) != _owner(plan.aggregates[0].column))
+        if query.params or len(plan.group_by) > 1 or not join_ok:
+            raise SqlError(
+                f"{type(self).__name__} runs one GROUP BY column, a JOIN only "
+                "as join + one SUM + one GROUP BY with group and value on "
+                "opposite sides, and no ? statement (columnar engine only)")
+        keyed = [(side.name, key)
+                 for side, key in zip(plan.sides, plan.join_keys or ())]
+        keyed += [(plan.sides[0].name, g) if plan.join_keys is None
+                  else tuple(g.split(".", 1)) for g in plan.group_by]
+        for name, column in keyed:
+            dtype = self._tables[name].table.column(column).dtype
+            if dtype.kind not in "iu" or not np.can_cast(dtype, np.int64):
+                raise SqlError(
+                    f"{type(self).__name__} groups and joins on integer "
+                    f"keys; {name}.{column} is {dtype}")
+
+    @contextmanager
+    def _metered(self, stats: QueryStats):
+        """The jobs' phases, which the lowering absorbs as they run."""
+        yield CostLedger(self.cluster, ctx=self.ctx)
+
+    def _lower(self, plan: _Plan, params, stats: QueryStats, ledger) -> Table:
+        scanned = []
+        for side in plan.sides:
+            registered = self._tables[side.name]
+            stats.rows_scanned += registered.table.num_rows
+            stats.input_bytes += registered.nbytes
+            stats.tables.append(side.name)
+            scanned.append(registered)
+        if plan.join_keys is not None:
+            return self._join(plan, scanned, stats, ledger)
+        registered = scanned[0]
+        table = registered.table
+        mask = _mask(table, plan.predicates)
+        if plan.predicates:
+            stats.rows_filtered = int(mask.sum())
+
+        def part(keys, column: str) -> _Part:
+            values = (np.ones(table.num_rows) if column == "*"
+                      else table.column(column).astype(np.float64))
+            return _Part(plan.sides[0].name, registered.nbytes, mask, keys,
+                         values)
+
+        if not plan.aggregates:
+            rows = self._select(ledger, part(None, plan.projection[0]))
+            return Table("result", {c: table.column(c)[rows]
+                                    for c in plan.projection})
+        keys = (table.column(plan.group_by[0]).astype(np.int64)
+                if plan.group_by else np.zeros(table.num_rows, dtype=np.int64))
+        columns = {}
+        for aggregate in plan.aggregates:
+            groups, folded = sort_group(*self._fold(
+                ledger, part(keys, aggregate.column), aggregate.func))
+            if plan.group_by:
+                columns.setdefault(plan.group_by[0], groups.astype(
+                    table.column(plan.group_by[0]).dtype, copy=False))
+            columns[aggregate.alias] = folded.astype(
+                _folded_dtype(aggregate, table), copy=False)
+        return Table("result", columns)
+
+    def _join(self, plan: _Plan, scanned: list, stats: QueryStats,
+              ledger) -> Table:
+        """The dimension side holds the group column, the fact side the
+        summed one; each side's predicates filter it before the join."""
+        group, aggregate = plan.group_by[0], plan.aggregates[0]
+        dim = 0 if plan.sides[0].name == _owner(group) else 1
+        parts, dtypes = [], []
+        for index, column in ((dim, group), (1 - dim, aggregate.column)):
+            side, table = plan.sides[index], scanned[index].table
+            values = table.column(column.split(".", 1)[1])
+            dtypes.append(values.dtype)
+            parts.append(_Part(
+                side.name, scanned[index].nbytes,
+                _mask(table, plan.predicates, f"{side.name}."),
+                table.column(plan.join_keys[index]).astype(np.int64),
+                values.astype(np.float64)))
+        stats.rows_joined, keys, sums = self._join_sum(ledger, *parts)
+        keys, sums = sort_group(keys, sums)
+        return Table("result", {
+            group: keys.astype(dtypes[0], copy=False),
+            aggregate.alias: sums.astype(dtypes[1], copy=False)})
+
+
+def _folded_dtype(aggregate, table: Table):
+    """COUNT is int64, AVG float64; SUM/MIN/MAX answer in their column's
+    dtype, as the columnar engine's folds do."""
+    if aggregate.func in ("count", "avg"):
+        return np.int64 if aggregate.func == "count" else np.float64
+    return table.column(aggregate.column).dtype

@@ -96,6 +96,14 @@ def project(table: Table, columns: list, ctx) -> Table:
     return Table(table.name, {c: source[c] for c in columns})
 
 
+#: The fold of a sorted group's values that each aggregate reduces by.
+FOLDS = {
+    "sum": np.add.reduceat,
+    "min": np.minimum.reduceat,
+    "max": np.maximum.reduceat,
+}
+
+
 @dataclass(frozen=True)
 class Aggregate:
     """One aggregate expression: ``func(column) AS alias``."""
@@ -104,19 +112,13 @@ class Aggregate:
     column: str     # "*" for count(*)
     alias: str
 
-    _IMPLS = {
-        "sum": np.add.reduceat,
-        "min": np.minimum.reduceat,
-        "max": np.maximum.reduceat,
-    }
-
     def apply(self, values: np.ndarray, starts: np.ndarray, counts: np.ndarray):
         if self.func == "count":
             return counts.astype(np.int64)
         if self.func == "avg":
             return np.add.reduceat(values, starts) / counts
         try:
-            return self._IMPLS[self.func](values, starts)
+            return FOLDS[self.func](values, starts)
         except KeyError:
             raise ValueError(f"unsupported aggregate {self.func!r}") from None
 
@@ -133,28 +135,10 @@ def hash_aggregate(table: Table, group_by: list, aggregates: list, ctx,
     ctx.branch_ops(130 * rows)
     ctx.fp_ops(8 * rows * max(1, len(aggregates)))
 
-    if not group_by:
-        out = {}
-        if rows == 0:
-            # SQL over an empty relation: COUNT is 0; SUM folds to 0;
-            # MIN/MAX have no witness (NaN stands in for NULL).
-            for agg in aggregates:
-                if agg.func == "count":
-                    out[agg.alias] = np.array([0], dtype=np.int64)
-                elif agg.func == "sum":
-                    out[agg.alias] = np.array([0.0])
-                else:
-                    out[agg.alias] = np.array([np.nan])
-            return Table("result", out)
-        counts = np.array([rows], dtype=np.int64)
-        starts = np.array([0], dtype=np.int64)
-        for agg in aggregates:
-            values = table.column(agg.column) if agg.column != "*" else np.zeros(rows)
-            out[agg.alias] = agg.apply(values, starts, counts)
-        return Table("result", out)
-
+    # Without GROUP BY every row is one group (none over an empty
+    # relation: the front end answers that case).
     key_cols = [table.column(c) for c in group_by]
-    order = np.lexsort(key_cols[::-1])
+    order = np.lexsort(key_cols[::-1]) if key_cols else np.arange(rows)
     sorted_keys = [c[order] for c in key_cols]
     change = np.zeros(rows, dtype=bool)
     if rows:

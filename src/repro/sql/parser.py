@@ -14,8 +14,10 @@ the column's type (``K = 9007199254740993`` also matches ``2**53``); a
 ``?`` becomes a :class:`~repro.sql.operators.Param`, numbered left to
 right, whose value is supplied per execution and compared as given.
 
-Parsing produces a :class:`Query` logical plan consumed by
-:class:`repro.sql.engine.SqlEngine`.
+A bare ``*`` is read only inside ``COUNT(*)``.  Parsing produces a
+:class:`Query` logical plan consumed by all three executors through
+their shared front end in :mod:`repro.sql.engine`: the columnar
+:class:`~repro.sql.engine.SqlEngine`, Hive and Shark.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ class SqlError(ValueError):
     """Raised for malformed or unsupported SQL."""
 
 
+def _column(token: str) -> str:
+    if token == "*":
+        raise SqlError("* is only valid inside COUNT(*)")
+    return token
+
+
 @dataclass(frozen=True)
 class TableRef:
     name: str
@@ -78,8 +86,8 @@ class Query:
     group_by: list = field(default_factory=list)
     #: Number of ``?`` placeholders; an execution supplies that many values.
     params: int = 0
-    #: The statement bound to registered schemas -- owned by the engine
-    #: that runs it (:meth:`repro.sql.engine.SqlEngine.run_plan`).
+    #: The statement bound to registered schemas -- owned by the front
+    #: end that runs it (``run_plan`` in :mod:`repro.sql.engine`).
     plan: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -125,9 +133,9 @@ class _Parser:
         if self.accept("join"):
             table = self._table_ref()
             self.expect("on")
-            left = self.next()
+            left = _column(self.next())
             self.expect("=")
-            right = self.next()
+            right = _column(self.next())
             query.join = JoinClause(table=table, left_column=left, right_column=right)
         if self.accept("where"):
             query.where.append(self._predicate())
@@ -135,9 +143,9 @@ class _Parser:
                 query.where.append(self._predicate())
         if self.accept("group"):
             self.expect("by")
-            query.group_by.append(self.next())
+            query.group_by.append(_column(self.next()))
             while self.accept(","):
-                query.group_by.append(self.next())
+                query.group_by.append(_column(self.next()))
         if self.peek():
             raise SqlError(f"trailing tokens starting at {self.peek()!r}")
         if query.aggregates and query.select_columns and not query.group_by:
@@ -162,7 +170,7 @@ class _Parser:
             elif lowered in _KEYWORDS:
                 raise SqlError(f"unexpected keyword {item!r} in select list")
             else:
-                query.select_columns.append(item)
+                query.select_columns.append(_column(item))
             if not self.accept(","):
                 break
 
@@ -175,7 +183,7 @@ class _Parser:
         return TableRef(name=name, alias=alias)
 
     def _predicate(self) -> Predicate:
-        column = self.next()
+        column = _column(self.next())
         op = self.next()
         literal = self.next()
         if literal == "?":

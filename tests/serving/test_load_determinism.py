@@ -6,6 +6,8 @@ Through the harness under ``jobs=N`` -- the stream regenerated in
 another process -- is ``tests/integration/test_determinism.py``.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,41 @@ class TestStreamDeterminism:
         assert np.array_equal(a.service_mult, b.service_mult)
         assert np.array_equal(a.tail_u, b.tail_u)
         assert a.mix_counts() == b.mix_counts()
+
+    #: sha256 (first 16 hex digits) of times, kinds, service_mult,
+    #: dup_mult and tail_u at seed 11, recorded when open-loop streams
+    #: still drew think times after them: dropping that last draw left
+    #: every other array as it was.
+    OPEN_LOOP_DIGESTS = {
+        "constant:rps=700:duration=3": "093d435bbb525c03",
+        "diurnal:rps=400:peak=5": "316b461d7e927530",
+        "flash:rps=900:peak=6": "78862519f7d27252",
+        "sessions:rps=200:mean=6": "c948ed1a6c3253b1",
+    }
+
+    @pytest.mark.parametrize("spec", sorted(OPEN_LOOP_DIGESTS))
+    def test_open_loop_streams_draw_no_think_times(self, spec, tmp_path):
+        from repro.core.store import Store
+
+        stream = generate_stream(LoadProfile.parse(spec), MIX, seed=11,
+                                 store=False)
+        assert stream.think is None
+        digest = hashlib.sha256()
+        for name in ("times", "kinds", "service_mult", "dup_mult", "tail_u"):
+            digest.update(np.ascontiguousarray(getattr(stream, name)).tobytes())
+        assert digest.hexdigest()[:16] == self.OPEN_LOOP_DIGESTS[spec]
+        _, arrays = stream.to_arrays()
+        assert "think" not in arrays
+        stored = Store(str(tmp_path))
+        generate_stream(LoadProfile.parse(spec), MIX, seed=11, store=stored)
+        assert generate_stream(LoadProfile.parse(spec), MIX, seed=11,
+                               store=stored).think is None
+
+    def test_closed_loop_streams_keep_their_think_times(self):
+        profile = LoadProfile.parse("constant:loop=closed:users=30:duration=5")
+        stream = generate_stream(profile, MIX, seed=11, store=False)
+        assert stream.times is None
+        assert len(stream.think) == stream.size
 
     def test_seed_changes_the_stream(self):
         profile = LoadProfile(rps=700.0, duration=3.0)

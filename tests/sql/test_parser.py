@@ -45,6 +45,17 @@ class TestAggregates:
         with pytest.raises(SqlError):
             parse("SELECT SUM(*) FROM t")
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT * FROM t",
+        "SELECT a, * FROM t",
+        "SELECT a FROM t WHERE * > 1",
+        "SELECT g, COUNT(*) FROM t GROUP BY *",
+        "SELECT o.a, SUM(i.b) FROM o JOIN i ON * = i.k GROUP BY o.a",
+    ])
+    def test_bare_star_only_inside_count(self, sql):
+        with pytest.raises(SqlError, match="COUNT"):
+            parse(sql)
+
     def test_mixed_without_group_by_rejected(self):
         with pytest.raises(SqlError):
             parse("SELECT a, SUM(x) FROM t")

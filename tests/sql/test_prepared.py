@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from recording import STATEMENTS, record_inline, record_prepared
 from repro.datagen.table import Table
 from repro.obs.metrics import METRICS
-from repro.sql import HiveExecutor, SqlEngine, SqlError
+from repro.sql import HiveExecutor, SharkExecutor, SqlEngine, SqlError
 from repro.uarch import PerfContext, XEON_E5645
 
 COMPARATORS = ("=", "!=", "<", "<=", ">", ">=")
@@ -226,11 +226,15 @@ class TestErrors:
                 engine.prepare("SELECT S FROM other WHERE K = ?"), (1,))
 
 
-    def test_executors_without_parameters_say_so(self):
-        hive = HiveExecutor()
-        hive.register("kv", kv(4), 100)
-        with pytest.raises(ValueError, match="parameter 0 is not bound"):
-            hive.execute("SELECT S FROM kv WHERE K = ?")
+    @pytest.mark.parametrize("executor", [HiveExecutor, SharkExecutor])
+    def test_staged_executors_run_no_parameters(self, executor):
+        engine = executor()
+        engine.register("kv", kv(4), 100)
+        statement = engine.prepare("SELECT S FROM kv WHERE K = ?")
+        with pytest.raises(SqlError, match="1 parameter"):
+            engine.run_plan(statement)
+        with pytest.raises(SqlError, match="columnar engine only"):
+            engine.run_plan(statement, (1,))
 
 
 def test_bound_integers_stay_integers():

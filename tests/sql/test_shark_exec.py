@@ -1,111 +1,57 @@
-"""Tests for the Shark (SQL-on-Spark) execution path."""
+"""Tests for the Shark (SQL-on-Spark) execution path: its cached tables
+and its profile.
+
+That Shark answers every statement as the columnar engine does is the
+three-executor property in ``test_sql_properties.py``."""
 
 import numpy as np
 import pytest
 
 from repro.datagen.table import Table
-from repro.sql import HiveExecutor, SharkExecutor, SqlEngine, SqlError
+from repro.sql import SharkExecutor, SqlError
 from repro.uarch import PerfContext, XEON_E5645
 
 
-def three_engines():
+def items(rows=1200):
     rng = np.random.default_rng(3)
-    n_orders, n_items = 300, 1200
-    orders = Table("ORDERS", {
-        "ORDER_ID": np.arange(n_orders, dtype=np.int64),
-        "BUYER_ID": rng.integers(0, 30, n_orders).astype(np.int64),
+    return Table("ITEMS", {
+        "ITEM_ID": np.arange(rows, dtype=np.int64),
+        "ORDER_ID": rng.integers(0, 300, rows).astype(np.int64),
+        "AMOUNT": np.round(rng.random(rows) * 40, 2),
     })
-    items = Table("ITEMS", {
-        "ITEM_ID": np.arange(n_items, dtype=np.int64),
-        "ORDER_ID": rng.integers(0, n_orders, n_items).astype(np.int64),
-        "AMOUNT": np.round(rng.random(n_items) * 40, 2),
-    })
-    engines = {"shark": SharkExecutor(), "hive": HiveExecutor(),
-               "columnar": SqlEngine()}
-    for engine in engines.values():
-        engine.register("ORDERS", orders, 30_000)
-        engine.register("ITEMS", items, 120_000)
-    return engines
 
 
-@pytest.fixture(scope="module")
-def engines():
-    return three_engines()
-
-
-class TestThreeWayEquivalence:
-    def test_select(self, engines):
-        sql = "SELECT ORDER_ID FROM ORDERS WHERE BUYER_ID < 9"
-        results = {
-            name: set(engine.execute(sql).table.column("ORDER_ID").tolist())
-            for name, engine in engines.items()
-        }
-        assert results["shark"] == results["hive"] == results["columnar"]
-
-    def test_group_aggregate(self, engines):
-        sql = ("SELECT ORDER_ID, SUM(AMOUNT) AS s, COUNT(*) AS n "
-               "FROM ITEMS GROUP BY ORDER_ID")
-
-        def as_map(result):
-            table = result.table
-            return {
-                int(k): (round(float(s), 6), int(n))
-                for k, s, n in zip(table.column("ORDER_ID"),
-                                   table.column("s"), table.column("n"))
-            }
-
-        maps = {name: as_map(engine.execute(sql))
-                for name, engine in engines.items()}
-        assert maps["shark"] == maps["hive"] == maps["columnar"]
-
-    def test_avg(self, engines):
-        sql = "SELECT ORDER_ID, AVG(AMOUNT) AS a FROM ITEMS GROUP BY ORDER_ID"
-        shark = engines["shark"].execute(sql).table
-        columnar = engines["columnar"].execute(sql).table
-        shark_map = dict(zip(shark.column("ORDER_ID").tolist(),
-                             np.round(shark.column("a"), 9).tolist()))
-        col_map = dict(zip(columnar.column("ORDER_ID").tolist(),
-                           np.round(columnar.column("a"), 9).tolist()))
-        assert shark_map == col_map
-
-    def test_join_group_sum(self, engines):
-        sql = ("SELECT o.BUYER_ID, SUM(i.AMOUNT) AS spend FROM ORDERS o "
-               "JOIN ITEMS i ON o.ORDER_ID = i.ORDER_ID GROUP BY o.BUYER_ID")
-
-        def as_map(result):
-            table = result.table
-            key_col = table.column_names[0]
-            return dict(zip(table.column(key_col).tolist(),
-                            np.round(table.column("spend"), 6).tolist()))
-
-        maps = {name: as_map(engine.execute(sql))
-                for name, engine in engines.items()}
-        assert maps["shark"] == maps["hive"]
+def shark(ctx=None):
+    engine = SharkExecutor(ctx=ctx)
+    engine.register("ITEMS", items(), 120_000)
+    return engine
 
 
 class TestSharkSpecifics:
     def test_cached_tables_make_repeats_cheap(self):
-        engines = three_engines()
-        shark = engines["shark"]
+        engine = shark()
         sql = "SELECT COUNT(*) AS n FROM ITEMS"
-        shark.execute(sql)
-        before = shark.sc.cache_hit_bytes
-        shark.execute(sql)
-        assert shark.sc.cache_hit_bytes > before
+        engine.execute(sql)
+        before = engine.sc.cache_hit_bytes
+        engine.execute(sql)
+        assert engine.sc.cache_hit_bytes > before
+
+    def test_registering_again_drops_the_cached_rows(self):
+        engine = shark()
+        sql = "SELECT COUNT(*) AS n FROM ITEMS"
+        assert engine.execute(sql).table.column("n").tolist() == [1200]
+        engine.register("ITEMS", items(50), 5_000)
+        assert engine.execute(sql).table.column("n").tolist() == [50]
 
     def test_profiled_run(self):
-        engines = three_engines()
-        shark = engines["shark"]
         ctx = PerfContext(XEON_E5645, seed=0)
-        shark.ctx = ctx
-        shark.register("ITEMS", *[v for v in three_engines()["shark"]._tables["ITEMS"]])
-        shark.execute("SELECT ORDER_ID, SUM(AMOUNT) AS s FROM ITEMS "
-                      "GROUP BY ORDER_ID")
+        shark(ctx).execute("SELECT ORDER_ID, SUM(AMOUNT) AS s FROM ITEMS "
+                           "GROUP BY ORDER_ID")
         assert ctx.finalize().events.instructions > 1e5
 
-    def test_unsupported_shapes(self, engines):
+    def test_unsupported_shapes(self):
         with pytest.raises(SqlError):
-            engines["shark"].execute(
+            shark().execute(
                 "SELECT ORDER_ID, ITEM_ID, SUM(AMOUNT) AS s FROM ITEMS "
                 "GROUP BY ORDER_ID, ITEM_ID"
             )
