@@ -54,6 +54,7 @@ event log ``SimResult.events`` exposes lazily.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from heapq import heapreplace
 from math import inf
@@ -86,12 +87,13 @@ EVENT_DTYPE = np.dtype([
 
 class _LRUCache:
     """Tiny process-wide memo keyed by (seed, phase, nodes), bounded by
-    total element count so 1000-node entries cannot hoard memory."""
+    the total bytes of its entries so 1000-node entries cannot hoard
+    memory."""
 
-    def __init__(self, max_elements: int):
-        self.max_elements = max_elements
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
         self._table: OrderedDict = OrderedDict()
-        self._elements = 0
+        self._bytes = 0
 
     def get(self, key):
         entry = self._table.get(key)
@@ -100,25 +102,25 @@ class _LRUCache:
             return entry[0]
         return None
 
-    def put(self, key, value, elements: int) -> None:
+    def put(self, key, value, nbytes: int) -> None:
         if key in self._table:
             return
-        self._table[key] = (value, elements)
-        self._elements += elements
-        while self._elements > self.max_elements and len(self._table) > 1:
+        self._table[key] = (value, nbytes)
+        self._bytes += nbytes
+        while self._bytes > self.max_bytes and len(self._table) > 1:
             _, (_, dropped) = self._table.popitem(last=False)
-            self._elements -= dropped
+            self._bytes -= dropped
 
 
-#: Straggler factors per (seed, phase name, task count).
-_FACTOR_CACHE = _LRUCache(max_elements=2_000_000)
+#: Straggler factors per (seed, phase name, task count): 9 B per task.
+_FACTOR_CACHE = _LRUCache(max_bytes=18_000_000)
 
 #: Shuffle level schedules per (seed, phase name, alive nodes).
-#: A 1000-node plan is ~4M elements (~32 MB), so the budget holds a
-#: few huge entries or hundreds of sweep-scale ones.  Building one
-#: holds the plan plus its working set -- about twice the plan at its
-#: peak (``tests/cluster/test_plan_memory.py``).
-_FLOW_CACHE = _LRUCache(max_elements=24_000_000)
+#: A plan keeps 8 B per flow -- 7.6 MB at 1000 nodes -- so the budget
+#: holds a couple of dozen huge entries or thousands of sweep-scale
+#: ones.  Building one peaks near eight times the plan it keeps
+#: (``tests/cluster/test_plan_memory.py``).
+_FLOW_CACHE = _LRUCache(max_bytes=192_000_000)
 
 
 def straggler_factors(seed: int, phase_name: str, count: int):
@@ -136,7 +138,7 @@ def straggler_factors(seed: int, phase_name: str, count: int):
     factors = 1.0 + STRAGGLER_TAIL * tails
     straggled = tails > 0.5
     value = (factors, straggled)
-    _FACTOR_CACHE.put(key, value, count)
+    _FACTOR_CACHE.put(key, value, factors.nbytes + straggled.nbytes)
     return value
 
 
@@ -163,7 +165,7 @@ def _queue_links(node):
 def _fold_cells(src, dst, total_nodes: int):
     """Each flow's two cells in the ``(nodes, width)`` busy-net fold
     block, interleaved in flow order (``2 * f`` its source's, ``2 * f +
-    1`` its destination's), and ``width``.
+    1`` its destination's), as int32, and ``width``.
 
     The interleaved endpoint stream is grouped per node (stable: a
     node's charges keep flow order); endpoint ``r`` in group order takes
@@ -175,10 +177,14 @@ def _fold_cells(src, dst, total_nodes: int):
     endpoints[1::2] = dst
     counts = np.bincount(endpoints, minlength=total_nodes)
     width = int(counts.max()) + 1
+    if total_nodes * width >= 2**31:
+        raise ValueError(
+            f"a {total_nodes}-node shuffle with {width - 1} charges on one "
+            f"node has fold cells past the int32 a FlowPlan keeps")
     starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
     first_cell = np.arange(total_nodes) * width + 1 - starts
     grouped = stable_order(endpoints)
-    cells = np.empty(endpoints.size, dtype=np.int64)
+    cells = np.empty(endpoints.size, dtype=np.int32)
     for lo in range(0, endpoints.size, GUIDE_CHUNK):
         part = grouped[lo:lo + GUIDE_CHUNK]
         rank = first_cell.take(endpoints.take(part))
@@ -193,13 +199,16 @@ class FlowPlan:
     A flow's *level* is one more than the later of its predecessors in
     its source's out-queue and its destination's in-queue (both in hash
     order): the flows of one level touch disjoint queues and wait only
-    for earlier levels.  ``src``/``dst`` hold the flows level by level,
-    level ``k`` in ``bounds[k]:bounds[k + 1]`` (a list: the replay walks
-    it in Python).  ``cell_src``/``cell_dst`` are each flow's two cells
-    in the ``(nodes, width)`` busy-net fold block: ``node * width + rank
-    + 1`` for the ``rank``-th charge the node takes when every flow
-    charges its source, then its destination, in hash order (two
-    arrays: one scatter each beats one over ``(flows, 2)`` by a third).
+    for earlier levels.  The plan keeps the flows level by level, level
+    ``k`` in ``bounds[k]:bounds[k + 1]`` (a list: the replay walks it in
+    Python), as nothing but each flow's two cells in the ``(nodes,
+    width)`` busy-net fold block: ``cell_src``/``cell_dst`` hold ``node
+    * width + rank + 1`` for the ``rank``-th charge the node takes when
+    every flow charges its source, then its destination, in hash order
+    (two arrays: one scatter each beats one over ``(flows, 2)`` by a
+    third).  A flow's endpoints are ``cell // width``, so the cells,
+    int32, are the whole plan: 8 B per flow (``nbytes``), 7.6 MB at
+    1000 nodes.
 
     The levels are found by frontier rounds over both queues kept as
     linked lists: each flow's successor in its out- and in-queue, the
@@ -215,11 +224,9 @@ class FlowPlan:
     wholesale from the cache.
     """
 
-    __slots__ = ("src", "dst", "bounds", "cell_src", "cell_dst", "width",
-                 "elements")
+    __slots__ = ("bounds", "cell_src", "cell_dst", "width", "nbytes")
 
     def __init__(self, src, dst, total_nodes: int):
-        flows = src.size
         # The fold cells first: the walk below then runs beside one array
         # of them, not beside the endpoint grouping that forms them.
         cells, self.width = _fold_cells(src, dst, total_nodes)
@@ -254,10 +261,7 @@ class FlowPlan:
         del levels
         self.cell_src = cells[0::2][schedule]
         self.cell_dst = cells[1::2][schedule]
-        del cells
-        self.src = src[schedule]
-        self.dst = dst[schedule]
-        self.elements = 4 * flows
+        self.nbytes = self.cell_src.nbytes + self.cell_dst.nbytes
 
 
 def flow_order(seed: int, phase_name: str, alive: tuple,
@@ -303,7 +307,7 @@ def flow_order(seed: int, phase_name: str, alive: tuple,
     dst = idx.take(cells)
     del cells
     plan = FlowPlan(src, dst, total_nodes)
-    _FLOW_CACHE.put(key, plan, plan.elements)
+    _FLOW_CACHE.put(key, plan, plan.nbytes)
     return plan
 
 
@@ -563,11 +567,13 @@ class VectorEngine:
         ranks = np.arange(num_tasks) - starts[grouped_nodes]
 
         # busy_cpu: exact left fold of each node's cpu times in task
-        # order (accumulate is sequential; trailing zero pads are exact).
+        # order (accumulate is sequential, in place too; trailing zero
+        # pads are exact).
         cpu_rows = np.zeros((n, max_k + 1))
         cpu_rows[:, 0] = self.busy_cpu
         cpu_rows[grouped_nodes, ranks + 1] = ct_arr[order]
-        self.busy_cpu = np.add.accumulate(cpu_rows, axis=1)[:, -1]
+        np.add.accumulate(cpu_rows, axis=1, out=cpu_rows)
+        self.busy_cpu = cpu_rows[:, -1].copy()
 
         # busy_disk: the scalar adds read_time then write_time per task,
         # both per-node constants -- the same fold over rows that
@@ -581,7 +587,8 @@ class VectorEngine:
                 disk_rows[:, 1::2] = np.where(ran, read_time[:, None], 0.0)
             if has_write:
                 disk_rows[:, 2::2] = np.where(ran, write_time[:, None], 0.0)
-            self.busy_disk = np.add.accumulate(disk_rows, axis=1)[:, -1]
+            np.add.accumulate(disk_rows, axis=1, out=disk_rows)
+            self.busy_disk = disk_rows[:, -1].copy()
 
         np.maximum.at(self.compute_end, node_arr, ce_arr)
 
@@ -638,34 +645,55 @@ class VectorEngine:
         nic_out[src], nic_in[dst], now)``; a queue only moves forward,
         and max is exact and order-free, so the two operands that never
         change are folded into the opening times.
+
+        The flows are read one ``GUIDE_CHUNK`` at a time: each chunk's
+        endpoints and durations are formed, its cells charged, and its
+        levels advanced.  A level cut by a chunk boundary advances in two
+        steps, which is exact: its flows touch disjoint queues.
         """
         alive = self.alive
         m = len(alive)
         per_flow = phase.shuffle_bytes / (m * (m - 1))
         plan = flow_order(self.sim.seed, phase.name, tuple(alive), self.n)
-        src, dst, bounds = plan.src, plan.dst, plan.bounds
-        rate = np.minimum(self.nic_bw[src], self.nic_bw[dst])
-        duration = per_flow / rate
+        width, bounds = plan.width, plan.bounds
+        nic_bw = self.nic_bw
 
         nic_out = np.maximum(self.compute_end, now)
         nic_in = np.full(self.n, now)
-        for lo, hi in zip(bounds, bounds[1:]):
-            s = src[lo:hi]
-            d = dst[lo:hi]
-            finish = nic_out[s]
-            np.maximum(finish, nic_in[d], out=finish)
-            finish += duration[lo:hi]
-            nic_out[s] = finish
-            nic_in[d] = finish
-
         # busy_net: each flow charges src then dst in hash order -- an
         # exact left fold along each node's row of the plan's cells.
-        rows = np.zeros((self.n, plan.width))
+        rows = np.zeros((self.n, width))
         rows[:, 0] = self.busy_net
         flat = rows.reshape(-1)
-        flat[plan.cell_src] = duration
-        flat[plan.cell_dst] = duration
-        self.busy_net = np.add.accumulate(rows, axis=1)[:, -1]
+        for lo in range(0, bounds[-1], GUIDE_CHUNK):
+            cell_src = plan.cell_src[lo:lo + GUIDE_CHUNK]
+            cell_dst = plan.cell_dst[lo:lo + GUIDE_CHUNK]
+            # Indices as intp: numpy indexes with int32 through a cast.
+            src = (cell_src // width).astype(np.intp)
+            dst = (cell_dst // width).astype(np.intp)
+            duration = nic_bw[src]
+            np.minimum(duration, nic_bw[dst], out=duration)
+            np.divide(per_flow, duration, out=duration)
+            flat[cell_src.astype(np.intp)] = duration
+            flat[cell_dst.astype(np.intp)] = duration
+            # The chunk's levels, the first and the last cut at its edges.
+            hi = lo + src.size
+            cuts = [0] + [bound - lo for bound in bounds[
+                bisect_right(bounds, lo):bisect_left(bounds, hi)]] \
+                + [hi - lo]
+            for a, b in zip(cuts, cuts[1:]):
+                s = src[a:b]
+                d = dst[a:b]
+                finish = nic_out[s]
+                np.maximum(finish, nic_in[d], out=finish)
+                finish += duration[a:b]
+                nic_out[s] = finish
+                nic_in[d] = finish
+            # This chunk's arrays (and views of them) go before the next
+            # chunk's are formed.
+            del src, dst, duration, s, d
+        np.add.accumulate(rows, axis=1, out=rows)
+        self.busy_net = rows[:, -1].copy()
         # Every alive node sends, and its out-queue ends on its last
         # finish: the latest of them is the latest finish of all.
         return max(now, float(nic_out[alive].max()))

@@ -178,6 +178,21 @@ def _straggler_factors(stream):
     return factors
 
 
+def _busy_fold(svc, shed_mask) -> float:
+    """The left fold of the service times not shed, in arrival order
+    (0.0 over none): ``np.add.accumulate`` one ``GUIDE_CHUNK`` at a
+    time, each chunk opening on the fold so far -- the first on 0.0,
+    which adds exactly -- so the very sums of one call over the whole
+    compacted array."""
+    busy = 0.0
+    for lo in range(0, svc.size, GUIDE_CHUNK):
+        part = svc[lo:lo + GUIDE_CHUNK]
+        if shed_mask is not None:
+            part = part[~shed_mask[lo:lo + GUIDE_CHUNK]]
+        busy = float(np.add.accumulate(np.concatenate(([busy], part)))[-1])
+    return busy
+
+
 #: Per-request history record: one row per issued request.  ``finish``
 #: is NaN for requests that never completed (shed, or lost to an
 #: unrecovered timeout fault); ``node`` is the node of the *primary*
@@ -227,17 +242,17 @@ class RequestArena:
             self.finish = np.full(n, np.nan)
             self.node = np.full(n, -1, dtype=np.int32)
             self.attempt = np.zeros(n, dtype=np.int16)
+            self.shed = np.zeros(n, dtype=bool)
+            self.completed = np.zeros(n, dtype=bool)
         else:
             # The batched fast path rebinds whole columns; prefilling
             # them here would touch every page twice for nothing.
             self.arrival = self.admit = self.start = self.finish = None
-            self.node = self.attempt = None
+            self.node = self.attempt = self.shed = self.completed = None
         self.kind = kinds                 # aliases the stream (read-only)
         self.hedged = np.zeros(n, dtype=bool)
-        self.shed = np.zeros(n, dtype=bool)
         self.retried = np.zeros(n, dtype=bool)
         self.failed = np.zeros(n, dtype=bool)
-        self.completed = np.zeros(n, dtype=bool)
         self._packed = None
 
     def __len__(self) -> int:
@@ -300,10 +315,11 @@ class _VectorReplay:
 
     The constructor keeps the per-slot and per-node constants and one
     per-request array, ``base3`` (service seconds x multiplier x
-    straggler factor), which only the fast path reads.  The event path
-    forms its own per-request lists (the ``service_seconds x mult``
-    prefix and the factors), so a replay that takes the fast path never
-    holds them.
+    straggler factor), which only the fast path's dispatch reads: the
+    fast path drops it once dispatch and the busy fold are done, before
+    completion.  The event path forms its own per-request lists (the
+    ``service_seconds x mult`` prefix and the factors), so a replay
+    that takes the fast path never holds them.
     """
 
     def __init__(self, stream, cluster, service_seconds, policy, faults,
@@ -457,6 +473,15 @@ class _VectorReplay:
             sp.set("rounds", rounds)
         self.dispatch_span = sp        # run() marks an accepted trial
         shed = int(shed_mask.sum())
+
+        # Scalar busy accumulation order: one left fold over dispatched
+        # (non-shed) service times in arrival order; shed requests add
+        # nothing, so compacting before the fold keeps the bits.
+        # Completion never reads a service time: they go before it runs.
+        busy = _busy_fold(svc, shed_mask if shed else None)
+        del svc
+        self.base3 = None
+
         live = np.flatnonzero(~shed_mask) if shed else None
         if shed:
             starts[shed_mask] = np.nan
@@ -468,13 +493,6 @@ class _VectorReplay:
                 times, ends, enode, live)
             sp.set("rounds", comp_rounds)
         METRICS.counter("serving.vector.rounds").inc(rounds + comp_rounds)
-
-        # Scalar busy accumulation order: one left fold over dispatched
-        # (non-shed) service times in arrival order; shed requests add
-        # nothing, so compacting before the fold keeps the bits.
-        live_svc = svc if live is None else svc[live]
-        busy = float(np.add.accumulate(live_svc)[-1]) if live_svc.size \
-            else 0.0
 
         arena = self.arena
         arena.arrival = times
@@ -574,57 +592,60 @@ class _VectorReplay:
     def _dispatch_scan(self, i0, times, starts, ends, enode, svc,
                        shed_mask, slot_free, nic_in) -> None:
         """Tight flat-array transcription of the dispatch inner loop
-        (regime-independent ~3M req/s; exact heap and NIC arithmetic)."""
+        (regime-independent ~3M req/s; exact heap and NIC arithmetic),
+        one ``GUIDE_CHUNK`` of requests at a time: the heap and the
+        inbound NICs carry from each chunk into the next."""
         heap = [(slot_free[s], s) for s in range(len(self.slot_node))]
         heapq.heapify(heap)
         heapreplace = heapq.heapreplace
         nic = nic_in.tolist()
-        tl = times[i0:].tolist()
-        b3 = self.base3[i0:].tolist()
         sn = self.slot_node
         sc = self.slot_scale
         rc = self.req_c
         lt = self.lat
         bound = self.shed_bound
         homo = self.homogeneous
-        st_l, en_l, nd_l = [], [], []
-        sv_l = [] if not homo else None
-        shed_idx = []
         nan = float("nan")
-        for j, r in enumerate(tl):
-            t_free, slot = heap[0]
-            nd = sn[slot]
-            s = nic[nd]
-            if s < r:
-                s = r                      # max(ready, nic_in[node])
-            s += rc[nd]
-            nic[nd] = s
-            st = s + lt[nd]
-            if st < t_free:
-                st = t_free                # max(sent + lat, t_free)
-            if bound is not None and st - r > bound:
-                shed_idx.append(i0 + j)    # slot goes back untouched
-                st_l.append(nan)
-                en_l.append(nan)
+        for lo in range(i0, len(times), GUIDE_CHUNK):
+            hi = lo + GUIDE_CHUNK
+            b3 = self.base3[lo:hi].tolist()
+            st_l, en_l, nd_l = [], [], []
+            sv_l = [] if not homo else None
+            shed_idx = []
+            for j, r in enumerate(times[lo:hi].tolist()):
+                t_free, slot = heap[0]
+                nd = sn[slot]
+                s = nic[nd]
+                if s < r:
+                    s = r                  # max(ready, nic_in[node])
+                s += rc[nd]
+                nic[nd] = s
+                st = s + lt[nd]
+                if st < t_free:
+                    st = t_free            # max(sent + lat, t_free)
+                if bound is not None and st - r > bound:
+                    shed_idx.append(lo + j)    # slot goes back untouched
+                    st_l.append(nan)
+                    en_l.append(nan)
+                    nd_l.append(nd)
+                    if not homo:
+                        sv_l.append(0.0)
+                    continue
+                v = b3[j] if homo else b3[j] * sc[slot]
+                e = st + v
+                heapreplace(heap, (e, slot))
+                st_l.append(st)
+                en_l.append(e)
                 nd_l.append(nd)
                 if not homo:
-                    sv_l.append(0.0)
-                continue
-            v = b3[j] if homo else b3[j] * sc[slot]
-            e = st + v
-            heapreplace(heap, (e, slot))
-            st_l.append(st)
-            en_l.append(e)
-            nd_l.append(nd)
+                    sv_l.append(v)
+            starts[lo:hi] = st_l
+            ends[lo:hi] = en_l
+            enode[lo:hi] = nd_l
             if not homo:
-                sv_l.append(v)
-        starts[i0:] = st_l
-        ends[i0:] = en_l
-        enode[i0:] = nd_l
-        if not homo:
-            svc[i0:] = sv_l
-        if shed_idx:
-            shed_mask[shed_idx] = True
+                svc[lo:hi] = sv_l
+            if shed_idx:
+                shed_mask[shed_idx] = True
         for nd, v in enumerate(nic):
             nic_in[nd] = v
 

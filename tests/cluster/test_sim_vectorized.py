@@ -30,7 +30,7 @@ from repro.cluster import (
     PhaseCost,
 )
 from repro.cluster.sim import STRAGGLER_TAIL, _eighth_power
-from repro.cluster.vector import flow_order, straggler_factors
+from repro.cluster.vector import _fold_cells, flow_order, straggler_factors
 from repro.keyed import GUIDE_CHUNK
 from repro.faults import FaultInjector, FaultPlan
 from tests.cluster import reference_sim
@@ -201,13 +201,16 @@ class TestFlowPlan:
         # Levels partition the flows.
         assert plan.bounds[0] == 0 and plan.bounds[-1] == flows
         assert all(lo < hi for lo, hi in zip(plan.bounds, plan.bounds[1:]))
-        pairs = list(zip(plan.src.tolist(), plan.dst.tolist()))
+        # A flow's endpoints are its cells' rows.
+        src = plan.cell_src // plan.width
+        dst = plan.cell_dst // plan.width
+        pairs = list(zip(src.tolist(), dst.tolist()))
         assert sorted(pairs) == sorted(position)
         level = {}
         for k, (lo, hi) in enumerate(zip(plan.bounds, plan.bounds[1:])):
             # Within a level no queue is touched twice.
-            assert len(set(plan.src[lo:hi].tolist())) == hi - lo
-            assert len(set(plan.dst[lo:hi].tolist())) == hi - lo
+            assert len(set(src[lo:hi].tolist())) == hi - lo
+            assert len(set(dst[lo:hi].tolist())) == hi - lo
             level.update((pair, k) for pair in pairs[lo:hi])
 
         # A flow's level is one more than the later of its predecessors
@@ -218,13 +221,11 @@ class TestFlowPlan:
                                           last_in.get(d, -1))
             last_out[s] = last_in[d] = level[s, d]
 
-        # Fold cells: distinct, never the carry column, in the node's own
-        # row, and along it in the order the oracle charges the node.
+        # Fold cells: distinct, never the carry column, and along the
+        # node's own row in the order the oracle charges the node.
         cells = np.concatenate((plan.cell_src, plan.cell_dst))
         assert len(set(cells.tolist())) == 2 * flows
         assert (cells % plan.width != 0).all()
-        assert np.array_equal(plan.cell_src // plan.width, plan.src)
-        assert np.array_equal(plan.cell_dst // plan.width, plan.dst)
         cell_of = dict(zip(pairs, zip(plan.cell_src.tolist(),
                                       plan.cell_dst.tolist())))
         charged = dict.fromkeys(range(total), 0)
@@ -233,9 +234,8 @@ class TestFlowPlan:
                 charged[node] += 1
                 assert cell == node * plan.width + charged[node]
         assert plan.width == max(charged.values()) + 1
-        assert plan.elements == sum(
-            a.size for a in (plan.src, plan.dst, plan.cell_src,
-                             plan.cell_dst))
+        assert plan.nbytes == plan.cell_src.nbytes + plan.cell_dst.nbytes \
+            == 8 * flows
 
 
 def test_fold_cells_over_several_chunks():
@@ -245,6 +245,29 @@ def test_fold_cells_over_several_chunks():
     flows = 190 * 189
     assert 2 * flows > GUIDE_CHUNK
     TestFlowPlan.check_plan(11, tuple(range(190)), 190)
+
+
+def test_fold_cells_past_int32_are_refused():
+    """32 768 rows of 65 537 cells are 2^31 + 32 768 cells: one more
+    than the int32 cells of a plan can name."""
+    src = np.zeros(GUIDE_CHUNK, dtype=np.int64)
+    with pytest.raises(ValueError, match="int32"):
+        _fold_cells(src, src + 1, 32_768)
+
+
+def test_shuffle_across_chunk_boundaries():
+    """257 alive nodes are 65 792 flows, so the replay reads each plan in
+    two ``GUIDE_CHUNK`` pieces, and a level of the first shuffle lies
+    across the cut.  Two shuffles carry the busy-net fold from one phase
+    into the next; node usage included, the replay is the oracle's."""
+    nodes = 257
+    assert nodes * (nodes - 1) > GUIDE_CHUNK
+    bounds = flow_order(0, "exchange", tuple(range(nodes)), nodes).bounds
+    assert GUIDE_CHUNK not in bounds
+    job = shuffle_job().add(PhaseCost(name="exchange2",
+                                      shuffle_bytes=25 * GB))
+    result = assert_equivalent(PAPER_CLUSTER.scaled(nodes), job)
+    assert all(u.busy_net_seconds > 0 for u in result.nodes)
 
 
 def test_eighth_power_is_the_scalar_pow():

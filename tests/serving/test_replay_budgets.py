@@ -40,11 +40,11 @@ VECTOR_SPEEDUP_FLOOR = 10.0
 #: Generating and replaying 5 x 10^7 requests.  Measured ~44 s + ~70 s.
 DAY_SCALE_BUDGET_SECONDS = 360.0
 
-#: Generating and replaying the day peaks at ~107 bytes per request
+#: Generating and replaying the day peaks at ~89 bytes per request
 #: (tracemalloc over generate + ``replay(policy="shed")`` on the day
-#: profile capped at 5 x 10^6 requests): 5 x 10^7 x 107 B x 1.25.  Below
+#: profile capped at 5 x 10^6 requests): 5 x 10^7 x 89 B x 1.25.  Below
 #: this much available memory the test skips rather than thrash.
-DAY_SCALE_MIN_AVAILABLE_GB = 6.7
+DAY_SCALE_MIN_AVAILABLE_GB = 5.6
 
 AUTOSCALE_BUDGET_SECONDS = 60.0
 

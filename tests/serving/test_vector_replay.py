@@ -296,6 +296,43 @@ class TestChunkedCompletion:
         assert_bit_identical(scalar, vector)
 
 
+class TestChunkedDispatchScan:
+    """The saturated dispatch scan reads one ``GUIDE_CHUNK`` of requests
+    at a time."""
+
+    @pytest.mark.parametrize("rps,cluster,service", [
+        (40_000, MIXED_CLUSTER, 0.01), (150_000, SINGLE_NODE, 1e-4)])
+    def test_a_saturated_scan_over_two_chunks_is_the_heap_oracle(
+            self, monkeypatch, rps, cluster, service):
+        """Past capacity, dispatch hands over to the scan early, which
+        carries its slot heap and inbound NICs -- and the busy fold its
+        service times -- from one chunk into the next.  Twice the mixed
+        cluster's slot capacity scales service per slot; at 1.5 x 10^5
+        requests per second the single node's inbound link, not its
+        slots, is what saturates."""
+        handovers = []
+        scan = vector_engine._VectorReplay._dispatch_scan
+
+        def recorded(self, i0, *args):
+            handovers.append(i0)
+            return scan(self, i0, *args)
+
+        monkeypatch.setattr(vector_engine._VectorReplay, "_dispatch_scan",
+                            recorded)
+        profile = f"constant:rps={rps}:duration=3:cap=70000"
+        scalar, vector = run_both(profile, cluster, service, policy="shed")
+        assert vector.requests - handovers[-1] > vector_engine.GUIDE_CHUNK
+        assert vector.shed > 0
+        assert_bit_identical(scalar, vector)
+        # Every row the scan writes back, against the event loop's.
+        stream = generate_stream(LoadProfile.parse(profile), MIX, seed=3,
+                                 store=False)
+        looped = vector_engine._VectorReplay(
+            stream, cluster, service, "shed", NULL_FAULTS, "serving", 0.5,
+            None)._run_events()
+        assert_same_arena(vector.events, looped.events)
+
+
 def counter(name):
     return METRICS.counter(f"serving.vector.{name}").value
 
